@@ -54,7 +54,7 @@ DEFAULT_PARAMS: dict[str, dict] = {
         "ftol": 1e-11,
     },
     "rf": {"n_trees": 10, "min_samples_split": 2, "max_features": None},
-    "svm": {"C": 1000.0, "tol": 1e-3, "gamma": None, "max_passes": 10000},
+    "svm": {"C": 1000.0, "tol": 1e-3, "gamma": None},
 }
 
 _BINARY_TYPES = {
@@ -66,7 +66,7 @@ _BINARY_TYPES = {
     "svm": SvmBinary,
 }
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -142,12 +142,7 @@ def _make_submodel(variant: str, params: dict, seed: int, ci: int, n_inputs: int
             seed_key=(seed, ci),
         )
     if variant == "svm":
-        return SvmBinary(
-            C=params["C"],
-            tol=params["tol"],
-            gamma=params["gamma"],
-            max_passes=params["max_passes"],
-        )
+        return SvmBinary(C=params["C"], tol=params["tol"], gamma=params["gamma"])
     raise ConfigurationError(f"unknown classifier variant {variant!r}")
 
 

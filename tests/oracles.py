@@ -11,6 +11,7 @@ import itertools
 import math
 
 import numpy as np
+from scipy.optimize import minimize
 
 
 # --- plain counting metrics -------------------------------------------------
@@ -97,6 +98,40 @@ def average_precision_of(y_true, scores) -> float:
         ap += (tp / n_pos - prev_recall) * (tp / (tp + fp))
         prev_recall = tp / n_pos
     return ap
+
+
+# --- SVM dual ---------------------------------------------------------------
+
+def svm_dual_oracle(K, y, C: float) -> tuple[np.ndarray, float]:
+    """SLSQP on the soft-margin dual: min 1/2 a'(yy' * K)a - sum(a) subject
+    to 0 <= a <= C and y'a = 0, for at most 30 points.
+
+    Returns alpha and the bias averaged over the free support vectors,
+    where y * decision = 1 (raises if there are none).
+    """
+    K = np.asarray(K, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n = len(y)
+    if n > 30:
+        raise ValueError("the oracle is meant for at most 30 points")
+    Q = np.outer(y, y) * K
+    result = minimize(
+        lambda a: 0.5 * a @ Q @ a - a.sum(),
+        np.zeros(n),
+        jac=lambda a: Q @ a - 1.0,
+        bounds=[(0.0, C)] * n,
+        constraints=[{"type": "eq", "fun": lambda a: a @ y, "jac": lambda a: y}],
+        method="SLSQP",
+        options={"ftol": 1e-10, "maxiter": 2000},
+    )
+    if not result.success:
+        raise RuntimeError(result.message)
+    alpha = np.clip(result.x, 0.0, C)
+    free = (alpha > 1e-6 * C) & (alpha < (1.0 - 1e-6) * C)
+    if not free.any():
+        raise ValueError("no free support vectors to place the bias")
+    b = float(np.mean(y[free] - K[free] @ (alpha * y)))
+    return alpha, b
 
 
 # --- symmetric eigenproblem -------------------------------------------------

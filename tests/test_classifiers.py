@@ -2,7 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import oracles
 from loudclass.bisgaard import BisgaardClass
 from loudclass.classifiers import (
     DEFAULT_PARAMS,
@@ -26,10 +28,13 @@ from loudclass.classifiers import (
     predict_proba,
     save_model,
 )
+from loudclass.classifiers import svm as svm_module
+from loudclass.classifiers.svm import rbf_kernel
 from loudclass.errors import (
     ConfigurationError,
     DataError,
     DegenerateLabelError,
+    NumericError,
     SchemaError,
     ShapeError,
 )
@@ -280,6 +285,122 @@ def test_svm_validation():
         SvmBinary(tol=-1.0)
 
 
+def svm_dual_objective(model) -> float:
+    """1/2 a'Qa - sum(a) from the support vectors a fitted model keeps."""
+    ay = model.sv_alpha_y_
+    K = rbf_kernel(model.sv_X_, model.sv_X_, model.gamma_)
+    return float(0.5 * ay @ K @ ay - np.abs(ay).sum())
+
+
+@pytest.mark.parametrize("C", [1.0, 10.0, 1000.0])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_svm_matches_dual_oracle(seed, C):
+    X, y = two_blobs(np.random.default_rng(seed), n_per=12, spread=1.0, gap=2.0)
+    model = SvmBinary(C=C).fit(X, y)
+    K = rbf_kernel(X, X, model.gamma_)
+    signed = np.where(y > 0.5, 1.0, -1.0)
+    alpha, b = oracles.svm_dual_oracle(K, signed, C)
+    reference = 0.5 * (alpha * signed) @ K @ (alpha * signed) - alpha.sum()
+    assert svm_dual_objective(model) == pytest.approx(reference, rel=1e-4)
+    oracle_decision = K @ (alpha * signed) + b
+    assert np.array_equal(model.decision(X) > 0, oracle_decision > 0)
+
+
+def check_svm_kkt(model, X, y) -> None:
+    """Box, equality and margin conditions that a gap <= tol implies."""
+    C, tol, slack = model.C, model.tol, 1e-9
+    alpha = np.abs(model.sv_alpha_y_)
+    assert np.all((alpha > 0) & (alpha <= C))
+    assert abs(model.sv_alpha_y_.sum()) < 1e-9
+    assert model.kkt_gap_ <= tol
+    # y * decision >= 1 - tol where alpha = 0, <= 1 + tol where alpha = C
+    # and both on free support vectors.
+    margin = np.sign(model.sv_alpha_y_) * model.decision(model.sv_X_)
+    assert np.all(margin[alpha == C] <= 1 + tol + slack)
+    assert np.all(margin[alpha < C] >= 1 - tol - slack)
+    assert np.all(margin[alpha < C] <= 1 + tol + slack)
+    is_sv = (X[:, None, :] == model.sv_X_[None, :, :]).all(axis=2).any(axis=1)
+    signed = np.where(y > 0.5, 1.0, -1.0)
+    assert np.all((signed * model.decision(X))[~is_sv] >= 1 - tol - slack)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 24),
+    duplicated=st.booleans(),
+    C=st.sampled_from([1e-3, 0.5, 10.0, 1000.0]),
+    tol=st.sampled_from([1e-3, 1e-6]),
+)
+@example(seed=0, n=8, duplicated=True, C=10.0, tol=1e-3)
+@example(seed=0, n=8, duplicated=False, C=1e-3, tol=1e-3)
+def test_svm_solution_is_feasible_and_converged(seed, n, duplicated, C, tol):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, 2))
+    if duplicated:
+        # Identical rows make a_ij = 0, which the tau clamp replaces.
+        X[n // 2:] = X[: n - n // 2]
+    y = (rng.uniform(size=n) > 0.5).astype(float)
+    y[:2] = [0.0, 1.0]
+    model = SvmBinary(C=C, tol=tol).fit(X, y)
+    check_svm_kkt(model, X, y)
+
+
+def test_svm_opposite_duplicates_hit_the_box():
+    # Two copies of one point with opposite labels: a = 0 along the pair,
+    # so only the tau clamp and the box bound the step.
+    X = np.array([[0.0, 0.0], [0.0, 0.0], [2.0, 0.0], [-2.0, 0.0]])
+    y = np.array([1.0, 0.0, 1.0, 0.0])
+    model = SvmBinary(C=5.0).fit(X, y)
+    check_svm_kkt(model, X, y)
+    duplicates = np.abs(model.sv_alpha_y_[(model.sv_X_ == 0.0).all(axis=1)])
+    assert np.array_equal(duplicates, [5.0, 5.0])
+
+
+def test_svm_bias_without_free_vectors_is_bound_midpoint(rng):
+    # A tiny C leaves every point at the upper bound, so no free support
+    # vector fixes b; it is the midpoint of max over I_up and min over
+    # I_low of v = y - (decision - b).
+    X, y = two_blobs(rng, n_per=4, spread=1.0, gap=1.0)
+    C = 1e-3
+    model = SvmBinary(C=C).fit(X, y)
+    assert len(model.sv_X_) == len(X)
+    assert np.all(np.abs(model.sv_alpha_y_) == C)
+    signed = np.where(y > 0.5, 1.0, -1.0)
+    v = signed - (model.decision(X) - model.b_)
+    # At alpha = C, I_up holds the negatives and I_low the positives.
+    midpoint = 0.5 * (v[signed < 0].max() + v[signed > 0].min())
+    assert model.b_ == pytest.approx(midpoint, abs=1e-12)
+
+
+@pytest.mark.parametrize("label", [0.0, 1.0])
+def test_svm_single_class_labels(rng, label):
+    # Nothing can move, and b sits on the one bound: y * decision = 1.
+    X = rng.normal(size=(6, 2))
+    model = SvmBinary().fit(X, np.full(6, label))
+    assert model.iterations_ == 0
+    assert model.kkt_gap_ == 0.0
+    assert len(model.sv_X_) == 0
+    assert np.array_equal(model.decision(X), np.full(6, 2.0 * label - 1.0))
+
+
+def test_svm_fit_diagnostics(rng):
+    X, y = two_blobs(rng)
+    model = SvmBinary().fit(X, y)
+    assert model.iterations_ > 0
+    assert model.kkt_gap_ <= model.tol
+    payload = model.to_jsonable()
+    assert "iterations" not in json.dumps(payload)
+    assert "gap" not in json.dumps(payload)
+
+
+def test_svm_iteration_cap_raises(rng, monkeypatch):
+    X, y = two_blobs(rng, n_per=25, spread=0.9, gap=3.0)
+    monkeypatch.setattr(svm_module, "_iteration_cap", lambda n: 1)
+    with pytest.raises(NumericError):
+        SvmBinary().fit(X, y)
+
+
 # --- one-vs-rest wrapper --------------------------------------------------------
 
 def six_class_data(rng, n_per=8):
@@ -436,7 +557,7 @@ def test_model_json_is_versioned_and_sorted(rng, tmp_path):
     path = tmp_path / "model.json"
     save_model(model, path)
     payload = json.loads(path.read_text())
-    assert payload["format_version"] == 1
+    assert payload["format_version"] == 2
     assert payload["variant"] == "dt"
     save_model(model, path)
     again = path.read_bytes()

@@ -221,6 +221,13 @@ def test_designated_must_be_in_only(generated, capsys):
     assert "svm" in capsys.readouterr().err
 
 
+def test_removed_svm_max_passes_is_exit_2(generated, capsys):
+    rc = run("evaluate", "--out-dir", str(generated), "--classifier", "svm",
+             "--param", "max_passes=5")
+    assert rc == 2
+    assert "unknown svm parameters" in capsys.readouterr().err
+
+
 def test_help_exits_zero(capsys):
     assert run("--help") == 0
     assert "generate" in capsys.readouterr().out
