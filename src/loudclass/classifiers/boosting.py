@@ -8,7 +8,7 @@ import numpy as np
 from scipy.special import expit
 
 from ..errors import ConfigurationError
-from .tree import TreeNode, build_tree, tree_predict
+from .tree import TreeNode, build_tree, presort, tree_predict
 
 _HESSIAN_EPS = 1e-16
 
@@ -53,6 +53,7 @@ class GradientBoostingBinary:
     def fit(self, X, y01) -> "GradientBoostingBinary":
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y01, dtype=np.float64)
+        order = presort(X)  # X is the same for every stage
         base_rate = min(max(float(y.mean()), 1e-10), 1.0 - 1e-10)
         self.base_score_ = math.log(base_rate / (1.0 - base_rate))
         raw = np.full(len(y), self.base_score_)
@@ -69,6 +70,7 @@ class GradientBoostingBinary:
             tree = build_tree(
                 X,
                 residual,
+                order,
                 criterion="mse",
                 min_samples_split=self.min_samples_split,
                 max_depth=self.max_depth,
@@ -78,14 +80,15 @@ class GradientBoostingBinary:
             previous = self.train_losses_[-1]
             scale = self.learning_rate
             for _ in range(30):
-                if _log_loss(y, raw + scale * step) <= previous + 1e-12:
+                loss = _log_loss(y, raw + scale * step)
+                if loss <= previous + 1e-12:
                     break
                 scale *= 0.5
             else:
-                scale = 0.0
+                scale, loss = 0.0, previous
             raw = raw + scale * step
             self.stages_.append((tree, scale))
-            self.train_losses_.append(_log_loss(y, raw))
+            self.train_losses_.append(loss)
         return self
 
     def decision(self, X) -> np.ndarray:

@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from ..errors import ConfigurationError
-from .tree import TreeNode, build_tree, tree_predict
+from .tree import TreeNode, build_tree, presort, tree_predict
 
 
 class RandomForestBinary:
@@ -43,10 +43,12 @@ class RandomForestBinary:
         for t in range(self.n_trees):
             rng = np.random.default_rng(np.random.SeedSequence([*self.seed_key, t]))
             bootstrap = rng.integers(0, n, size=n)
+            X_boot = X[bootstrap]
             self.trees_.append(
                 build_tree(
-                    X[bootstrap],
+                    X_boot,
                     y01[bootstrap],
+                    presort(X_boot),
                     criterion="entropy",
                     min_samples_split=self.min_samples_split,
                     max_features=max_features,

@@ -1,9 +1,16 @@
 """Binary CART trees shared by the tree, forest, and boosting classifiers.
 
 Split search is exhaustive over midpoints between consecutive distinct
-feature values. Equal-gain ties resolve to the lowest feature index, then
-the lowest threshold, which makes every build deterministic. Classification
-uses entropy gain on 0/1 targets; regression uses squared-error reduction.
+feature values, presorted as in CART (Breiman et al. 1984) and SLIQ (Mehta,
+Agrawal & Rissanen 1996). ``presort(X)`` runs one stable argsort per feature;
+boosting sorts once for all its stages, the forest once per bootstrap. A
+split divides each feature's order between the children with a boolean
+filter, which keeps the order a stable sort of the child's rows would give
+(equal values in ascending row order). One pass of cumulative sums over the
+sorted targets of all candidate features then scores every split position:
+entropy gain on 0/1 targets, squared-error reduction for regression.
+Equal-gain ties resolve to the lowest feature index, then the lowest
+threshold, which makes every build deterministic.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, ShapeError
 
 
 @dataclass
@@ -57,68 +64,78 @@ class TreeNode:
 _GAIN_EPS = 1e-12
 
 
-def _entropy_from_counts(pos: np.ndarray, total: np.ndarray) -> np.ndarray:
+def _entropy_from_counts(pos: np.ndarray, total) -> np.ndarray:
     p = np.divide(pos, total, out=np.zeros_like(pos, dtype=np.float64), where=total > 0)
     q = 1.0 - p
-    h = np.zeros_like(p)
-    mask = p > 0
-    h[mask] -= p[mask] * np.log2(p[mask])
-    mask = q > 0
-    h[mask] -= q[mask] * np.log2(q[mask])
-    return h
+    # 0 log 0 = 0: log2(1) stands in where p or q is 0.
+    return -(p * np.log2(np.where(p > 0, p, 1.0))) - q * np.log2(np.where(q > 0, q, 1.0))
 
 
-def _best_split_entropy(x: np.ndarray, y: np.ndarray):
-    """Best (gain, threshold) for one feature, or None if unsplittable."""
-    order = np.argsort(x, kind="stable")
-    xs, ys = x[order], y[order]
-    boundary = np.flatnonzero(np.diff(xs) != 0)  # split after these positions
-    if boundary.size == 0:
-        return None
-    n = len(xs)
-    pos_cum = np.cumsum(ys)
-    n_left = (boundary + 1).astype(np.float64)
+def _entropy_gain(ys: np.ndarray) -> np.ndarray:
+    """Entropy gain of a split after each position of each row of sorted 0/1
+    targets; the last column, with nothing to its right, is unused."""
+    n = ys.shape[1]
+    n_left = np.arange(1, n + 1, dtype=np.float64)
     n_right = n - n_left
-    pos_left = pos_cum[boundary]
-    pos_right = pos_cum[-1] - pos_left
-    h_parent = _entropy_from_counts(np.array([pos_cum[-1]]), np.array([float(n)]))[0]
+    pos_left = np.cumsum(ys, axis=1)
+    total = pos_left[:, -1:]
+    h_parent = _entropy_from_counts(total, float(n))
     h_left = _entropy_from_counts(pos_left, n_left)
-    h_right = _entropy_from_counts(pos_right, n_right)
-    gains = h_parent - (n_left * h_left + n_right * h_right) / n
-    best = int(np.argmax(gains))  # first maximum = lowest threshold
-    if gains[best] <= _GAIN_EPS:
-        return None
-    threshold = (xs[boundary[best]] + xs[boundary[best] + 1]) / 2.0
-    return float(gains[best]), float(threshold)
+    h_right = _entropy_from_counts(total - pos_left, n_right)
+    return h_parent - (n_left * h_left + n_right * h_right) / n
 
 
-def _best_split_mse(x: np.ndarray, y: np.ndarray):
-    order = np.argsort(x, kind="stable")
-    xs, ys = x[order], y[order]
-    boundary = np.flatnonzero(np.diff(xs) != 0)
-    if boundary.size == 0:
+def _mse_gain(ys: np.ndarray) -> np.ndarray:
+    """Squared-error reduction of a split after each position of each row of
+    sorted targets; the last column, with nothing to its right, is unused."""
+    n = ys.shape[1]
+    n_left = np.arange(1, n + 1, dtype=np.float64)
+    s_left = np.cumsum(ys, axis=1)
+    s2_left = np.cumsum(ys * ys, axis=1)
+    s_total, s2_total = s_left[:, -1:], s2_left[:, -1:]
+    s_right = s_total - s_left
+    sse_left = s2_left - s_left * s_left / n_left
+    # The floor only touches the unused last column, where n_right is 0.
+    sse_right = (s2_total - s2_left) - s_right * s_right / np.maximum(n - n_left, 1.0)
+    sse_parent = s2_total - s_total * s_total / n
+    return sse_parent - (sse_left + sse_right)
+
+
+_GAINS = {"entropy": _entropy_gain, "mse": _mse_gain}
+
+
+def presort(X: np.ndarray) -> np.ndarray:
+    """``d x n`` row order: a stable argsort of each feature column."""
+    return np.argsort(np.asarray(X, dtype=np.float64).T, axis=1, kind="stable")
+
+
+def _best_split(X, y, order, candidates, gain_fn):
+    """Best (gain, feature, threshold) over ``candidates``, or None.
+
+    ``order`` holds the node's rows sorted by each feature. Every candidate
+    feature is scanned at once; positions between equal values get -inf.
+    """
+    rows = order[candidates]
+    ys = y[rows]
+    if len(ys) == 0 or ys[0].min() == ys[0].max():  # constant targets never split
         return None
-    n = len(xs)
-    s_cum = np.cumsum(ys)
-    s2_cum = np.cumsum(ys * ys)
-    n_left = (boundary + 1).astype(np.float64)
-    n_right = n - n_left
-    s_left = s_cum[boundary]
-    s_right = s_cum[-1] - s_left
-    sse_left = s2_cum[boundary] - s_left * s_left / n_left
-    sse_right = (s2_cum[-1] - s2_cum[boundary]) - s_right * s_right / n_right
-    sse_parent = s2_cum[-1] - s_cum[-1] * s_cum[-1] / n
-    gains = sse_parent - (sse_left + sse_right)
-    best = int(np.argmax(gains))
-    if gains[best] <= _GAIN_EPS:
+    xs = np.take(X, rows * X.shape[1] + candidates[:, None])  # X[rows, f] per row f
+    gains = gain_fn(ys)
+    gains[:, :-1][np.diff(xs, axis=1) == 0] = -np.inf
+    gains[:, -1] = -np.inf
+    at = np.argmax(gains, axis=1)  # first maximum = lowest threshold
+    per_feature = gains[np.arange(len(candidates)), at]
+    j = int(np.argmax(per_feature))  # first maximum = lowest feature
+    if per_feature[j] <= _GAIN_EPS:
         return None
-    threshold = (xs[boundary[best]] + xs[boundary[best] + 1]) / 2.0
-    return float(gains[best]), float(threshold)
+    threshold = (xs[j, at[j]] + xs[j, at[j] + 1]) / 2.0
+    return float(per_feature[j]), int(candidates[j]), float(threshold)
 
 
 def build_tree(
     X: np.ndarray,
     y: np.ndarray,
+    order: np.ndarray,
     *,
     criterion: str,
     min_samples_split: int = 2,
@@ -127,70 +144,52 @@ def build_tree(
     rng: np.random.Generator | None = None,
     leaf_value: Callable[[np.ndarray], float] | None = None,
 ) -> TreeNode:
-    """Grow a tree on ``(X, y)``.
+    """Grow a tree on ``(X, y)`` from ``order = presort(X)``.
 
     ``max_features`` draws that many candidate features per split from
     ``rng`` (the forest's subsampling); both default to using every feature.
-    ``leaf_value`` maps the sample indices of a leaf to its payload and
-    defaults to the target mean (positive fraction on 0/1 targets).
+    ``leaf_value`` maps the ascending sample indices of a leaf to its
+    payload and defaults to the target mean (positive fraction on 0/1
+    targets).
     """
-    if criterion == "entropy":
-        split_fn = _best_split_entropy
-    elif criterion == "mse":
-        split_fn = _best_split_mse
-    else:
+    if criterion not in _GAINS:
         raise ConfigurationError(f"criterion must be 'entropy' or 'mse', got {criterion!r}")
     if max_features is not None and rng is None:
         raise ConfigurationError("feature subsampling needs an rng")
-    X = np.asarray(X, dtype=np.float64)
+    X = np.ascontiguousarray(X, dtype=np.float64)  # _best_split indexes it flat
     y = np.asarray(y, dtype=np.float64)
+    if order.shape != X.shape[::-1]:
+        raise ShapeError(f"order must have shape {X.shape[::-1]}, got {order.shape}")
     if leaf_value is None:
         leaf_value = lambda idx: float(y[idx].mean())
-    indices = np.arange(len(y))
-    return _grow(
-        X, y, indices, split_fn, min_samples_split, max_depth, max_features, rng,
-        leaf_value, depth=0,
-    )
+    n_features = X.shape[1]
+    gain_fn = _GAINS[criterion]
 
-
-def _grow(X, y, indices, split_fn, min_samples_split, max_depth, max_features, rng,
-          leaf_value, depth) -> TreeNode:
-    node = TreeNode(value=leaf_value(indices), n_samples=len(indices))
-    if len(indices) < min_samples_split:
-        return node
-    if max_depth is not None and depth >= max_depth:
-        return node
-
-    if max_features is None:
-        candidates = range(X.shape[1])
-    else:
-        k = min(max_features, X.shape[1])
-        # Sorted so the lowest-index tie-break is independent of draw order.
-        candidates = np.sort(rng.choice(X.shape[1], size=k, replace=False))
-
-    best = None  # (gain, feature, threshold)
-    y_node = y[indices]
-    for f in candidates:
-        found = split_fn(X[indices, f], y_node)
+    def grow(indices, order, side, depth) -> TreeNode:
+        node = TreeNode(value=leaf_value(indices), n_samples=len(indices))
+        if len(indices) < min_samples_split:
+            return node
+        if max_depth is not None and depth >= max_depth:
+            return node
+        if side is not None:
+            # Filtering the parent's order keeps each feature's sorted order.
+            order = order[side[order]].reshape(n_features, -1)
+        if max_features is None:
+            candidates = np.arange(n_features)
+        else:
+            k = min(max_features, n_features)
+            # Sorted so the lowest-index tie-break is independent of draw order.
+            candidates = np.sort(rng.choice(n_features, size=k, replace=False))
+        found = _best_split(X, y, order, candidates, gain_fn)
         if found is None:
-            continue
-        gain, threshold = found
-        if best is None or gain > best[0]:
-            best = (gain, int(f), threshold)
-    if best is None:
+            return node
+        _, node.feature, node.threshold = found
+        goes_left = X[:, node.feature] <= node.threshold
+        node.left = grow(indices[goes_left[indices]], order, goes_left, depth + 1)
+        node.right = grow(indices[~goes_left[indices]], order, ~goes_left, depth + 1)
         return node
 
-    _, feature, threshold = best
-    mask = X[indices, feature] <= threshold
-    left_idx = indices[mask]
-    right_idx = indices[~mask]
-    node.feature = feature
-    node.threshold = threshold
-    node.left = _grow(X, y, left_idx, split_fn, min_samples_split, max_depth,
-                      max_features, rng, leaf_value, depth + 1)
-    node.right = _grow(X, y, right_idx, split_fn, min_samples_split, max_depth,
-                       max_features, rng, leaf_value, depth + 1)
-    return node
+    return grow(np.arange(len(y)), order, None, depth=0)
 
 
 def tree_predict(node: TreeNode, X: np.ndarray) -> np.ndarray:
@@ -220,7 +219,8 @@ class DecisionTreeBinary:
 
     def fit(self, X, y01) -> "DecisionTreeBinary":
         self.tree_ = build_tree(
-            X, y01, criterion="entropy", min_samples_split=self.min_samples_split
+            X, y01, presort(X), criterion="entropy",
+            min_samples_split=self.min_samples_split,
         )
         return self
 

@@ -312,6 +312,11 @@ def run_experiment(cfg: ExperimentConfig, records=None, plans=None) -> MetricsRe
             f"designated classifier {cfg.designated!r} is not among: "
             + ", ".join(names)
         )
+    for name, spec in zip(names, cfg.classifiers):
+        try:
+            spec.resolved()  # reject unknown parameters before any fit
+        except LoudclassError as exc:
+            raise _with_stage(f"classifier {name}", exc)
 
     n = len(y)
     results = []

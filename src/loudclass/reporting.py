@@ -103,7 +103,8 @@ def synthetic_jsonable(cfg: SyntheticConfig | None):
 def experiment_config_jsonable(cfg: ExperimentConfig) -> dict:
     return {
         "synthetic": synthetic_jsonable(cfg.synthetic),
-        "data_path": str(Path(cfg.data_path).resolve()) if cfg.data_path else None,
+        # The file's content, not its path: manifest.json keeps the path.
+        "data_sha256": sha256_file(cfg.data_path) if cfg.data_path else None,
         "roving": roving_jsonable(cfg.roving),
         "classifiers": [
             {"variant": s.variant, "seed": s.seed, "params": dict(s.params)}

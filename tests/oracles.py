@@ -200,3 +200,60 @@ def naive_shapley(f, record, background) -> tuple[np.ndarray, float]:
                 without = coalition_value(f, record, background, subset)
                 phi[i] += weight * (with_i - without)
     return phi, coalition_value(f, record, background, ())
+
+
+# --- CART root split ----------------------------------------------------------
+
+def _entropy_bits(values) -> float:
+    h = 0.0
+    for v in set(values):
+        p = values.count(v) / len(values)
+        h -= p * math.log2(p)
+    return h
+
+
+def _squared_error(values) -> float:
+    mean = sum(values) / len(values)
+    return sum((v - mean) ** 2 for v in values)
+
+
+def split_gains(X, y, criterion: str) -> list[tuple[float, int, float]]:
+    """(gain, feature, threshold) of every root split, by feature and then
+    threshold.
+
+    Tries every feature and every midpoint between two consecutive distinct
+    values; rows with x <= threshold go left. Entropy gain is
+    H(parent) - (n_l H(left) + n_r H(right)) / n in bits; squared-error gain
+    is SSE(parent) - SSE(left) - SSE(right).
+    """
+    rows = [[float(v) for v in row] for row in X]
+    targets = [float(v) for v in y]
+    impurity = {
+        "entropy": lambda ys: len(ys) * _entropy_bits(ys) / len(targets),
+        "mse": _squared_error,
+    }[criterion]
+    parent = impurity(targets)
+    splits = []
+    for f in range(len(rows[0])):
+        values = sorted(set(row[f] for row in rows))
+        for lo, hi in zip(values, values[1:]):
+            threshold = (lo + hi) / 2.0
+            left = [t for row, t in zip(rows, targets) if row[f] <= threshold]
+            right = [t for row, t in zip(rows, targets) if row[f] > threshold]
+            splits.append((parent - impurity(left) - impurity(right), f, threshold))
+    return splits
+
+
+def best_split_oracle(X, y, criterion: str):
+    """Best root split as (gain, feature, threshold), or None if no split
+    gains more than 1e-12.
+
+    A gain must beat the best so far by more than 1e-12 to replace it, so
+    ties resolve to the lowest feature, then the lowest threshold.
+    """
+    eps = 1e-12
+    best = None
+    for gain, f, threshold in split_gains(X, y, criterion):
+        if gain > eps and (best is None or gain > best[0] + eps):
+            best = (gain, f, threshold)
+    return best

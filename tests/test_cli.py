@@ -1,9 +1,12 @@
 """End-to-end command tests driven through cli.main(argv)."""
 
+import hashlib
 import json
+import shutil
 
 import pytest
 
+from loudclass import harness
 from loudclass.classifiers import load_model, predict
 from loudclass.cli import main
 from loudclass.pipeline import (
@@ -66,6 +69,22 @@ def test_evaluate_then_report(generated):
     manifest = json.loads((generated / "figures" / "manifest.json").read_text())
     assert manifest["command"] == "report"
     assert any(key.endswith("report.json") for key in manifest["inputs"])
+
+
+def test_report_json_does_not_depend_on_data_location(generated, tmp_path):
+    copy = tmp_path / "copy"
+    copy.mkdir()
+    shutil.copyfile(generated / "labeled.json", copy / "labeled.json")
+    for out in (generated, copy):
+        rc = run("evaluate", "--out-dir", str(out), "--only", "dt,knn",
+                 "--k", "3", "--classifier", "dt")
+        assert rc == 0
+    report = (copy / "report.json").read_bytes()
+    assert report == (generated / "report.json").read_bytes()
+    config = json.loads(report)["config"]
+    assert "data_path" not in config
+    labeled = (copy / "labeled.json").read_bytes()
+    assert config["data_sha256"] == hashlib.sha256(labeled).hexdigest()
 
 
 def test_train_writes_loadable_model(generated, tmp_path):
@@ -221,7 +240,11 @@ def test_designated_must_be_in_only(generated, capsys):
     assert "svm" in capsys.readouterr().err
 
 
-def test_removed_svm_max_passes_is_exit_2(generated, capsys):
+def test_removed_svm_max_passes_is_exit_2(generated, capsys, monkeypatch):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a classifier was fitted before the parameters were checked")
+
+    monkeypatch.setattr(harness, "fit", no_fit)
     rc = run("evaluate", "--out-dir", str(generated), "--classifier", "svm",
              "--param", "max_passes=5")
     assert rc == 2
