@@ -59,6 +59,11 @@ class BisgaardClass(enum.Enum):
     def __str__(self) -> str:
         return self.name
 
+    # Members are singletons compared by identity, so hash by identity in C
+    # instead of Enum's Python-level hash of the name: metrics and the
+    # harness look every label up in a dict.
+    __hash__ = object.__hash__
+
 
 CLASS_ORDER: tuple[BisgaardClass, ...] = tuple(sorted(BisgaardClass))
 

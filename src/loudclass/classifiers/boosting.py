@@ -35,7 +35,6 @@ class GradientBoostingBinary:
         learning_rate: float = 1.0,
         max_depth: int = 2,
         min_samples_split: int = 2,
-        seed: int = 0,
     ):
         if n_estimators < 1:
             raise ConfigurationError("n_estimators must be >= 1")
@@ -45,7 +44,6 @@ class GradientBoostingBinary:
         self.learning_rate = learning_rate
         self.max_depth = max_depth
         self.min_samples_split = min_samples_split
-        self.seed = seed  # interface parity; full-batch fitting is deterministic
         self.base_score_: float | None = None
         self.stages_: list[tuple[TreeNode, float]] | None = None
         self.train_losses_: list[float] | None = None
@@ -110,7 +108,6 @@ class GradientBoostingBinary:
             "learning_rate": self.learning_rate,
             "max_depth": self.max_depth,
             "min_samples_split": self.min_samples_split,
-            "seed": self.seed,
             "base_score": self.base_score_,
             "stages": [[t.to_jsonable(), s] for t, s in self.stages_],
         }
@@ -122,7 +119,6 @@ class GradientBoostingBinary:
             learning_rate=payload["learning_rate"],
             max_depth=payload["max_depth"],
             min_samples_split=payload["min_samples_split"],
-            seed=payload["seed"],
         )
         model.base_score_ = payload["base_score"]
         model.stages_ = [

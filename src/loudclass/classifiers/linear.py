@@ -25,13 +25,12 @@ class LogisticRegressionBinary:
 
     No regularization; optimization runs until the gradient infinity norm
     drops below ``gtol`` or ``max_iter`` iterations. Zero initialization
-    makes the fit deterministic; the seed is stored for interface parity.
+    makes the fit deterministic.
     """
 
-    def __init__(self, *, gtol: float = 1e-6, max_iter: int = 10000, seed: int = 0):
+    def __init__(self, *, gtol: float = 1e-6, max_iter: int = 10000):
         self.gtol = gtol
         self.max_iter = max_iter
-        self.seed = seed
         self.weights_: np.ndarray | None = None
         self.bias_: float | None = None
 
@@ -61,16 +60,13 @@ class LogisticRegressionBinary:
         return {
             "gtol": self.gtol,
             "max_iter": self.max_iter,
-            "seed": self.seed,
             "weights": self.weights_.tolist(),
             "bias": self.bias_,
         }
 
     @classmethod
     def from_jsonable(cls, payload: dict) -> "LogisticRegressionBinary":
-        model = cls(
-            gtol=payload["gtol"], max_iter=payload["max_iter"], seed=payload["seed"]
-        )
+        model = cls(gtol=payload["gtol"], max_iter=payload["max_iter"])
         model.weights_ = np.asarray(payload["weights"], dtype=np.float64)
         model.bias_ = payload["bias"]
         return model

@@ -22,6 +22,7 @@ from ..errors import (
     SchemaError,
     ShapeError,
 )
+from ..metrics import label_codes, sorted_labels
 from .boosting import GradientBoostingBinary
 from .forest import RandomForestBinary
 from .linear import LogisticRegressionBinary
@@ -66,7 +67,11 @@ _BINARY_TYPES = {
     "svm": SvmBinary,
 }
 
-FORMAT_VERSION = 2
+# Constructor arguments that come from the fit instead of DEFAULT_PARAMS;
+# only the network and the forest draw random numbers.
+_CONTEXT_ARGS = {"nn": ("n_inputs", "seed_key"), "rf": ("seed_key",)}
+
+FORMAT_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -96,54 +101,10 @@ class ClassifierSpec:
         return seed, merged
 
 
-def _sort_classes(labels) -> list:
-    try:
-        return sorted(set(labels))
-    except TypeError:
-        return sorted(set(labels), key=str)
-
-
-def _child_seed(seed: int, ci: int) -> int:
-    return int(np.random.SeedSequence([seed, ci]).generate_state(1)[0])
-
-
 def _make_submodel(variant: str, params: dict, seed: int, ci: int, n_inputs: int):
-    if variant == "dt":
-        return DecisionTreeBinary(
-            min_samples_split=params["min_samples_split"], seed=_child_seed(seed, ci)
-        )
-    if variant == "gb":
-        return GradientBoostingBinary(
-            n_estimators=params["n_estimators"],
-            learning_rate=params["learning_rate"],
-            max_depth=params["max_depth"],
-            min_samples_split=params["min_samples_split"],
-            seed=_child_seed(seed, ci),
-        )
-    if variant == "lr":
-        return LogisticRegressionBinary(
-            gtol=params["gtol"], max_iter=params["max_iter"], seed=_child_seed(seed, ci)
-        )
-    if variant == "nn":
-        return NeuralNetBinary(
-            n_inputs,
-            hidden=tuple(params["hidden"]),
-            alpha=params["alpha"],
-            max_iter=params["max_iter"],
-            gtol=params["gtol"],
-            ftol=params["ftol"],
-            seed_key=(seed, ci),
-        )
-    if variant == "rf":
-        return RandomForestBinary(
-            n_trees=params["n_trees"],
-            min_samples_split=params["min_samples_split"],
-            max_features=params["max_features"],
-            seed_key=(seed, ci),
-        )
-    if variant == "svm":
-        return SvmBinary(C=params["C"], tol=params["tol"], gamma=params["gamma"])
-    raise ConfigurationError(f"unknown classifier variant {variant!r}")
+    context = {"n_inputs": n_inputs, "seed_key": (seed, ci)}
+    extra = {name: context[name] for name in _CONTEXT_ARGS.get(variant, ())}
+    return _BINARY_TYPES[variant](**params, **extra)
 
 
 class TrainedModel:
@@ -194,7 +155,7 @@ def fit(spec: ClassifierSpec, X, y, *, classes=None) -> TrainedModel:
     if len(present) < 2:
         raise DegenerateLabelError("training labels contain a single class")
     if classes is None:
-        class_list = _sort_classes(present)
+        class_list = sorted_labels(present)
     else:
         class_list = list(classes)
         outside = present - set(class_list)
@@ -212,8 +173,7 @@ def fit(spec: ClassifierSpec, X, y, *, classes=None) -> TrainedModel:
 
     scaler = StandardScaler().fit(X)
     Z = scaler.transform(X)
-    index = {label: i for i, label in enumerate(class_list)}
-    y_idx = np.array([index[label] for label in y], dtype=np.intp)
+    y_idx = label_codes(y, class_list)
 
     if spec.variant == "knn":
         return KnnModel(class_list, scaler, Z, y_idx, k=params["k"])

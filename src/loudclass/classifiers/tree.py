@@ -212,9 +212,8 @@ def _route(node: TreeNode, X, indices, out) -> None:
 class DecisionTreeBinary:
     """Entropy CART for one one-vs-rest problem; score = leaf positive fraction."""
 
-    def __init__(self, *, min_samples_split: int = 5, seed: int = 0):
+    def __init__(self, *, min_samples_split: int = 5):
         self.min_samples_split = min_samples_split
-        self.seed = seed  # kept for interface parity; growth is deterministic
         self.tree_: TreeNode | None = None
 
     def fit(self, X, y01) -> "DecisionTreeBinary":
@@ -232,12 +231,11 @@ class DecisionTreeBinary:
     def to_jsonable(self) -> dict:
         return {
             "min_samples_split": self.min_samples_split,
-            "seed": self.seed,
             "tree": self.tree_.to_jsonable(),
         }
 
     @classmethod
     def from_jsonable(cls, payload: dict) -> "DecisionTreeBinary":
-        model = cls(min_samples_split=payload["min_samples_split"], seed=payload["seed"])
+        model = cls(min_samples_split=payload["min_samples_split"])
         model.tree_ = TreeNode.from_jsonable(payload["tree"])
         return model

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -28,14 +29,20 @@ from .errors import (
     SchemaError,
 )
 from .explain import PERMUTATION_METRICS, explain_model, importance_report
-from .harness import ExperimentConfig, kfold_split, roving_sweep, run_experiment
+from .harness import (
+    DEFAULT_ROVING_CONDITIONS,
+    ExperimentConfig,
+    kfold_split,
+    roving_sweep,
+    run_experiment,
+)
 from .loudness import FEATURE_NAMES
+from .metrics import sorted_labels
 from .pca import fit_pca, standardize, transform
 from .pipeline import (
     DEFAULT_MIN_CLASS_COUNT,
     DEFAULT_MIN_CLASS_FRACTION,
     DEFAULT_MIN_PTA,
-    DEFAULT_SYNTHETIC_CLASSES,
     RovingConfig,
     SyntheticConfig,
     apply_roving,
@@ -75,21 +82,25 @@ COMMANDS = (
 # the fold-plan streams keyed by (seed, repeat).
 _BACKGROUND_STREAM = 101
 
-_DEFAULT_CLASS_NAMES = [c.name for c in DEFAULT_SYNTHETIC_CLASSES]
-_DEFAULT_CONDITIONS = [[0.0, 0.0], [5.0, 5.0], [5.0, 10.0], [10.0, 5.0], [10.0, 10.0]]
+
+def _field_defaults(cls) -> dict:
+    return {f.name: f.default for f in fields(cls)}
+
+
+_SYNTHETIC = _field_defaults(SyntheticConfig)
+_EXPERIMENT = _field_defaults(ExperimentConfig)
 
 # One table per subcommand: every recognized option with its default.
 # None means "required or derived later"; booleans must default here
 # since argparse flags cannot distinguish absent from False otherwise.
+# Values that configure a dataclass are read from that dataclass.
 _DEFAULTS: dict[str, dict] = {
     "generate": {
         "per_class": 150,
-        "classes": _DEFAULT_CLASS_NAMES,
-        "seed": 0,
-        "jitter_sd": 4.0,
-        "l2_5_offset_mean": 5.0,
-        "l2_5_offset_sd": 3.0,
-        "l_cut_noise_sd": 2.0,
+        "classes": [c.name for c in _SYNTHETIC["classes"]],
+        **{key: _SYNTHETIC[key] for key in (
+            "seed", "jitter_sd", "l2_5_offset_mean", "l2_5_offset_sd", "l_cut_noise_sd",
+        )},
         "csv": False,
     },
     "preprocess": {
@@ -115,25 +126,22 @@ _DEFAULTS: dict[str, dict] = {
         "classifier_seed": None,
         "params": {},
         "only": list(VARIANTS),
-        "k": 10,
-        "stratified": True,
-        "repeats": 1,
-        "seed": 0,
+        **{key: _EXPERIMENT[key] for key in ("k", "stratified", "repeats", "seed")},
         "rove_mean": None,
         "rove_sd": None,
-        "rove_seed": 0,
+        "rove_seed": _EXPERIMENT["rove_seed"],
     },
     "explain": {
         "data": None,
         "classifier": None,
         "classifier_seed": None,
         "params": {},
-        "k": 10,
-        "seed": 0,
+        "k": _EXPERIMENT["k"],
+        "seed": _EXPERIMENT["seed"],
         "background": 100,
         "max_records": 50,
-        "perm_repeats": 10,
-        "metric": "balanced_accuracy",
+        "perm_repeats": _EXPERIMENT["perm_repeats"],
+        "metric": _EXPERIMENT["perm_metric"],
     },
     "sweep": {
         "data": None,
@@ -141,14 +149,11 @@ _DEFAULTS: dict[str, dict] = {
         "classifier_seed": None,
         "params": {},
         "only": list(VARIANTS),
-        "conditions": _DEFAULT_CONDITIONS,
-        "k": 10,
-        "stratified": True,
-        "repeats": 1,
-        "seed": 0,
-        "rove_seed": 0,
-        "perm_repeats": 10,
-        "metric": "balanced_accuracy",
+        "conditions": [list(pair) for pair in DEFAULT_ROVING_CONDITIONS],
+        **{key: _EXPERIMENT[key] for key in (
+            "k", "stratified", "repeats", "seed", "rove_seed", "perm_repeats",
+        )},
+        "metric": _EXPERIMENT["perm_metric"],
     },
     "report": {"in_dir": None},
 }
@@ -530,8 +535,13 @@ def _experiment_config(options: dict) -> ExperimentConfig:
         roving = RovingConfig(
             float(options.get("rove_mean") or 0.0),
             float(options.get("rove_sd") or 0.0),
-            int(options.get("rove_seed") or 0),
+            int(options["rove_seed"]),
         )
+    # Only sweep has permutation-importance options; evaluate keeps the defaults.
+    permutation = {}
+    if "perm_repeats" in options:
+        permutation = {"perm_repeats": int(options["perm_repeats"]),
+                       "perm_metric": str(options["metric"])}
     return ExperimentConfig(
         data_path=options["data"],
         roving=roving,
@@ -541,9 +551,8 @@ def _experiment_config(options: dict) -> ExperimentConfig:
         repeats=int(options["repeats"]),
         designated=designated,
         seed=int(options["seed"]),
-        rove_seed=int(options.get("rove_seed") or 0),
-        perm_repeats=int(options.get("perm_repeats") or 10),
-        perm_metric=str(options.get("metric") or "balanced_accuracy"),
+        rove_seed=int(options["rove_seed"]),
+        **permutation,
     )
 
 
@@ -563,7 +572,7 @@ def _run_explain(options: dict, out_dir: Path) -> None:
     y_train = [y[i] for i in train_idx]
     y_test = [y[i] for i in test_idx]
     model = fit(_classifier_spec(options), X[train_idx], y_train,
-                classes=sorted(set(y)))
+                classes=sorted_labels(y))
 
     size = min(int(options["background"]), len(train_idx))
     if size < 1:

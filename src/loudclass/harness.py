@@ -28,10 +28,12 @@ from .metrics import (
     balanced_accuracy,
     confusion,
     f1_per_class,
+    label_codes,
     micro_average_ovr,
     paired_t_test,
     pr_curve,
     roc_curve,
+    sorted_labels,
     weighted_f1,
 )
 from .pipeline import (
@@ -101,13 +103,11 @@ def kfold_split(labels, k: int = 10, stratified: bool = True, seed: int = 0) -> 
         assignments[order] = np.arange(n) % k
         return FoldPlan(k, stratified, seed, assignments)
 
-    try:
-        classes = sorted(set(labels))
-    except TypeError:
-        classes = sorted(set(labels), key=str)
+    classes = sorted_labels(labels)
+    codes = label_codes(labels, classes)
     offset = 0
-    for cls in classes:
-        idx = np.flatnonzero(np.array([label == cls for label in labels]))
+    for ci in range(len(classes)):
+        idx = np.flatnonzero(codes == ci)
         idx = idx[rng.permutation(len(idx))]
         assignments[idx] = (offset + np.arange(len(idx))) % k
         offset = (offset + len(idx)) % k
@@ -259,8 +259,9 @@ def _designated_detail(name, classes, y, proba, predicted) -> DesignatedDetail:
     roc_auc: dict = {}
     pr_curves: dict = {}
     pr_ap: dict = {}
+    codes = label_codes(y, classes)
     for ci, cls in enumerate(classes):
-        y_bin = [1 if label == cls else 0 for label in y]
+        y_bin = codes == ci
         scores = proba[:, ci]
         roc_curves[cls], roc_auc[cls] = roc_curve(y_bin, scores)
         pr_curves[cls], pr_ap[cls] = pr_curve(y_bin, scores)
@@ -292,11 +293,7 @@ def run_experiment(cfg: ExperimentConfig, records=None, plans=None) -> MetricsRe
     except LoudclassError as exc:
         raise _with_stage("data", exc)
 
-    try:
-        classes = sorted(set(y))
-    except TypeError:
-        classes = sorted(set(y), key=str)
-    classes = tuple(classes)
+    classes = tuple(sorted_labels(y))
 
     try:
         if plans is None:
@@ -329,10 +326,9 @@ def run_experiment(cfg: ExperimentConfig, records=None, plans=None) -> MetricsRe
         try:
             for plan_index, plan in enumerate(plans):
                 for train_idx, test_idx in plan:
-                    model = fit(spec, X[train_idx], [y[i] for i in train_idx],
-                                classes=classes)
                     y_train = [y[i] for i in train_idx]
                     y_test = [y[i] for i in test_idx]
+                    model = fit(spec, X[train_idx], y_train, classes=classes)
                     pred_train = model.predict(X[train_idx])
                     pred_test = model.predict(X[test_idx])
                     train_ba.append(balanced_accuracy(y_train, pred_train))
@@ -342,10 +338,9 @@ def run_experiment(cfg: ExperimentConfig, records=None, plans=None) -> MetricsRe
                     for cls in classes:
                         per_class_f1[cls].append(f1_per_class(y_test, pred_test, cls))
                     if name == cfg.designated and plan_index == 0:
-                        proba_test = model.predict_proba(X[test_idx])
-                        for pos, idx in enumerate(test_idx):
-                            pooled_proba[idx] = proba_test[pos]
-                            pooled_pred[idx] = pred_test[pos]
+                        pooled_proba[test_idx] = model.predict_proba(X[test_idx])
+                        for idx, label in zip(test_idx, pred_test):
+                            pooled_pred[idx] = label
         except LoudclassError as exc:
             raise _with_stage(f"classifier {name}", exc)
         results.append(
@@ -431,14 +426,13 @@ def roving_sweep(
         roved = apply_roving(base, rcfg)
         X = feature_matrix(roved)
         train_idx, test_idx = plans[0].fold_indices(0)
-        model: TrainedModel = fit(
-            spec, X[train_idx], [y[i] for i in train_idx], classes=report.classes
-        )
+        y_train = [y[i] for i in train_idx]
+        model: TrainedModel = fit(spec, X[train_idx], y_train, classes=report.classes)
         importances.append(
             importance_report(
                 model,
                 X[train_idx],
-                [y[i] for i in train_idx],
+                y_train,
                 X[test_idx],
                 [y[i] for i in test_idx],
                 repeats=cfg.perm_repeats,

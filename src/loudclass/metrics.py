@@ -1,10 +1,12 @@
 """Classification metrics: balanced accuracy, F1 family, ROC/PR curves,
 confusion matrices, and the paired t-test used to compare classifiers.
 
-Degenerate 0/0 ratios resolve to 0 by convention; every such event raises a
-``MetricWarning`` and increments ``degenerate_events`` so silent fallbacks
-cannot hide in aggregate numbers. Balanced accuracy likewise warns when it
-has to exclude a class with no true instances.
+Every count comes from one confusion matrix: labels map to class indices
+with one dict lookup each and ``np.bincount`` tallies the (true,
+predicted) pairs. Degenerate 0/0 ratios resolve to 0 by convention; every
+such event raises a ``MetricWarning`` and increments ``degenerate_events``
+so silent fallbacks cannot hide in aggregate numbers. Balanced accuracy
+likewise warns when it has to exclude a class with no true instances.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import math
 import warnings
 from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 from scipy.special import stdtr
@@ -40,6 +43,33 @@ def _degenerate(event: str, message: str) -> None:
     warnings.warn(message, MetricWarning, stacklevel=3)
 
 
+def sorted_labels(labels) -> list:
+    """Distinct labels in sorted order; unorderable mixes sort by ``str``."""
+    distinct = set(labels)
+    try:
+        return sorted(distinct)
+    except TypeError:
+        return sorted(distinct, key=str)
+
+
+def label_codes(labels, classes) -> np.ndarray:
+    """Index of each label in ``classes``; labels outside it get ``len(classes)``."""
+    index = {c: i for i, c in enumerate(classes)}
+    n = len(labels)
+    return np.fromiter(map(index.get, labels, repeat(len(classes), n)), np.intp, n)
+
+
+def _count_matrix(y_true, y_pred, classes) -> np.ndarray:
+    """(k+1) x (k+1) counts over the k ``classes``, rows true, columns predicted.
+
+    Row and column k pool every label outside ``classes``.
+    """
+    size = len(classes) + 1
+    t = label_codes(y_true, classes)
+    p = label_codes(y_pred, classes)
+    return np.bincount(t * size + p, minlength=size * size).reshape(size, size)
+
+
 @dataclass(frozen=True)
 class BinaryCounts:
     """Confusion counts of one binary problem."""
@@ -59,22 +89,22 @@ class BinaryCounts:
         return self.tp + self.tn + self.fp + self.fn
 
 
+def _per_class_counts(matrix: np.ndarray) -> list[BinaryCounts]:
+    """One-vs-rest counts of every row/column of a count matrix."""
+    n = int(matrix.sum())
+    hits = matrix.diagonal().tolist()
+    true = matrix.sum(axis=1).tolist()
+    predicted = matrix.sum(axis=0).tolist()
+    return [
+        BinaryCounts(tp, n - t - p + tp, p - tp, t - tp)
+        for tp, t, p in zip(hits, true, predicted)
+    ]
+
+
 def binary_counts(y_true, y_pred, positive) -> BinaryCounts:
     if len(y_true) != len(y_pred):
         raise ShapeError("y_true and y_pred must have equal length")
-    tp = tn = fp = fn = 0
-    for t, p in zip(y_true, y_pred):
-        if t == positive:
-            if p == positive:
-                tp += 1
-            else:
-                fn += 1
-        else:
-            if p == positive:
-                fp += 1
-            else:
-                tn += 1
-    return BinaryCounts(tp, tn, fp, fn)
+    return _per_class_counts(_count_matrix(y_true, y_pred, (positive,)))[0]
 
 
 def precision(counts: BinaryCounts) -> float:
@@ -114,14 +144,6 @@ def f1_per_class(y_true, y_pred, cls) -> float:
     return f1_from_counts(binary_counts(y_true, y_pred, cls))
 
 
-def _sorted_classes(labels) -> list:
-    distinct = set(labels)
-    try:
-        return sorted(distinct)
-    except TypeError:
-        return sorted(distinct, key=str)
-
-
 def balanced_accuracy(y_true, y_pred, classes=None) -> float:
     """Unweighted mean of per-class recall.
 
@@ -133,10 +155,10 @@ def balanced_accuracy(y_true, y_pred, classes=None) -> float:
     if len(y_true) == 0:
         raise UndefinedMetricError("balanced accuracy needs at least one instance")
     if classes is None:
-        classes = _sorted_classes(y_true)
+        classes = sorted_labels(y_true)
+    per_class = _per_class_counts(_count_matrix(y_true, y_pred, classes))
     recalls = []
-    for cls in classes:
-        counts = binary_counts(y_true, y_pred, cls)
+    for cls, counts in zip(classes, per_class):
         if counts.tp + counts.fn == 0:
             _degenerate(
                 "balanced_accuracy_empty_class",
@@ -155,7 +177,8 @@ def accuracy(y_true, y_pred) -> float:
         raise ShapeError("y_true and y_pred must have equal length")
     if len(y_true) == 0:
         raise UndefinedMetricError("accuracy needs at least one instance")
-    return sum(1 for t, p in zip(y_true, y_pred) if t == p) / len(y_true)
+    matrix = _count_matrix(y_true, y_pred, sorted_labels(y_true))
+    return int(matrix.trace()) / len(y_true)
 
 
 def weighted_f1(y_true, y_pred) -> float:
@@ -165,10 +188,12 @@ def weighted_f1(y_true, y_pred) -> float:
     n = len(y_true)
     if n == 0:
         raise UndefinedMetricError("weighted F1 needs at least one instance")
+    # Summed in first-appearance order of y_true, as Counter keeps it.
     support = Counter(y_true)
+    per_class = _per_class_counts(_count_matrix(y_true, y_pred, list(support)))
     return sum(
-        (count / n) * f1_per_class(y_true, y_pred, cls)
-        for cls, count in support.items()
+        (count / n) * f1_from_counts(counts)
+        for count, counts in zip(support.values(), per_class)
     )
 
 
@@ -257,11 +282,9 @@ def micro_average_ovr(y_true, proba, classes, kind: str = "roc") -> tuple[CurveP
         )
     if proba.shape[0] != len(y_true):
         raise ShapeError("probability matrix and labels disagree on record count")
-    y_true = list(y_true)
-    binarized = np.concatenate(
-        [np.array([1.0 if t == c else 0.0 for t in y_true]) for c in classes]
-    )
-    scores = np.concatenate([proba[:, j] for j in range(len(classes))])
+    codes = label_codes(y_true, classes)
+    binarized = (np.arange(len(classes))[:, None] == codes).astype(np.float64).ravel()
+    scores = proba.T.ravel()
     if kind == "roc":
         return roc_curve(binarized, scores)
     if kind == "pr":
@@ -293,14 +316,16 @@ def confusion(y_true, y_pred, classes=None, normalize: str = "none") -> Confusio
     if len(y_true) != len(y_pred):
         raise ShapeError("y_true and y_pred must have equal length")
     if classes is None:
-        classes = _sorted_classes(list(y_true) + list(y_pred))
+        classes = sorted_labels(list(y_true) + list(y_pred))
     classes = tuple(classes)
-    index = {c: i for i, c in enumerate(classes)}
-    counts = np.zeros((len(classes), len(classes)), dtype=np.float64)
-    for t, p in zip(y_true, y_pred):
-        if t not in index or p not in index:
-            raise DataError(f"label {t if t not in index else p!r} outside the class set")
-        counts[index[t], index[p]] += 1.0
+    matrix = _count_matrix(y_true, y_pred, classes)
+    if matrix[-1].any() or matrix[:, -1].any():
+        known = set(classes)
+        outside = next(
+            label for pair in zip(y_true, y_pred) for label in pair if label not in known
+        )
+        raise DataError(f"label {outside!r} outside the class set")
+    counts = matrix[:-1, :-1].astype(np.float64)
     if normalize == "by_predicted":
         sums = counts.sum(axis=0)
         nonzero = sums > 0

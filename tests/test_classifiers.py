@@ -40,6 +40,7 @@ from loudclass.errors import (
     SchemaError,
     ShapeError,
 )
+from loudclass.metrics import sorted_labels
 
 
 def blobs(rng, centers, n_per, spread=0.5):
@@ -183,13 +184,15 @@ def test_best_split_matches_oracle(seed, n, d, decimals, column, bootstrap, targ
 
 
 # sha256 of the sorted model JSON on the small fixture, taken from per-node
-# sorting before the presorted scan replaced it. A change here means the
-# trees moved; floating-point differences between platforms or numpy builds
-# can move them too.
+# sorting before the presorted scan replaced it, then re-derived for model
+# format 3 by dropping the unused dt/gb ``seed`` keys from that JSON and
+# setting ``format_version`` to 3. A change here means the trees moved;
+# floating-point differences between platforms or numpy builds can move
+# them too.
 TREE_MODEL_SHA256 = {
-    "dt": "8747882bea7b7d5ef0fcf0a3d3273dabed5e61b4946c11961d8532dd2ff58072",
-    "gb": "406718be818169b831caffd9d7b7dda96f06c3de96826c0c7669d6d01bb8dbdc",
-    "rf": "a07b0811a76d2d5cba57aab300ea6fce9eb60040263199fe4f598f1ec2f7e4c4",
+    "dt": "709fc3cc5cd280457b4c80b9768cf16277134d27bb3e63894684398f58d279c5",
+    "gb": "d2ea2ee9875a5f085ad5d1b34152117e8a242d0553b1ed6eeba4311c911f3d39",
+    "rf": "e41bd3ab5df7b5c463a895ea96a367a639e4907ed4665fc56b1a828f196dc468",
 }
 
 
@@ -198,6 +201,15 @@ def test_tree_models_are_pinned(small_xy, variant):
     X, y = small_xy
     text = json.dumps(model_to_jsonable(fit(ClassifierSpec(variant), X, y)), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == TREE_MODEL_SHA256[variant]
+
+
+def test_mixed_label_types_sort_by_str(small_xy):
+    # int and str labels do not compare, so classes fall back to str order.
+    X, _ = small_xy
+    labels = [10, 2, "b", "a"]
+    assert sorted_labels(labels) == [10, 2, "a", "b"]
+    y = [labels[i % 4] for i in range(len(X))]
+    assert fit(ClassifierSpec("dt"), X, y).classes == (10, 2, "a", "b")
 
 
 # --- random forest -----------------------------------------------------------
@@ -635,7 +647,7 @@ def test_model_json_is_versioned_and_sorted(rng, tmp_path):
     path = tmp_path / "model.json"
     save_model(model, path)
     payload = json.loads(path.read_text())
-    assert payload["format_version"] == 2
+    assert payload["format_version"] == 3
     assert payload["variant"] == "dt"
     save_model(model, path)
     again = path.read_bytes()

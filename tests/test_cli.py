@@ -6,7 +6,7 @@ import shutil
 
 import pytest
 
-from loudclass import harness
+from loudclass import harness, metrics
 from loudclass.classifiers import load_model, predict
 from loudclass.cli import main
 from loudclass.pipeline import (
@@ -260,3 +260,51 @@ def test_replay_missing_manifest_is_exit_2(tmp_path):
     rc = run("replay", "--manifest", str(tmp_path / "missing.json"),
              "--out-dir", str(tmp_path / "o"))
     assert rc == 2
+
+
+# sha256 of every output but manifest.json of
+#   generate --per-class 4 (seed 0), then
+#   evaluate --classifier dt --only dt,rf --k 3 --no-stratify
+# taken from the commit before metrics.py counted from one confusion
+# matrix. Trees only, so the bytes do not depend on BLAS. With 4 ears per
+# class and unstratified folds some classes miss a test fold, so the
+# F1 0/0 convention fires; DEGENERATE_EVENTS pins how often. Re-pin only
+# for a change that is meant to move these outputs, by running the same
+# two commands and hashing the files, and say in CHANGES.md why they moved.
+METRIC_OUTPUT_SHA256 = {
+    "confusion.csv": "202e8a1cbac51b62233853a8eb92a0d32aef9d40c23adeca695c05e1543b9a12",
+    "per_class_f1.csv": "e0ee27d3534cd0834017b2931e3fdd5f17b21b2558b6aa02011e8e55d7c2b714",
+    "pr_N2.csv": "742c665ec6aeb0817eaf6a35bdc8174ff33e088c6c00cb06e323a908a1b45586",
+    "pr_N3.csv": "b691b4189cedaefb999431f824b5ab1aa9219142ede68b9a9b836f5f9068669c",
+    "pr_N4.csv": "f55cd3913b7b2c1bbf89f8f1635a12318d9f560921aefd8f4bda51e0852d0096",
+    "pr_S1.csv": "923b5211c9693c8c6972a0eadc1cf9fe2af0137c3ee74b72a0a05dd7bf319ed5",
+    "pr_S2.csv": "923b5211c9693c8c6972a0eadc1cf9fe2af0137c3ee74b72a0a05dd7bf319ed5",
+    "pr_S3.csv": "eb0553f1a06ff34f41a0277388775718b99e8f88e240c3063040ae91b463405e",
+    "pr_micro.csv": "ac2d393b8398f0687759701567289f72fe2ff9ab4717876f4b5bafc93955b4b8",
+    "report.json": "424dd37460ee611fdc21101bc0254b95fe2a7e760255f7a706844e4db6847c92",
+    "roc_N2.csv": "37909f2001efa8734a5c2b8e8dd7018d400f7acf7f93054d827f791d563a3d00",
+    "roc_N3.csv": "4b3d4cd15be2d4c628dca1c028ec82e3a8356eda6198ec4a37d4a0676a087bac",
+    "roc_N4.csv": "53dc51819878b6dc681939356447e1fd88f20bda6f4796b345edb3b82f25a1df",
+    "roc_S1.csv": "aeb997900f31aa673939df49d1ec9003f2eb154bcf894416ab3e0ef7656eda1f",
+    "roc_S2.csv": "aeb997900f31aa673939df49d1ec9003f2eb154bcf894416ab3e0ef7656eda1f",
+    "roc_S3.csv": "299d84f78d67d15d34ca94f481c4cb471c58d9f83ef588c2adcfce93549dcc73",
+    "roc_micro.csv": "d03837971ede3340b18be945dd4639d4c01de9c4e0ea1338ef4ea9c4e3579a7a",
+}
+DEGENERATE_EVENTS = {"f1_zero_division": 6}
+
+
+def test_metric_outputs_are_pinned(tmp_path):
+    assert run("generate", "--out-dir", str(tmp_path), "--per-class", "4") == 0
+    out = tmp_path / "ev"
+    metrics.degenerate_events.clear()
+    with pytest.warns(metrics.MetricWarning):
+        rc = run("evaluate", "--out-dir", str(out), "--data", str(tmp_path / "labeled.json"),
+                 "--classifier", "dt", "--only", "dt,rf", "--k", "3", "--no-stratify")
+    assert rc == 0
+    assert dict(metrics.degenerate_events) == DEGENERATE_EVENTS
+    found = {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(out.iterdir())
+        if p.name != "manifest.json"
+    }
+    assert found == METRIC_OUTPUT_SHA256

@@ -111,6 +111,16 @@ def test_balanced_accuracy_ignores_empty_class():
         balanced_accuracy([], [])
 
 
+def test_labels_outside_the_class_set():
+    # A listed class still counts its true instances predicted as an
+    # unlisted label as misses.
+    assert balanced_accuracy(["a", "a", "z"], ["a", "z", "a"], classes=["a"]) == 0.5
+    c = binary_counts(["a", "z", "y"], ["y", "z", "a"], positive="b")
+    assert (c.tp, c.tn, c.fp, c.fn) == (0, 3, 0, 0)
+    with pytest.raises(DataError, match="label 'z' outside"):
+        confusion(["a", "b", "a"], ["a", "z", "y"], classes=["a", "b"])
+
+
 def test_length_mismatch():
     for fn in (balanced_accuracy, weighted_f1, accuracy):
         with pytest.raises(ShapeError):
