@@ -3,7 +3,7 @@
 from .boosting import GradientBoostingBinary
 from .forest import RandomForestBinary
 from .linear import LogisticRegressionBinary, logistic_loss_and_grad
-from .neighbors import KnnModel
+from .neighbors import KnnModel, NearestNeighbors
 from .neural import NeuralNetBinary
 from .ovr import (
     DEFAULT_PARAMS,
@@ -33,6 +33,7 @@ __all__ = [
     "GradientBoostingBinary",
     "KnnModel",
     "LogisticRegressionBinary",
+    "NearestNeighbors",
     "NeuralNetBinary",
     "OvrModel",
     "RandomForestBinary",

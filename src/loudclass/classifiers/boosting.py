@@ -102,26 +102,13 @@ class GradientBoostingBinary:
     def predict_score(self, X) -> np.ndarray:
         return expit(self.decision(X))
 
-    def to_jsonable(self) -> dict:
+    def fitted_state(self) -> dict:
         return {
-            "n_estimators": self.n_estimators,
-            "learning_rate": self.learning_rate,
-            "max_depth": self.max_depth,
-            "min_samples_split": self.min_samples_split,
             "base_score": self.base_score_,
             "stages": [[t.to_jsonable(), s] for t, s in self.stages_],
         }
 
-    @classmethod
-    def from_jsonable(cls, payload: dict) -> "GradientBoostingBinary":
-        model = cls(
-            n_estimators=payload["n_estimators"],
-            learning_rate=payload["learning_rate"],
-            max_depth=payload["max_depth"],
-            min_samples_split=payload["min_samples_split"],
-        )
-        model.base_score_ = payload["base_score"]
-        model.stages_ = [
-            (TreeNode.from_jsonable(t), s) for t, s in payload["stages"]
-        ]
-        return model
+    def load_fitted_state(self, state: dict) -> "GradientBoostingBinary":
+        self.base_score_ = state["base_score"]
+        self.stages_ = [(TreeNode.from_jsonable(t), s) for t, s in state["stages"]]
+        return self

@@ -65,22 +65,9 @@ class RandomForestBinary:
             votes += tree_predict(tree, X) > 0.5
         return votes / len(self.trees_)
 
-    def to_jsonable(self) -> dict:
-        return {
-            "n_trees": self.n_trees,
-            "min_samples_split": self.min_samples_split,
-            "max_features": self.max_features,
-            "seed_key": list(self.seed_key),
-            "trees": [t.to_jsonable() for t in self.trees_],
-        }
+    def fitted_state(self) -> dict:
+        return {"trees": [t.to_jsonable() for t in self.trees_]}
 
-    @classmethod
-    def from_jsonable(cls, payload: dict) -> "RandomForestBinary":
-        model = cls(
-            n_trees=payload["n_trees"],
-            min_samples_split=payload["min_samples_split"],
-            max_features=payload["max_features"],
-            seed_key=tuple(payload["seed_key"]),
-        )
-        model.trees_ = [TreeNode.from_jsonable(t) for t in payload["trees"]]
-        return model
+    def load_fitted_state(self, state: dict) -> "RandomForestBinary":
+        self.trees_ = [TreeNode.from_jsonable(t) for t in state["trees"]]
+        return self

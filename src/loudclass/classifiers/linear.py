@@ -56,17 +56,10 @@ class LogisticRegressionBinary:
     def predict_score(self, X) -> np.ndarray:
         return expit(self.decision(X))
 
-    def to_jsonable(self) -> dict:
-        return {
-            "gtol": self.gtol,
-            "max_iter": self.max_iter,
-            "weights": self.weights_.tolist(),
-            "bias": self.bias_,
-        }
+    def fitted_state(self) -> dict:
+        return {"weights": self.weights_.tolist(), "bias": self.bias_}
 
-    @classmethod
-    def from_jsonable(cls, payload: dict) -> "LogisticRegressionBinary":
-        model = cls(gtol=payload["gtol"], max_iter=payload["max_iter"])
-        model.weights_ = np.asarray(payload["weights"], dtype=np.float64)
-        model.bias_ = payload["bias"]
-        return model
+    def load_fitted_state(self, state: dict) -> "LogisticRegressionBinary":
+        self.weights_ = np.asarray(state["weights"], dtype=np.float64)
+        self.bias_ = state["bias"]
+        return self

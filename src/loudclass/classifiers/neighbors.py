@@ -9,57 +9,77 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigurationError, ShapeError
-from .scaler import StandardScaler
+from .base import TrainedModel
 
 
-class KnnModel:
-    """Distance votes in standardized feature space.
+class NearestNeighbors:
+    """The standardized training rows and class indices that knn votes over.
 
-    Prediction breaks voting ties in favor of the tied class with the
-    nearest neighbor, which matters for even k. Neighbor order itself is
-    deterministic: equal distances resolve by training-set position.
+    Neighbor order is deterministic: equal distances resolve by
+    training-set position.
     """
 
-    variant = "knn"
-
-    def __init__(self, classes, scaler: StandardScaler, X: np.ndarray, y_idx: np.ndarray, *, k: int = 2):
+    def __init__(self, *, k: int = 2):
         if k < 1:
             raise ConfigurationError("k must be >= 1")
-        if k > len(X):
-            raise ConfigurationError(f"k={k} exceeds {len(X)} training records")
-        self.classes = tuple(classes)
-        self.scaler = scaler
-        self.X = np.asarray(X, dtype=np.float64)
-        self.y_idx = np.asarray(y_idx, dtype=np.intp)
         self.k = k
+        self.X: np.ndarray | None = None
+        self.y_idx: np.ndarray | None = None
 
-    def _neighbor_indices(self, X: np.ndarray) -> np.ndarray:
-        Z = self.scaler.transform(X)
+    def fit(self, Z, y_idx) -> "NearestNeighbors":
+        if self.k > len(Z):
+            raise ConfigurationError(f"k={self.k} exceeds {len(Z)} training records")
+        self.X = np.asarray(Z, dtype=np.float64)
+        self.y_idx = np.asarray(y_idx, dtype=np.intp)
+        return self
+
+    def neighbor_labels(self, Z: np.ndarray) -> np.ndarray:
+        """Class indices of the k nearest training rows, nearest first."""
         sq = (
             (Z * Z).sum(axis=1)[:, None]
             + (self.X * self.X).sum(axis=1)[None, :]
             - 2.0 * (Z @ self.X.T)
         )
         order = np.argsort(sq, axis=1, kind="stable")
-        return order[:, : self.k]
+        return self.y_idx[order[:, : self.k]]
+
+    def fitted_state(self) -> dict:
+        return {"x": self.X.tolist(), "y_idx": self.y_idx.tolist()}
+
+    def load_fitted_state(self, state: dict) -> "NearestNeighbors":
+        self.X = np.asarray(state["x"], dtype=np.float64)
+        self.y_idx = np.asarray(state["y_idx"], dtype=np.intp)
+        return self
+
+
+class KnnModel(TrainedModel):
+    """Distance votes of one ``NearestNeighbors`` in standardized space.
+
+    Prediction breaks voting ties in favor of the tied class with the
+    nearest neighbor, which matters for even k.
+    """
+
+    @staticmethod
+    def targets(y_idx: np.ndarray, n_classes: int) -> list[np.ndarray]:
+        return [y_idx]
+
+    def _neighbor_labels(self, X: np.ndarray) -> np.ndarray:
+        return self.submodels[0].neighbor_labels(self.scaler.transform(X))
 
     def predict_proba(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2:
             raise ShapeError("expected a 2-d feature matrix")
-        neighbors = self._neighbor_indices(X)
+        labels = self._neighbor_labels(X)
         n_classes = len(self.classes)
         proba = np.zeros((len(X), n_classes))
         for ci in range(n_classes):
-            proba[:, ci] = (self.y_idx[neighbors] == ci).mean(axis=1)
+            proba[:, ci] = (labels == ci).mean(axis=1)
         return proba
 
     def predict(self, X) -> list:
-        X = np.asarray(X, dtype=np.float64)
-        neighbors = self._neighbor_indices(X)
         out = []
-        for row in neighbors:
-            labels = self.y_idx[row]
+        for labels in self._neighbor_labels(np.asarray(X, dtype=np.float64)):
             counts = np.bincount(labels, minlength=len(self.classes))
             top = counts.max()
             tied = np.flatnonzero(counts == top)
@@ -72,22 +92,3 @@ class KnnModel:
                 winner = next(int(l) for l in labels if int(l) in tied_set)
                 out.append(self.classes[winner])
         return out
-
-    def to_jsonable(self) -> dict:
-        # Class labels live in the enclosing model payload, not here.
-        return {
-            "k": self.k,
-            "scaler": self.scaler.to_jsonable(),
-            "x": self.X.tolist(),
-            "y_idx": self.y_idx.tolist(),
-        }
-
-    @classmethod
-    def from_jsonable(cls, payload: dict, classes) -> "KnnModel":
-        return cls(
-            classes,
-            StandardScaler.from_jsonable(payload["scaler"]),
-            np.asarray(payload["x"], dtype=np.float64),
-            np.asarray(payload["y_idx"], dtype=np.intp),
-            k=payload["k"],
-        )

@@ -132,28 +132,9 @@ class NeuralNetBinary:
     def predict_score(self, X) -> np.ndarray:
         return expit(self.decision(X))
 
-    def to_jsonable(self) -> dict:
-        return {
-            "n_inputs": self.n_inputs,
-            "hidden": list(self.hidden),
-            "alpha": self.alpha,
-            "max_iter": self.max_iter,
-            "gtol": self.gtol,
-            "ftol": self.ftol,
-            "seed_key": list(self.seed_key),
-            "theta": self.theta_.tolist(),
-        }
+    def fitted_state(self) -> dict:
+        return {"theta": self.theta_.tolist()}
 
-    @classmethod
-    def from_jsonable(cls, payload: dict) -> "NeuralNetBinary":
-        model = cls(
-            payload["n_inputs"],
-            hidden=tuple(payload["hidden"]),
-            alpha=payload["alpha"],
-            max_iter=payload["max_iter"],
-            gtol=payload["gtol"],
-            ftol=payload["ftol"],
-            seed_key=tuple(payload["seed_key"]),
-        )
-        model.theta_ = np.asarray(payload["theta"], dtype=np.float64)
-        return model
+    def load_fitted_state(self, state: dict) -> "NeuralNetBinary":
+        self.theta_ = np.asarray(state["theta"], dtype=np.float64)
+        return self

@@ -4,6 +4,11 @@ Each class in turn becomes the positive label of a binary subproblem; the
 final prediction is the argmax over per-class scores (first class wins
 exact ties). KNN is the one variant that is natively multi-class and
 bypasses the reduction.
+
+A model file holds each decision once: the variant, the classes, the
+resolved parameters, the scaler, the seed (nn and rf only) and the fitted
+state of each submodel. Loading rebuilds every submodel with the
+constructor call ``fit`` makes and then restores its fitted state.
 """
 
 from __future__ import annotations
@@ -23,10 +28,11 @@ from ..errors import (
     ShapeError,
 )
 from ..metrics import label_codes, sorted_labels
+from .base import TrainedModel
 from .boosting import GradientBoostingBinary
 from .forest import RandomForestBinary
 from .linear import LogisticRegressionBinary
-from .neighbors import KnnModel
+from .neighbors import KnnModel, NearestNeighbors
 from .neural import NeuralNetBinary
 from .scaler import StandardScaler
 from .svm import SvmBinary
@@ -34,8 +40,9 @@ from .tree import DecisionTreeBinary
 
 VARIANTS = ("dt", "gb", "knn", "lr", "nn", "rf", "svm")
 
-# All variants default to seed 0 except the network, which uses 1.
-DEFAULT_SEEDS = {"dt": 0, "gb": 0, "knn": 0, "lr": 0, "nn": 1, "rf": 0, "svm": 0}
+# Only the network and the forest draw random numbers; the other variants
+# fit deterministically and take no seed.
+DEFAULT_SEEDS = {"nn": 1, "rf": 0}
 
 DEFAULT_PARAMS: dict[str, dict] = {
     "dt": {"min_samples_split": 5},
@@ -58,20 +65,24 @@ DEFAULT_PARAMS: dict[str, dict] = {
     "svm": {"C": 1000.0, "tol": 1e-3, "gamma": None},
 }
 
-_BINARY_TYPES = {
+_SUBMODEL_TYPES = {
     "dt": DecisionTreeBinary,
     "gb": GradientBoostingBinary,
+    "knn": NearestNeighbors,
     "lr": LogisticRegressionBinary,
     "nn": NeuralNetBinary,
     "rf": RandomForestBinary,
     "svm": SvmBinary,
 }
 
-# Constructor arguments that come from the fit instead of DEFAULT_PARAMS;
-# only the network and the forest draw random numbers.
+# The variants that are not one-vs-rest (OvrModel): knn votes over every
+# class at once.
+_MODEL_TYPES = {"knn": KnnModel}
+
+# Constructor arguments that come from the fit instead of DEFAULT_PARAMS.
 _CONTEXT_ARGS = {"nn": ("n_inputs", "seed_key"), "rf": ("seed_key",)}
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -89,7 +100,10 @@ class ClassifierSpec:
                 f"expected one of {', '.join(VARIANTS)}"
             )
 
-    def resolved(self) -> tuple[int, dict]:
+    def resolved(self) -> tuple[int | None, dict]:
+        """The seed and the full parameter set. Variants without a default
+        seed draw no random numbers; their seed is None whatever ``seed``
+        says."""
         defaults = DEFAULT_PARAMS[self.variant]
         unknown = set(self.params) - set(defaults)
         if unknown:
@@ -97,40 +111,21 @@ class ClassifierSpec:
                 f"unknown {self.variant} parameters: {', '.join(sorted(unknown))}"
             )
         merged = {**defaults, **self.params}
-        seed = DEFAULT_SEEDS[self.variant] if self.seed is None else self.seed
-        return seed, merged
+        if self.variant not in DEFAULT_SEEDS:
+            return None, merged
+        return DEFAULT_SEEDS[self.variant] if self.seed is None else self.seed, merged
 
 
-def _make_submodel(variant: str, params: dict, seed: int, ci: int, n_inputs: int):
+def _make_submodel(variant: str, params: dict, seed: int | None, ci: int, n_inputs: int):
     context = {"n_inputs": n_inputs, "seed_key": (seed, ci)}
     extra = {name: context[name] for name in _CONTEXT_ARGS.get(variant, ())}
-    return _BINARY_TYPES[variant](**params, **extra)
-
-
-class TrainedModel:
-    """Common prediction interface: per-class scores plus argmax labels."""
-
-    variant: str
-    classes: tuple
-
-    def predict_proba(self, X) -> np.ndarray:
-        raise NotImplementedError
-
-    def predict(self, X) -> list:
-        proba = self.predict_proba(X)
-        # np.argmax returns the first maximum, giving the documented
-        # first-in-class-list tie-break for free.
-        return [self.classes[i] for i in np.argmax(proba, axis=1)]
+    return _SUBMODEL_TYPES[variant](**params, **extra)
 
 
 class OvrModel(TrainedModel):
-    def __init__(self, variant, classes, scaler, submodels, *, seed, params):
-        self.variant = variant
-        self.classes = tuple(classes)
-        self.scaler = scaler
-        self.submodels = list(submodels)
-        self.seed = seed
-        self.params = dict(params)
+    @staticmethod
+    def targets(y_idx: np.ndarray, n_classes: int) -> list[np.ndarray]:
+        return [(y_idx == ci).astype(np.float64) for ci in range(n_classes)]
 
     def predict_proba(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
@@ -173,17 +168,13 @@ def fit(spec: ClassifierSpec, X, y, *, classes=None) -> TrainedModel:
 
     scaler = StandardScaler().fit(X)
     Z = scaler.transform(X)
-    y_idx = label_codes(y, class_list)
-
-    if spec.variant == "knn":
-        return KnnModel(class_list, scaler, Z, y_idx, k=params["k"])
-
-    submodels = []
-    for ci in range(n_classes):
-        sub = _make_submodel(spec.variant, params, seed, ci, X.shape[1])
-        sub.fit(Z, (y_idx == ci).astype(np.float64))
-        submodels.append(sub)
-    return OvrModel(spec.variant, class_list, scaler, submodels, seed=seed, params=params)
+    model_type = _MODEL_TYPES.get(spec.variant, OvrModel)
+    targets = model_type.targets(label_codes(y, class_list), n_classes)
+    submodels = [
+        _make_submodel(spec.variant, params, seed, ci, X.shape[1]).fit(Z, target)
+        for ci, target in enumerate(targets)
+    ]
+    return model_type(spec.variant, class_list, scaler, submodels, seed=seed, params=params)
 
 
 def predict_proba(model: TrainedModel, X) -> np.ndarray:
@@ -232,14 +223,12 @@ def model_to_jsonable(model: TrainedModel) -> dict:
         "variant": model.variant,
         "label_kind": _label_kind(model.classes),
         "classes": [_encode_label(c) for c in model.classes],
+        "params": _jsonable_params(model.params),
+        "scaler": model.scaler.to_jsonable(),
+        "submodels": [m.fitted_state() for m in model.submodels],
     }
-    if model.variant == "knn":
-        payload["knn"] = model.to_jsonable()
-    else:
+    if model.seed is not None:
         payload["seed"] = model.seed
-        payload["params"] = _jsonable_params(model.params)
-        payload["scaler"] = model.scaler.to_jsonable()
-        payload["submodels"] = [m.to_jsonable() for m in model.submodels]
     return payload
 
 
@@ -255,21 +244,22 @@ def model_from_jsonable(payload: dict) -> TrainedModel:
         raise SchemaError(f"unknown classifier variant {variant!r}")
     try:
         classes = _decode_labels(payload["label_kind"], payload["classes"])
-        if variant == "knn":
-            return KnnModel.from_jsonable(payload["knn"], classes)
+        params = payload["params"]
+        expected = DEFAULT_PARAMS[variant]
+        if not isinstance(params, dict) or set(params) != set(expected):
+            raise SchemaError(
+                f"{variant} params must have exactly the keys {', '.join(sorted(expected))}"
+            )
+        seed = payload["seed"] if variant in DEFAULT_SEEDS else None
+        scaler = StandardScaler.from_jsonable(payload["scaler"])
         submodels = [
-            _BINARY_TYPES[variant].from_jsonable(p) for p in payload["submodels"]
+            _make_submodel(variant, params, seed, ci, len(scaler.mean_)).load_fitted_state(state)
+            for ci, state in enumerate(payload["submodels"])
         ]
-        return OvrModel(
-            variant,
-            classes,
-            StandardScaler.from_jsonable(payload["scaler"]),
-            submodels,
-            seed=payload["seed"],
-            params=payload["params"],
-        )
     except KeyError as exc:
         raise SchemaError(f"model payload missing field {exc.args[0]!r}") from exc
+    model_type = _MODEL_TYPES.get(variant, OvrModel)
+    return model_type(variant, classes, scaler, submodels, seed=seed, params=params)
 
 
 def save_model(model: TrainedModel, path) -> None:

@@ -153,22 +153,17 @@ class SvmBinary:
     def predict_score(self, X) -> np.ndarray:
         return expit(self.decision(X))
 
-    def to_jsonable(self) -> dict:
+    def fitted_state(self) -> dict:
         return {
-            "C": self.C,
-            "tol": self.tol,
-            "gamma": self.gamma,
             "gamma_fitted": self.gamma_,
             "b": self.b_,
             "sv_x": self.sv_X_.tolist(),
             "sv_alpha_y": self.sv_alpha_y_.tolist(),
         }
 
-    @classmethod
-    def from_jsonable(cls, payload: dict) -> "SvmBinary":
-        model = cls(C=payload["C"], tol=payload["tol"], gamma=payload["gamma"])
-        model.gamma_ = payload["gamma_fitted"]
-        model.b_ = payload["b"]
-        model.sv_X_ = np.asarray(payload["sv_x"], dtype=np.float64)
-        model.sv_alpha_y_ = np.asarray(payload["sv_alpha_y"], dtype=np.float64)
-        return model
+    def load_fitted_state(self, state: dict) -> "SvmBinary":
+        self.gamma_ = state["gamma_fitted"]
+        self.b_ = state["b"]
+        self.sv_X_ = np.asarray(state["sv_x"], dtype=np.float64)
+        self.sv_alpha_y_ = np.asarray(state["sv_alpha_y"], dtype=np.float64)
+        return self

@@ -228,14 +228,9 @@ class DecisionTreeBinary:
             raise ConfigurationError("tree is not fitted")
         return tree_predict(self.tree_, X)
 
-    def to_jsonable(self) -> dict:
-        return {
-            "min_samples_split": self.min_samples_split,
-            "tree": self.tree_.to_jsonable(),
-        }
+    def fitted_state(self) -> dict:
+        return {"tree": self.tree_.to_jsonable()}
 
-    @classmethod
-    def from_jsonable(cls, payload: dict) -> "DecisionTreeBinary":
-        model = cls(min_samples_split=payload["min_samples_split"])
-        model.tree_ = TreeNode.from_jsonable(payload["tree"])
-        return model
+    def load_fitted_state(self, state: dict) -> "DecisionTreeBinary":
+        self.tree_ = TreeNode.from_jsonable(state["tree"])
+        return self

@@ -162,6 +162,10 @@ _DEFAULTS: dict[str, dict] = {
 # manifest records them so replay works from any working directory.
 _PATH_OPTIONS = ("data", "audiogram_csv", "loudness_csv", "combined_csv", "in_dir")
 
+# Numeric options whose default is None (unset); every other numeric option
+# takes its type from its default.
+_OPTIONAL_NUMBERS = {"classifier_seed": int, "rove_mean": float, "rove_sd": float}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -343,28 +347,22 @@ def _as_name_list(value, what: str) -> list[str]:
 
 
 def _as_conditions(value) -> list[list[float]]:
-    pairs: list[list[float]] = []
     if isinstance(value, str):
-        for chunk in value.split(","):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
-            parts = chunk.split(":")
-            if len(parts) != 2:
-                raise ConfigurationError(
-                    f"condition {chunk!r} must be mean:sd, e.g. 10:5"
-                )
-            try:
-                pairs.append([float(parts[0]), float(parts[1])])
-            except ValueError as exc:
-                raise ConfigurationError(f"condition {chunk!r}: {exc}") from exc
+        items = [chunk.strip().split(":") for chunk in value.split(",") if chunk.strip()]
     elif isinstance(value, (list, tuple)):
-        for item in value:
-            if not isinstance(item, (list, tuple)) or len(item) != 2:
-                raise ConfigurationError("each condition must be a [mean, sd] pair")
-            pairs.append([float(item[0]), float(item[1])])
+        items = value
     else:
         raise ConfigurationError("conditions must be a list or mean:sd string")
+    pairs: list[list[float]] = []
+    for item in items:
+        if not isinstance(item, (list, tuple)) or len(item) != 2:
+            raise ConfigurationError(
+                f"condition {item!r} must be a [mean, sd] pair or mean:sd, e.g. 10:5"
+            )
+        try:
+            pairs.append([float(item[0]), float(item[1])])
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError(f"condition {item!r}: {exc}") from exc
     if not pairs:
         raise ConfigurationError("at least one roving condition is required")
     return pairs
@@ -385,6 +383,16 @@ def _resolve_options(cmd: str, args: argparse.Namespace) -> dict:
         key: cli_values.get(key, config.get(key, default))
         for key, default in defaults.items()
     }
+    # A config file can hold any JSON value; one that a runner could not
+    # convert to the option's number type is a usage error, not a traceback.
+    for key, value in options.items():
+        kind = _OPTIONAL_NUMBERS.get(key) or type(defaults[key])
+        if kind not in (int, float) or (value is None and key in _OPTIONAL_NUMBERS):
+            continue
+        try:
+            kind(value)
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigurationError(f"{key} must be a number, got {value!r}") from None
 
     if "params" in defaults:
         base = options["params"] if options["params"] else {}

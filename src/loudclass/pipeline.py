@@ -314,6 +314,23 @@ def filter_rare_classes(
     return survivors, tuple(sorted(keep))
 
 
+def _label_and_filter(
+    merged: list[EarRecord], input_counts: tuple[int, ...], profiles,
+    min_pta: float, min_fraction: float, min_count: int,
+) -> tuple[list[LabeledRecord], PreprocessSummary]:
+    """The cascade after the merge: label, PTA filter, rare-class prune.
+
+    ``input_counts`` are the audiogram and the loudness ear counts, each
+    before and after dropping incomplete records.
+    """
+    labeled = label_records(merged, profiles)
+    after_pta = filter_pta(labeled, min_pta)
+    final, class_set = filter_rare_classes(after_pta, min_fraction, min_count)
+    summary = PreprocessSummary(*input_counts, len(merged), len(after_pta), len(final),
+                                class_set)
+    return final, summary
+
+
 def preprocess(
     audiogram_participants: list[ParticipantRecord],
     loudness_participants: list[ParticipantRecord],
@@ -328,21 +345,9 @@ def preprocess(
     audio_complete = drop_incomplete(audio_ears)
     loud_ears = split_ears(loudness_participants)
     loud_complete = drop_incomplete(loud_ears)
-    merged = merge_by_id_ear(audio_complete, loud_complete)
-    labeled = label_records(merged, profiles)
-    after_pta = filter_pta(labeled, min_pta)
-    final, class_set = filter_rare_classes(after_pta, min_fraction, min_count)
-    summary = PreprocessSummary(
-        audiogram_ears=len(audio_ears),
-        audiogram_complete=len(audio_complete),
-        loudness_ears=len(loud_ears),
-        loudness_complete=len(loud_complete),
-        merged=len(merged),
-        after_pta_filter=len(after_pta),
-        after_class_filter=len(final),
-        class_set=class_set,
-    )
-    return final, summary
+    counts = (len(audio_ears), len(audio_complete), len(loud_ears), len(loud_complete))
+    return _label_and_filter(merge_by_id_ear(audio_complete, loud_complete), counts,
+                             profiles, min_pta, min_fraction, min_count)
 
 
 def prepare_combined(
@@ -358,20 +363,9 @@ def prepare_combined(
     complete = [
         r for r in drop_incomplete(ears) if r.audiogram is not None and r.features is not None
     ]
-    labeled = label_records(complete, profiles)
-    after_pta = filter_pta(labeled, min_pta)
-    final, class_set = filter_rare_classes(after_pta, min_fraction, min_count)
-    summary = PreprocessSummary(
-        audiogram_ears=len(ears),
-        audiogram_complete=len(complete),
-        loudness_ears=len(ears),
-        loudness_complete=len(complete),
-        merged=len(complete),
-        after_pta_filter=len(after_pta),
-        after_class_filter=len(final),
-        class_set=class_set,
-    )
-    return final, summary
+    # The one dataset is both the audiogram and the loudness side.
+    return _label_and_filter(complete, (len(ears), len(complete)) * 2,
+                             profiles, min_pta, min_fraction, min_count)
 
 
 def _participant_key(participant_id: str) -> int:

@@ -253,21 +253,19 @@ def write_beeswarm_csv(explanation: ShapExplanation, record_ids, path) -> Path:
     )
 
 
-def write_importance_csv(report: PermutationImportanceReport, path) -> Path:
-    rows = []
+def _importance_rows(report: PermutationImportanceReport):
+    """(feature, split, repeat, decrease) for every permuted feature."""
     for split in report.splits:
         d, repeats = split.decreases.shape
         for fi in range(d):
             for rep in range(repeats):
-                rows.append(
-                    (
-                        report.feature_names[fi],
-                        split.split,
-                        rep,
-                        float(split.decreases[fi, rep]),
-                    )
-                )
-    return write_csv_rows(path, ("feature", "split", "repeat", "decrease"), rows)
+                yield (report.feature_names[fi], split.split, rep,
+                       float(split.decreases[fi, rep]))
+
+
+def write_importance_csv(report: PermutationImportanceReport, path) -> Path:
+    return write_csv_rows(path, ("feature", "split", "repeat", "decrease"),
+                          _importance_rows(report))
 
 
 def importance_meta_jsonable(report: PermutationImportanceReport) -> dict:
@@ -309,22 +307,11 @@ def write_sweep(sweep: SweepReport, out_dir) -> list[Path]:
         )
     )
 
-    importance_rows = []
-    for (mean, sd), imp in zip(sweep.conditions, sweep.importance):
-        for split in imp.splits:
-            d, repeats = split.decreases.shape
-            for fi in range(d):
-                for rep in range(repeats):
-                    importance_rows.append(
-                        (
-                            mean,
-                            sd,
-                            imp.feature_names[fi],
-                            split.split,
-                            rep,
-                            float(split.decreases[fi, rep]),
-                        )
-                    )
+    importance_rows = (
+        (mean, sd, *row)
+        for (mean, sd), imp in zip(sweep.conditions, sweep.importance)
+        for row in _importance_rows(imp)
+    )
     written.append(
         write_csv_rows(
             sweep_dir / "perm_importance.csv",

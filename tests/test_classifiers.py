@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 
 import numpy as np
@@ -29,6 +30,7 @@ from loudclass.classifiers import (
     predict_proba,
     save_model,
 )
+from loudclass.classifiers import ovr
 from loudclass.classifiers import svm as svm_module
 from loudclass.classifiers.svm import rbf_kernel
 from loudclass.classifiers.tree import _GAINS, _best_split, presort
@@ -186,13 +188,15 @@ def test_best_split_matches_oracle(seed, n, d, decimals, column, bootstrap, targ
 # sha256 of the sorted model JSON on the small fixture, taken from per-node
 # sorting before the presorted scan replaced it, then re-derived for model
 # format 3 by dropping the unused dt/gb ``seed`` keys from that JSON and
-# setting ``format_version`` to 3. A change here means the trees moved;
-# floating-point differences between platforms or numpy builds can move
-# them too.
+# setting ``format_version`` to 3, and for format 4 by setting it to 4,
+# dropping the top-level dt/gb ``seed`` and dropping the hyperparameter
+# keys (and rf's ``seed_key``) from every submodel. A change here means the
+# trees moved; floating-point differences between platforms or numpy
+# builds can move them too.
 TREE_MODEL_SHA256 = {
-    "dt": "709fc3cc5cd280457b4c80b9768cf16277134d27bb3e63894684398f58d279c5",
-    "gb": "d2ea2ee9875a5f085ad5d1b34152117e8a242d0553b1ed6eeba4311c911f3d39",
-    "rf": "e41bd3ab5df7b5c463a895ea96a367a639e4907ed4665fc56b1a828f196dc468",
+    "dt": "d4b23879a5f7c61feb8c79cf1cb9366ca4dc4bd89d7d88de937092193e7f5ea0",
+    "gb": "2fa397385a28c76c27db54ca9e480460c2e5f3810508b1ee2b754d742ec7ff4a",
+    "rf": "23d5bf96e2aa55eb600c58512af922d24f0dc5412444436191c5cdab9bd83ccd",
 }
 
 
@@ -479,7 +483,7 @@ def test_svm_fit_diagnostics(rng):
     model = SvmBinary().fit(X, y)
     assert model.iterations_ > 0
     assert model.kkt_gap_ <= model.tol
-    payload = model.to_jsonable()
+    payload = model.fitted_state()
     assert "iterations" not in json.dumps(payload)
     assert "gap" not in json.dumps(payload)
 
@@ -502,8 +506,7 @@ def six_class_data(rng, n_per=8):
 
 def test_spec_defaults_cover_every_variant():
     assert set(DEFAULT_PARAMS) == set(VARIANTS)
-    assert set(DEFAULT_SEEDS) == set(VARIANTS)
-    assert DEFAULT_SEEDS["nn"] == 1
+    assert DEFAULT_SEEDS == {"nn": 1, "rf": 0}
     assert DEFAULT_PARAMS["dt"]["min_samples_split"] == 5
     assert DEFAULT_PARAMS["gb"]["n_estimators"] == 100
     assert DEFAULT_PARAMS["gb"]["learning_rate"] == 1.0
@@ -518,8 +521,20 @@ def test_spec_validation():
     with pytest.raises(ConfigurationError):
         ClassifierSpec("lr", params={"bogus_knob": 3}).resolved()
     seed, params = ClassifierSpec("dt", params={"min_samples_split": 9}).resolved()
-    assert seed == 0
+    assert seed is None
     assert params["min_samples_split"] == 9
+    # A seed for a deterministic variant is accepted and ignored.
+    assert ClassifierSpec("lr", seed=1).resolved() == ClassifierSpec("lr").resolved()
+    assert ClassifierSpec("rf", seed=5).resolved()[0] == 5
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_default_params_are_the_constructor_keywords(variant):
+    # Loading rebuilds submodels from the stored params with the constructor
+    # that fit calls, so the table and the signature must not drift apart.
+    signature = inspect.signature(ovr._SUBMODEL_TYPES[variant])
+    context = set(ovr._CONTEXT_ARGS.get(variant, ()))
+    assert set(DEFAULT_PARAMS[variant]) == set(signature.parameters) - context
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -647,7 +662,7 @@ def test_model_json_is_versioned_and_sorted(rng, tmp_path):
     path = tmp_path / "model.json"
     save_model(model, path)
     payload = json.loads(path.read_text())
-    assert payload["format_version"] == 3
+    assert payload["format_version"] == 4
     assert payload["variant"] == "dt"
     save_model(model, path)
     again = path.read_bytes()
@@ -670,9 +685,9 @@ def test_model_schema_errors(rng, tmp_path):
     X, labels = six_class_data(rng, n_per=4)
     model = fit(ClassifierSpec("dt"), X, labels)
     payload = model_to_jsonable(model)
-    broken = dict(payload, format_version=99)
-    with pytest.raises(SchemaError):
-        model_from_jsonable(broken)
+    for version in (3, 99):
+        with pytest.raises(SchemaError):
+            model_from_jsonable(dict(payload, format_version=version))
     missing = {k: v for k, v in payload.items() if k != "classes"}
     with pytest.raises(SchemaError):
         model_from_jsonable(missing)
@@ -680,3 +695,28 @@ def test_model_schema_errors(rng, tmp_path):
     path.write_text("{not json")
     with pytest.raises(SchemaError):
         load_model(path)
+
+
+@pytest.mark.parametrize("change", ["missing", "extra"])
+def test_model_params_must_match_the_defaults(rng, change):
+    X, labels = six_class_data(rng, n_per=4)
+    payload = model_to_jsonable(fit(ClassifierSpec("gb", params={"n_estimators": 3}),
+                                    X, labels))
+    params = dict(payload["params"])
+    if change == "missing":
+        del params["max_depth"]
+    else:
+        params["subsample"] = 0.5
+    with pytest.raises(SchemaError):
+        model_from_jsonable(dict(payload, params=params))
+
+
+def test_only_random_variants_store_a_seed(rng):
+    X, labels = six_class_data(rng, n_per=4)
+    for variant in VARIANTS:
+        params = {"max_iter": 5} if variant == "nn" else {}
+        payload = model_to_jsonable(fit(ClassifierSpec(variant, params=params), X, labels))
+        assert ("seed" in payload) == (variant in ("nn", "rf")), variant
+        assert set(payload["params"]) == set(DEFAULT_PARAMS[variant])
+        for state in payload["submodels"]:
+            assert not set(state) & {*DEFAULT_PARAMS[variant], "seed_key"}, variant

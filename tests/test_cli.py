@@ -173,6 +173,22 @@ def test_config_unknown_key_rejected(tmp_path, capsys):
     assert "bogus_knob" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, config, message", [
+    ("evaluate", {"k": None}, "k must be a number"),
+    ("evaluate", {"k": "abc"}, "k must be a number"),
+    ("sweep", {"conditions": [[None, 5]]}, "condition [None, 5]"),
+], ids=["k-null", "k-word", "condition-null"])
+def test_config_bad_value_is_exit_2(generated, command, config, message, capsys):
+    cfg = generated / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    rc = run(command, "--out-dir", str(generated), "--config", str(cfg),
+             "--only", "dt", "--classifier", "dt")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
 def test_config_other_sections_ignored(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"evaluate": {"k": 99}, "per_class": 4}))
