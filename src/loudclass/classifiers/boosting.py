@@ -61,9 +61,14 @@ class GradientBoostingBinary:
             p = expit(raw)
             residual = y - p
             hessian = p * (1.0 - p)
+            step = np.empty(len(y))
 
-            def newton_leaf(idx, residual=residual, hessian=hessian) -> float:
-                return float(residual[idx].sum() / (hessian[idx].sum() + _HESSIAN_EPS))
+            def newton_leaf(idx, residual=residual, hessian=hessian, step=step) -> float:
+                value = float(residual[idx].sum() / (hessian[idx].sum() + _HESSIAN_EPS))
+                # build_tree values a node before its children, so each
+                # training row ends with the value of the leaf it lands in.
+                step[idx] = value
+                return value
 
             tree = build_tree(
                 X,
@@ -74,7 +79,6 @@ class GradientBoostingBinary:
                 max_depth=self.max_depth,
                 leaf_value=newton_leaf,
             )
-            step = tree_predict(tree, X)
             previous = self.train_losses_[-1]
             scale = self.learning_rate
             for _ in range(30):

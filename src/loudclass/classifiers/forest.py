@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from ..errors import ConfigurationError
-from .tree import TreeNode, build_tree, presort, tree_predict
+from .tree import TreeNode, build_tree, leaf_boxes, presort, tree_predict
 
 
 class RandomForestBinary:
@@ -64,6 +64,16 @@ class RandomForestBinary:
         for tree in self.trees_:
             votes += tree_predict(tree, X) > 0.5
         return votes / len(self.trees_)
+
+    def leaf_table(self, n_features: int):
+        """``(lo, hi, payload)`` over every tree's leaves: the score is the
+        sum of the payloads of the leaves whose boxes hold the row, one per
+        tree (see ``leaf_boxes``)."""
+        lo, hi, value = (
+            np.concatenate(parts)
+            for parts in zip(*(leaf_boxes(t, n_features) for t in self.trees_))
+        )
+        return lo, hi, (value > 0.5) / len(self.trees_)
 
     def fitted_state(self) -> dict:
         return {"trees": [t.to_jsonable() for t in self.trees_]}

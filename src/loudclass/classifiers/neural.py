@@ -15,10 +15,6 @@ def _layer_shapes(n_inputs: int, hidden: tuple[int, ...]) -> list[tuple[int, int
     return [(sizes[i], sizes[i + 1]) for i in range(len(sizes) - 1)]
 
 
-def _n_parameters(shapes: list[tuple[int, int]]) -> int:
-    return sum(fi * fo + fo for fi, fo in shapes)
-
-
 def _unpack(theta: np.ndarray, shapes: list[tuple[int, int]]):
     weights, biases = [], []
     pos = 0

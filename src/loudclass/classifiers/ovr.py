@@ -258,6 +258,11 @@ def model_from_jsonable(payload: dict) -> TrainedModel:
         ]
     except KeyError as exc:
         raise SchemaError(f"model payload missing field {exc.args[0]!r}") from exc
+    except SchemaError:
+        raise
+    except (TypeError, ValueError) as exc:
+        # A value of the wrong type, caught by a constructor or by numpy.
+        raise SchemaError(f"model payload has a bad {variant} value: {exc}") from exc
     model_type = _MODEL_TYPES.get(variant, OvrModel)
     return model_type(variant, classes, scaler, submodels, seed=seed, params=params)
 

@@ -209,6 +209,34 @@ def _route(node: TreeNode, X, indices, out) -> None:
     _route(node.right, X, indices[~mask], out)
 
 
+def leaf_boxes(node: TreeNode, n_features: int):
+    """``(lo, hi, value)``: a row reaches leaf l exactly when
+    ``lo[l] < row <= hi[l]`` holds in every feature.
+
+    Each split on the path narrows one feature's interval, so a feature
+    split twice on a path keeps the tighter bound on each side.
+    """
+    lows, highs, values = [], [], []
+
+    def walk(node, lo, hi):
+        if node.is_leaf:
+            lows.append(lo)
+            highs.append(hi)
+            values.append(node.value)
+            return
+        f, t = node.feature, node.threshold
+        walk(node.left, lo, {**hi, f: min(hi.get(f, np.inf), t)})
+        walk(node.right, {**lo, f: max(lo.get(f, -np.inf), t)}, hi)
+
+    walk(node, {}, {})
+    lo = np.full((len(values), n_features), -np.inf)
+    hi = np.full((len(values), n_features), np.inf)
+    for leaf, (low, high) in enumerate(zip(lows, highs)):
+        lo[leaf, list(low)] = list(low.values())
+        hi[leaf, list(high)] = list(high.values())
+    return lo, hi, np.array(values, dtype=np.float64)
+
+
 class DecisionTreeBinary:
     """Entropy CART for one one-vs-rest problem; score = leaf positive fraction."""
 
@@ -227,6 +255,11 @@ class DecisionTreeBinary:
         if self.tree_ is None:
             raise ConfigurationError("tree is not fitted")
         return tree_predict(self.tree_, X)
+
+    def leaf_table(self, n_features: int):
+        """``(lo, hi, payload)``: the score is the payload of the leaf whose
+        box holds the row (see ``leaf_boxes``)."""
+        return leaf_boxes(self.tree_, n_features)
 
     def fitted_state(self) -> dict:
         return {"tree": self.tree_.to_jsonable()}

@@ -383,16 +383,20 @@ def _resolve_options(cmd: str, args: argparse.Namespace) -> dict:
         key: cli_values.get(key, config.get(key, default))
         for key, default in defaults.items()
     }
-    # A config file can hold any JSON value; one that a runner could not
-    # convert to the option's number type is a usage error, not a traceback.
+    # A config file can hold any JSON value; one that is not of the option's
+    # type is a usage error, not a traceback or a silent conversion.
     for key, value in options.items():
         kind = _OPTIONAL_NUMBERS.get(key) or type(defaults[key])
-        if kind not in (int, float) or (value is None and key in _OPTIONAL_NUMBERS):
+        if value is None and key in _OPTIONAL_NUMBERS:
             continue
-        try:
-            kind(value)
-        except (TypeError, ValueError, OverflowError):
-            raise ConfigurationError(f"{key} must be a number, got {value!r}") from None
+        if kind is bool and not isinstance(value, bool):
+            raise ConfigurationError(f"{key} must be true or false, got {value!r}")
+        if kind in (int, float) and (
+            isinstance(value, bool) or not isinstance(value, (int, float))
+        ):
+            raise ConfigurationError(f"{key} must be a number, got {value!r}")
+        if kind is int and isinstance(value, float) and not value.is_integer():
+            raise ConfigurationError(f"{key} must be an integer, got {value!r}")
 
     if "params" in defaults:
         base = options["params"] if options["params"] else {}

@@ -1,11 +1,17 @@
 """Post-hoc explainability: exact Shapley values and permutation importance.
 
-With 12 features the 2^12 = 4096 coalitions are enumerated outright, so
-Shapley values are exact (no sampling) and the additivity, symmetry, and
-null-player axioms hold to floating-point precision. The value function
-is the interventional expectation over a background sample: features in
-the coalition come from the explained record, the rest from each
-background row in turn, and model outputs are averaged.
+Shapley values are interventional: the value of a coalition is the model
+output with the coalition's features taken from the explained record and
+the rest from a background row, averaged over the background sample. Both
+algorithms below are exact (no sampling), so the additivity, symmetry and
+null-player axioms hold to floating-point precision.
+
+- dt and rf score a row by summing tree-leaf payloads, so their values come
+  from interventional TreeSHAP (Lundberg et al. 2020, *From local
+  explanations to global understanding with explainable AI for trees*,
+  "independent" form): a closed form per (background row, leaf) pair.
+- Every other variant enumerates the 2^d coalitions outright; with 12
+  features that is 4096 composite rows per background row.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .classifiers import TrainedModel
-from .errors import ConfigurationError, ShapeError
+from .errors import ConfigurationError, DataError, ShapeError
 from .loudness import FEATURE_NAMES
 from .metrics import accuracy, balanced_accuracy
 
@@ -26,6 +32,10 @@ from .metrics import accuracy, balanced_accuracy
 _MAX_EXACT_FEATURES = 16
 
 PERMUTATION_METRICS = ("balanced_accuracy", "accuracy")
+
+# Variants whose class scores are sums of tree-leaf payloads. gb is not one:
+# its score is expit of a tree sum.
+_LEAF_SUM_VARIANTS = ("dt", "rf")
 
 
 def default_feature_names(n_features: int) -> list[str]:
@@ -81,6 +91,10 @@ def _coalition_tables(d: int):
 def _coalition_values(f, record: np.ndarray, background: np.ndarray) -> np.ndarray:
     """v(S) for every coalition: shape (2^d,) or (2^d, C) for vector f."""
     d = record.shape[0]
+    if d > _MAX_EXACT_FEATURES:
+        raise ConfigurationError(
+            f"exact enumeration supports at most {_MAX_EXACT_FEATURES} features"
+        )
     masks, _ = _coalition_tables(d)
     composites = np.where(masks[:, None, :], record, background[None, :, :])
     out = np.asarray(f(composites.reshape(-1, d)), dtype=np.float64)
@@ -97,20 +111,68 @@ def _phi_from_values(v: np.ndarray, d: int) -> np.ndarray:
     return np.array(phi)
 
 
-def _check_shapley_inputs(record, background):
-    record = np.asarray(record, dtype=np.float64)
+@lru_cache(maxsize=4)
+def _leaf_weights(d: int):
+    """Shapley weights of a leaf that x reaches with the features of A taken
+    from x and those of B from z: ``gain[|A|, |B|]`` for each feature in A,
+    ``loss[|A|, |B|]`` for each in B (zero where the set is empty)."""
+    fact = [math.factorial(s) for s in range(d + 1)]
+    gain = np.zeros((d + 1, d + 1))
+    loss = np.zeros((d + 1, d + 1))
+    for a in range(d + 1):
+        for b in range(d + 1 - a):
+            if a:
+                gain[a, b] = fact[a - 1] * fact[b] / fact[a + b]
+            if b:
+                loss[a, b] = fact[a] * fact[b - 1] / fact[a + b]
+    return gain, loss
+
+
+def _tree_shap(table, x: np.ndarray, background: np.ndarray) -> np.ndarray:
+    """Interventional Shapley values of ``sum_l payload_l [lo_l < row <= hi_l]``.
+
+    For one background row z, the composite (x_S, z_~S) reaches a leaf when
+    each feature's value lies in the leaf's interval: a feature that only
+    x's value satisfies (set A) must come from x, one that only z's value
+    satisfies (set B) must come from z, and one that neither satisfies
+    makes the leaf unreachable. The leaf's indicator is then a game whose
+    Shapley values have the closed form of ``_leaf_weights``; phi is their
+    payload-weighted sum over leaves, averaged over background rows.
+    """
+    lo, hi, payload = table
+    x_in = (lo < x) & (x <= hi)
+    z = background[:, None, :]
+    z_in = (lo < z) & (z <= hi)
+    only_x = x_in & ~z_in
+    only_z = z_in & ~x_in
+    reached = np.where((x_in | z_in).all(axis=2), payload, 0.0)
+    a, b = only_x.sum(axis=2), only_z.sum(axis=2)
+    gain, loss = _leaf_weights(len(x))
+    phi = np.tensordot(reached * gain[a, b], only_x, axes=2) - np.tensordot(
+        reached * loss[a, b], only_z, axes=2
+    )
+    return phi / len(background)
+
+
+def _check_shapley_inputs(records, background):
+    """``(records, background)`` as float matrices with one record per row."""
+    records = np.asarray(records, dtype=np.float64)
     background = np.asarray(background, dtype=np.float64)
-    if record.ndim != 1:
-        raise ShapeError("record must be a 1-d feature vector")
-    if background.ndim != 2 or background.shape[1] != record.shape[0]:
+    if background.ndim != 2 or background.shape[1] != records.shape[1]:
         raise ShapeError("background must be 2-d with the record's feature count")
     if background.shape[0] == 0:
         raise ConfigurationError("background set must be non-empty")
-    if record.shape[0] > _MAX_EXACT_FEATURES:
-        raise ConfigurationError(
-            f"exact enumeration supports at most {_MAX_EXACT_FEATURES} features"
-        )
-    return record, background
+    # A NaN reaches no leaf box, yet tree_predict sends it right.
+    if not (np.isfinite(records).all() and np.isfinite(background).all()):
+        raise DataError("records and background must be finite")
+    return records, background
+
+
+def _one_record(record) -> np.ndarray:
+    record = np.asarray(record, dtype=np.float64)
+    if record.ndim != 1:
+        raise ShapeError("record must be a 1-d feature vector")
+    return record[None, :]
 
 
 def exact_shapley(f, record, background) -> tuple[np.ndarray, float]:
@@ -120,9 +182,32 @@ def exact_shapley(f, record, background) -> tuple[np.ndarray, float]:
     background (the empty coalition) and base + phi.sum() equals the mean
     output on the full record.
     """
-    record, background = _check_shapley_inputs(record, background)
-    v = _coalition_values(f, record, background)
-    return _phi_from_values(v, record.shape[0]), float(v[0])
+    records, background = _check_shapley_inputs(_one_record(record), background)
+    v = _coalition_values(f, records[0], background)
+    return _phi_from_values(v, records.shape[1]), float(v[0])
+
+
+def _class_shapley(model: TrainedModel, X: np.ndarray, background: np.ndarray):
+    """Shapley values ``(n, d, C)`` and bases ``(n, C)`` of every class score
+    for each row of X.
+
+    dt and rf use TreeSHAP in the standardized space their trees split; the
+    scaler acts per feature, so composites of standardized rows are the
+    standardized composites. The other variants enumerate coalitions.
+    """
+    n, d = X.shape
+    if model.variant in _LEAF_SUM_VARIANTS:
+        z = model.scaler.transform(background)
+        tables = [m.leaf_table(d) for m in model.submodels]
+        phi = np.array([
+            np.stack([_tree_shap(table, x, z) for table in tables], axis=-1)
+            for x in model.scaler.transform(X)
+        ])
+        base = model.predict_proba(background).mean(axis=0)
+        return phi, np.tile(base, (n, 1))
+    values = [_coalition_values(model.predict_proba, x, background) for x in X]
+    phi = np.array([_phi_from_values(v, d) for v in values])
+    return phi, np.array([v[0] for v in values])
 
 
 def class_agnostic_shapley(model: TrainedModel, record, background):
@@ -131,14 +216,14 @@ def class_agnostic_shapley(model: TrainedModel, record, background):
     Returns (mean_phi, mean_base, per_class) with per_class mapping each
     class label to its (phi, base) pair.
     """
-    record, background = _check_shapley_inputs(record, background)
-    v = _coalition_values(model.predict_proba, record, background)
-    phi = _phi_from_values(v, record.shape[0])
+    records, background = _check_shapley_inputs(_one_record(record), background)
+    phi, base = _class_shapley(model, records, background)
+    phi, base = phi[0], base[0]
     per_class = {
-        cls: (phi[:, ci].copy(), float(v[0, ci]))
+        cls: (phi[:, ci].copy(), float(base[ci]))
         for ci, cls in enumerate(model.classes)
     }
-    return phi.mean(axis=1), float(v[0].mean()), per_class
+    return phi.mean(axis=1), float(base.mean()), per_class
 
 
 def explain_model(
@@ -149,30 +234,13 @@ def explain_model(
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ShapeError("expected a 2-d feature matrix")
-    n, d = X.shape
-    names = tuple(feature_names) if feature_names else tuple(default_feature_names(d))
-    classes = list(model.classes)
-    n_classes = len(classes)
-
-    agnostic_values = np.empty((n, d))
-    agnostic_base = np.empty(n)
-    class_values = np.empty((n_classes, n, d))
-    class_base = np.empty((n_classes, n))
-    for r in range(n):
-        mean_phi, mean_base, per_class = class_agnostic_shapley(
-            model, X[r], background
-        )
-        agnostic_values[r] = mean_phi
-        agnostic_base[r] = mean_base
-        for ci, cls in enumerate(classes):
-            phi, base = per_class[cls]
-            class_values[ci, r] = phi
-            class_base[ci, r] = base
-
-    agnostic = ShapExplanation(names, agnostic_values, agnostic_base, X.copy())
+    X, background = _check_shapley_inputs(X, background)
+    names = tuple(feature_names) if feature_names else tuple(default_feature_names(X.shape[1]))
+    phi, base = _class_shapley(model, X, background)
+    agnostic = ShapExplanation(names, phi.mean(axis=2), base.mean(axis=1), X.copy())
     by_class = {
-        cls: ShapExplanation(names, class_values[ci], class_base[ci], X.copy())
-        for ci, cls in enumerate(classes)
+        cls: ShapExplanation(names, phi[:, :, ci], base[:, ci], X.copy())
+        for ci, cls in enumerate(model.classes)
     }
     return agnostic, by_class
 
@@ -240,8 +308,7 @@ class PermutationImportanceReport:
         raise KeyError(name)
 
 
-def _score(model: TrainedModel, X, y, metric: str) -> float:
-    predicted = model.predict(X)
+def _score(y, predicted, metric: str) -> float:
     if metric == "balanced_accuracy":
         return balanced_accuracy(y, predicted)
     return accuracy(y, predicted)
@@ -260,8 +327,9 @@ def permutation_importance(
     """Per-feature score drop when that column is shuffled, repeated.
 
     Shuffle streams are keyed by (seed, feature, repeat), so results do
-    not depend on evaluation order. Negative decreases are legitimate:
-    shuffling can accidentally help.
+    not depend on evaluation order. Each feature's shuffled copies are
+    stacked and scored by one ``predict``. Negative decreases are
+    legitimate: shuffling can accidentally help.
     """
     if metric not in PERMUTATION_METRICS:
         raise ConfigurationError(
@@ -276,15 +344,18 @@ def permutation_importance(
     if len(y) != X.shape[0]:
         raise ShapeError(f"{X.shape[0]} feature rows but {len(y)} labels")
 
-    baseline = _score(model, X, y, metric)
+    baseline = _score(y, model.predict(X), metric)
     n, d = X.shape
     decreases = np.empty((d, repeats))
     for fi in range(d):
+        shuffled = np.tile(X, (repeats, 1))
         for rep in range(repeats):
             rng = np.random.default_rng(np.random.SeedSequence([seed, fi, rep]))
-            shuffled = X.copy()
-            shuffled[:, fi] = X[rng.permutation(n), fi]
-            decreases[fi, rep] = baseline - _score(model, shuffled, y, metric)
+            shuffled[rep * n : (rep + 1) * n, fi] = X[rng.permutation(n), fi]
+        predicted = model.predict(shuffled)
+        for rep in range(repeats):
+            score = _score(y, predicted[rep * n : (rep + 1) * n], metric)
+            decreases[fi, rep] = baseline - score
     return SplitImportance(split, metric, baseline, decreases)
 
 

@@ -711,6 +711,19 @@ def test_model_params_must_match_the_defaults(rng, change):
         model_from_jsonable(dict(payload, params=params))
 
 
+@pytest.mark.parametrize("variant, section, key, value", [
+    ("knn", "params", "k", "2"),
+    ("lr", "submodel", "weights", "abc"),
+], ids=["knn-k-string", "lr-weights-string"])
+def test_model_value_of_wrong_type_is_schema_error(rng, variant, section, key, value):
+    X, labels = six_class_data(rng, n_per=4)
+    payload = json.loads(json.dumps(model_to_jsonable(fit(ClassifierSpec(variant), X, labels))))
+    target = payload["params"] if section == "params" else payload["submodels"][0]
+    target[key] = value
+    with pytest.raises(SchemaError):
+        model_from_jsonable(payload)
+
+
 def test_only_random_variants_store_a_seed(rng):
     X, labels = six_class_data(rng, n_per=4)
     for variant in VARIANTS:

@@ -148,6 +148,21 @@ def test_explain_then_replay_is_byte_identical(generated, tmp_path):
         assert (replayed / name).read_bytes() == (generated / name).read_bytes()
 
 
+def test_explain_forest_then_replay_is_byte_identical(generated, tmp_path):
+    rc = run("explain", "--out-dir", str(generated), "--classifier", "rf",
+             "--k", "3", "--background", "10", "--max-records", "3",
+             "--perm-repeats", "2")
+    assert rc == 0
+    replayed = tmp_path / "replayed"
+    rc = run("replay", "--manifest", str(generated / "manifest.json"),
+             "--out-dir", str(replayed))
+    assert rc == 0
+    names = ("shap_beeswarm.csv", "perm_importance.csv",
+             "perm_importance_meta.json", "manifest.json")
+    for name in names:
+        assert (replayed / name).read_bytes() == (generated / name).read_bytes()
+
+
 def test_config_file_precedence(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
@@ -187,6 +202,39 @@ def test_config_bad_value_is_exit_2(generated, command, config, message, capsys)
     err = capsys.readouterr().err
     assert message in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, config, message", [
+    ("evaluate", {"stratified": "no"}, "stratified must be true or false"),
+    ("evaluate", {"stratified": 0}, "stratified must be true or false"),
+    ("evaluate", {"k": 2.7}, "k must be an integer"),
+    ("evaluate", {"k": True}, "k must be a number"),
+    ("evaluate", {"k": "3"}, "k must be a number"),
+    ("evaluate", {"repeats": 1.5}, "repeats must be an integer"),
+    ("evaluate", {"rove_mean": False}, "rove_mean must be a number"),
+    ("sweep", {"stratified": "false"}, "stratified must be true or false"),
+], ids=["bool-word", "bool-int", "int-fraction", "int-bool", "int-string",
+        "repeats-fraction", "float-bool", "sweep-bool-word"])
+def test_config_value_of_wrong_type_is_exit_2(generated, command, config, message,
+                                              capsys):
+    cfg = generated / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    rc = run(command, "--out-dir", str(generated), "--config", str(cfg),
+             "--only", "dt", "--classifier", "dt")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
+def test_config_integral_float_is_accepted(generated):
+    cfg = generated / "cfg.json"
+    cfg.write_text(json.dumps({"k": 3.0, "stratified": False}))
+    rc = run("evaluate", "--out-dir", str(generated), "--config", str(cfg),
+             "--only", "dt", "--classifier", "dt")
+    assert rc == 0
+    report = json.loads((generated / "report.json").read_text())
+    assert len(report["classifiers"]["dt"]["test_balanced_accuracy"]["per_fold"]) == 3
 
 
 def test_config_other_sections_ignored(tmp_path):

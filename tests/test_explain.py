@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from loudclass.classifiers import ClassifierSpec, fit, predict_proba
-from loudclass.errors import ConfigurationError, ShapeError
+from loudclass.classifiers.tree import TreeNode, leaf_boxes, tree_predict
+from loudclass.errors import ConfigurationError, DataError, ShapeError
 from loudclass.explain import (
     ShapExplanation,
+    _tree_shap,
     beeswarm_export,
     beeswarm_ranking,
     class_agnostic_shapley,
@@ -14,6 +17,7 @@ from loudclass.explain import (
     importance_report,
     permutation_importance,
 )
+from loudclass.metrics import balanced_accuracy
 
 
 def nonlinear_f(X):
@@ -122,6 +126,118 @@ def test_explain_model_shapes(rng):
     assert agnostic.feature_names == tuple(f"x{i}" for i in range(4))
 
 
+# --- TreeSHAP ------------------------------------------------------------------
+
+# Few distinct values, so records and background rows often sit exactly on a
+# threshold and thresholds repeat along a path.
+GRID = (-1.0, -0.5, 0.0, 0.5, 1.0)
+
+
+def leaf(value):
+    return TreeNode(value=value, n_samples=1)
+
+
+def split(feature, threshold, left, right):
+    return TreeNode(value=0.0, n_samples=1, feature=feature, threshold=threshold,
+                    left=left, right=right)
+
+
+@st.composite
+def random_trees(draw, n_features, depth=0):
+    if depth >= 4 or draw(st.integers(0, 2)) == 0:
+        return leaf(draw(st.floats(-2.0, 2.0)))
+    return split(
+        draw(st.integers(0, n_features - 1)),
+        draw(st.sampled_from(GRID)),
+        draw(random_trees(n_features, depth + 1)),
+        draw(random_trees(n_features, depth + 1)),
+    )
+
+
+@st.composite
+def tree_games(draw):
+    """(tree, record, background) over 1-4 features."""
+    d = draw(st.integers(1, 4))
+    row = st.lists(st.sampled_from(GRID), min_size=d, max_size=d)
+    return (
+        draw(random_trees(d)),
+        np.array(draw(row)),
+        np.array(draw(st.lists(row, min_size=1, max_size=4))),
+    )
+
+
+SINGLE_LEAF = (leaf(0.7), np.array([0.0, 1.0]), np.array([[1.0, -1.0], [0.5, 0.5]]))
+# Feature 0 split twice on one path, with a duplicated threshold below it.
+SPLIT_TWICE = (
+    split(0, 0.5,
+          split(1, 0.0, split(0, -0.5, leaf(1.0), leaf(2.0)), leaf(-1.0)),
+          split(0, 0.5, leaf(5.0), split(1, 0.0, leaf(3.0), leaf(-2.0)))),
+    np.array([0.0, 0.5]),
+    np.array([[-1.0, -1.0], [1.0, 0.0], [0.5, 1.0]]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tree_games())
+@example(SINGLE_LEAF)
+@example(SPLIT_TWICE)
+def test_tree_shap_matches_the_factorial_oracle(game):
+    tree, record, background = game
+    phi = _tree_shap(leaf_boxes(tree, len(record)), record, background)
+    expected, _ = oracles.naive_shapley(
+        lambda M: tree_predict(tree, M), record, background
+    )
+    assert np.abs(phi - expected).max() <= 1e-12
+
+
+def test_leaf_boxes_route_like_tree_predict(rng):
+    tree = SPLIT_TWICE[0]
+    lo, hi, value = leaf_boxes(tree, 2)
+    X = rng.choice(GRID, size=(50, 2))
+    inside = ((lo < X[:, None, :]) & (X[:, None, :] <= hi)).all(axis=2)
+    assert np.array_equal(inside.sum(axis=1), np.ones(len(X)))
+    assert np.array_equal(inside @ value, tree_predict(tree, X))
+
+
+@pytest.mark.parametrize("variant", ["dt", "rf"])
+def test_tree_models_match_enumeration_per_class(rng, variant):
+    centers = [(0.0, 0.0, 0.0, 0.0), (2.0, 0.0, 1.0, 0.0), (0.0, 2.0, -1.0, 1.0)]
+    X = np.vstack([rng.normal(c, 0.8, size=(20, 4)) for c in centers])
+    labels = [f"c{i}" for i in range(3) for _ in range(20)]
+    model = fit(ClassifierSpec(variant), X, labels)
+    background = X[::4]
+    for record in X[1:60:15]:
+        _, _, per_class = class_agnostic_shapley(model, record, background)
+        for ci, cls in enumerate(model.classes):
+            expected, expected_base = exact_shapley(
+                lambda M: model.predict_proba(M)[:, ci], record, background
+            )
+            phi, base = per_class[cls]
+            assert np.abs(phi - expected).max() <= 1e-12
+            assert base == pytest.approx(expected_base, abs=1e-12)
+
+
+def test_tree_shap_needs_no_feature_limit(rng):
+    X = rng.normal(size=(40, 20))
+    labels = ["a" if v > 0 else "b" for v in X[:, 3]]
+    model = fit(ClassifierSpec("dt"), X, labels)
+    mean_phi, mean_base, _ = class_agnostic_shapley(model, X[0], X[10:20])
+    proba = predict_proba(model, X[:1])[0]
+    assert mean_phi.sum() + mean_base == pytest.approx(proba.mean(), abs=1e-12)
+
+
+@pytest.mark.parametrize("where", ["record", "background"])
+def test_non_finite_inputs_are_data_errors(rng, where):
+    X = rng.normal(size=(30, 3))
+    model = fit(ClassifierSpec("dt"), X, ["a" if v > 0 else "b" for v in X[:, 0]])
+    record, background = X[0].copy(), X[5:10].copy()
+    (record if where == "record" else background[2])[1] = np.nan
+    with pytest.raises(DataError):
+        class_agnostic_shapley(model, record, background)
+    with pytest.raises(DataError):
+        explain_model(model, record[None, :], background)
+
+
 # --- beeswarm ranking -----------------------------------------------------------
 
 def explanation_from(values, names):
@@ -216,3 +332,21 @@ def test_importance_report_has_both_splits(rng):
     with pytest.raises(KeyError):
         report.split("validation")
     assert report.feature_names == tuple(f"x{i}" for i in range(5))
+
+
+@pytest.mark.parametrize("variant", ["rf", "lr"])
+def test_batched_permutation_equals_one_predict_per_copy(rng, variant):
+    X, labels = informative_data(rng, n=60)
+    model = fit(ClassifierSpec(variant), X, labels)
+    repeats, seed = 4, 9
+    baseline = balanced_accuracy(labels, model.predict(X))
+    expected = np.empty((X.shape[1], repeats))
+    for fi in range(X.shape[1]):
+        for rep in range(repeats):
+            rng_copy = np.random.default_rng(np.random.SeedSequence([seed, fi, rep]))
+            shuffled = X.copy()
+            shuffled[:, fi] = X[rng_copy.permutation(len(X)), fi]
+            expected[fi, rep] = baseline - balanced_accuracy(labels, model.predict(shuffled))
+    split = permutation_importance(model, X, labels, repeats=repeats, seed=seed)
+    assert split.baseline == baseline
+    assert np.array_equal(split.decreases, expected)
