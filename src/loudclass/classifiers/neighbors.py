@@ -8,8 +8,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ConfigurationError, ShapeError
+from ..errors import ConfigurationError
 from .base import TrainedModel
+
+BLOCK_ROWS = 8192
 
 
 class NearestNeighbors:
@@ -34,14 +36,23 @@ class NearestNeighbors:
         return self
 
     def neighbor_labels(self, Z: np.ndarray) -> np.ndarray:
-        """Class indices of the k nearest training rows, nearest first."""
-        sq = (
-            (Z * Z).sum(axis=1)[:, None]
-            + (self.X * self.X).sum(axis=1)[None, :]
-            - 2.0 * (Z @ self.X.T)
-        )
-        order = np.argsort(sq, axis=1, kind="stable")
-        return self.y_idx[order[:, : self.k]]
+        """Class indices of the k nearest training rows, nearest first.
+
+        Query rows are scored ``BLOCK_ROWS`` at a time, so memory stays
+        bounded by the block, not by the number of queries.
+        """
+        x_sq = (self.X * self.X).sum(axis=1)
+        out = np.empty((len(Z), self.k), dtype=np.intp)
+        for start in range(0, len(Z), BLOCK_ROWS):
+            block = Z[start : start + BLOCK_ROWS]
+            sq = (
+                (block * block).sum(axis=1)[:, None]
+                + x_sq[None, :]
+                - 2.0 * (block @ self.X.T)
+            )
+            order = np.argsort(sq, axis=1, kind="stable")
+            out[start : start + BLOCK_ROWS] = self.y_idx[order[:, : self.k]]
+        return out
 
     def fitted_state(self) -> dict:
         return {"x": self.X.tolist(), "y_idx": self.y_idx.tolist()}
@@ -63,32 +74,25 @@ class KnnModel(TrainedModel):
     def targets(y_idx: np.ndarray, n_classes: int) -> list[np.ndarray]:
         return [y_idx]
 
-    def _neighbor_labels(self, X: np.ndarray) -> np.ndarray:
-        return self.submodels[0].neighbor_labels(self.scaler.transform(X))
+    def _votes(self, X) -> tuple[np.ndarray, np.ndarray]:
+        """Neighbor class indices (n, k) and per-row class counts (n, classes)."""
+        labels = self.submodels[0].neighbor_labels(self.scaler.transform(X))
+        n, n_classes = len(labels), len(self.classes)
+        rows = np.arange(n)[:, None]
+        counts = np.bincount(
+            (rows * n_classes + labels).ravel(), minlength=n * n_classes
+        ).reshape(n, n_classes)
+        return labels, counts
 
     def predict_proba(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2:
-            raise ShapeError("expected a 2-d feature matrix")
-        labels = self._neighbor_labels(X)
-        n_classes = len(self.classes)
-        proba = np.zeros((len(X), n_classes))
-        for ci in range(n_classes):
-            proba[:, ci] = (labels == ci).mean(axis=1)
-        return proba
+        labels, counts = self._votes(X)
+        return counts / labels.shape[1]
 
     def predict(self, X) -> list:
-        out = []
-        for labels in self._neighbor_labels(np.asarray(X, dtype=np.float64)):
-            counts = np.bincount(labels, minlength=len(self.classes))
-            top = counts.max()
-            tied = np.flatnonzero(counts == top)
-            if len(tied) == 1:
-                out.append(self.classes[tied[0]])
-            else:
-                # Row is already sorted by distance; the first neighbor
-                # whose class is tied for the majority wins.
-                tied_set = set(tied.tolist())
-                winner = next(int(l) for l in labels if int(l) in tied_set)
-                out.append(self.classes[winner])
-        return out
+        # Rows are sorted by distance; the first neighbor whose class count
+        # equals the row's maximum wins, so ties go to the nearest class.
+        labels, counts = self._votes(X)
+        rows = np.arange(len(labels))[:, None]
+        top = counts[rows, labels] == counts.max(axis=1, keepdims=True)
+        winners = labels[rows[:, 0], top.argmax(axis=1)]
+        return [self.classes[i] for i in winners.tolist()]

@@ -281,8 +281,7 @@ def run_experiment(cfg: ExperimentConfig, records=None, plans=None) -> MetricsRe
     """Cross-validate every configured classifier on one shared fold plan.
 
     ``records`` bypasses the config's data source; ``plans`` bypasses fold
-    construction (the roving sweep passes both so conditions differ only
-    in the offsets). When CV is repeated, scores concatenate plan-major.
+    construction. When CV is repeated, scores concatenate plan-major.
     """
     try:
         records = resolve_records(cfg, records)
@@ -292,17 +291,18 @@ def run_experiment(cfg: ExperimentConfig, records=None, plans=None) -> MetricsRe
         y = labels_of(records)
     except LoudclassError as exc:
         raise _with_stage("data", exc)
+    return _cross_validate(cfg, X, y, plans)[0]
 
-    classes = tuple(sorted_labels(y))
 
+def _cross_validate(cfg, X, y, plans) -> tuple[MetricsReport, TrainedModel]:
+    """The experiment on a featurized matrix; also returns the designated
+    classifier's model of plan 0, fold 0."""
     try:
-        if plans is None:
-            plans = make_fold_plans(cfg, y)
-        else:
-            plans = tuple(plans)
+        plans = make_fold_plans(cfg, y) if plans is None else tuple(plans)
     except LoudclassError as exc:
         raise _with_stage("fold-plan", exc)
 
+    classes = tuple(sorted_labels(y))
     names = classifier_names(cfg.classifiers)
     if cfg.designated not in names:
         raise ConfigurationError(
@@ -318,6 +318,7 @@ def run_experiment(cfg: ExperimentConfig, records=None, plans=None) -> MetricsRe
     n = len(y)
     results = []
     designated_detail = None
+    designated_model = None
     for name, spec in zip(names, cfg.classifiers):
         train_ba, test_ba, train_wf1, test_wf1 = [], [], [], []
         per_class_f1: dict = {cls: [] for cls in classes}
@@ -325,7 +326,7 @@ def run_experiment(cfg: ExperimentConfig, records=None, plans=None) -> MetricsRe
         pooled_pred: list = [None] * n
         try:
             for plan_index, plan in enumerate(plans):
-                for train_idx, test_idx in plan:
+                for fold, (train_idx, test_idx) in enumerate(plan):
                     y_train = [y[i] for i in train_idx]
                     y_test = [y[i] for i in test_idx]
                     model = fit(spec, X[train_idx], y_train, classes=classes)
@@ -338,6 +339,8 @@ def run_experiment(cfg: ExperimentConfig, records=None, plans=None) -> MetricsRe
                     for cls in classes:
                         per_class_f1[cls].append(f1_per_class(y_test, pred_test, cls))
                     if name == cfg.designated and plan_index == 0:
+                        if fold == 0:
+                            designated_model = model
                         pooled_proba[test_idx] = model.predict_proba(X[test_idx])
                         for idx, label in zip(test_idx, pred_test):
                             pooled_pred[idx] = label
@@ -372,7 +375,7 @@ def run_experiment(cfg: ExperimentConfig, records=None, plans=None) -> MetricsRe
 
     return MetricsReport(
         cfg, classes, plans, tuple(results), designated_detail, t_tests
-    )
+    ), designated_model
 
 
 @dataclass(frozen=True)
@@ -390,22 +393,17 @@ class SweepReport:
         }
 
 
-def _designated_spec(cfg: ExperimentConfig) -> ClassifierSpec:
-    names = classifier_names(cfg.classifiers)
-    return cfg.classifiers[names.index(cfg.designated)]
-
-
 def roving_sweep(
     cfg: ExperimentConfig,
     conditions: tuple[tuple[float, float], ...] = DEFAULT_ROVING_CONDITIONS,
     records=None,
 ) -> SweepReport:
-    """Repeat the experiment per (mean, sd) offset condition.
+    """Run one experiment per (mean, sd) offset condition.
 
     Base records and fold plans are resolved once and shared, so the
     conditions differ only in the participant offsets; (0, 0) is
-    bit-identical to a plain run. Permutation importance is computed per
-    condition for the designated classifier on the first fold's split.
+    bit-identical to a plain run. Permutation importance scores the model
+    each experiment fitted for the designated classifier on plan 0, fold 0.
     """
     if cfg.roving is not None:
         raise ConfigurationError(
@@ -414,20 +412,19 @@ def roving_sweep(
     base = resolve_records(cfg, records)
     y = labels_of(base)
     plans = make_fold_plans(cfg, y)
-    spec = _designated_spec(cfg)
+    train_idx, test_idx = plans[0].fold_indices(0)
+    y_train = [y[i] for i in train_idx]
 
     reports = []
     importances = []
     for mean, sd in conditions:
         rcfg = RovingConfig(mean, sd, cfg.rove_seed)
-        report = run_experiment(replace(cfg, roving=rcfg), records=base, plans=plans)
+        try:
+            X = feature_matrix(apply_roving(base, rcfg))
+        except LoudclassError as exc:
+            raise _with_stage("data", exc)
+        report, model = _cross_validate(replace(cfg, roving=rcfg), X, y, plans)
         reports.append(report)
-
-        roved = apply_roving(base, rcfg)
-        X = feature_matrix(roved)
-        train_idx, test_idx = plans[0].fold_indices(0)
-        y_train = [y[i] for i in train_idx]
-        model: TrainedModel = fit(spec, X[train_idx], y_train, classes=report.classes)
         importances.append(
             importance_report(
                 model,

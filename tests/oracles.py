@@ -257,3 +257,23 @@ def best_split_oracle(X, y, criterion: str):
         if gain > eps and (best is None or gain > best[0] + eps):
             best = (gain, f, threshold)
     return best
+
+
+# --- k nearest neighbors -----------------------------------------------------
+
+def knn_vote_oracle(neighbor_labels, n_classes: int) -> tuple[list[int], np.ndarray]:
+    """Per-row knn vote over class indices sorted nearest first.
+
+    Returns the winning class index per row and the vote fractions. A tie
+    for the most votes goes to the tied class of the nearest neighbor.
+    """
+    neighbor_labels = np.asarray(neighbor_labels)
+    proba = np.zeros((len(neighbor_labels), n_classes))
+    for ci in range(n_classes):
+        proba[:, ci] = (neighbor_labels == ci).mean(axis=1)
+    winners = []
+    for labels in neighbor_labels:
+        counts = np.bincount(labels, minlength=n_classes)
+        tied = set(np.flatnonzero(counts == counts.max()).tolist())
+        winners.append(next(int(l) for l in labels if int(l) in tied))
+    return winners, proba

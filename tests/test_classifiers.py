@@ -1,6 +1,7 @@
 import hashlib
 import inspect
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from loudclass.classifiers import (
     GradientBoostingBinary,
     KnnModel,
     LogisticRegressionBinary,
+    NearestNeighbors,
     NeuralNetBinary,
     RandomForestBinary,
     StandardScaler,
@@ -30,7 +32,7 @@ from loudclass.classifiers import (
     predict_proba,
     save_model,
 )
-from loudclass.classifiers import ovr
+from loudclass.classifiers import neighbors, ovr
 from loudclass.classifiers import svm as svm_module
 from loudclass.classifiers.svm import rbf_kernel
 from loudclass.classifiers.tree import _GAINS, _best_split, presort
@@ -635,6 +637,58 @@ def test_knn_scaler_applied():
     model = fit(ClassifierSpec("knn"), X, labels)
     assert isinstance(model, KnnModel)
     assert model.scaler.scale_ is not None
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 6),
+    n_distinct=st.integers(2, 8),
+    copies=st.integers(1, 3),
+    n_classes=st.integers(2, 4),
+)
+def test_knn_vote_matches_oracle(seed, k, n_distinct, copies, n_classes):
+    # Exact duplicate training rows (on a coarse grid) make distances tie,
+    # so the vote and its nearest-neighbor tie-break both get exercised.
+    rng = np.random.default_rng(seed)
+    base = rng.integers(0, 3, size=(n_distinct, 2)).astype(float)
+    X = np.repeat(base, copies, axis=0)
+    assume(k <= len(X) and len(np.unique(X, axis=0)) > 1)
+    labels = [f"c{i}" for i in rng.integers(0, n_classes, size=len(X))]
+    assume(1 < len(set(labels)) and 2 * len(set(labels)) <= len(X))
+    model = fit(ClassifierSpec("knn", params={"k": k}), X, labels)
+    grid = rng.integers(0, 5, size=(20, 2)) / 2.0  # on and between the rows
+    queries = np.vstack([X, grid])
+    Z = model.scaler.transform(queries)
+    neighbor_labels = model.submodels[0].neighbor_labels(Z)
+    winners, proba = oracles.knn_vote_oracle(neighbor_labels, len(model.classes))
+    assert predict(model, queries) == [model.classes[i] for i in winners]
+    assert np.array_equal(predict_proba(model, queries), proba)
+
+
+def test_knn_neighbor_labels_blocks_match_one_block(rng, monkeypatch):
+    X, labels = six_class_data(rng)
+    model = fit(ClassifierSpec("knn", params={"k": 3}), X, labels)
+    Z = model.scaler.transform(rng.normal(0.0, 6.0, size=(50, X.shape[1])))
+    nn = model.submodels[0]
+    whole = nn.neighbor_labels(Z)
+    monkeypatch.setattr(neighbors, "BLOCK_ROWS", 16)  # 4 blocks, the last short
+    assert np.array_equal(nn.neighbor_labels(Z), whole)
+
+
+def test_knn_neighbor_labels_memory_is_bounded_by_the_block():
+    rng = np.random.default_rng(0)
+    nn = NearestNeighbors(k=2).fit(rng.normal(size=(64, 12)), rng.integers(0, 6, 64))
+    Z = rng.normal(size=(50_000, 12))
+    tracemalloc.start()
+    try:
+        nn.neighbor_labels(Z)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # Over all 50 000 rows at once, the 50 000 x 64 distance matrix and its
+    # argsort alone take 51.2 MB; blocks of 8 192 rows peak near 18 MB.
+    assert peak < 32e6
 
 
 # --- persistence -----------------------------------------------------------------

@@ -1,21 +1,31 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from loudclass.classifiers import ClassifierSpec
+from loudclass import harness
+from loudclass.classifiers import ClassifierSpec, fit
 from loudclass.errors import ConfigurationError
+from loudclass.explain import importance_report
 from loudclass.harness import (
     DEFAULT_ROVING_CONDITIONS,
     ExperimentConfig,
     classifier_names,
     default_classifier_specs,
     kfold_split,
+    make_fold_plans,
     resolve_records,
     roving_sweep,
     run_experiment,
 )
+from loudclass.loudness import FEATURE_NAMES
+from loudclass.metrics import sorted_labels
 from loudclass.pipeline import (
     RovingConfig,
     SyntheticConfig,
+    apply_roving,
+    feature_matrix,
+    labels_of,
     write_labeled_json,
 )
 
@@ -231,6 +241,68 @@ def test_roving_sweep_shares_base_data_and_plans():
     solo = run_experiment(fast_config())
     # The zero condition inside a sweep must reproduce a plain run.
     assert sweep.reports[0].results == solo.results
+
+
+def test_roving_sweep_fits_and_roves_once_per_condition(monkeypatch):
+    calls: Counter = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(harness, "fit", counted("fit", harness.fit))
+    monkeypatch.setattr(
+        harness, "apply_roving", counted("apply_roving", harness.apply_roving)
+    )
+    cfg = fast_config()
+    conditions = ((0.0, 0.0), (10.0, 5.0))
+    roving_sweep(cfg, conditions=conditions)
+    assert calls["fit"] == len(conditions) * len(cfg.classifiers) * cfg.k * cfg.repeats
+    assert calls["apply_roving"] == len(conditions)
+
+
+def test_roving_sweep_importance_scores_the_plan0_fold0_model():
+    cfg = fast_config(repeats=2)
+    conditions = ((0.0, 0.0), (10.0, 5.0))
+    sweep = roving_sweep(cfg, conditions=conditions)
+
+    base = resolve_records(cfg)
+    y = labels_of(base)
+    train_idx, test_idx = make_fold_plans(cfg, y)[0].fold_indices(0)
+    y_train = [y[i] for i in train_idx]
+    y_test = [y[i] for i in test_idx]
+    spec = cfg.classifiers[classifier_names(cfg.classifiers).index(cfg.designated)]
+    for (mean, sd), got in zip(conditions, sweep.importance):
+        X = feature_matrix(apply_roving(base, RovingConfig(mean, sd, cfg.rove_seed)))
+        model = fit(spec, X[train_idx], y_train, classes=tuple(sorted_labels(y)))
+        want = importance_report(
+            model, X[train_idx], y_train, X[test_idx], y_test,
+            repeats=cfg.perm_repeats, metric=cfg.perm_metric, seed=cfg.seed,
+            feature_names=FEATURE_NAMES,
+        )
+        assert [s.split for s in got.splits] == [s.split for s in want.splits]
+        for g, w in zip(got.splits, want.splits):
+            assert g.baseline == w.baseline
+            assert np.array_equal(g.decreases, w.decreases)
+
+
+def test_roving_sweep_data_errors_carry_the_stage(monkeypatch):
+    def broken(records, cfg):
+        raise ConfigurationError("bad offsets")
+
+    monkeypatch.setattr(harness, "apply_roving", broken)
+    with pytest.raises(ConfigurationError) as info:
+        roving_sweep(fast_config(), conditions=((5.0, 5.0),))
+    assert "stage: data" in getattr(info.value, "__notes__", [])
+
+
+def test_roving_sweep_classifier_errors_carry_the_stage():
+    cfg = fast_config(classifiers=(ClassifierSpec("dt", params={"bogus": 1}),))
+    with pytest.raises(ConfigurationError) as info:
+        roving_sweep(cfg, conditions=((5.0, 5.0),))
+    assert "stage: classifier dt" in getattr(info.value, "__notes__", [])
 
 
 def test_roving_sweep_rejects_preroved_config():
