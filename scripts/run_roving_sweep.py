@@ -19,16 +19,19 @@ def main() -> None:
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--k", type=int, default=10)
     ap.add_argument("--designated", default="lr")
-    ap.add_argument("--conditions", default="0:0,5:5,5:10,10:5,10:10",
-                    help="mean:sd pairs, comma separated")
+    ap.add_argument("--conditions", default=None,
+                    help="mean:sd pairs, comma separated "
+                         "(default: the sweep command's own conditions)")
     args = ap.parse_args()
 
     out = args.out_dir
+    sweep = ["sweep", "--out-dir", out, "--k", str(args.k), "--classifier", args.designated]
+    if args.conditions is not None:
+        sweep += ["--conditions", args.conditions]
     for argv in (
         ["generate", "--out-dir", out, "--per-class", str(args.per_class),
          "--seed", str(args.seed)],
-        ["sweep", "--out-dir", out, "--k", str(args.k),
-         "--classifier", args.designated, "--conditions", args.conditions],
+        sweep,
     ):
         print("+ loudclass " + " ".join(argv))
         rc = cli(argv)

@@ -73,14 +73,62 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
-COMMANDS = (
-    "generate", "preprocess", "rove", "pca", "train",
-    "evaluate", "explain", "sweep", "report", "replay",
-)
-
 # Sub-stream key for the background subsample so it cannot collide with
 # the fold-plan streams keyed by (seed, repeat).
 _BACKGROUND_STREAM = 101
+
+
+class Option:
+    """One subcommand option, declared once.
+
+    ``name`` is both the config key and the argparse dest; the flag is
+    ``--<name>`` unless ``flags`` says otherwise. ``default`` is the value
+    when neither the command line nor a config file gives one (None means
+    "required or derived later"), and ``kind`` the value type, taken from
+    the default unless that is None. ``path`` options are made absolute
+    before the manifest records them, so replay works from any working
+    directory. ``extra`` goes to ``add_argument`` as is.
+    """
+
+    def __init__(self, name: str, default=None, help: str | None = None,
+                 kind: type | None = None, *, path: bool = False,
+                 flags: tuple[str, ...] = (), **extra):
+        self.name = name
+        self.default = default
+        self.help = help
+        self.kind = kind or type(default)
+        self.path = path
+        self.flags = flags or ("--" + name.replace("_", "-"),)
+        self.extra = extra
+
+    def add_to(self, parser: argparse.ArgumentParser) -> None:
+        # Every flag defaults to None so an absent flag falls through to the
+        # config file; a boolean flag switches its default off or on.
+        if self.kind is bool:
+            kwargs = {"action": "store_false" if self.default else "store_true"}
+        elif self.kind in (int, float):
+            kwargs = {"type": self.kind}
+        else:
+            kwargs = {}
+        parser.add_argument(*self.flags, dest=self.name, default=None,
+                            help=self.help, **kwargs, **self.extra)
+
+    def check(self, value) -> None:
+        """Reject a value that is not of the option's type: a config file
+        can hold any JSON value, and a wrong one is a usage error, not a
+        traceback or a silent conversion."""
+        if value is None and self.default is None:
+            return
+        if self.kind is bool and not isinstance(value, bool):
+            raise ConfigurationError(f"{self.name} must be true or false, got {value!r}")
+        if self.kind in (int, float) and (
+            isinstance(value, bool) or not isinstance(value, (int, float))
+        ):
+            raise ConfigurationError(f"{self.name} must be a number, got {value!r}")
+        if self.kind is int and isinstance(value, float) and not value.is_integer():
+            raise ConfigurationError(f"{self.name} must be an integer, got {value!r}")
+        if self.kind is str and not isinstance(value, str):
+            raise ConfigurationError(f"{self.name} must be a string, got {value!r}")
 
 
 def _field_defaults(cls) -> dict:
@@ -90,81 +138,113 @@ def _field_defaults(cls) -> dict:
 _SYNTHETIC = _field_defaults(SyntheticConfig)
 _EXPERIMENT = _field_defaults(ExperimentConfig)
 
-# One table per subcommand: every recognized option with its default.
-# None means "required or derived later"; booleans must default here
-# since argparse flags cannot distinguish absent from False otherwise.
-# Values that configure a dataclass are read from that dataclass.
-_DEFAULTS: dict[str, dict] = {
-    "generate": {
-        "per_class": 150,
-        "classes": [c.name for c in _SYNTHETIC["classes"]],
-        **{key: _SYNTHETIC[key] for key in (
-            "seed", "jitter_sd", "l2_5_offset_mean", "l2_5_offset_sd", "l_cut_noise_sd",
-        )},
-        "csv": False,
-    },
-    "preprocess": {
-        "audiogram_csv": None,
-        "loudness_csv": None,
-        "combined_csv": None,
-        "min_pta": DEFAULT_MIN_PTA,
-        "min_class_fraction": DEFAULT_MIN_CLASS_FRACTION,
-        "min_class_count": DEFAULT_MIN_CLASS_COUNT,
-    },
-    "rove": {"data": None, "mean": 0.0, "sd": 0.0, "seed": 0},
-    "pca": {"data": None, "components": 2},
-    "train": {
-        "data": None,
-        "classifier": "lr",
-        "classifier_seed": None,
-        "params": {},
-        "model_out": "model.json",
-    },
-    "evaluate": {
-        "data": None,
-        "classifier": "lr",
-        "classifier_seed": None,
-        "params": {},
-        "only": list(VARIANTS),
-        **{key: _EXPERIMENT[key] for key in ("k", "stratified", "repeats", "seed")},
-        "rove_mean": None,
-        "rove_sd": None,
-        "rove_seed": _EXPERIMENT["rove_seed"],
-    },
-    "explain": {
-        "data": None,
-        "classifier": None,
-        "classifier_seed": None,
-        "params": {},
-        "k": _EXPERIMENT["k"],
-        "seed": _EXPERIMENT["seed"],
-        "background": 100,
-        "max_records": 50,
-        "perm_repeats": _EXPERIMENT["perm_repeats"],
-        "metric": _EXPERIMENT["perm_metric"],
-    },
-    "sweep": {
-        "data": None,
-        "classifier": "lr",
-        "classifier_seed": None,
-        "params": {},
-        "only": list(VARIANTS),
-        "conditions": [list(pair) for pair in DEFAULT_ROVING_CONDITIONS],
-        **{key: _EXPERIMENT[key] for key in (
-            "k", "stratified", "repeats", "seed", "rove_seed", "perm_repeats",
-        )},
-        "metric": _EXPERIMENT["perm_metric"],
-    },
-    "report": {"in_dir": None},
+_DATA = Option("data", None, "labeled records JSON", str, path=True)
+
+
+def _classifier_options(default: str | None) -> tuple[Option, ...]:
+    return (
+        Option("classifier", default, "classifier variant", str, choices=VARIANTS),
+        Option("classifier_seed", None, "seed override for the selected classifier", int),
+        Option("params", {}, "hyperparameter override for the selected classifier, "
+               "repeatable; values parse as JSON literals",
+               flags=("--param",), action="append", metavar="KEY=VALUE"),
+    )
+
+
+_METRIC_CHOICES = tuple(m.replace("_", "-") for m in PERMUTATION_METRICS)
+
+# Every subcommand: its help line and its options, in --help order. Values
+# that configure a dataclass are read from that dataclass.
+_TABLE: dict[str, tuple[str, tuple[Option, ...]]] = {
+    "generate": ("write a synthetic labeled dataset", (
+        Option("per_class", 150, "labeled records to aim for per class"),
+        Option("classes", [c.name for c in _SYNTHETIC["classes"]],
+               "comma-separated audiogram class names"),
+        Option("seed", _SYNTHETIC["seed"]),
+        Option("jitter_sd", _SYNTHETIC["jitter_sd"],
+               "sd of the per-frequency threshold jitter in dB"),
+        Option("l2_5_offset_mean", _SYNTHETIC["l2_5_offset_mean"],
+               "mean gap between threshold and the L2.5 level"),
+        Option("l2_5_offset_sd", _SYNTHETIC["l2_5_offset_sd"]),
+        Option("l_cut_noise_sd", _SYNTHETIC["l_cut_noise_sd"],
+               "sd of the reported-L_cut decorrelation noise"),
+        Option("csv", False, "also write participants.csv in the combined schema"),
+    )),
+    "preprocess": ("run the labeling cascade on raw CSV data", (
+        Option("audiogram_csv", None, "per-participant audiogram dataset", str, path=True),
+        Option("loudness_csv", None, "per-participant loudness-feature dataset", str,
+               path=True),
+        Option("combined_csv", None, "single dataset carrying both sides per row", str,
+               path=True),
+        Option("min_pta", DEFAULT_MIN_PTA, "exclude ears with pure-tone average below this"),
+        Option("min_class_fraction", DEFAULT_MIN_CLASS_FRACTION,
+               "prune classes under this share of records"),
+        Option("min_class_count", DEFAULT_MIN_CLASS_COUNT,
+               "prune classes under this record count"),
+    )),
+    "rove": ("apply participant-level calibration offsets", (
+        _DATA,
+        Option("mean", 0.0, flags=("--mean", "--rove-mean")),
+        Option("sd", 0.0, flags=("--sd", "--rove-sd")),
+        Option("seed", 0, flags=("--seed", "--rove-seed")),
+    )),
+    "pca": ("principal components of the standardized features", (
+        _DATA,
+        Option("components", 2),
+    )),
+    "train": ("fit one classifier on the full dataset", (
+        _DATA,
+        *_classifier_options("lr"),
+        Option("model_out", "model.json",
+               "model file name (relative paths land in --out-dir)"),
+    )),
+    "evaluate": ("cross-validated comparison of classifiers", (
+        _DATA,
+        *_classifier_options("lr"),
+        Option("only", list(VARIANTS), "comma-separated subset of variants to evaluate"),
+        Option("k", _EXPERIMENT["k"], "fold count"),
+        Option("repeats", _EXPERIMENT["repeats"], "repetitions of the full cross-validation"),
+        Option("stratified", _EXPERIMENT["stratified"],
+               "plain instead of class-stratified folds", flags=("--no-stratify",)),
+        Option("seed", _EXPERIMENT["seed"]),
+        Option("rove_mean", None, "apply roving with this offset mean before evaluating",
+               float),
+        Option("rove_sd", None, kind=float),
+        Option("rove_seed", _EXPERIMENT["rove_seed"]),
+    )),
+    "explain": ("Shapley values and permutation importance", (
+        _DATA,
+        *_classifier_options(None),
+        Option("k", _EXPERIMENT["k"], "fold count; fold 0 provides the train/test split"),
+        Option("seed", _EXPERIMENT["seed"]),
+        Option("background", 100, "background sample size for the value function"),
+        Option("max_records", 50, "test records to explain"),
+        Option("perm_repeats", _EXPERIMENT["perm_repeats"]),
+        Option("metric", _EXPERIMENT["perm_metric"], "permutation-importance metric",
+               choices=_METRIC_CHOICES),
+    )),
+    "sweep": ("repeat the evaluation across roving conditions", (
+        _DATA,
+        *_classifier_options("lr"),
+        Option("only", list(VARIANTS)),
+        Option("conditions", [list(pair) for pair in DEFAULT_ROVING_CONDITIONS],
+               "comma-separated mean:sd pairs, e.g. 0:0,10:5"),
+        Option("k", _EXPERIMENT["k"]),
+        Option("repeats", _EXPERIMENT["repeats"]),
+        Option("stratified", _EXPERIMENT["stratified"], flags=("--no-stratify",)),
+        Option("seed", _EXPERIMENT["seed"]),
+        Option("rove_seed", _EXPERIMENT["rove_seed"]),
+        Option("perm_repeats", _EXPERIMENT["perm_repeats"]),
+        Option("metric", _EXPERIMENT["perm_metric"], choices=_METRIC_CHOICES),
+    )),
+    "report": ("collect run outputs into plot-ready figure CSVs", (
+        Option("in_dir", None, "directory holding evaluate and/or sweep outputs", str,
+               path=True),
+    )),
+    "replay": ("re-run a recorded manifest into a new directory", ()),
 }
 
-# Options whose value is a filesystem path, made absolute before the
-# manifest records them so replay works from any working directory.
-_PATH_OPTIONS = ("data", "audiogram_csv", "loudness_csv", "combined_csv", "in_dir")
-
-# Numeric options whose default is None (unset); every other numeric option
-# takes its type from its default.
-_OPTIONAL_NUMBERS = {"classifier_seed": int, "rove_mean": float, "rove_sd": float}
+COMMANDS = tuple(_TABLE)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -173,123 +253,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Loudness-feature hearing-profile classification toolkit.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-
-    def command(name: str, help_text: str) -> argparse.ArgumentParser:
+    for name, (help_text, options) in _TABLE.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--out-dir", default=".",
                        help="directory receiving outputs and manifest.json")
-        if name != "replay":
+        if name == "replay":
+            p.add_argument("--manifest", required=True, help="manifest.json of a prior run")
+        else:
             p.add_argument("--config", default=None,
                            help="JSON file supplying values for flags not given")
-        return p
-
-    def classifier_flags(p: argparse.ArgumentParser, required: bool = False) -> None:
-        p.add_argument("--classifier", choices=VARIANTS, default=None,
-                       required=required, help="classifier variant")
-        p.add_argument("--classifier-seed", type=int, default=None,
-                       help="seed override for the selected classifier")
-        p.add_argument("--param", action="append", default=None, metavar="KEY=VALUE",
-                       help="hyperparameter override for the selected classifier, "
-                            "repeatable; values parse as JSON literals")
-
-    p = command("generate", "write a synthetic labeled dataset")
-    p.add_argument("--per-class", type=int, default=None,
-                   help="labeled records to aim for per class")
-    p.add_argument("--classes", default=None,
-                   help="comma-separated audiogram class names")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--jitter-sd", type=float, default=None,
-                   help="sd of the per-frequency threshold jitter in dB")
-    p.add_argument("--l2-5-offset-mean", type=float, default=None,
-                   help="mean gap between threshold and the L2.5 level")
-    p.add_argument("--l2-5-offset-sd", type=float, default=None)
-    p.add_argument("--l-cut-noise-sd", type=float, default=None,
-                   help="sd of the reported-L_cut decorrelation noise")
-    p.add_argument("--csv", action="store_true", default=None,
-                   help="also write participants.csv in the combined schema")
-
-    p = command("preprocess", "run the labeling cascade on raw CSV data")
-    p.add_argument("--audiogram-csv", default=None,
-                   help="per-participant audiogram dataset")
-    p.add_argument("--loudness-csv", default=None,
-                   help="per-participant loudness-feature dataset")
-    p.add_argument("--combined-csv", default=None,
-                   help="single dataset carrying both sides per row")
-    p.add_argument("--min-pta", type=float, default=None,
-                   help="exclude ears with pure-tone average below this")
-    p.add_argument("--min-class-fraction", type=float, default=None,
-                   help="prune classes under this share of records")
-    p.add_argument("--min-class-count", type=int, default=None,
-                   help="prune classes under this record count")
-
-    p = command("rove", "apply participant-level calibration offsets")
-    p.add_argument("--data", default=None, help="labeled records JSON")
-    p.add_argument("--mean", "--rove-mean", dest="mean", type=float, default=None)
-    p.add_argument("--sd", "--rove-sd", dest="sd", type=float, default=None)
-    p.add_argument("--seed", "--rove-seed", dest="seed", type=int, default=None)
-
-    p = command("pca", "principal components of the standardized features")
-    p.add_argument("--data", default=None, help="labeled records JSON")
-    p.add_argument("--components", type=int, default=None)
-
-    p = command("train", "fit one classifier on the full dataset")
-    p.add_argument("--data", default=None, help="labeled records JSON")
-    classifier_flags(p)
-    p.add_argument("--model-out", default=None,
-                   help="model file name (relative paths land in --out-dir)")
-
-    p = command("evaluate", "cross-validated comparison of classifiers")
-    p.add_argument("--data", default=None, help="labeled records JSON")
-    classifier_flags(p)
-    p.add_argument("--only", default=None,
-                   help="comma-separated subset of variants to evaluate")
-    p.add_argument("--k", type=int, default=None, help="fold count")
-    p.add_argument("--repeats", type=int, default=None,
-                   help="repetitions of the full cross-validation")
-    p.add_argument("--no-stratify", action="store_true", default=None,
-                   help="plain instead of class-stratified folds")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--rove-mean", type=float, default=None,
-                   help="apply roving with this offset mean before evaluating")
-    p.add_argument("--rove-sd", type=float, default=None)
-    p.add_argument("--rove-seed", type=int, default=None)
-
-    p = command("explain", "Shapley values and permutation importance")
-    p.add_argument("--data", default=None, help="labeled records JSON")
-    classifier_flags(p, required=False)
-    p.add_argument("--k", type=int, default=None,
-                   help="fold count; fold 0 provides the train/test split")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--background", type=int, default=None,
-                   help="background sample size for the value function")
-    p.add_argument("--max-records", type=int, default=None,
-                   help="test records to explain")
-    p.add_argument("--perm-repeats", type=int, default=None)
-    p.add_argument("--metric", choices=("balanced-accuracy", "accuracy"),
-                   default=None, help="permutation-importance metric")
-
-    p = command("sweep", "repeat the evaluation across roving conditions")
-    p.add_argument("--data", default=None, help="labeled records JSON")
-    classifier_flags(p)
-    p.add_argument("--only", default=None)
-    p.add_argument("--conditions", default=None,
-                   help="comma-separated mean:sd pairs, e.g. 0:0,10:5")
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--repeats", type=int, default=None)
-    p.add_argument("--no-stratify", action="store_true", default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--rove-seed", type=int, default=None)
-    p.add_argument("--perm-repeats", type=int, default=None)
-    p.add_argument("--metric", choices=("balanced-accuracy", "accuracy"),
-                   default=None)
-
-    p = command("report", "collect run outputs into plot-ready figure CSVs")
-    p.add_argument("--in-dir", default=None,
-                   help="directory holding evaluate and/or sweep outputs")
-
-    p = command("replay", "re-run a recorded manifest into a new directory")
-    p.add_argument("--manifest", required=True, help="manifest.json of a prior run")
-
+        for option in options:
+            option.add_to(p)
     return parser
 
 
@@ -304,7 +278,9 @@ def _parse_param(text: str) -> tuple[str, object]:
     return key, value
 
 
-def _config_section(path: str | None, cmd: str, allowed) -> dict:
+def _config_section(path: str | None, cmd: str) -> dict:
+    """The config-file values for ``cmd``: the flat keys it knows, overridden
+    by its own section. A flat key only another command knows is ignored."""
     if path is None:
         return {}
     try:
@@ -315,23 +291,19 @@ def _config_section(path: str | None, cmd: str, allowed) -> dict:
         raise ConfigurationError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise ConfigurationError("config file must hold a JSON object")
-    flat = {}
-    section = {}
-    for key, value in payload.items():
-        if key in COMMANDS:
-            if not isinstance(value, dict):
-                raise ConfigurationError(f"config section {key!r} must be an object")
-            if key == cmd:
-                section = dict(value)
-        else:
-            flat[key] = value
-    merged = {**flat, **section}
-    unknown = set(merged) - set(allowed)
+    for key in COMMANDS:
+        if not isinstance(payload.get(key, {}), dict):
+            raise ConfigurationError(f"config section {key!r} must be an object")
+    flat = {key: value for key, value in payload.items() if key not in COMMANDS}
+    section = payload.get(cmd, {})
+    known = {option.name for _, options in _TABLE.values() for option in options}
+    allowed = {option.name for option in _TABLE[cmd][1]}
+    unknown = (set(flat) - known) | (set(section) - allowed)
     if unknown:
         raise ConfigurationError(
             f"unknown config keys for {cmd}: {', '.join(sorted(unknown))}"
         )
-    return merged
+    return {**{k: v for k, v in flat.items() if k in allowed}, **section}
 
 
 def _as_name_list(value, what: str) -> list[str]:
@@ -370,52 +342,31 @@ def _as_conditions(value) -> list[list[float]]:
 
 def _resolve_options(cmd: str, args: argparse.Namespace) -> dict:
     """Merge CLI values over config-file values over built-in defaults."""
-    defaults = _DEFAULTS[cmd]
-    cli_values = {
-        key: getattr(args, key)
-        for key in defaults
-        if getattr(args, key, None) is not None
-    }
-    if getattr(args, "no_stratify", None):
-        cli_values["stratified"] = False
-    config = _config_section(getattr(args, "config", None), cmd, defaults)
-    options = {
-        key: cli_values.get(key, config.get(key, default))
-        for key, default in defaults.items()
-    }
-    # A config file can hold any JSON value; one that is not of the option's
-    # type is a usage error, not a traceback or a silent conversion.
-    for key, value in options.items():
-        kind = _OPTIONAL_NUMBERS.get(key) or type(defaults[key])
-        if value is None and key in _OPTIONAL_NUMBERS:
-            continue
-        if kind is bool and not isinstance(value, bool):
-            raise ConfigurationError(f"{key} must be true or false, got {value!r}")
-        if kind in (int, float) and (
-            isinstance(value, bool) or not isinstance(value, (int, float))
-        ):
-            raise ConfigurationError(f"{key} must be a number, got {value!r}")
-        if kind is int and isinstance(value, float) and not value.is_integer():
-            raise ConfigurationError(f"{key} must be an integer, got {value!r}")
+    table = _TABLE[cmd][1]
+    config = _config_section(args.config, cmd)
+    options = {}
+    for option in table:
+        value = getattr(args, option.name)
+        if value is None:
+            value = config.get(option.name, option.default)
+        option.check(value)
+        options[option.name] = value
 
-    if "params" in defaults:
-        base = options["params"] if options["params"] else {}
+    if "params" in options:
+        # --param pairs override single keys of the config's params object.
+        base = config.get("params") or {}
         if not isinstance(base, dict):
             raise ConfigurationError("params must be an object of KEY: VALUE")
-        merged = dict(base)
-        for text in getattr(args, "param", None) or []:
-            key, value = _parse_param(text)
-            merged[key] = value
-        options["params"] = merged
+        options["params"] = {**base, **dict(map(_parse_param, args.params or []))}
 
     out_dir = Path(args.out_dir)
     if "data" in options and options["data"] is None:
         options["data"] = str(out_dir / "labeled.json")
     if cmd == "report" and options["in_dir"] is None:
         options["in_dir"] = str(out_dir)
-    for key in _PATH_OPTIONS:
-        if options.get(key) is not None:
-            options[key] = str(Path(options[key]).resolve())
+    for option in table:
+        if option.path and options[option.name] is not None:
+            options[option.name] = str(Path(options[option.name]).resolve())
 
     if "classes" in options:
         options["classes"] = _as_name_list(options["classes"], "classes")

@@ -228,16 +228,14 @@ def _with_stage(stage: str, exc: LoudclassError) -> LoudclassError:
     return exc
 
 
-def resolve_records(cfg: ExperimentConfig, records=None) -> list:
-    """Explicit records win; otherwise generate synthetic or load a file."""
-    if records is not None:
-        return list(records)
+def resolve_records(cfg: ExperimentConfig) -> list:
+    """Generate synthetic records or load them from the data file."""
     if cfg.synthetic is not None:
         return generate_synthetic(cfg.synthetic)
     if cfg.data_path is not None:
         return load_labeled_json(cfg.data_path)
     raise ConfigurationError(
-        "no data source: provide records, a synthetic config, or a data path"
+        "no data source: provide a synthetic config or a data path"
     )
 
 
@@ -277,28 +275,27 @@ def _designated_detail(name, classes, y, proba, predicted) -> DesignatedDetail:
     )
 
 
-def run_experiment(cfg: ExperimentConfig, records=None, plans=None) -> MetricsReport:
+def run_experiment(cfg: ExperimentConfig) -> MetricsReport:
     """Cross-validate every configured classifier on one shared fold plan.
 
-    ``records`` bypasses the config's data source; ``plans`` bypasses fold
-    construction. When CV is repeated, scores concatenate plan-major.
+    When CV is repeated, scores concatenate plan-major.
     """
     try:
-        records = resolve_records(cfg, records)
+        records = resolve_records(cfg)
         if cfg.roving is not None:
             records = apply_roving(records, cfg.roving)
         X = feature_matrix(records)
         y = labels_of(records)
     except LoudclassError as exc:
         raise _with_stage("data", exc)
-    return _cross_validate(cfg, X, y, plans)[0]
+    return _cross_validate(cfg, X, y)[0]
 
 
-def _cross_validate(cfg, X, y, plans) -> tuple[MetricsReport, TrainedModel]:
+def _cross_validate(cfg, X, y, plans=None) -> tuple[MetricsReport, TrainedModel]:
     """The experiment on a featurized matrix; also returns the designated
     classifier's model of plan 0, fold 0."""
     try:
-        plans = make_fold_plans(cfg, y) if plans is None else tuple(plans)
+        plans = make_fold_plans(cfg, y) if plans is None else plans
     except LoudclassError as exc:
         raise _with_stage("fold-plan", exc)
 
@@ -396,7 +393,6 @@ class SweepReport:
 def roving_sweep(
     cfg: ExperimentConfig,
     conditions: tuple[tuple[float, float], ...] = DEFAULT_ROVING_CONDITIONS,
-    records=None,
 ) -> SweepReport:
     """Run one experiment per (mean, sd) offset condition.
 
@@ -409,7 +405,7 @@ def roving_sweep(
         raise ConfigurationError(
             "sweep config must leave roving unset; conditions supply it"
         )
-    base = resolve_records(cfg, records)
+    base = resolve_records(cfg)
     y = labels_of(base)
     plans = make_fold_plans(cfg, y)
     train_idx, test_idx = plans[0].fold_indices(0)

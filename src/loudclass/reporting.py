@@ -15,6 +15,7 @@ import json
 import platform
 import re
 import statistics
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,6 @@ from .explain import PermutationImportanceReport, ShapExplanation, beeswarm_expo
 from .harness import ExperimentConfig, MetricsReport, SweepReport
 from .metrics import ConfusionMatrix
 from .pca import PcaModel
-from .pipeline import RovingConfig, SyntheticConfig
 
 
 def dump_json(payload, path) -> Path:
@@ -74,51 +74,14 @@ def _num(value: float) -> str:
     return f"{value:g}"
 
 
-def roving_jsonable(cfg: RovingConfig | None):
-    if cfg is None:
-        return None
-    return {"mean": cfg.mean, "sd": cfg.sd, "seed": cfg.seed}
-
-
-def synthetic_jsonable(cfg: SyntheticConfig | None):
-    if cfg is None:
-        return None
-    return {
-        "records_per_class": cfg.records_per_class,
-        "classes": [str(c) for c in cfg.classes],
-        "seed": cfg.seed,
-        "jitter_sd": cfg.jitter_sd,
-        "l2_5_offset_mean": cfg.l2_5_offset_mean,
-        "l2_5_offset_sd": cfg.l2_5_offset_sd,
-        "l_cut_noise_sd": cfg.l_cut_noise_sd,
-        "m_low_intercept": cfg.m_low_intercept,
-        "m_low_slope": cfg.m_low_slope,
-        "m_low_bounds": list(cfg.m_low_bounds),
-        "m_high_intercept": cfg.m_high_intercept,
-        "m_high_slope": cfg.m_high_slope,
-        "m_high_bounds": list(cfg.m_high_bounds),
-    }
-
-
 def experiment_config_jsonable(cfg: ExperimentConfig) -> dict:
-    return {
-        "synthetic": synthetic_jsonable(cfg.synthetic),
-        # The file's content, not its path: manifest.json keeps the path.
-        "data_sha256": sha256_file(cfg.data_path) if cfg.data_path else None,
-        "roving": roving_jsonable(cfg.roving),
-        "classifiers": [
-            {"variant": s.variant, "seed": s.seed, "params": dict(s.params)}
-            for s in cfg.classifiers
-        ],
-        "k": cfg.k,
-        "stratified": cfg.stratified,
-        "repeats": cfg.repeats,
-        "designated": cfg.designated,
-        "seed": cfg.seed,
-        "rove_seed": cfg.rove_seed,
-        "perm_repeats": cfg.perm_repeats,
-        "perm_metric": cfg.perm_metric,
-    }
+    payload = asdict(cfg)
+    # The file's content, not its path: manifest.json keeps the path.
+    data_path = payload.pop("data_path")
+    payload["data_sha256"] = sha256_file(data_path) if data_path else None
+    if cfg.synthetic is not None:
+        payload["synthetic"]["classes"] = [str(c) for c in cfg.synthetic.classes]
+    return payload
 
 
 def _score_block(values: tuple[float, ...]) -> dict:

@@ -1,14 +1,17 @@
 """End-to-end command tests driven through cli.main(argv)."""
 
+import contextlib
 import hashlib
+import io
 import json
 import shutil
+import sys
 
 import pytest
 
 from loudclass import harness, metrics
 from loudclass.classifiers import load_model, predict
-from loudclass.cli import main
+from loudclass.cli import COMMANDS, _resolve_options, build_parser, main
 from loudclass.pipeline import (
     SyntheticConfig,
     feature_matrix,
@@ -227,6 +230,26 @@ def test_config_value_of_wrong_type_is_exit_2(generated, command, config, messag
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, key", [
+    ("pca", "data"),
+    ("train", "model_out"),
+    ("train", "classifier"),
+    ("explain", "classifier"),
+    ("preprocess", "audiogram_csv"),
+    ("preprocess", "loudness_csv"),
+    ("preprocess", "combined_csv"),
+    ("report", "in_dir"),
+])
+def test_config_non_string_for_string_option_is_exit_2(generated, command, key, capsys):
+    cfg = generated / "cfg.json"
+    cfg.write_text(json.dumps({command: {key: 5}}))
+    rc = run(command, "--out-dir", str(generated), "--config", str(cfg))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{key} must be a string, got 5" in err
+    assert "Traceback" not in err
+
+
 def test_config_integral_float_is_accepted(generated):
     cfg = generated / "cfg.json"
     cfg.write_text(json.dumps({"k": 3.0, "stratified": False}))
@@ -245,6 +268,30 @@ def test_config_other_sections_ignored(tmp_path):
     assert rc == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["options"]["per_class"] == 4
+
+
+@pytest.mark.parametrize("command", ["pca", "train"])
+def test_config_flat_key_of_another_command_is_ignored(generated, command):
+    # The README's example: seed is known to evaluate but not to pca or train.
+    cfg = generated / "cfg.json"
+    cfg.write_text(json.dumps({
+        "seed": 7,
+        "evaluate": {"k": 5, "only": ["lr", "rf"], "classifier": "lr"},
+    }))
+    rc = run(command, "--out-dir", str(generated), "--config", str(cfg))
+    assert rc == 0
+    manifest = json.loads((generated / "manifest.json").read_text())
+    assert "seed" not in manifest["options"]
+
+
+def test_config_flat_key_no_command_knows_is_exit_2(generated, capsys):
+    cfg = generated / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 7, "bogus_knob": 1}))
+    rc = run("pca", "--out-dir", str(generated), "--config", str(cfg))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "bogus_knob" in err
+    assert "seed" not in err
 
 
 def test_preprocess_requires_input_choice(tmp_path, capsys):
@@ -372,3 +419,91 @@ def test_metric_outputs_are_pinned(tmp_path):
         if p.name != "manifest.json"
     }
     assert found == METRIC_OUTPUT_SHA256
+
+
+# Every subcommand's resolved options with default flags, and the sha256 of
+# every --help screen, both taken from the commit before the options moved
+# into one table in cli.py. explain and preprocess need one flag to resolve
+# at all. "<out>" stands for --out-dir, "<cwd>" for the working directory.
+# Re-pin only for a change that is meant to change the interface.
+EXTRA_FLAGS = {"explain": ["--classifier", "lr"], "preprocess": ["--combined-csv", "c.csv"]}
+DEFAULT_OPTIONS = {
+    "evaluate": {
+        "classifier": "lr", "classifier_seed": None, "data": "<out>/labeled.json",
+        "k": 10, "only": ["dt", "gb", "knn", "lr", "nn", "rf", "svm"], "params": {},
+        "repeats": 1, "rove_mean": None, "rove_sd": None, "rove_seed": 0, "seed": 0,
+        "stratified": True,
+    },
+    "explain": {
+        "background": 100, "classifier": "lr", "classifier_seed": None,
+        "data": "<out>/labeled.json", "k": 10, "max_records": 50,
+        "metric": "balanced_accuracy", "params": {}, "perm_repeats": 10, "seed": 0,
+    },
+    "generate": {
+        "classes": ["N2", "N3", "N4", "S1", "S2", "S3"], "csv": False, "jitter_sd": 4.0,
+        "l2_5_offset_mean": 5.0, "l2_5_offset_sd": 3.0, "l_cut_noise_sd": 2.0,
+        "per_class": 150, "seed": 0,
+    },
+    "pca": {"components": 2, "data": "<out>/labeled.json"},
+    "preprocess": {
+        "audiogram_csv": None, "combined_csv": "<cwd>/c.csv", "loudness_csv": None,
+        "min_class_count": 35, "min_class_fraction": 0.05, "min_pta": 20.0,
+    },
+    "report": {"in_dir": "<out>"},
+    "rove": {"data": "<out>/labeled.json", "mean": 0.0, "sd": 0.0, "seed": 0},
+    "sweep": {
+        "classifier": "lr", "classifier_seed": None,
+        "conditions": [[0.0, 0.0], [5.0, 5.0], [5.0, 10.0], [10.0, 5.0], [10.0, 10.0]],
+        "data": "<out>/labeled.json", "k": 10, "metric": "balanced_accuracy",
+        "only": ["dt", "gb", "knn", "lr", "nn", "rf", "svm"], "params": {},
+        "perm_repeats": 10, "repeats": 1, "rove_seed": 0, "seed": 0, "stratified": True,
+    },
+    "train": {
+        "classifier": "lr", "classifier_seed": None, "data": "<out>/labeled.json",
+        "model_out": "model.json", "params": {},
+    },
+}
+HELP_SHA256 = {
+    "": "3668e0bafb4b5f07d371240842ac815c6fec194513f6a8ddbfd4e94837883f95",
+    "generate": "6e346ecbb662ce39bdb14dbda19a95c6513fd3d0a97e9b56152e6ebdbc366bc5",
+    "preprocess": "88d835c663812883bc60eb2bf5a13757f91e2d9c46788be720cc2875491853a4",
+    "rove": "190f93bfdafd86ba88a405e4bbee76e4a96a65faf2c65274fb766ff1f52c94a9",
+    "pca": "2ab0fae734e5757a3732001129b8f52c6c570b7a8343a77697ec8cd1cf8e3319",
+    "train": "e3db4f8a3dd369af77d7ff2e723c703a98f554b0341380f495faee55fdf1f3c8",
+    "evaluate": "f1784982a5c85dc4baf74e315bf063f476e204513f179f6318988bcb5171965b",
+    "explain": "6630fd778e9032b921ad77e5ee7992f2e40d9b200af851f67ca89445d413f5e3",
+    "sweep": "a4e96f12e3a3562033ce57f5eb3f47b9501443803f4c51ec4a8e67a624f4cda0",
+    "report": "67f4e7d835b917b296cab2eff4769f63ee7b49aa99a062b9bf59b8a509a464af",
+    "replay": "a19e0255bc8f7255974a86e9accde858e1e0a11f0d43b485d3527ee5f742a426",
+}
+
+
+@pytest.mark.parametrize("command", sorted(DEFAULT_OPTIONS))
+def test_default_options_are_pinned(tmp_path, monkeypatch, command):
+    tmp_path = tmp_path.resolve()
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "out"
+    args = build_parser().parse_args(
+        [command, "--out-dir", str(out), *EXTRA_FLAGS.get(command, [])]
+    )
+    resolved = {
+        key: value.replace(str(out), "<out>").replace(str(tmp_path), "<cwd>")
+        if isinstance(value, str) else value
+        for key, value in _resolve_options(command, args).items()
+    }
+    assert resolved == DEFAULT_OPTIONS[command]
+    for key, value in resolved.items():
+        assert type(value) is type(DEFAULT_OPTIONS[command][key]), key
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="argparse lays out --help differently on other Pythons")
+@pytest.mark.parametrize("command", list(HELP_SHA256))
+def test_help_screens_are_pinned(monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert set(HELP_SHA256) == {"", *COMMANDS}
+    screen = io.StringIO()
+    with contextlib.redirect_stdout(screen):
+        assert main([command, "--help"] if command else ["--help"]) == 0
+    text = screen.getvalue()
+    assert hashlib.sha256(text.encode()).hexdigest() == HELP_SHA256[command], text

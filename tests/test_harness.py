@@ -124,10 +124,7 @@ def test_default_specs_cover_all_variants():
 
 
 def test_resolve_records_precedence(tmp_path, small_records):
-    cfg = fast_config()
-    explicit = resolve_records(cfg, small_records)
-    assert explicit == small_records
-    generated = resolve_records(cfg)
+    generated = resolve_records(fast_config())
     assert len(generated) == 12 * 6
     path = tmp_path / "labeled.json"
     write_labeled_json(small_records, path)

@@ -1,0 +1,51 @@
+"""Smoke tests: each script under scripts/ runs end to end on small data."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import loudclass
+from loudclass.harness import DEFAULT_ROVING_CONDITIONS
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = Path(loudclass.__file__).resolve().parents[1]
+
+
+def run_script(name: str, out: Path) -> None:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), "--out-dir", str(out),
+         "--per-class", "8", "--k", "3"],
+        env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+
+
+def assert_outputs(out: Path, paths: list[str]) -> None:
+    missing = [path for path in paths if not (out / path).is_file()]
+    assert not missing
+
+
+def test_synthetic_analysis_script(tmp_path):
+    out = tmp_path / "run"
+    run_script("run_synthetic_analysis.py", out)
+    assert_outputs(out, [
+        "labeled.json", "participants.csv", "report.json", "roc_micro.csv",
+        "pca_loadings.csv", "shap_beeswarm.csv", "perm_importance.csv",
+        "manifest.json", "figures/metrics_summary.csv", "figures/manifest.json",
+    ])
+
+
+def test_roving_sweep_script(tmp_path):
+    out = tmp_path / "run"
+    run_script("run_roving_sweep.py", out)
+    assert_outputs(out, [
+        "labeled.json", "sweep/auc_summary.csv", "sweep/roc_micro_overlay.csv",
+        "sweep/perm_importance.csv", "sweep/report_m0_sd0.json", "sweep/manifest.json",
+    ])
+    # Without --conditions the script leaves the choice to the sweep command.
+    manifest = json.loads((out / "sweep" / "manifest.json").read_text())
+    assert manifest["options"]["conditions"] == [list(c) for c in DEFAULT_ROVING_CONDITIONS]
