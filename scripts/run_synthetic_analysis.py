@@ -3,17 +3,20 @@
 
 Generates a labeled dataset, cross-validates all seven classifiers, fits the
 PCA projection, explains the designated classifier, and renders the figure
-tables. Every step goes through the command-line interface so the run leaves
-a replayable manifest behind.
+tables. Every step goes through the command-line interface and writes into
+its own directory ``<out-dir>/<command>/``, so each step leaves a manifest
+that ``loudclass replay`` can re-run.
 """
 
 import argparse
 import sys
+from pathlib import Path
 
 from loudclass.cli import main as cli
 
 
-def run(argv: list[str]) -> None:
+def run(out: Path, command: str, *args: str) -> None:
+    argv = [command, "--out-dir", str(out / command), *args]
     print("+ loudclass " + " ".join(argv))
     rc = cli(argv)
     if rc != 0:
@@ -30,16 +33,17 @@ def main() -> None:
                     help="classifier receiving confusion/ROC/PR/SHAP detail")
     args = ap.parse_args()
 
-    out = args.out_dir
-    run(["generate", "--out-dir", out, "--per-class", str(args.per_class),
-         "--seed", str(args.seed), "--csv"])
-    run(["evaluate", "--out-dir", out, "--k", str(args.k),
-         "--classifier", args.designated])
-    run(["pca", "--out-dir", out, "--components", "2"])
-    run(["explain", "--out-dir", out, "--classifier", args.designated,
-         "--k", str(args.k)])
-    run(["report", "--out-dir", out])
-    print(f"analysis complete; outputs and manifest under {out}/")
+    out = Path(args.out_dir)
+    data = str(out / "generate" / "labeled.json")
+    run(out, "generate", "--per-class", str(args.per_class), "--seed", str(args.seed),
+        "--csv")
+    run(out, "evaluate", "--data", data, "--k", str(args.k),
+        "--classifier", args.designated)
+    run(out, "pca", "--data", data, "--components", "2")
+    run(out, "explain", "--data", data, "--classifier", args.designated,
+        "--k", str(args.k))
+    run(out, "report", "--in-dir", str(out / "evaluate"))
+    print(f"analysis complete; outputs and manifest of each step under {out}/<step>/")
 
 
 if __name__ == "__main__":

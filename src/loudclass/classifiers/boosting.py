@@ -8,14 +8,10 @@ import numpy as np
 from scipy.special import expit
 
 from ..errors import ConfigurationError
+from .linear import logistic_loss
 from .tree import TreeNode, build_tree, presort, tree_predict
 
 _HESSIAN_EPS = 1e-16
-
-
-def _log_loss(y: np.ndarray, raw: np.ndarray) -> float:
-    # softplus(raw) - y*raw, stable for large |raw|
-    return float(np.mean(np.log1p(np.exp(-np.abs(raw))) + np.maximum(raw, 0.0) - y * raw))
 
 
 class GradientBoostingBinary:
@@ -56,7 +52,7 @@ class GradientBoostingBinary:
         self.base_score_ = math.log(base_rate / (1.0 - base_rate))
         raw = np.full(len(y), self.base_score_)
         self.stages_ = []
-        self.train_losses_ = [_log_loss(y, raw)]
+        self.train_losses_ = [logistic_loss(raw, y)]
         for _ in range(self.n_estimators):
             p = expit(raw)
             residual = y - p
@@ -82,7 +78,7 @@ class GradientBoostingBinary:
             previous = self.train_losses_[-1]
             scale = self.learning_rate
             for _ in range(30):
-                loss = _log_loss(y, raw + scale * step)
+                loss = logistic_loss(raw + scale * step, y)
                 if loss <= previous + 1e-12:
                     break
                 scale *= 0.5

@@ -21,10 +21,10 @@ class RandomForestBinary:
     def __init__(
         self,
         *,
+        seed_key: tuple[int, ...],
         n_trees: int = 10,
         min_samples_split: int = 2,
         max_features: int | None = None,
-        seed_key: tuple[int, ...] = (0,),
     ):
         if n_trees < 1:
             raise ConfigurationError("n_trees must be >= 1")

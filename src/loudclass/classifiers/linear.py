@@ -9,15 +9,19 @@ from ..errors import ConfigurationError
 from ..optimize import minimize_lbfgs
 
 
+def logistic_loss(z: np.ndarray, y: np.ndarray) -> float:
+    """Mean logistic loss of raw scores ``z`` against 0/1 targets ``y``."""
+    # softplus(z) - y*z, stable for large |z|
+    return float(np.mean(np.log1p(np.exp(-np.abs(z))) + np.maximum(z, 0.0) - y * z))
+
+
 def logistic_loss_and_grad(theta: np.ndarray, X: np.ndarray, y: np.ndarray):
     """Mean logistic loss and its gradient; theta packs (weights, bias)."""
     w, b = theta[:-1], theta[-1]
     z = X @ w + b
-    # softplus(z) - y*z, stable for large |z|
-    loss = float(np.mean(np.log1p(np.exp(-np.abs(z))) + np.maximum(z, 0.0) - y * z))
     delta = (expit(z) - y) / len(y)
     grad = np.concatenate([X.T @ delta, [delta.sum()]])
-    return loss, grad
+    return logistic_loss(z, y), grad
 
 
 class LogisticRegressionBinary:

@@ -8,6 +8,7 @@ from scipy.special import expit
 
 from ..errors import ConfigurationError
 from ..optimize import minimize_lbfgs
+from .linear import logistic_loss
 
 
 def _layer_shapes(n_inputs: int, hidden: tuple[int, ...]) -> list[tuple[int, int]]:
@@ -38,12 +39,12 @@ class NeuralNetBinary:
         self,
         n_inputs: int,
         *,
+        seed_key: tuple[int, ...],
         hidden: tuple[int, ...] = (20, 10),
         alpha: float = 1e-4,
         max_iter: int = 3000,
         gtol: float = 1e-5,
         ftol: float | None = 1e-11,
-        seed_key: tuple[int, ...] = (1,),
     ):
         if any(h < 1 for h in hidden):
             raise ConfigurationError("hidden layer sizes must be >= 1")
@@ -66,29 +67,32 @@ class NeuralNetBinary:
             parts.append(np.zeros(fo))
         return np.concatenate(parts)
 
-    def loss_and_grad(self, theta: np.ndarray, X: np.ndarray, y: np.ndarray):
-        """Penalized mean logistic loss and its analytic gradient."""
-        X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        n = len(y)
+    def _forward(self, theta: np.ndarray, X: np.ndarray):
+        """Weights, each layer's input (the last is the raw score column)
+        and each layer's pre-activation."""
         weights, biases = _unpack(theta, self.shapes)
-        n_layers = len(self.shapes)
-
+        last = len(self.shapes) - 1
         activations = [X]
         pre_activations = []
         for i, (W, b) in enumerate(zip(weights, biases)):
             z = activations[-1] @ W + b
             pre_activations.append(z)
-            activations.append(np.maximum(z, 0.0) if i < n_layers - 1 else z)
+            activations.append(np.maximum(z, 0.0) if i < last else z)
+        return weights, activations, pre_activations
+
+    def loss_and_grad(self, theta: np.ndarray, X: np.ndarray, y: np.ndarray):
+        """Penalized mean logistic loss and its analytic gradient."""
+        X = np.asarray(X, dtype=np.float64)
+        y = np.asarray(y, dtype=np.float64)
+        n = len(y)
+        weights, activations, pre_activations = self._forward(theta, X)
         raw = activations[-1][:, 0]
 
-        data_loss = float(
-            np.mean(np.log1p(np.exp(-np.abs(raw))) + np.maximum(raw, 0.0) - y * raw)
-        )
+        data_loss = logistic_loss(raw, y)
         penalty = self.alpha * sum(float((W * W).sum()) for W in weights) / (2.0 * n)
 
-        grad_w = [np.empty_like(W) for W in weights]
-        grad_b = [np.empty_like(b) for b in biases]
+        n_layers = len(weights)
+        grad_w, grad_b = [None] * n_layers, [None] * n_layers
         delta = ((expit(raw) - y) / n)[:, None]
         for i in range(n_layers - 1, -1, -1):
             grad_w[i] = activations[i].T @ delta + self.alpha * weights[i] / n
@@ -117,13 +121,8 @@ class NeuralNetBinary:
     def decision(self, X) -> np.ndarray:
         if self.theta_ is None:
             raise ConfigurationError("network is not fitted")
-        X = np.asarray(X, dtype=np.float64)
-        weights, biases = _unpack(self.theta_, self.shapes)
-        a = X
-        for i, (W, b) in enumerate(zip(weights, biases)):
-            z = a @ W + b
-            a = np.maximum(z, 0.0) if i < len(self.shapes) - 1 else z
-        return a[:, 0]
+        _, activations, _ = self._forward(self.theta_, np.asarray(X, dtype=np.float64))
+        return activations[-1][:, 0]
 
     def predict_score(self, X) -> np.ndarray:
         return expit(self.decision(X))

@@ -9,10 +9,15 @@ A model file holds each decision once: the variant, the classes, the
 resolved parameters, the scaler, the seed (nn and rf only) and the fitted
 state of each submodel. Loading rebuilds every submodel with the
 constructor call ``fit`` makes and then restores its fitted state.
+
+A variant's hyperparameter defaults are written in one place, the keyword
+defaults of its submodel's constructor; ``DEFAULT_PARAMS`` reads them from
+there. The default seeds are ``DEFAULT_SEEDS``.
 """
 
 from __future__ import annotations
 
+import inspect
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -44,27 +49,6 @@ VARIANTS = ("dt", "gb", "knn", "lr", "nn", "rf", "svm")
 # fit deterministically and take no seed.
 DEFAULT_SEEDS = {"nn": 1, "rf": 0}
 
-DEFAULT_PARAMS: dict[str, dict] = {
-    "dt": {"min_samples_split": 5},
-    "gb": {
-        "n_estimators": 100,
-        "learning_rate": 1.0,
-        "max_depth": 2,
-        "min_samples_split": 2,
-    },
-    "knn": {"k": 2},
-    "lr": {"gtol": 1e-6, "max_iter": 10000},
-    "nn": {
-        "hidden": (20, 10),
-        "alpha": 1e-4,
-        "max_iter": 3000,
-        "gtol": 1e-5,
-        "ftol": 1e-11,
-    },
-    "rf": {"n_trees": 10, "min_samples_split": 2, "max_features": None},
-    "svm": {"C": 1000.0, "tol": 1e-3, "gamma": None},
-}
-
 _SUBMODEL_TYPES = {
     "dt": DecisionTreeBinary,
     "gb": GradientBoostingBinary,
@@ -81,6 +65,17 @@ _MODEL_TYPES = {"knn": KnnModel}
 
 # Constructor arguments that come from the fit instead of DEFAULT_PARAMS.
 _CONTEXT_ARGS = {"nn": ("n_inputs", "seed_key"), "rf": ("seed_key",)}
+
+# Each variant's hyperparameters are its submodel constructor's keyword
+# defaults, in signature order.
+DEFAULT_PARAMS: dict[str, dict] = {
+    variant: {
+        name: p.default
+        for name, p in inspect.signature(cls).parameters.items()
+        if name not in _CONTEXT_ARGS.get(variant, ())
+    }
+    for variant, cls in _SUBMODEL_TYPES.items()
+}
 
 FORMAT_VERSION = 4
 

@@ -41,9 +41,6 @@ class StandardScaler:
             )
         return (X - self.mean_) / self.scale_
 
-    def fit_transform(self, X) -> np.ndarray:
-        return self.fit(X).transform(X)
-
     def to_jsonable(self) -> dict:
         if self.mean_ is None or self.scale_ is None:
             raise ConfigurationError("scaler is not fitted")

@@ -574,20 +574,8 @@ def _run_sweep(options: dict, out_dir: Path) -> None:
 
 
 def _run_report(options: dict, out_dir: Path) -> None:
-    in_dir = Path(options["in_dir"])
     figures_dir = out_dir / "figures"
-    make_figures(in_dir, figures_dir)
-    consumed = [
-        p
-        for p in (
-            in_dir / "report.json",
-            *sorted(in_dir.glob("roc_*.csv")),
-            *sorted(in_dir.glob("pr_*.csv")),
-            in_dir / "sweep" / "auc_summary.csv",
-            in_dir / "sweep" / "perm_importance.csv",
-        )
-        if p.exists()
-    ]
+    consumed = make_figures(options["in_dir"], figures_dir)
     write_manifest(figures_dir, "report", options, consumed)
 
 

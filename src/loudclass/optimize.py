@@ -15,6 +15,14 @@ import numpy as np
 
 from .errors import NumericError
 
+# Curvature pairs kept by the two-loop recursion.
+MEMORY = 10
+# Armijo backtracking: sufficient-decrease constant, step shrink factor and
+# the number of shrinks before the line search gives up.
+C1 = 1e-4
+SHRINK = 0.5
+MAX_BACKTRACKS = 60
+
 
 @dataclass
 class OptimizeResult:
@@ -31,11 +39,7 @@ def minimize_lbfgs(
     *,
     gtol: float = 1e-6,
     max_iter: int = 1000,
-    memory: int = 10,
     ftol: float | None = None,
-    c1: float = 1e-4,
-    shrink: float = 0.5,
-    max_backtracks: int = 60,
 ) -> OptimizeResult:
     """Minimize a smooth function given its value-and-gradient callable.
 
@@ -48,7 +52,7 @@ def minimize_lbfgs(
     f, g = fun_grad(x)
     if not np.isfinite(f):
         raise NumericError("objective is not finite at the starting point")
-    pairs: deque[tuple[np.ndarray, np.ndarray, float]] = deque(maxlen=memory)
+    pairs: deque[tuple[np.ndarray, np.ndarray, float]] = deque(maxlen=MEMORY)
     gamma = 1.0
     iterations = 0
     converged = bool(np.max(np.abs(g)) < gtol)
@@ -65,13 +69,13 @@ def minimize_lbfgs(
                 break
         step = 1.0
         f_new = g_new = None
-        for _ in range(max_backtracks):
+        for _ in range(MAX_BACKTRACKS):
             x_new = x + step * d
             f_cand, g_cand = fun_grad(x_new)
-            if np.isfinite(f_cand) and f_cand <= f + c1 * step * slope:
+            if np.isfinite(f_cand) and f_cand <= f + C1 * step * slope:
                 f_new, g_new = f_cand, g_cand
                 break
-            step *= shrink
+            step *= SHRINK
         if f_new is None:
             break
         s = x_new - x

@@ -149,14 +149,24 @@ class RovingConfig:
             raise ConfigurationError("roving seed must be non-negative")
 
 
+# The synthetic generator's loudness recruitment: the lower slope shrinks
+# and the upper slope grows with the hearing threshold (per dB), each
+# clamped to a plausible range. They are not a claim about clinical data.
+M_LOW_INTERCEPT = 0.9
+M_LOW_SLOPE = -0.006
+M_LOW_BOUNDS = (0.25, 0.9)
+M_HIGH_INTERCEPT = 0.8
+M_HIGH_SLOPE = 0.02
+M_HIGH_BOUNDS = (0.8, 3.5)
+
+
 @dataclass(frozen=True)
 class SyntheticConfig:
     """Knobs of the synthetic generator. Defaults produce overlapping classes.
 
-    The slope rules express loudness recruitment: the lower slope shrinks
-    and the upper slope grows with the hearing threshold, both clamped to
-    a plausible range. None of the constants is a claim about clinical
-    data; every one is overridable.
+    Each field sets the record count, the class set, the seed or one of the
+    noise terms; the slope rules are the module's ``M_LOW_*`` and ``M_HIGH_*``
+    constants. None of the values is a claim about clinical data.
     """
 
     records_per_class: int
@@ -166,12 +176,6 @@ class SyntheticConfig:
     l2_5_offset_mean: float = 5.0
     l2_5_offset_sd: float = 3.0
     l_cut_noise_sd: float = 2.0
-    m_low_intercept: float = 0.9
-    m_low_slope: float = -0.006
-    m_low_bounds: tuple[float, float] = (0.25, 0.9)
-    m_high_intercept: float = 0.8
-    m_high_slope: float = 0.02
-    m_high_bounds: tuple[float, float] = (0.8, 3.5)
 
     def __post_init__(self) -> None:
         if self.records_per_class < 1:
@@ -272,20 +276,15 @@ def merge_by_id_ear(
     return out
 
 
-def label_records(
-    records: list[EarRecord],
-    profiles: tuple[StandardAudiogram, ...] | None = None,
-) -> list[LabeledRecord]:
+def label_records(records: list[EarRecord]) -> list[LabeledRecord]:
     """Classify each record's audiogram and attach label plus PTA."""
-    if profiles is None:
-        profiles = load_profiles()
     out = []
     for r in records:
         if r.audiogram is None or r.features is None:
             raise DataError(
                 f"record {r.participant_id}/{r.ear} lacks audiogram or features"
             )
-        label, _ = classify(r.audiogram, profiles)
+        label, _ = classify(r.audiogram)
         out.append(
             LabeledRecord(r.participant_id, r.ear, r.features, label, pta(r.audiogram))
         )
@@ -315,7 +314,7 @@ def filter_rare_classes(
 
 
 def _label_and_filter(
-    merged: list[EarRecord], input_counts: tuple[int, ...], profiles,
+    merged: list[EarRecord], input_counts: tuple[int, ...],
     min_pta: float, min_fraction: float, min_count: int,
 ) -> tuple[list[LabeledRecord], PreprocessSummary]:
     """The cascade after the merge: label, PTA filter, rare-class prune.
@@ -323,7 +322,7 @@ def _label_and_filter(
     ``input_counts`` are the audiogram and the loudness ear counts, each
     before and after dropping incomplete records.
     """
-    labeled = label_records(merged, profiles)
+    labeled = label_records(merged)
     after_pta = filter_pta(labeled, min_pta)
     final, class_set = filter_rare_classes(after_pta, min_fraction, min_count)
     summary = PreprocessSummary(*input_counts, len(merged), len(after_pta), len(final),
@@ -338,7 +337,6 @@ def preprocess(
     min_pta: float = DEFAULT_MIN_PTA,
     min_fraction: float = DEFAULT_MIN_CLASS_FRACTION,
     min_count: int = DEFAULT_MIN_CLASS_COUNT,
-    profiles: tuple[StandardAudiogram, ...] | None = None,
 ) -> tuple[list[LabeledRecord], PreprocessSummary]:
     """Run the full cascade on separate audiogram and loudness datasets."""
     audio_ears = split_ears(audiogram_participants)
@@ -347,7 +345,7 @@ def preprocess(
     loud_complete = drop_incomplete(loud_ears)
     counts = (len(audio_ears), len(audio_complete), len(loud_ears), len(loud_complete))
     return _label_and_filter(merge_by_id_ear(audio_complete, loud_complete), counts,
-                             profiles, min_pta, min_fraction, min_count)
+                             min_pta, min_fraction, min_count)
 
 
 def prepare_combined(
@@ -356,7 +354,6 @@ def prepare_combined(
     min_pta: float = DEFAULT_MIN_PTA,
     min_fraction: float = DEFAULT_MIN_CLASS_FRACTION,
     min_count: int = DEFAULT_MIN_CLASS_COUNT,
-    profiles: tuple[StandardAudiogram, ...] | None = None,
 ) -> tuple[list[LabeledRecord], PreprocessSummary]:
     """Cascade for a single dataset that carries both sides per record."""
     ears = split_ears(participants)
@@ -365,7 +362,7 @@ def prepare_combined(
     ]
     # The one dataset is both the audiogram and the loudness side.
     return _label_and_filter(complete, (len(ears), len(complete)) * 2,
-                             profiles, min_pta, min_fraction, min_count)
+                             min_pta, min_fraction, min_count)
 
 
 def _participant_key(participant_id: str) -> int:
@@ -432,21 +429,20 @@ def _synthesize_ear(
     rng: np.random.Generator,
     participant_id: str,
     ear: str,
-    profiles: tuple[StandardAudiogram, ...],
 ) -> tuple[Audiogram, LabeledRecord]:
     jitter = rng.normal(0.0, cfg.jitter_sd, size=len(base_thresholds))
     thresholds = tuple(t + j for t, j in zip(base_thresholds, jitter))
     audiogram = Audiogram(
         THRESHOLD_FREQUENCIES_HZ, thresholds, ear=ear, participant_id=participant_id
     )
-    label, _ = classify(audiogram, profiles)
+    label, _ = classify(audiogram)
 
     blocks = []
     for freq in (1500.0, 4000.0):
         t = thresholds[THRESHOLD_FREQUENCIES_HZ.index(freq)]
         l2_5 = t + rng.normal(cfg.l2_5_offset_mean, cfg.l2_5_offset_sd)
-        m_low = _clamp(cfg.m_low_intercept + cfg.m_low_slope * t, cfg.m_low_bounds)
-        m_high = _clamp(cfg.m_high_intercept + cfg.m_high_slope * t, cfg.m_high_bounds)
+        m_low = _clamp(M_LOW_INTERCEPT + M_LOW_SLOPE * t, M_LOW_BOUNDS)
+        m_high = _clamp(M_HIGH_INTERCEPT + M_HIGH_SLOPE * t, M_HIGH_BOUNDS)
         # l_cut placed so the fitted curve reaches 2.5 CU exactly at l2_5.
         l_cut = l2_5 + (25.0 - 2.5) / m_low
         fn = LoudnessFunction(l_cut=l_cut, m_low=m_low, m_high=m_high)
@@ -470,8 +466,7 @@ def generate_synthetic_full(
     streams are keyed by (seed, class, participant, ear), so output does not
     depend on generation order.
     """
-    profiles = load_profiles()
-    by_class = {p.bisgaard_class: p for p in profiles}
+    by_class = {p.bisgaard_class: p for p in load_profiles()}
     participants: list[ParticipantRecord] = []
     labeled: list[LabeledRecord] = []
     for ci, cls in enumerate(cfg.classes):
@@ -486,9 +481,7 @@ def generate_synthetic_full(
                 rng = np.random.default_rng(
                     np.random.SeedSequence([cfg.seed, ci, pi, ei])
                 )
-                audiogram, record = _synthesize_ear(
-                    cfg, base, rng, pid, ear, profiles
-                )
+                audiogram, record = _synthesize_ear(cfg, base, rng, pid, ear)
                 ear_data[ear] = EarData(audiogram=audiogram, features=record.features)
                 labeled.append(record)
             participants.append(

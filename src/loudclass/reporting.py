@@ -316,8 +316,7 @@ def write_pca_outputs(model: PcaModel, scores: np.ndarray, record_ids, out_dir,
     return written
 
 
-def write_manifest(out_dir, command: str, options: dict, inputs,
-                   manifest_name: str = "manifest.json") -> Path:
+def write_manifest(out_dir, command: str, options: dict, inputs) -> Path:
     """Record what was run, on which inputs, under which library versions.
 
     The output directory is deliberately absent so a replay into a fresh
@@ -334,7 +333,7 @@ def write_manifest(out_dir, command: str, options: dict, inputs,
             "scipy": scipy.__version__,
         },
     }
-    return dump_json(payload, Path(out_dir) / manifest_name)
+    return dump_json(payload, Path(out_dir) / "manifest.json")
 
 
 def _read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
@@ -359,54 +358,55 @@ def _metrics_summary_rows(report_payload: dict):
 
 
 def make_figures(in_dir, out_dir=None) -> list[Path]:
-    """Collect evaluate/sweep outputs into one plot-ready CSV per figure."""
+    """Collect evaluate/sweep outputs into one plot-ready CSV per figure.
+
+    Returns the input files it read, in reading order.
+    """
     in_dir = Path(in_dir)
     out_dir = Path(out_dir) if out_dir is not None else in_dir / "figures"
-    written = []
+    consumed = []
 
     report_path = in_dir / "report.json"
     if report_path.exists():
+        consumed.append(report_path)
         payload = json.loads(report_path.read_text(encoding="utf-8"))
-        written.append(
-            write_csv_rows(
-                out_dir / "metrics_summary.csv",
-                ("classifier", "split", "metric", "mean", "sd"),
-                _metrics_summary_rows(payload),
-            )
+        write_csv_rows(
+            out_dir / "metrics_summary.csv",
+            ("classifier", "split", "metric", "mean", "sd"),
+            _metrics_summary_rows(payload),
         )
         f1_rows = []
         for name in sorted(payload["classifiers"]):
             per_class = payload["classifiers"][name]["test_f1_per_class"]
             for cls in sorted(per_class):
                 f1_rows.append((name, cls, per_class[cls]["mean"], per_class[cls]["sd"]))
-        written.append(
-            write_csv_rows(
-                out_dir / "per_class_f1_summary.csv",
-                ("classifier", "class", "mean_f1", "sd_f1"),
-                f1_rows,
-            )
+        write_csv_rows(
+            out_dir / "per_class_f1_summary.csv",
+            ("classifier", "class", "mean_f1", "sd_f1"),
+            f1_rows,
         )
 
     for kind, out_name in (("roc", "roc_curves.csv"), ("pr", "pr_curves.csv")):
         sources = sorted(in_dir.glob(f"{kind}_*.csv"))
         if not sources:
             continue
+        consumed.extend(sources)
         rows = []
         for source in sources:
             curve = source.stem[len(kind) + 1 :]
             header, body = _read_csv(source)
             rows.extend((curve, *row) for row in body)
-        written.append(
-            write_csv_rows(out_dir / out_name, ("curve", *header), rows)
-        )
+        write_csv_rows(out_dir / out_name, ("curve", *header), rows)
 
     sweep_auc = in_dir / "sweep" / "auc_summary.csv"
     if sweep_auc.exists():
+        consumed.append(sweep_auc)
         header, body = _read_csv(sweep_auc)
-        written.append(write_csv_rows(out_dir / "sweep_auc.csv", header, body))
+        write_csv_rows(out_dir / "sweep_auc.csv", header, body)
 
     sweep_imp = in_dir / "sweep" / "perm_importance.csv"
     if sweep_imp.exists():
+        consumed.append(sweep_imp)
         _, body = _read_csv(sweep_imp)
         grouped: dict[tuple, list[float]] = {}
         for mean, sd, feature, split, _rep, decrease in body:
@@ -415,14 +415,12 @@ def make_figures(in_dir, out_dir=None) -> list[Path]:
             (mean, sd, split, feature, statistics.median(values))
             for (mean, sd, split, feature), values in sorted(grouped.items())
         ]
-        written.append(
-            write_csv_rows(
-                out_dir / "sweep_importance.csv",
-                ("rove_mean", "rove_sd", "split", "feature", "median_decrease"),
-                rows,
-            )
+        write_csv_rows(
+            out_dir / "sweep_importance.csv",
+            ("rove_mean", "rove_sd", "split", "feature", "median_decrease"),
+            rows,
         )
 
-    if not written:
+    if not consumed:
         raise DataError(f"nothing to report on in {in_dir}")
-    return written
+    return consumed

@@ -214,7 +214,7 @@ def test_criterion_5_classifier_sanity(tmp_path):
     rng = np.random.default_rng(5)
     X = rng.normal(size=(9, 5))
     y = (rng.uniform(size=9) > 0.5).astype(float)
-    net = NeuralNetBinary(5, hidden=(4, 3))
+    net = NeuralNetBinary(5, hidden=(4, 3), seed_key=(1,))
     theta = net.initial_parameters() + 0.05 * rng.normal(
         size=net.initial_parameters().shape)
     _, grad = net.loss_and_grad(theta, X, y)

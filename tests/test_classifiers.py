@@ -302,7 +302,7 @@ def test_logistic_label_symmetry(rng):
 def test_nn_gradient_matches_finite_differences(rng):
     X = rng.normal(size=(9, 5))
     y = (rng.uniform(size=9) > 0.5).astype(float)
-    net = NeuralNetBinary(5, hidden=(4, 3))
+    net = NeuralNetBinary(5, hidden=(4, 3), seed_key=(1,))
     theta = net.initial_parameters() + 0.05 * rng.normal(
         size=net.initial_parameters().shape
     )
@@ -322,7 +322,7 @@ def test_nn_gradient_matches_finite_differences(rng):
 
 def test_nn_fits_separable(rng):
     X, y = two_blobs(rng)
-    model = NeuralNetBinary(2, hidden=(8,), max_iter=500).fit(X, y)
+    model = NeuralNetBinary(2, hidden=(8,), max_iter=500, seed_key=(1,)).fit(X, y)
     assert np.mean((model.predict_score(X) > 0.5) == y.astype(bool)) == 1.0
 
 
@@ -337,9 +337,9 @@ def test_nn_seed_determinism(rng):
 
 def test_nn_validation():
     with pytest.raises(ConfigurationError):
-        NeuralNetBinary(3, hidden=(0,))
+        NeuralNetBinary(3, hidden=(0,), seed_key=(1,))
     with pytest.raises(ConfigurationError):
-        NeuralNetBinary(3).decision(np.zeros((1, 3)))
+        NeuralNetBinary(3, seed_key=(1,)).decision(np.zeros((1, 3)))
 
 
 # --- SVM -----------------------------------------------------------------------
@@ -532,11 +532,44 @@ def test_spec_validation():
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_default_params_are_the_constructor_keywords(variant):
-    # Loading rebuilds submodels from the stored params with the constructor
-    # that fit calls, so the table and the signature must not drift apart.
+    # DEFAULT_PARAMS is read from the constructor: every hyperparameter has a
+    # default there, and the arguments the fit supplies (n_inputs, seed_key)
+    # have none, so DEFAULT_SEEDS is the only default seed.
     signature = inspect.signature(ovr._SUBMODEL_TYPES[variant])
     context = set(ovr._CONTEXT_ARGS.get(variant, ()))
     assert set(DEFAULT_PARAMS[variant]) == set(signature.parameters) - context
+    for name, parameter in signature.parameters.items():
+        has_default = parameter.default is not inspect.Parameter.empty
+        assert has_default == (name not in context), (variant, name)
+
+
+# DEFAULT_PARAMS is read from the constructors; this pin makes changing a
+# constructor default a deliberate change to the tests too.
+PINNED_DEFAULT_PARAMS = {
+    "dt": {"min_samples_split": 5},
+    "gb": {
+        "n_estimators": 100,
+        "learning_rate": 1.0,
+        "max_depth": 2,
+        "min_samples_split": 2,
+    },
+    "knn": {"k": 2},
+    "lr": {"gtol": 1e-6, "max_iter": 10000},
+    "nn": {
+        "hidden": (20, 10),
+        "alpha": 1e-4,
+        "max_iter": 3000,
+        "gtol": 1e-5,
+        "ftol": 1e-11,
+    },
+    "rf": {"n_trees": 10, "min_samples_split": 2, "max_features": None},
+    "svm": {"C": 1000.0, "tol": 1e-3, "gamma": None},
+}
+
+
+def test_default_params_are_pinned():
+    # repr compares the values, their types (1.0 is not 1) and the key order.
+    assert repr(DEFAULT_PARAMS) == repr(PINNED_DEFAULT_PARAMS)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

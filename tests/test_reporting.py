@@ -103,9 +103,14 @@ def test_curve_csv_columns(report, tmp_path):
 
 def test_make_figures(report, tmp_path):
     write_report(report, tmp_path)
-    written = make_figures(tmp_path)
+    consumed = make_figures(tmp_path)
     out = tmp_path / "figures"
-    assert set(written) >= {out / "metrics_summary.csv", out / "roc_curves.csv"}
+    assert (out / "metrics_summary.csv").is_file()
+    assert (out / "roc_curves.csv").is_file()
+    # The inputs it read, in reading order: the report, then the curves.
+    assert consumed[0] == tmp_path / "report.json"
+    assert consumed[1:] == [*sorted(tmp_path.glob("roc_*.csv")),
+                            *sorted(tmp_path.glob("pr_*.csv"))]
     summary = read_csv(out / "metrics_summary.csv")
     keyed = {
         (r["classifier"], r["split"], r["metric"]): float(r["mean"])

@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import loudclass
+from loudclass.cli import main as cli
 from loudclass.harness import DEFAULT_ROVING_CONDITIONS
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -33,10 +34,21 @@ def test_synthetic_analysis_script(tmp_path):
     out = tmp_path / "run"
     run_script("run_synthetic_analysis.py", out)
     assert_outputs(out, [
-        "labeled.json", "participants.csv", "report.json", "roc_micro.csv",
-        "pca_loadings.csv", "shap_beeswarm.csv", "perm_importance.csv",
-        "manifest.json", "figures/metrics_summary.csv", "figures/manifest.json",
+        "generate/labeled.json", "generate/participants.csv", "evaluate/report.json",
+        "evaluate/roc_micro.csv", "pca/pca_loadings.csv", "explain/shap_beeswarm.csv",
+        "explain/perm_importance.csv", "report/figures/metrics_summary.csv",
     ])
+    # Each step keeps its own manifest, so every step can be replayed.
+    for step, manifest in (
+        ("generate", "generate/manifest.json"), ("evaluate", "evaluate/manifest.json"),
+        ("pca", "pca/manifest.json"), ("explain", "explain/manifest.json"),
+        ("report", "report/figures/manifest.json"),
+    ):
+        assert json.loads((out / manifest).read_text())["command"] == step
+    rerun = tmp_path / "rerun"
+    assert cli(["replay", "--manifest", str(out / "evaluate" / "manifest.json"),
+                "--out-dir", str(rerun)]) == 0
+    assert (rerun / "report.json").read_bytes() == (out / "evaluate" / "report.json").read_bytes()
 
 
 def test_roving_sweep_script(tmp_path):
