@@ -2,7 +2,7 @@
 
 from .boosting import GradientBoostingBinary
 from .forest import RandomForestBinary
-from .linear import LogisticRegressionBinary, logistic_loss_and_grad
+from .linear import LogisticRegressionBinary, penalized_logistic
 from .neighbors import KnnModel, NearestNeighbors
 from .neural import NeuralNetBinary
 from .ovr import (
@@ -44,9 +44,9 @@ __all__ = [
     "build_tree",
     "fit",
     "load_model",
-    "logistic_loss_and_grad",
     "model_from_jsonable",
     "model_to_jsonable",
+    "penalized_logistic",
     "predict",
     "predict_proba",
     "save_model",

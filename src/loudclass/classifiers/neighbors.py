@@ -39,7 +39,8 @@ class NearestNeighbors:
         """Class indices of the k nearest training rows, nearest first.
 
         Query rows are scored ``BLOCK_ROWS`` at a time, so memory stays
-        bounded by the block, not by the number of queries.
+        bounded by the block, not by the number of queries. Query rows must
+        be finite.
         """
         x_sq = (self.X * self.X).sum(axis=1)
         out = np.empty((len(Z), self.k), dtype=np.intp)
@@ -50,9 +51,24 @@ class NearestNeighbors:
                 + x_sq[None, :]
                 - 2.0 * (block @ self.X.T)
             )
-            order = np.argsort(sq, axis=1, kind="stable")
-            out[start : start + BLOCK_ROWS] = self.y_idx[order[:, : self.k]]
+            out[start : start + BLOCK_ROWS] = self.y_idx[self._nearest(sq)]
         return out
+
+    def _nearest(self, sq: np.ndarray) -> np.ndarray:
+        """Training positions of the k smallest entries of each row of
+        ``sq``, in the order of a stable argsort, without sorting the rows.
+
+        Only the entries at or below a row's k-th smallest distance can be
+        among its first k; sorting those by (row, distance, position) and
+        taking each row's first k gives the same positions and tie-break.
+        """
+        k = self.k
+        kth = np.partition(sq, k - 1, axis=1)[:, k - 1 : k]
+        rows, cols = np.nonzero(sq <= kth)  # row-major: rows ascend
+        order = np.lexsort((cols, sq[rows, cols], rows))
+        counts = np.bincount(rows, minlength=len(sq))
+        starts = np.cumsum(counts) - counts
+        return cols[order][starts[:, None] + np.arange(k)]
 
     def fitted_state(self) -> dict:
         return {"x": self.X.tolist(), "y_idx": self.y_idx.tolist()}

@@ -123,9 +123,6 @@ class OvrModel(TrainedModel):
         return [(y_idx == ci).astype(np.float64) for ci in range(n_classes)]
 
     def predict_proba(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2:
-            raise ShapeError("expected a 2-d feature matrix")
         Z = self.scaler.transform(X)
         return np.column_stack([m.predict_score(Z) for m in self.submodels])
 
@@ -138,8 +135,6 @@ def fit(spec: ClassifierSpec, X, y, *, classes=None) -> TrainedModel:
     y = list(y)
     if len(y) != X.shape[0]:
         raise ShapeError(f"{X.shape[0]} feature rows but {len(y)} labels")
-    if not np.isfinite(X).all():
-        raise DataError("features must be finite")
 
     present = set(y)
     if len(present) < 2:
@@ -161,8 +156,8 @@ def fit(spec: ClassifierSpec, X, y, *, classes=None) -> TrainedModel:
             f"got {len(y)}"
         )
 
-    scaler = StandardScaler().fit(X)
-    Z = scaler.transform(X)
+    scaler = StandardScaler()
+    Z = scaler.fit_transform(X)
     model_type = _MODEL_TYPES.get(spec.variant, OvrModel)
     targets = model_type.targets(label_codes(y, class_list), n_classes)
     submodels = [

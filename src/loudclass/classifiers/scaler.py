@@ -4,7 +4,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ConfigurationError, ShapeError
+from ..errors import ConfigurationError, DataError, ShapeError
+
+
+def _check_finite(X: np.ndarray) -> None:
+    bad = ~np.isfinite(X).all(axis=1)
+    if bad.any():
+        raise DataError(
+            f"features must be finite; row {int(np.argmax(bad))} is not "
+            f"({int(bad.sum())} of {len(X)} rows)"
+        )
 
 
 class StandardScaler:
@@ -12,7 +21,10 @@ class StandardScaler:
 
     Constant columns keep scale 1 so transforming never divides by zero.
     Statistics come exclusively from the data passed to ``fit``; test folds
-    are transformed with those fixed parameters.
+    are transformed with those fixed parameters. ``fit``, ``transform`` and
+    ``fit_transform`` reject rows holding NaN or an infinity with
+    ``DataError``, so every model's training and query rows are checked
+    here, each matrix once.
     """
 
     def __init__(self) -> None:
@@ -23,6 +35,7 @@ class StandardScaler:
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2:
             raise ShapeError(f"expected a 2-d matrix, got ndim={X.ndim}")
+        _check_finite(X)
         self.mean_ = X.mean(axis=0)
         if X.shape[0] > 1:
             sd = X.std(axis=0, ddof=1)
@@ -39,6 +52,13 @@ class StandardScaler:
             raise ShapeError(
                 f"expected shape (n, {self.mean_.shape[0]}), got {X.shape}"
             )
+        _check_finite(X)
+        return (X - self.mean_) / self.scale_
+
+    def fit_transform(self, X) -> np.ndarray:
+        """``fit(X).transform(X)``, checking X once."""
+        X = np.asarray(X, dtype=np.float64)
+        self.fit(X)
         return (X - self.mean_) / self.scale_
 
     def to_jsonable(self) -> dict:

@@ -1,8 +1,10 @@
-"""Deterministic limited-memory BFGS used by the gradient-trained classifiers.
+"""Deterministic optimizers of the gradient-trained classifiers.
 
-Plain two-loop recursion with Armijo backtracking. No randomness, no
-tolerance drift between runs: identical inputs give identical iterates,
-which the reproducibility contract of the classifiers depends on.
+Limited-memory BFGS (plain two-loop recursion) for the network, Newton's
+method for the strictly convex logistic regression; both backtrack to the
+Armijo condition. No randomness, no tolerance drift between runs: identical
+inputs give identical iterates, which the reproducibility contract of the
+classifiers depends on.
 """
 
 from __future__ import annotations
@@ -98,6 +100,56 @@ def minimize_lbfgs(
         grad_inf_norm=float(np.max(np.abs(g))),
         iterations=iterations,
         converged=converged,
+    )
+
+
+def minimize_newton(
+    fun_grad_hess: Callable[[np.ndarray], tuple[float, np.ndarray, np.ndarray]],
+    x0: np.ndarray,
+    *,
+    gtol: float = 1e-6,
+    max_iter: int = 100,
+) -> OptimizeResult:
+    """Minimize a strictly convex function given its value, gradient and
+    Hessian.
+
+    Each iteration solves H d = -g and backtracks along d to the Armijo
+    condition. ``converged`` means the gradient infinity norm reached
+    ``gtol``; a failed line search (no step decreases f, as at the limit of
+    floating-point precision) or ``max_iter`` iterations end the run
+    unconverged at the last accepted point. A non-finite objective at the
+    start raises ``NumericError``.
+    """
+    x = np.asarray(x0, dtype=np.float64).copy()
+    f, g, H = fun_grad_hess(x)
+    if not np.isfinite(f):
+        raise NumericError("objective is not finite at the starting point")
+    iterations = 0
+    while np.max(np.abs(g)) > gtol and iterations < max_iter:
+        d = -np.linalg.solve(H, g)
+        slope = float(g @ d)
+        step = 1.0
+        for _ in range(MAX_BACKTRACKS):
+            x_new = x + step * d
+            f_new, g_new, H_new = fun_grad_hess(x_new)
+            # Strict: once f + C1 * step * slope rounds to f, a step that
+            # leaves f unchanged is no progress, so the search fails rather
+            # than stalling on such steps until max_iter.
+            if np.isfinite(f_new) and f_new < f + C1 * step * slope:
+                break
+            step *= SHRINK
+        else:
+            break
+        x, f, g, H = x_new, f_new, g_new, H_new
+        iterations += 1
+
+    grad_inf_norm = float(np.max(np.abs(g)))
+    return OptimizeResult(
+        x=x,
+        fun=float(f),
+        grad_inf_norm=grad_inf_norm,
+        iterations=iterations,
+        converged=grad_inf_norm <= gtol,
     )
 
 

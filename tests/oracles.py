@@ -100,6 +100,37 @@ def average_precision_of(y_true, scores) -> float:
     return ap
 
 
+# --- penalized logistic regression ---------------------------------------------
+
+def penalized_logistic_oracle(X, y, alpha: float) -> np.ndarray:
+    """L-BFGS-B on mean logistic loss + alpha * ||w||^2 / (2n), bias
+    unpenalized, with tight tolerances. Returns theta = (weights, bias).
+
+    The loss is written from the sum of log(1 + exp(-s * z)) over the
+    +1/-1 labels s, not from the production formula.
+    """
+    X = np.asarray(X, dtype=float)
+    s = 2.0 * np.asarray(y, dtype=float) - 1.0
+    n, d = X.shape
+
+    def fun_grad(theta):
+        w, b = theta[:-1], theta[-1]
+        margin = s * (X @ w + b)
+        loss = np.logaddexp(0.0, -margin).sum() / n + alpha * (w @ w) / (2 * n)
+        coef = -s * np.exp(-np.logaddexp(0.0, margin)) / n  # -s * sigmoid(-margin)
+        grad = np.append(X.T @ coef + alpha * w / n, coef.sum())
+        return loss, grad
+
+    # ftol=0: stop on the gradient, or where f stops changing in floating
+    # point; then check that the gradient is small.
+    result = minimize(fun_grad, np.zeros(d + 1), jac=True, method="L-BFGS-B",
+                      options={"ftol": 0.0, "gtol": 1e-12, "maxiter": 100000,
+                               "maxfun": 100000})
+    if np.max(np.abs(fun_grad(result.x)[1])) > 1e-8:
+        raise RuntimeError(f"oracle did not converge: {result.message}")
+    return result.x
+
+
 # --- SVM dual ---------------------------------------------------------------
 
 def svm_dual_oracle(K, y, C: float) -> tuple[np.ndarray, float]:
