@@ -16,8 +16,14 @@ ALPHA = 1e-4
 
 def logistic_loss(z: np.ndarray, y: np.ndarray) -> float:
     """Mean logistic loss of raw scores ``z`` against 0/1 targets ``y``."""
-    # softplus(z) - y*z, stable for large |z|
-    return float(np.mean(np.log1p(np.exp(-np.abs(z))) + np.maximum(z, 0.0) - y * z))
+    # softplus(z) - y*z, stable for large |z|, in two buffers; the sum over
+    # the length is np.mean's own add.reduce and divide.
+    t = np.abs(z)
+    np.log1p(np.exp(np.negative(t, out=t), out=t), out=t)
+    u = np.maximum(z, 0.0)
+    t += u
+    t -= np.multiply(y, z, out=u)
+    return float(t.sum() / len(t))
 
 
 def penalized_logistic(theta: np.ndarray, X: np.ndarray, y: np.ndarray, alpha: float):

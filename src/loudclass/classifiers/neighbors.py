@@ -11,7 +11,8 @@ import numpy as np
 from ..errors import ConfigurationError
 from .base import TrainedModel
 
-BLOCK_ROWS = 8192
+# Distance-matrix entries (query rows x training rows) scored per block.
+BLOCK_CELLS = 2**20
 
 
 class NearestNeighbors:
@@ -38,20 +39,21 @@ class NearestNeighbors:
     def neighbor_labels(self, Z: np.ndarray) -> np.ndarray:
         """Class indices of the k nearest training rows, nearest first.
 
-        Query rows are scored ``BLOCK_ROWS`` at a time, so memory stays
-        bounded by the block, not by the number of queries. Query rows must
-        be finite.
+        Query rows are scored in blocks of at most ``BLOCK_CELLS`` distances
+        (at least one row), so memory stays bounded by the block, not by the
+        number of queries or training rows. Query rows must be finite.
         """
         x_sq = (self.X * self.X).sum(axis=1)
+        rows = max(1, BLOCK_CELLS // len(self.X))
         out = np.empty((len(Z), self.k), dtype=np.intp)
-        for start in range(0, len(Z), BLOCK_ROWS):
-            block = Z[start : start + BLOCK_ROWS]
+        for start in range(0, len(Z), rows):
+            block = Z[start : start + rows]
             sq = (
                 (block * block).sum(axis=1)[:, None]
                 + x_sq[None, :]
                 - 2.0 * (block @ self.X.T)
             )
-            out[start : start + BLOCK_ROWS] = self.y_idx[self._nearest(sq)]
+            out[start : start + rows] = self.y_idx[self._nearest(sq)]
         return out
 
     def _nearest(self, sq: np.ndarray) -> np.ndarray:

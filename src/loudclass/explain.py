@@ -210,22 +210,6 @@ def _class_shapley(model: TrainedModel, X: np.ndarray, background: np.ndarray):
     return phi, np.array([v[0] for v in values])
 
 
-def class_agnostic_shapley(model: TrainedModel, record, background):
-    """Shapley values per OvR class score, plus their across-class mean.
-
-    Returns (mean_phi, mean_base, per_class) with per_class mapping each
-    class label to its (phi, base) pair.
-    """
-    records, background = _check_shapley_inputs(_one_record(record), background)
-    phi, base = _class_shapley(model, records, background)
-    phi, base = phi[0], base[0]
-    per_class = {
-        cls: (phi[:, ci].copy(), float(base[ci]))
-        for ci, cls in enumerate(model.classes)
-    }
-    return phi.mean(axis=1), float(base.mean()), per_class
-
-
 def explain_model(
     model: TrainedModel, X, background, *, feature_names=None
 ) -> tuple[ShapExplanation, dict]:

@@ -5,6 +5,16 @@ method for the strictly convex logistic regression; both backtrack to the
 Armijo condition. No randomness, no tolerance drift between runs: identical
 inputs give identical iterates, which the reproducibility contract of the
 classifiers depends on.
+
+L-BFGS takes the objective's value and its gradient as two callables. A
+backtracking line search needs only values at its trial points, so the
+gradient is asked for once per accepted point, right after the value at
+that same point; an objective can keep what its value computed and derive
+the gradient from it. Newton's method takes one callable for the value,
+gradient and Hessian, which lr computes from one shared pass.
+
+Every run reports why it stopped (``OptimizeResult.stop``); only a run
+that reached ``gtol`` counts as converged.
 """
 
 from __future__ import annotations
@@ -28,39 +38,66 @@ MAX_BACKTRACKS = 60
 
 @dataclass
 class OptimizeResult:
+    """The last accepted point and why the run stopped there.
+
+    ``stop`` is ``gtol`` (the gradient infinity norm reached the tolerance),
+    ``ftol`` (the relative decrease of the objective fell below it),
+    ``max_iter`` (the iteration budget ran out), ``line_search`` (no trial
+    step satisfied the Armijo condition) or ``no_descent`` (not even the
+    steepest-descent direction descends, as at a zero or non-finite
+    gradient).
+    """
+
     x: np.ndarray
     fun: float
     grad_inf_norm: float
     iterations: int
-    converged: bool
+    stop: str
+
+    @property
+    def converged(self) -> bool:
+        return self.stop == "gtol"
 
 
 def minimize_lbfgs(
-    fun_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
+    fun: Callable[[np.ndarray], float],
+    grad: Callable[[np.ndarray], np.ndarray],
     x0: np.ndarray,
     *,
     gtol: float = 1e-6,
     max_iter: int = 1000,
     ftol: float | None = None,
 ) -> OptimizeResult:
-    """Minimize a smooth function given its value-and-gradient callable.
+    """Minimize a smooth function given its value and its gradient.
 
-    Stops when the gradient infinity norm drops below ``gtol``, when the
-    relative objective decrease falls below ``ftol`` (if given), or at
-    ``max_iter``. A failed line search ends the run with the best point so
-    far rather than raising; a non-finite objective raises ``NumericError``.
+    ``fun(x)`` is evaluated at ``x0`` and at every line-search trial point.
+    ``grad(x)`` is called once per accepted point (``x0`` included), always
+    right after ``fun`` was called at that same ``x``, and its result is
+    kept, so it must return a new array each call.
+
+    Stops with ``gtol`` when the gradient infinity norm drops below
+    ``gtol``, with ``ftol`` when the relative objective decrease falls
+    below ``ftol`` (if given), or with ``max_iter``. A failed line search
+    (``line_search``) or a direction that does not descend
+    (``no_descent``) ends the run at the last accepted point rather than
+    raising; a non-finite objective at ``x0`` raises ``NumericError``.
     """
     x = np.asarray(x0, dtype=np.float64).copy()
-    f, g = fun_grad(x)
+    f = fun(x)
     if not np.isfinite(f):
         raise NumericError("objective is not finite at the starting point")
+    g = grad(x)
     pairs: deque[tuple[np.ndarray, np.ndarray, float]] = deque(maxlen=MEMORY)
+    scratch = np.empty_like(x)
     gamma = 1.0
     iterations = 0
-    converged = bool(np.max(np.abs(g)) < gtol)
+    stop = "gtol" if np.max(np.abs(g)) < gtol else None
 
-    while not converged and iterations < max_iter:
-        d = _two_loop_direction(g, pairs, gamma)
+    while stop is None:
+        if iterations >= max_iter:
+            stop = "max_iter"
+            break
+        d = _two_loop_direction(g, pairs, gamma, scratch)
         slope = float(g @ d)
         if slope >= 0.0:
             # Curvature information went stale; restart from steepest descent.
@@ -68,18 +105,19 @@ def minimize_lbfgs(
             d = -g
             slope = float(g @ d)
             if slope >= 0.0:
+                stop = "no_descent"
                 break
         step = 1.0
-        f_new = g_new = None
         for _ in range(MAX_BACKTRACKS):
             x_new = x + step * d
-            f_cand, g_cand = fun_grad(x_new)
-            if np.isfinite(f_cand) and f_cand <= f + C1 * step * slope:
-                f_new, g_new = f_cand, g_cand
+            f_new = fun(x_new)
+            if np.isfinite(f_new) and f_new <= f + C1 * step * slope:
                 break
             step *= SHRINK
-        if f_new is None:
+        else:
+            stop = "line_search"
             break
+        g_new = grad(x_new)
         s = x_new - x
         y = g_new - g
         sy = float(s @ y)
@@ -90,16 +128,16 @@ def minimize_lbfgs(
         x, f, g = x_new, f_new, g_new
         iterations += 1
         if np.max(np.abs(g)) < gtol:
-            converged = True
+            stop = "gtol"
         elif ftol is not None and abs(f_prev - f) <= ftol * max(1.0, abs(f)):
-            converged = True
+            stop = "ftol"
 
     return OptimizeResult(
         x=x,
         fun=float(f),
         grad_inf_norm=float(np.max(np.abs(g))),
         iterations=iterations,
-        converged=converged,
+        stop=stop,
     )
 
 
@@ -114,18 +152,24 @@ def minimize_newton(
     Hessian.
 
     Each iteration solves H d = -g and backtracks along d to the Armijo
-    condition. ``converged`` means the gradient infinity norm reached
-    ``gtol``; a failed line search (no step decreases f, as at the limit of
-    floating-point precision) or ``max_iter`` iterations end the run
-    unconverged at the last accepted point. A non-finite objective at the
-    start raises ``NumericError``.
+    condition. The run stops with ``gtol`` once the gradient infinity norm
+    reaches ``gtol``; a failed line search (``line_search``: no step
+    decreases f, as at the limit of floating-point precision) or
+    ``max_iter`` iterations end it unconverged at the last accepted point.
+    A non-finite objective at the start raises ``NumericError``.
     """
     x = np.asarray(x0, dtype=np.float64).copy()
     f, g, H = fun_grad_hess(x)
     if not np.isfinite(f):
         raise NumericError("objective is not finite at the starting point")
     iterations = 0
-    while np.max(np.abs(g)) > gtol and iterations < max_iter:
+    while True:
+        if np.max(np.abs(g)) <= gtol:
+            stop = "gtol"
+            break
+        if iterations >= max_iter:
+            stop = "max_iter"
+            break
         d = -np.linalg.solve(H, g)
         slope = float(g @ d)
         step = 1.0
@@ -139,17 +183,17 @@ def minimize_newton(
                 break
             step *= SHRINK
         else:
+            stop = "line_search"
             break
         x, f, g, H = x_new, f_new, g_new, H_new
         iterations += 1
 
-    grad_inf_norm = float(np.max(np.abs(g)))
     return OptimizeResult(
         x=x,
         fun=float(f),
-        grad_inf_norm=grad_inf_norm,
+        grad_inf_norm=float(np.max(np.abs(g))),
         iterations=iterations,
-        converged=grad_inf_norm <= gtol,
+        stop=stop,
     )
 
 
@@ -157,15 +201,21 @@ def _two_loop_direction(
     g: np.ndarray,
     pairs: deque,
     gamma: float,
+    scratch: np.ndarray,
 ) -> np.ndarray:
+    """-H g for the inverse-Hessian estimate of ``pairs`` and ``gamma``.
+
+    The axpy steps go through ``scratch``, the same size as ``g``, so the
+    recursion allocates only its result.
+    """
     q = g.copy()
     alphas = []
     for s, y, rho in reversed(pairs):
         a = rho * float(s @ q)
         alphas.append(a)
-        q -= a * y
+        q -= np.multiply(y, a, out=scratch)
     q *= gamma
     for (s, y, rho), a in zip(pairs, reversed(alphas)):
         b = rho * float(y @ q)
-        q += (a - b) * s
-    return -q
+        q += np.multiply(s, a - b, out=scratch)
+    return np.negative(q, out=q)

@@ -9,9 +9,13 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import deque
 
 import numpy as np
 from scipy.optimize import minimize
+from scipy.special import expit
+
+from loudclass.optimize import C1, MAX_BACKTRACKS, MEMORY, SHRINK
 
 
 # --- plain counting metrics -------------------------------------------------
@@ -129,6 +133,109 @@ def penalized_logistic_oracle(X, y, alpha: float) -> np.ndarray:
     if np.max(np.abs(fun_grad(result.x)[1])) > 1e-8:
         raise RuntimeError(f"oracle did not converge: {result.message}")
     return result.x
+
+
+# --- network training, value and gradient fused --------------------------------
+#
+# The network's loss and L-BFGS as they were before training split the
+# objective into a value and a gradient: every line-search trial runs the
+# full forward and backward pass. Same arithmetic in the same order, so the
+# split training must reproduce these iterates bit for bit.
+
+def nn_loss_and_grad(theta, X, y, hidden, alpha: float):
+    """Penalized mean logistic loss of the rectifier network and its
+    gradient, from one forward and one backward pass."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    n = len(y)
+    sizes = [X.shape[1], *hidden, 1]
+    weights, biases, pos = [], [], 0
+    for fi, fo in zip(sizes[:-1], sizes[1:]):
+        weights.append(theta[pos : pos + fi * fo].reshape(fi, fo))
+        pos += fi * fo
+        biases.append(theta[pos : pos + fo])
+        pos += fo
+    last = len(weights) - 1
+    activations, pre_activations = [X], []
+    for i, (W, b) in enumerate(zip(weights, biases)):
+        z = activations[-1] @ W + b
+        pre_activations.append(z)
+        activations.append(np.maximum(z, 0.0) if i < last else z)
+    raw = activations[-1][:, 0]
+
+    softplus = np.log1p(np.exp(-np.abs(raw))) + np.maximum(raw, 0.0)
+    data_loss = float(np.mean(softplus - y * raw))
+    penalty = alpha * sum(float((W * W).sum()) for W in weights) / (2.0 * n)
+
+    grad_w, grad_b = [None] * len(weights), [None] * len(weights)
+    delta = ((expit(raw) - y) / n)[:, None]
+    for i in range(last, -1, -1):
+        grad_w[i] = activations[i].T @ delta + alpha * weights[i] / n
+        grad_b[i] = delta.sum(axis=0)
+        if i > 0:
+            delta = (delta @ weights[i].T) * (pre_activations[i - 1] > 0.0)
+    grad = np.concatenate(
+        [np.concatenate([gw.ravel(), gb]) for gw, gb in zip(grad_w, grad_b)]
+    )
+    return data_loss + penalty, grad
+
+
+def lbfgs_fused(fun_grad, x0, *, gtol: float, max_iter: int, ftol):
+    """L-BFGS with Armijo backtracking that evaluates value and gradient at
+    every trial point. Returns (x, iterations, evaluations), where
+    evaluations counts the calls of ``fun_grad``."""
+    x = np.asarray(x0, dtype=np.float64).copy()
+    f, g = fun_grad(x)
+    evaluations = 1
+    pairs = deque(maxlen=MEMORY)
+    gamma = 1.0
+    iterations = 0
+    converged = bool(np.max(np.abs(g)) < gtol)
+    while not converged and iterations < max_iter:
+        q = g.copy()
+        alphas = []
+        for s, yv, rho in reversed(pairs):
+            a = rho * float(s @ q)
+            alphas.append(a)
+            q -= a * yv
+        q *= gamma
+        for (s, yv, rho), a in zip(pairs, reversed(alphas)):
+            b = rho * float(yv @ q)
+            q += (a - b) * s
+        d = -q
+        slope = float(g @ d)
+        if slope >= 0.0:
+            pairs.clear()
+            d = -g
+            slope = float(g @ d)
+            if slope >= 0.0:
+                break
+        step = 1.0
+        f_new = g_new = None
+        for _ in range(MAX_BACKTRACKS):
+            x_new = x + step * d
+            f_cand, g_cand = fun_grad(x_new)
+            evaluations += 1
+            if np.isfinite(f_cand) and f_cand <= f + C1 * step * slope:
+                f_new, g_new = f_cand, g_cand
+                break
+            step *= SHRINK
+        if f_new is None:
+            break
+        s = x_new - x
+        yv = g_new - g
+        sy = float(s @ yv)
+        if sy > 1e-10 * float(np.linalg.norm(s)) * float(np.linalg.norm(yv)):
+            pairs.append((s, yv, 1.0 / sy))
+            gamma = sy / float(yv @ yv)
+        f_prev = f
+        x, f, g = x_new, f_new, g_new
+        iterations += 1
+        if np.max(np.abs(g)) < gtol:
+            converged = True
+        elif ftol is not None and abs(f_prev - f) <= ftol * max(1.0, abs(f)):
+            converged = True
+    return x, iterations, evaluations
 
 
 # --- SVM dual ---------------------------------------------------------------

@@ -32,7 +32,7 @@ from loudclass.classifiers import (
     predict_proba,
     save_model,
 )
-from loudclass.classifiers import neighbors, ovr
+from loudclass.classifiers import neighbors, neural, ovr
 from loudclass.classifiers import scaler as scaler_module
 from loudclass.classifiers import svm as svm_module
 from loudclass.classifiers.linear import ALPHA
@@ -47,6 +47,7 @@ from loudclass.errors import (
     ShapeError,
 )
 from loudclass.metrics import sorted_labels
+from loudclass.optimize import minimize_lbfgs
 
 
 def blobs(rng, centers, n_per, spread=0.5):
@@ -389,6 +390,135 @@ def test_nn_validation():
         NeuralNetBinary(3, hidden=(0,), seed_key=(1,))
     with pytest.raises(ConfigurationError):
         NeuralNetBinary(3, seed_key=(1,)).decision(np.zeros((1, 3)))
+
+
+def small_nn_problem(seed, hidden, scale, max_iter, ftol, alpha):
+    """A network and 2-29 random rows of 1-4 features with random labels."""
+    rng = np.random.default_rng(seed)
+    n, d = int(rng.integers(2, 30)), int(rng.integers(1, 5))
+    X = rng.normal(size=(n, d)) * scale
+    y = (rng.uniform(size=n) > 0.5).astype(float)
+    net = NeuralNetBinary(d, hidden=hidden, seed_key=(seed,), max_iter=max_iter,
+                          ftol=ftol, alpha=alpha)
+    return net, X, y
+
+
+def assert_fit_matches_fused_reference(net, X, y):
+    """Fit ``net`` and check it against the fused-pass reference; returns
+    the reference's iteration and evaluation counts."""
+    net.fit(X, y)
+    x, iterations, evaluations = oracles.lbfgs_fused(
+        lambda t: oracles.nn_loss_and_grad(t, X, y, net.hidden, net.alpha),
+        net.initial_parameters(), gtol=net.gtol, max_iter=net.max_iter, ftol=net.ftol,
+    )
+    assert np.array_equal(net.theta_, x)
+    assert np.array_equal(np.signbit(net.theta_), np.signbit(x))
+    assert net.result_.iterations == iterations
+    return iterations, evaluations
+
+
+# (seed, hidden, scale, ftol, alpha) -> where the fit stops; every case
+# backtracks, so some trial points are valued and never differentiated.
+REFERENCE_FITS = {
+    "max_iter-one-layer": ((0, (4,), 1.0, None, 1e-4), "max_iter"),
+    "max_iter-two-layers": ((0, (3, 5), 1.0, None, 1e-4), "max_iter"),
+    "ftol-one-layer": ((0, (4,), 1.0, 1e-4, 1e-4), "ftol"),
+    "ftol-two-layers": ((0, (3, 5), 1.0, 1e-4, 1e-4), "ftol"),
+    "gtol-one-layer": ((6, (4,), 1.0, None, 1e-4), "gtol"),
+    "gtol-two-layers": ((3, (3, 5), 10.0, None, 1.0), "gtol"),
+    "line_search-two-layers": ((3, (3, 5), 1.0, None, 1e-4), "line_search"),
+}
+
+
+@pytest.mark.parametrize("case", REFERENCE_FITS.values(), ids=REFERENCE_FITS.keys())
+def test_nn_fit_matches_fused_reference_bit_for_bit(case):
+    (seed, hidden, scale, ftol, alpha), stop = case
+    net, X, y = small_nn_problem(seed, hidden, scale, 60, ftol, alpha)
+    iterations, evaluations = assert_fit_matches_fused_reference(net, X, y)
+    assert net.result_.stop == stop
+    assert evaluations > iterations + 1  # some trial steps were rejected
+
+
+@given(
+    seed=st.integers(0, 2**16),
+    hidden=st.lists(st.integers(1, 6), min_size=1, max_size=2).map(tuple),
+    scale=st.sampled_from([0.1, 1.0, 10.0]),
+    max_iter=st.integers(1, 80),
+    ftol=st.sampled_from([None, 1e-11, 1e-4]),
+    alpha=st.sampled_from([0.0, 1e-4, 1.0]),
+)
+@settings(max_examples=60, deadline=None)
+def test_nn_fit_matches_fused_reference_property(seed, hidden, scale, max_iter, ftol,
+                                                  alpha):
+    assert_fit_matches_fused_reference(
+        *small_nn_problem(seed, hidden, scale, max_iter, ftol, alpha)
+    )
+
+
+@given(seed=st.integers(0, 2**16), hidden=st.sampled_from([(4,), (3, 5)]),
+       spread=st.sampled_from([0.05, 1.0, 30.0]))
+@settings(max_examples=40, deadline=None)
+def test_nn_value_and_gradient_match_fused_reference(seed, hidden, spread):
+    # Large parameters saturate the sigmoid and kill rectifier units, so
+    # residuals and gradient entries can be exactly zero.
+    net, X, y = small_nn_problem(seed, hidden, 1.0, 1, None, 1e-4)
+    theta = net.initial_parameters()
+    theta += spread * np.random.default_rng(seed).normal(size=len(theta))
+    objective = neural._Objective(net.layout, net.alpha, X, y)
+    value = objective.value(theta)
+    grad = objective.gradient(theta)
+    fused_value, fused_grad = oracles.nn_loss_and_grad(theta, X, y, hidden, net.alpha)
+    loss, loss_grad = net.loss_and_grad(theta, X, y)
+    assert value == fused_value == loss
+    for g in (fused_grad, loss_grad):
+        assert np.array_equal(grad, g)
+        assert np.array_equal(np.signbit(grad), np.signbit(g))
+
+
+def test_nn_gradient_only_at_the_point_last_valued():
+    net, X, y = small_nn_problem(1, (4,), 1.0, 1, None, 1e-4)
+    objective = neural._Objective(net.layout, net.alpha, X, y)
+    theta = net.initial_parameters()
+    with pytest.raises(ValueError):
+        objective.gradient(theta)
+    objective.value(theta)
+    objective.gradient(theta.copy())
+    with pytest.raises(ValueError):
+        objective.gradient(theta + 1e-3)
+
+
+def test_nn_gradient_asked_once_per_accepted_point(monkeypatch):
+    calls = []
+
+    def counting_lbfgs(fun, grad, x0, **kwargs):
+        def value(x):
+            calls.append(("value", x))
+            return fun(x)
+
+        def gradient(x):
+            kind, valued = calls[-1]
+            assert kind == "value" and valued is x  # right after valuing this x
+            calls.append(("gradient", x))
+            return grad(x)
+
+        return minimize_lbfgs(value, gradient, x0, **kwargs)
+
+    monkeypatch.setattr(neural, "minimize_lbfgs", counting_lbfgs)
+    (seed, hidden, scale, ftol, alpha), _ = REFERENCE_FITS["ftol-two-layers"]
+    net, X, y = small_nn_problem(seed, hidden, scale, 60, ftol, alpha)
+    net.fit(X, y)
+    kinds = [kind for kind, _ in calls]
+    assert kinds.count("gradient") == net.result_.iterations + 1
+    assert kinds.count("value") > kinds.count("gradient")
+
+
+def test_nn_fit_stopping_on_ftol_is_not_converged():
+    (seed, hidden, scale, ftol, alpha), _ = REFERENCE_FITS["ftol-one-layer"]
+    net, X, y = small_nn_problem(seed, hidden, scale, 60, ftol, alpha)
+    result = net.fit(X, y).result_
+    assert result.stop == "ftol"
+    assert result.converged is False
+    assert result.grad_inf_norm >= net.gtol
 
 
 # --- SVM -----------------------------------------------------------------------
@@ -791,7 +921,8 @@ def test_knn_neighbor_labels_blocks_match_one_block(rng, monkeypatch):
     Z = model.scaler.transform(rng.normal(0.0, 6.0, size=(50, X.shape[1])))
     nn = model.submodels[0]
     whole = nn.neighbor_labels(Z)
-    monkeypatch.setattr(neighbors, "BLOCK_ROWS", 16)  # 4 blocks, the last short
+    # 16-row blocks: 4 blocks, the last short
+    monkeypatch.setattr(neighbors, "BLOCK_CELLS", 16 * len(nn.X))
     assert np.array_equal(nn.neighbor_labels(Z), whole)
 
 
@@ -806,8 +937,23 @@ def test_knn_neighbor_labels_memory_is_bounded_by_the_block():
     finally:
         tracemalloc.stop()
     # Over all 50 000 rows at once, the 50 000 x 64 distance matrix and its
-    # partitioned copy alone take 51.2 MB; blocks of 8 192 rows peak near
-    # 13 MB.
+    # partitioned copy alone take 51.2 MB; blocks of 2**20 distances
+    # (16 384 rows) peak near 25 MB.
+    assert peak < 32e6
+
+
+def test_knn_neighbor_labels_memory_is_bounded_by_cells_not_rows():
+    rng = np.random.default_rng(0)
+    nn = NearestNeighbors(k=2).fit(rng.normal(size=(4096, 12)), rng.integers(0, 6, 4096))
+    Z = rng.normal(size=(4096, 12))
+    tracemalloc.start()
+    try:
+        nn.neighbor_labels(Z)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # One 4 096-row block against 4 096 training rows is a 134 MB distance
+    # matrix; blocks of 2**20 distances (256 rows) are 8.4 MB each.
     assert peak < 32e6
 
 

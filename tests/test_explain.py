@@ -11,7 +11,6 @@ from loudclass.explain import (
     _tree_shap,
     beeswarm_export,
     beeswarm_ranking,
-    class_agnostic_shapley,
     exact_shapley,
     explain_model,
     importance_report,
@@ -103,12 +102,13 @@ def test_class_agnostic_additivity(rng):
     background = X[::3]
     record = X[4]
 
-    mean_phi, mean_base, per_class = class_agnostic_shapley(model, record, background)
+    agnostic, by_class = explain_model(model, record[None, :], background)
     proba = predict_proba(model, record[None, :])[0]
     for j, cls in enumerate(model.classes):
-        phi_c, base_c = per_class[cls]
+        phi_c, base_c = by_class[cls].values[0], by_class[cls].base_values[0]
         assert phi_c.sum() + base_c == pytest.approx(proba[j], abs=1e-9)
-    stacked = np.vstack([per_class[c][0] for c in model.classes])
+    stacked = np.vstack([by_class[c].values[0] for c in model.classes])
+    mean_phi, mean_base = agnostic.values[0], agnostic.base_values[0]
     assert mean_phi == pytest.approx(stacked.mean(axis=0), abs=1e-12)
     assert mean_phi.sum() + mean_base == pytest.approx(proba.mean(), abs=1e-9)
 
@@ -206,13 +206,14 @@ def test_tree_models_match_enumeration_per_class(rng, variant):
     labels = [f"c{i}" for i in range(3) for _ in range(20)]
     model = fit(ClassifierSpec(variant), X, labels)
     background = X[::4]
-    for record in X[1:60:15]:
-        _, _, per_class = class_agnostic_shapley(model, record, background)
+    records = X[1:60:15]
+    _, by_class = explain_model(model, records, background)
+    for r, record in enumerate(records):
         for ci, cls in enumerate(model.classes):
             expected, expected_base = exact_shapley(
                 lambda M: model.predict_proba(M)[:, ci], record, background
             )
-            phi, base = per_class[cls]
+            phi, base = by_class[cls].values[r], by_class[cls].base_values[r]
             assert np.abs(phi - expected).max() <= 1e-12
             assert base == pytest.approx(expected_base, abs=1e-12)
 
@@ -221,9 +222,11 @@ def test_tree_shap_needs_no_feature_limit(rng):
     X = rng.normal(size=(40, 20))
     labels = ["a" if v > 0 else "b" for v in X[:, 3]]
     model = fit(ClassifierSpec("dt"), X, labels)
-    mean_phi, mean_base, _ = class_agnostic_shapley(model, X[0], X[10:20])
+    agnostic, _ = explain_model(model, X[:1], X[10:20])
     proba = predict_proba(model, X[:1])[0]
-    assert mean_phi.sum() + mean_base == pytest.approx(proba.mean(), abs=1e-12)
+    assert agnostic.values[0].sum() + agnostic.base_values[0] == pytest.approx(
+        proba.mean(), abs=1e-12
+    )
 
 
 @pytest.mark.parametrize("where", ["record", "background"])
@@ -233,9 +236,9 @@ def test_non_finite_inputs_are_data_errors(rng, where):
     record, background = X[0].copy(), X[5:10].copy()
     (record if where == "record" else background[2])[1] = np.nan
     with pytest.raises(DataError):
-        class_agnostic_shapley(model, record, background)
-    with pytest.raises(DataError):
         explain_model(model, record[None, :], background)
+    with pytest.raises(DataError):
+        exact_shapley(lambda M: model.predict_proba(M)[:, 0], record, background)
 
 
 # --- beeswarm ranking -----------------------------------------------------------

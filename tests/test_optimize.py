@@ -6,63 +6,118 @@ from loudclass.optimize import minimize_lbfgs, minimize_newton
 
 
 def quadratic(center, scales):
+    """(value, gradient) of sum(scales * (x - center)**2)."""
     center = np.asarray(center, dtype=float)
     scales = np.asarray(scales, dtype=float)
 
-    def fun_grad(x):
+    def fun(x):
         d = x - center
-        return float(np.sum(scales * d * d)), 2.0 * scales * d
+        return float(np.sum(scales * d * d))
 
-    return fun_grad
+    def grad(x):
+        return 2.0 * scales * (x - center)
+
+    return fun, grad
 
 
 def rosenbrock(x):
     a, b = x
-    f = (1 - a) ** 2 + 100.0 * (b - a * a) ** 2
-    g = np.array([
+    return float((1 - a) ** 2 + 100.0 * (b - a * a) ** 2)
+
+
+def rosenbrock_grad(x):
+    a, b = x
+    return np.array([
         -2.0 * (1 - a) - 400.0 * a * (b - a * a),
         200.0 * (b - a * a),
     ])
-    return float(f), g
 
 
 def test_quadratic_bowl():
     center = np.array([3.0, -2.0, 0.5, 8.0])
-    result = minimize_lbfgs(quadratic(center, [1.0, 10.0, 0.1, 4.0]),
+    result = minimize_lbfgs(*quadratic(center, [1.0, 10.0, 0.1, 4.0]),
                             np.zeros(4), gtol=1e-10)
     assert result.converged
+    assert result.stop == "gtol"
     assert result.grad_inf_norm <= 1e-10
     assert result.x == pytest.approx(center, abs=1e-7)
     assert result.fun == pytest.approx(0.0, abs=1e-12)
 
 
 def test_rosenbrock_valley():
-    result = minimize_lbfgs(rosenbrock, np.array([-1.2, 1.0]), gtol=1e-8,
-                            max_iter=5000)
+    result = minimize_lbfgs(rosenbrock, rosenbrock_grad, np.array([-1.2, 1.0]),
+                            gtol=1e-8, max_iter=5000)
     assert result.converged
     assert result.x == pytest.approx([1.0, 1.0], abs=1e-5)
 
 
 def test_iteration_budget_reported():
-    result = minimize_lbfgs(rosenbrock, np.array([-1.2, 1.0]), gtol=1e-12,
-                            max_iter=3)
+    result = minimize_lbfgs(rosenbrock, rosenbrock_grad, np.array([-1.2, 1.0]),
+                            gtol=1e-12, max_iter=3)
     assert not result.converged
+    assert result.stop == "max_iter"
     assert result.iterations == 3
 
 
 def test_non_finite_start_rejected():
     def bad(x):
-        return float("nan"), np.zeros_like(x)
+        return float("nan")
 
     with pytest.raises(NumericError):
-        minimize_lbfgs(bad, np.zeros(2))
+        minimize_lbfgs(bad, np.zeros_like, np.zeros(2))
 
 
 def test_ftol_stops_on_flat_objective():
     # Plateau after the first step: relative improvement below ftol.
-    result = minimize_lbfgs(quadratic([0.0], [1.0]), np.array([1e-9]),
+    result = minimize_lbfgs(*quadratic([0.0], [1.0]), np.array([1e-9]),
                             gtol=0.0, ftol=1e-9, max_iter=100)
     assert result.iterations < 100
+    assert result.stop == "ftol"
+    assert not result.converged
+
+
+def test_gradient_only_at_accepted_points():
+    calls = []
+
+    def fun(x):
+        calls.append(("fun", x))
+        return rosenbrock(x)
+
+    def grad(x):
+        kind, valued = calls[-1]
+        assert kind == "fun" and valued is x  # right after fun at this x
+        calls.append(("grad", x))
+        return rosenbrock_grad(x)
+
+    result = minimize_lbfgs(fun, grad, np.array([-1.2, 1.0]), gtol=1e-8,
+                            max_iter=5000)
+    kinds = [kind for kind, _ in calls]
+    assert kinds.count("grad") == result.iterations + 1
+    assert kinds.count("fun") > kinds.count("grad")  # rejected trial steps
+
+
+def test_stationary_start_is_no_descent():
+    # gtol=0 is never met, and the zero gradient gives no direction to try.
+    result = minimize_lbfgs(*quadratic([1.0, 2.0], [1.0, 1.0]), np.array([1.0, 2.0]),
+                            gtol=0.0)
+    assert result.stop == "no_descent"
+    assert not result.converged
+    assert result.iterations == 0
+
+
+def test_line_search_failure_stops_at_the_last_point():
+    # Every point but the start is infinite, so no trial step is accepted;
+    # the gradient is steep enough that even the shortest trial step moves x.
+    start = np.array([1.0, -1.0])
+
+    def fun(x):
+        return 0.5e6 * float(x @ x) if np.array_equal(x, start) else float("inf")
+
+    result = minimize_lbfgs(fun, lambda x: 1e6 * x, start, gtol=1e-8)
+    assert result.stop == "line_search"
+    assert not result.converged
+    assert result.iterations == 0
+    assert np.array_equal(result.x, start)
 
 
 def test_matches_scipy_on_logistic_fit(rng):
@@ -78,17 +133,18 @@ def test_matches_scipy_on_logistic_fit(rng):
     def fun_grad(t):
         return penalized_logistic(t, X, y, 1e-4)[:2]
 
-    mine = minimize_lbfgs(fun_grad, x0, gtol=1e-8, max_iter=2000)
+    mine = minimize_lbfgs(lambda t: fun_grad(t)[0], lambda t: fun_grad(t)[1], x0,
+                          gtol=1e-8, max_iter=2000)
     ref = scipy_minimize(fun_grad, x0, jac=True, method="L-BFGS-B",
                          options={"gtol": 1e-8, "maxiter": 2000})
     assert mine.fun == pytest.approx(ref.fun, abs=1e-6)
 
 
 def quadratic_with_hessian(center, scales):
-    fun_grad = quadratic(center, scales)
+    fun, grad = quadratic(center, scales)
 
     def fun_grad_hess(x):
-        return (*fun_grad(x), np.diag(2.0 * np.asarray(scales, dtype=float)))
+        return fun(x), grad(x), np.diag(2.0 * np.asarray(scales, dtype=float))
 
     return fun_grad_hess
 
@@ -98,6 +154,7 @@ def test_newton_solves_a_quadratic_in_one_step():
     result = minimize_newton(quadratic_with_hessian(center, [1.0, 10.0, 0.1, 4.0]),
                              np.zeros(4), gtol=1e-10)
     assert result.converged
+    assert result.stop == "gtol"
     assert result.iterations == 1
     assert result.grad_inf_norm <= 1e-10
     assert result.x == pytest.approx(center, abs=1e-12)
@@ -113,6 +170,7 @@ def test_newton_iteration_budget_reported():
     assert full.converged and full.iterations > 2
     result = minimize_newton(log_cosh, np.array([1.2]), gtol=1e-12, max_iter=2)
     assert not result.converged
+    assert result.stop == "max_iter"
     assert result.iterations == 2
     assert result.grad_inf_norm > 1e-12
 
@@ -125,6 +183,7 @@ def test_newton_line_search_failure_is_not_converged():
 
     result = minimize_newton(flat, np.ones(2), gtol=0.0, max_iter=100)
     assert not result.converged
+    assert result.stop == "line_search"
     assert result.iterations == 0
     assert np.array_equal(result.x, np.ones(2))
 
