@@ -9,8 +9,12 @@ filter, which keeps the order a stable sort of the child's rows would give
 (equal values in ascending row order). One pass of cumulative sums over the
 sorted targets of all candidate features then scores every split position:
 entropy gain on 0/1 targets, squared-error reduction for regression.
-Equal-gain ties resolve to the lowest feature index, then the lowest
-threshold, which makes every build deterministic.
+The largest gain as computed in floating point wins. Among gains that are
+equal in floating point, the lowest feature index wins, then the lowest
+threshold. Gains that are equal in exact arithmetic but summed in another
+order (two features that cut the rows alike, or two cuts with the same
+rational gain) can round apart, and then the larger rounded gain wins.
+Either way the arithmetic is fixed, so every build is deterministic.
 """
 
 from __future__ import annotations
@@ -123,9 +127,12 @@ def _best_split(X, y, order, candidates, gain_fn):
     gains = gain_fn(ys)
     gains[:, :-1][np.diff(xs, axis=1) == 0] = -np.inf
     gains[:, -1] = -np.inf
-    at = np.argmax(gains, axis=1)  # first maximum = lowest threshold
+    # argmax keeps the first of equal floating-point maxima: the lowest
+    # threshold, then the lowest feature. Exactly equal gains that round
+    # apart are no tie here (see the module docstring).
+    at = np.argmax(gains, axis=1)
     per_feature = gains[np.arange(len(candidates)), at]
-    j = int(np.argmax(per_feature))  # first maximum = lowest feature
+    j = int(np.argmax(per_feature))
     if per_feature[j] <= _GAIN_EPS:
         return None
     threshold = (xs[j, at[j]] + xs[j, at[j] + 1]) / 2.0

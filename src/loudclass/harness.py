@@ -6,11 +6,22 @@ plus confusion/ROC/PR detail for a designated classifier pooled over its
 out-of-fold predictions. Pairwise t-tests compare classifiers on the
 paired per-fold test scores, which is only valid because the fold plan
 is shared.
+
+The (classifier, plan, fold) fits of an experiment are independent and
+seeded on their own, so they run on every usable CPU in forked worker
+processes. Workers only fit and predict; every metric is computed in the
+parent, in task order, so outputs, warnings and
+``metrics.degenerate_events`` do not depend on the number of workers.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import threading
 from collections import Counter
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -291,6 +302,84 @@ def run_experiment(cfg: ExperimentConfig) -> MetricsReport:
     return _cross_validate(cfg, X, y)[0]
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one, otherwise every CPU of the machine."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fit_fold(context, task):
+    """Fit one classifier on one fold and predict its train and test rows.
+
+    Returns (train predictions, test predictions, test probabilities,
+    model). The probabilities come only for the designated classifier on
+    plan 0, and the model only for its plan-0 fold 0, which the roving
+    sweep scores for permutation importance.
+    """
+    X, y, classes, specs, plans, designated = context
+    ci, plan_index, fold = task
+    train_idx, test_idx = plans[plan_index].fold_indices(fold)
+    model = fit(specs[ci], X[train_idx], [y[i] for i in train_idx], classes=classes)
+    pred_train = model.predict(X[train_idx])
+    pred_test = model.predict(X[test_idx])
+    if ci != designated or plan_index != 0:
+        return pred_train, pred_test, None, None
+    proba = model.predict_proba(X[test_idx])
+    return pred_train, pred_test, proba, model if fold == 0 else None
+
+
+# The experiment a worker process serves; set once, before its first task.
+_worker_context = None
+
+
+def _adopt_context(context) -> None:
+    global _worker_context
+    _worker_context = context
+
+
+def _fit_fold_in_worker(task):
+    return _fit_fold(_worker_context, task)
+
+
+def _fold_fits(context, tasks):
+    """Yield ``_fit_fold(context, task)`` for every task, in task order.
+
+    The tasks run in ``min(usable CPUs, tasks)`` worker processes forked
+    from this one, so the workers inherit ``context`` and the imported
+    modules instead of unpickling or importing them again. A task's
+    exception is raised at its turn, so the first failure in task order is
+    the one raised, as when the tasks run one after another. They run
+    inline, in this process, with one worker, where the platform cannot
+    fork, and while other threads run: fork copies only the calling
+    thread, so a lock another thread holds would stay locked in the
+    workers. Closing the generator shuts the pool down; a task that is
+    already running finishes first.
+    """
+    workers = min(_usable_cpus(), len(tasks))
+    if (
+        workers < 2
+        or "fork" not in multiprocessing.get_all_start_methods()
+        or threading.active_count() > 1
+    ):
+        for task in tasks:
+            yield _fit_fold(context, task)
+        return
+    pool = ProcessPoolExecutor(
+        workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_adopt_context,
+        initargs=(context,),
+    )
+    try:
+        futures = [pool.submit(_fit_fold_in_worker, task) for task in tasks]
+        for future in futures:
+            yield future.result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def _cross_validate(cfg, X, y, plans=None) -> tuple[MetricsReport, TrainedModel]:
     """The experiment on a featurized matrix; also returns the designated
     classifier's model of plan 0, fold 0."""
@@ -316,51 +405,59 @@ def _cross_validate(cfg, X, y, plans=None) -> tuple[MetricsReport, TrainedModel]
     results = []
     designated_detail = None
     designated_model = None
-    for name, spec in zip(names, cfg.classifiers):
-        train_ba, test_ba, train_wf1, test_wf1 = [], [], [], []
-        per_class_f1: dict = {cls: [] for cls in classes}
-        pooled_proba = np.empty((n, len(classes)))
-        pooled_pred: list = [None] * n
-        try:
-            for plan_index, plan in enumerate(plans):
-                for fold, (train_idx, test_idx) in enumerate(plan):
-                    y_train = [y[i] for i in train_idx]
-                    y_test = [y[i] for i in test_idx]
-                    model = fit(spec, X[train_idx], y_train, classes=classes)
-                    pred_train = model.predict(X[train_idx])
-                    pred_test = model.predict(X[test_idx])
-                    train_ba.append(balanced_accuracy(y_train, pred_train))
-                    test_ba.append(balanced_accuracy(y_test, pred_test))
-                    train_wf1.append(weighted_f1(y_train, pred_train))
-                    test_wf1.append(weighted_f1(y_test, pred_test))
-                    for cls in classes:
-                        per_class_f1[cls].append(f1_per_class(y_test, pred_test, cls))
-                    if name == cfg.designated and plan_index == 0:
-                        if fold == 0:
-                            designated_model = model
-                        pooled_proba[test_idx] = model.predict_proba(X[test_idx])
-                        for idx, label in zip(test_idx, pred_test):
-                            pooled_pred[idx] = label
-        except LoudclassError as exc:
-            raise _with_stage(f"classifier {name}", exc)
-        results.append(
-            ClassifierResult(
-                name,
-                spec.variant,
-                tuple(train_ba),
-                tuple(test_ba),
-                tuple(train_wf1),
-                tuple(test_wf1),
-                {cls: tuple(v) for cls, v in per_class_f1.items()},
-            )
-        )
-        if name == cfg.designated:
+    context = (X, y, classes, cfg.classifiers, plans, names.index(cfg.designated))
+    tasks = [
+        (ci, plan_index, fold)
+        for ci in range(len(names))
+        for plan_index, plan in enumerate(plans)
+        for fold in range(plan.k)
+    ]
+    with closing(_fold_fits(context, tasks)) as outcomes:
+        for name, spec in zip(names, cfg.classifiers):
+            train_ba, test_ba, train_wf1, test_wf1 = [], [], [], []
+            per_class_f1: dict = {cls: [] for cls in classes}
+            pooled_proba = np.empty((n, len(classes)))
+            pooled_pred: list = [None] * n
             try:
-                designated_detail = _designated_detail(
-                    name, classes, y, pooled_proba, pooled_pred
-                )
+                for plan in plans:
+                    for train_idx, test_idx in plan:
+                        y_train = [y[i] for i in train_idx]
+                        y_test = [y[i] for i in test_idx]
+                        pred_train, pred_test, proba, model = next(outcomes)
+                        train_ba.append(balanced_accuracy(y_train, pred_train))
+                        test_ba.append(balanced_accuracy(y_test, pred_test))
+                        train_wf1.append(weighted_f1(y_train, pred_train))
+                        test_wf1.append(weighted_f1(y_test, pred_test))
+                        for cls in classes:
+                            per_class_f1[cls].append(
+                                f1_per_class(y_test, pred_test, cls)
+                            )
+                        if model is not None:
+                            designated_model = model
+                        if proba is not None:
+                            pooled_proba[test_idx] = proba
+                            for idx, label in zip(test_idx, pred_test):
+                                pooled_pred[idx] = label
             except LoudclassError as exc:
-                raise _with_stage("designated detail", exc)
+                raise _with_stage(f"classifier {name}", exc)
+            results.append(
+                ClassifierResult(
+                    name,
+                    spec.variant,
+                    tuple(train_ba),
+                    tuple(test_ba),
+                    tuple(train_wf1),
+                    tuple(test_wf1),
+                    {cls: tuple(v) for cls, v in per_class_f1.items()},
+                )
+            )
+            if name == cfg.designated:
+                try:
+                    designated_detail = _designated_detail(
+                        name, classes, y, pooled_proba, pooled_pred
+                    )
+                except LoudclassError as exc:
+                    raise _with_stage("designated detail", exc)
 
     t_tests: dict = {}
     for i, a in enumerate(results):

@@ -4,14 +4,17 @@ import contextlib
 import hashlib
 import io
 import json
+import multiprocessing
+import os
 import shutil
 import sys
 
 import pytest
 
 from loudclass import harness, metrics
-from loudclass.classifiers import load_model, predict
+from loudclass.classifiers import ClassifierSpec, SvmBinary, load_model, predict
 from loudclass.cli import COMMANDS, _resolve_options, build_parser, main
+from loudclass.errors import NumericError
 from loudclass.pipeline import (
     SyntheticConfig,
     feature_matrix,
@@ -421,6 +424,13 @@ def test_metric_outputs_are_pinned(tmp_path):
     assert found == METRIC_OUTPUT_SHA256
 
 
+def test_metric_outputs_are_pinned_with_two_workers(tmp_path, monkeypatch):
+    # Fits run in workers, metrics in the parent: the warning and the
+    # degenerate-event count must still be seen here.
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    test_metric_outputs_are_pinned(tmp_path)
+
+
 # Every subcommand's resolved options with default flags, and the sha256 of
 # every --help screen, both taken from the commit before the options moved
 # into one table in cli.py. explain and preprocess need one flag to resolve
@@ -507,3 +517,76 @@ def test_help_screens_are_pinned(monkeypatch, command):
         assert main([command, "--help"] if command else ["--help"]) == 0
     text = screen.getvalue()
     assert hashlib.sha256(text.encode()).hexdigest() == HELP_SHA256[command], text
+
+
+# --- parallel fits ----------------------------------------------------------------
+
+def _pid_recording(fit, path):
+    """``fit`` that first appends the id of the process it runs in to ``path``."""
+    def recorded(*args, **kwargs):
+        with open(path, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return fit(*args, **kwargs)
+
+    return recorded
+
+
+def _outputs(out):
+    return {
+        p.relative_to(out).as_posix(): p.read_bytes()
+        for p in sorted(out.rglob("*"))
+        if p.is_file() and p.name != "manifest.json"
+    }
+
+
+@pytest.mark.parametrize("argv", [
+    ("evaluate", "--only", "knn,lr,nn", "--classifier", "lr", "--k", "3",
+     "--repeats", "2"),
+    ("sweep", "--only", "dt,lr", "--classifier", "lr", "--k", "3",
+     "--conditions", "0:0,5:10"),
+], ids=["evaluate", "sweep"])
+def test_outputs_do_not_depend_on_the_worker_count(generated, tmp_path, monkeypatch,
+                                                   argv):
+    outputs = {}
+    fit = harness.fit
+    for workers in (1, 2):
+        monkeypatch.setattr(harness, "_usable_cpus", lambda n=workers: n)
+        pids = tmp_path / f"pids{workers}"
+        monkeypatch.setattr(harness, "fit", _pid_recording(fit, pids))
+        out = tmp_path / f"workers{workers}"
+        rc = run(argv[0], "--data", str(generated / "labeled.json"),
+                 "--out-dir", str(out), *argv[1:])
+        assert rc == 0
+        assert multiprocessing.active_children() == []
+        outputs[workers] = _outputs(out)
+        fitted_in = set(pids.read_text().split())
+        assert (str(os.getpid()) in fitted_in) == (workers == 1)
+    assert outputs[1] == outputs[2]
+
+
+def test_worker_errors_match_the_inline_run(generated, tmp_path, monkeypatch, capsys):
+    def broken(self, X, y01):
+        raise NumericError("svm failed")
+
+    # Fork hands the patched class to the workers.
+    monkeypatch.setattr(SvmBinary, "fit", broken)
+    cfg = harness.ExperimentConfig(
+        data_path=str(generated / "labeled.json"), k=3, designated="dt",
+        classifiers=(ClassifierSpec("dt"), ClassifierSpec("svm"), ClassifierSpec("lr")),
+    )
+    failures = []
+    for workers in (1, 2):
+        monkeypatch.setattr(harness, "_usable_cpus", lambda n=workers: n)
+        rc = run("evaluate", "--out-dir", str(tmp_path / f"workers{workers}"),
+                 "--data", str(generated / "labeled.json"), "--only", "dt,svm,lr",
+                 "--classifier", "dt", "--k", "3")
+        failures.append((rc, capsys.readouterr().err))
+        assert multiprocessing.active_children() == []
+        with pytest.raises(NumericError) as info:
+            harness.run_experiment(cfg)
+        assert info.value.__notes__ == ["stage: classifier svm"]
+        assert multiprocessing.active_children() == []
+    assert failures[0] == failures[1]
+    rc, err = failures[0]
+    assert rc == 4
+    assert "svm failed" in err and "stage: classifier svm" in err

@@ -1,4 +1,6 @@
-from collections import Counter
+import multiprocessing
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -213,6 +215,29 @@ def test_stage_notes_on_failure():
     assert any("stage" in n for n in notes)
 
 
+def test_fits_run_inline_while_other_threads_run(monkeypatch):
+    fitted_in = []
+
+    def recorded(*args, **kwargs):
+        fitted_in.append(os.getpid())
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(harness, "fit", recorded)
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait)
+    waiter.start()
+    try:
+        report = run_experiment(fast_config())
+    finally:
+        release.set()
+        waiter.join(timeout=10)
+    assert not waiter.is_alive()
+    # Appended in this process, so only inline fits are counted here.
+    assert len(fitted_in) == len(FAST) * 4
+    assert report.results == run_experiment(fast_config()).results
+
+
 # --- roving sweep --------------------------------------------------------------------
 
 def test_default_conditions():
@@ -241,11 +266,13 @@ def test_roving_sweep_shares_base_data_and_plans():
 
 
 def test_roving_sweep_fits_and_roves_once_per_condition(monkeypatch):
-    calls: Counter = Counter()
+    # Shared memory, so that fits in forked workers are counted too.
+    calls = {name: multiprocessing.Value("i", 0) for name in ("fit", "apply_roving")}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            with calls[name].get_lock():
+                calls[name].value += 1
             return fn(*args, **kwargs)
         return wrapper
 
@@ -256,8 +283,9 @@ def test_roving_sweep_fits_and_roves_once_per_condition(monkeypatch):
     cfg = fast_config()
     conditions = ((0.0, 0.0), (10.0, 5.0))
     roving_sweep(cfg, conditions=conditions)
-    assert calls["fit"] == len(conditions) * len(cfg.classifiers) * cfg.k * cfg.repeats
-    assert calls["apply_roving"] == len(conditions)
+    fits = len(conditions) * len(cfg.classifiers) * cfg.k * cfg.repeats
+    assert calls["fit"].value == fits
+    assert calls["apply_roving"].value == len(conditions)
 
 
 def test_roving_sweep_importance_scores_the_plan0_fold0_model():

@@ -61,3 +61,22 @@ def test_roving_sweep_script(tmp_path):
     # Without --conditions the script leaves the choice to the sweep command.
     manifest = json.loads((out / "sweep" / "manifest.json").read_text())
     assert manifest["options"]["conditions"] == [list(c) for c in DEFAULT_ROVING_CONDITIONS]
+
+
+def test_resource_usage_script(tmp_path):
+    assert cli(["generate", "--out-dir", str(tmp_path), "--per-class", "8"]) == 0
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "resource_usage.py"), "evaluate",
+         "--data", str(tmp_path / "labeled.json"), "--out-dir", str(tmp_path / "ev"),
+         "--only", "dt,knn", "--classifier", "dt", "--k", "3"],
+        env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    usage = json.loads(done.stdout.splitlines()[-1])
+    assert usage["exit_code"] == 0
+    assert (tmp_path / "ev" / "report.json").is_file()
+    for key in ("wall_s", "self_cpu_s", "children_cpu_s", "self_peak_rss_mb",
+                "children_peak_rss_mb"):
+        assert usage[key] >= 0, key
