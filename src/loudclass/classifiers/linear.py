@@ -49,7 +49,8 @@ class LogisticRegressionBinary:
     so the objective is strictly convex and its minimizer unique even when
     the classes are separable. Newton's method runs from zero until the
     gradient infinity norm reaches ``gtol`` or for ``max_iter`` iterations,
-    so the fit is deterministic.
+    so the fit is deterministic. ``result_`` holds the optimizer's result of
+    the last fit, with its stop reason; it is not part of the fitted state.
     """
 
     def __init__(self, *, gtol: float = 1e-6, max_iter: int = 100):
@@ -57,18 +58,19 @@ class LogisticRegressionBinary:
         self.max_iter = max_iter
         self.weights_: np.ndarray | None = None
         self.bias_: float | None = None
+        self.result_ = None
 
     def fit(self, X, y01) -> "LogisticRegressionBinary":
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y01, dtype=np.float64)
-        result = minimize_newton(
+        self.result_ = minimize_newton(
             lambda theta: penalized_logistic(theta, X, y, ALPHA),
             np.zeros(X.shape[1] + 1),
             gtol=self.gtol,
             max_iter=self.max_iter,
         )
-        self.weights_ = result.x[:-1]
-        self.bias_ = float(result.x[-1])
+        self.weights_ = self.result_.x[:-1]
+        self.bias_ = float(self.result_.x[-1])
         return self
 
     def decision(self, X) -> np.ndarray:

@@ -8,10 +8,17 @@ paired per-fold test scores, which is only valid because the fold plan
 is shared.
 
 The (classifier, plan, fold) fits of an experiment are independent and
-seeded on their own, so they run on every usable CPU in forked worker
-processes. Workers only fit and predict; every metric is computed in the
-parent, in task order, so outputs, warnings and
-``metrics.degenerate_events`` do not depend on the number of workers.
+seeded on their own, so they run on every usable CPU in worker processes,
+forked once per command: a sweep hands the fits of all its conditions to
+one pool. Workers fit and predict, and in a sweep the worker that fits a
+condition's designated model also scores its permutation importance. Every
+cross-validation metric is computed in the parent, in task order, so
+outputs, warnings and ``metrics.degenerate_events`` do not depend on the
+number of workers; permutation importance can hit no degenerate case (see
+``_cross_validate``), so scoring it in a worker hides no event.
+
+A sweep roves and featurizes every condition before it fits anything, so a
+data error in any condition ends the run before the first fit.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .classifiers import VARIANTS, ClassifierSpec, TrainedModel, fit
+from .classifiers import VARIANTS, ClassifierSpec, fit
 from .errors import ConfigurationError, LoudclassError
 from .explain import (
     PERMUTATION_METRICS,
@@ -152,6 +159,8 @@ class ExperimentConfig:
             raise ConfigurationError("k must be >= 2")
         if self.repeats < 1:
             raise ConfigurationError("repeats must be >= 1")
+        if self.perm_repeats < 1:
+            raise ConfigurationError("perm_repeats must be >= 1")
         if self.perm_metric not in PERMUTATION_METRICS:
             raise ConfigurationError(
                 f"perm_metric must be one of {', '.join(PERMUTATION_METRICS)}"
@@ -299,7 +308,12 @@ def run_experiment(cfg: ExperimentConfig) -> MetricsReport:
         y = labels_of(records)
     except LoudclassError as exc:
         raise _with_stage("data", exc)
-    return _cross_validate(cfg, X, y)[0]
+    try:
+        plans = make_fold_plans(cfg, y)
+    except LoudclassError as exc:
+        raise _with_stage("fold-plan", exc)
+    [(report, _)] = _cross_validate(cfg, [(cfg, X)], y, plans)
+    return report
 
 
 def _usable_cpus() -> int:
@@ -311,26 +325,44 @@ def _usable_cpus() -> int:
 
 
 def _fit_fold(context, task):
-    """Fit one classifier on one fold and predict its train and test rows.
+    """Fit one classifier on one fold of one experiment and predict its
+    train and test rows.
 
     Returns (train predictions, test predictions, test probabilities,
-    model). The probabilities come only for the designated classifier on
-    plan 0, and the model only for its plan-0 fold 0, which the roving
-    sweep scores for permutation importance.
+    permutation importance). The probabilities come only for the
+    designated classifier on plan 0. The importance comes only for its
+    plan-0 fold 0 and only when the context asks for it: the roving sweep
+    scores that model here, right after its fit, so the model never leaves
+    the process that fitted it.
     """
-    X, y, classes, specs, plans, designated = context
-    ci, plan_index, fold = task
+    cfg, matrices, y, classes, plans, designated, importance = context
+    experiment, ci, plan_index, fold = task
+    X = matrices[experiment]
     train_idx, test_idx = plans[plan_index].fold_indices(fold)
-    model = fit(specs[ci], X[train_idx], [y[i] for i in train_idx], classes=classes)
+    y_train = [y[i] for i in train_idx]
+    model = fit(cfg.classifiers[ci], X[train_idx], y_train, classes=classes)
     pred_train = model.predict(X[train_idx])
     pred_test = model.predict(X[test_idx])
     if ci != designated or plan_index != 0:
         return pred_train, pred_test, None, None
     proba = model.predict_proba(X[test_idx])
-    return pred_train, pred_test, proba, model if fold == 0 else None
+    if fold != 0 or not importance:
+        return pred_train, pred_test, proba, None
+    report = importance_report(
+        model,
+        X[train_idx],
+        y_train,
+        X[test_idx],
+        [y[i] for i in test_idx],
+        repeats=cfg.perm_repeats,
+        metric=cfg.perm_metric,
+        seed=cfg.seed,
+        feature_names=FEATURE_NAMES,
+    )
+    return pred_train, pred_test, proba, report
 
 
-# The experiment a worker process serves; set once, before its first task.
+# The experiments a worker process serves; set once, before its first task.
 _worker_context = None
 
 
@@ -348,7 +380,9 @@ def _fold_fits(context, tasks):
 
     The tasks run in ``min(usable CPUs, tasks)`` worker processes forked
     from this one, so the workers inherit ``context`` and the imported
-    modules instead of unpickling or importing them again. A task's
+    modules instead of unpickling or importing them again. Every command
+    calls this once, with all its tasks, so it forks one pool: ``sweep``
+    hands over the tasks of all its conditions together. A task's
     exception is raised at its turn, so the first failure in task order is
     the one raised, as when the tasks run one after another. They run
     inline, in this process, with one worker, where the platform cannot
@@ -380,14 +414,24 @@ def _fold_fits(context, tasks):
         pool.shutdown(cancel_futures=True)
 
 
-def _cross_validate(cfg, X, y, plans=None) -> tuple[MetricsReport, TrainedModel]:
-    """The experiment on a featurized matrix; also returns the designated
-    classifier's model of plan 0, fold 0."""
-    try:
-        plans = make_fold_plans(cfg, y) if plans is None else plans
-    except LoudclassError as exc:
-        raise _with_stage("fold-plan", exc)
+def _cross_validate(cfg, experiments, y, plans, *, importance=False):
+    """Cross-validate the classifiers of ``cfg`` on each (config, feature
+    matrix) experiment, all on the shared fold ``plans``.
 
+    The experiments' configs may differ from ``cfg`` only in their roving
+    condition, which their reports record. All (experiment, classifier,
+    plan, fold) tasks go to one ``_fold_fits`` call, experiment-major, and
+    the outcomes are read back in that order, so every metric is computed
+    here in the order of a serial run. Returns one (report, permutation
+    importance) pair per experiment; the importance is None unless
+    ``importance`` asks for the designated classifier's plan-0, fold-0
+    model to be scored (see ``_fit_fold``).
+
+    Permutation importance scores in the workers, but it can raise no
+    ``MetricWarning`` and count no ``metrics.degenerate_events``:
+    balanced accuracy and accuracy take their classes from the true labels
+    they score, so every class they score has a true instance.
+    """
     classes = tuple(sorted_labels(y))
     names = classifier_names(cfg.classifiers)
     if cfg.designated not in names:
@@ -401,63 +445,81 @@ def _cross_validate(cfg, X, y, plans=None) -> tuple[MetricsReport, TrainedModel]
         except LoudclassError as exc:
             raise _with_stage(f"classifier {name}", exc)
 
-    n = len(y)
-    results = []
-    designated_detail = None
-    designated_model = None
-    context = (X, y, classes, cfg.classifiers, plans, names.index(cfg.designated))
+    context = (
+        cfg,
+        tuple(X for _, X in experiments),
+        y,
+        classes,
+        plans,
+        names.index(cfg.designated),
+        importance,
+    )
     tasks = [
-        (ci, plan_index, fold)
+        (experiment, ci, plan_index, fold)
+        for experiment in range(len(experiments))
         for ci in range(len(names))
         for plan_index, plan in enumerate(plans)
         for fold in range(plan.k)
     ]
     with closing(_fold_fits(context, tasks)) as outcomes:
-        for name, spec in zip(names, cfg.classifiers):
-            train_ba, test_ba, train_wf1, test_wf1 = [], [], [], []
-            per_class_f1: dict = {cls: [] for cls in classes}
-            pooled_proba = np.empty((n, len(classes)))
-            pooled_pred: list = [None] * n
-            try:
-                for plan in plans:
-                    for train_idx, test_idx in plan:
-                        y_train = [y[i] for i in train_idx]
-                        y_test = [y[i] for i in test_idx]
-                        pred_train, pred_test, proba, model = next(outcomes)
-                        train_ba.append(balanced_accuracy(y_train, pred_train))
-                        test_ba.append(balanced_accuracy(y_test, pred_test))
-                        train_wf1.append(weighted_f1(y_train, pred_train))
-                        test_wf1.append(weighted_f1(y_test, pred_test))
-                        for cls in classes:
-                            per_class_f1[cls].append(
-                                f1_per_class(y_test, pred_test, cls)
-                            )
-                        if model is not None:
-                            designated_model = model
-                        if proba is not None:
-                            pooled_proba[test_idx] = proba
-                            for idx, label in zip(test_idx, pred_test):
-                                pooled_pred[idx] = label
-            except LoudclassError as exc:
-                raise _with_stage(f"classifier {name}", exc)
-            results.append(
-                ClassifierResult(
-                    name,
-                    spec.variant,
-                    tuple(train_ba),
-                    tuple(test_ba),
-                    tuple(train_wf1),
-                    tuple(test_wf1),
-                    {cls: tuple(v) for cls, v in per_class_f1.items()},
-                )
+        return [
+            _experiment_report(ecfg, names, classes, y, plans, outcomes)
+            for ecfg, _ in experiments
+        ]
+
+
+def _experiment_report(cfg, names, classes, y, plans, outcomes):
+    """Score one experiment's outcomes, read from ``outcomes`` in task
+    order; returns its report and its permutation importance, if any."""
+    n = len(y)
+    results = []
+    designated_detail = None
+    importance = None
+    for name, spec in zip(names, cfg.classifiers):
+        train_ba, test_ba, train_wf1, test_wf1 = [], [], [], []
+        per_class_f1: dict = {cls: [] for cls in classes}
+        pooled_proba = np.empty((n, len(classes)))
+        pooled_pred: list = [None] * n
+        try:
+            for plan in plans:
+                for train_idx, test_idx in plan:
+                    y_train = [y[i] for i in train_idx]
+                    y_test = [y[i] for i in test_idx]
+                    pred_train, pred_test, proba, report = next(outcomes)
+                    train_ba.append(balanced_accuracy(y_train, pred_train))
+                    test_ba.append(balanced_accuracy(y_test, pred_test))
+                    train_wf1.append(weighted_f1(y_train, pred_train))
+                    test_wf1.append(weighted_f1(y_test, pred_test))
+                    for cls in classes:
+                        per_class_f1[cls].append(
+                            f1_per_class(y_test, pred_test, cls)
+                        )
+                    if report is not None:
+                        importance = report
+                    if proba is not None:
+                        pooled_proba[test_idx] = proba
+                        for idx, label in zip(test_idx, pred_test):
+                            pooled_pred[idx] = label
+        except LoudclassError as exc:
+            raise _with_stage(f"classifier {name}", exc)
+        results.append(
+            ClassifierResult(
+                name,
+                spec.variant,
+                tuple(train_ba),
+                tuple(test_ba),
+                tuple(train_wf1),
+                tuple(test_wf1),
+                {cls: tuple(v) for cls, v in per_class_f1.items()},
             )
-            if name == cfg.designated:
-                try:
-                    designated_detail = _designated_detail(
-                        name, classes, y, pooled_proba, pooled_pred
-                    )
-                except LoudclassError as exc:
-                    raise _with_stage("designated detail", exc)
+        )
+        if name == cfg.designated:
+            try:
+                designated_detail = _designated_detail(
+                    name, classes, y, pooled_proba, pooled_pred
+                )
+            except LoudclassError as exc:
+                raise _with_stage("designated detail", exc)
 
     t_tests: dict = {}
     for i, a in enumerate(results):
@@ -469,7 +531,7 @@ def _cross_validate(cfg, X, y, plans=None) -> tuple[MetricsReport, TrainedModel]
 
     return MetricsReport(
         cfg, classes, plans, tuple(results), designated_detail, t_tests
-    ), designated_model
+    ), importance
 
 
 @dataclass(frozen=True)
@@ -495,8 +557,12 @@ def roving_sweep(
 
     Base records and fold plans are resolved once and shared, so the
     conditions differ only in the participant offsets; (0, 0) is
-    bit-identical to a plain run. Permutation importance scores the model
-    each experiment fitted for the designated classifier on plan 0, fold 0.
+    bit-identical to a plain run. Every condition is roved and featurized
+    before any fit, so a data error in any condition is raised, with its
+    ``stage: data`` note, before any classifier is fitted. All conditions'
+    fits then run as one task list on one pool of workers. Permutation
+    importance scores the model each experiment fitted for the designated
+    classifier on plan 0, fold 0.
     """
     if cfg.roving is not None:
         raise ConfigurationError(
@@ -505,30 +571,18 @@ def roving_sweep(
     base = resolve_records(cfg)
     y = labels_of(base)
     plans = make_fold_plans(cfg, y)
-    train_idx, test_idx = plans[0].fold_indices(0)
-    y_train = [y[i] for i in train_idx]
 
-    reports = []
-    importances = []
+    experiments = []
     for mean, sd in conditions:
         rcfg = RovingConfig(mean, sd, cfg.rove_seed)
         try:
             X = feature_matrix(apply_roving(base, rcfg))
         except LoudclassError as exc:
             raise _with_stage("data", exc)
-        report, model = _cross_validate(replace(cfg, roving=rcfg), X, y, plans)
-        reports.append(report)
-        importances.append(
-            importance_report(
-                model,
-                X[train_idx],
-                y_train,
-                X[test_idx],
-                [y[i] for i in test_idx],
-                repeats=cfg.perm_repeats,
-                metric=cfg.perm_metric,
-                seed=cfg.seed,
-                feature_names=FEATURE_NAMES,
-            )
-        )
-    return SweepReport(tuple(conditions), tuple(reports), tuple(importances))
+        experiments.append((replace(cfg, roving=rcfg), X))
+    outcomes = _cross_validate(cfg, experiments, y, plans, importance=True)
+    return SweepReport(
+        tuple(conditions),
+        tuple(report for report, _ in outcomes),
+        tuple(importance for _, importance in outcomes),
+    )

@@ -48,6 +48,12 @@ from loudclass.errors import (
 )
 from loudclass.metrics import sorted_labels
 from loudclass.optimize import minimize_lbfgs
+from loudclass.pipeline import (
+    SyntheticConfig,
+    feature_matrix,
+    generate_synthetic,
+    labels_of,
+)
 
 
 def blobs(rng, centers, n_per, spread=0.5):
@@ -345,6 +351,18 @@ def test_logistic_fit_meets_kkt_and_matches_oracle(rng, spread, gap):
     tight = LogisticRegressionBinary(gtol=1e-11).fit(X, y)
     reference = oracles.penalized_logistic_oracle(X, y, ALPHA)
     assert np.append(tight.weights_, tight.bias_) == pytest.approx(reference, abs=1e-5)
+
+
+def test_lr_submodels_keep_their_optimizer_result_out_of_the_model_file():
+    records = generate_synthetic(SyntheticConfig(records_per_class=150, seed=0))
+    model = fit(ClassifierSpec("lr"), feature_matrix(records), labels_of(records))
+    assert [m.result_.stop for m in model.submodels] == ["gtol"] * len(model.classes)
+    for m in model.submodels:
+        assert np.array_equal(m.result_.x, np.append(m.weights_, m.bias_))
+    payload = model_to_jsonable(model)
+    assert all(set(state) == {"weights", "bias"} for state in payload["submodels"])
+    reloaded = model_from_jsonable(json.loads(json.dumps(payload)))
+    assert all(m.result_ is None for m in reloaded.submodels)
 
 
 # --- neural net ----------------------------------------------------------------

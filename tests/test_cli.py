@@ -12,7 +12,7 @@ import sys
 import pytest
 
 from loudclass import harness, metrics
-from loudclass.classifiers import ClassifierSpec, SvmBinary, load_model, predict
+from loudclass.classifiers import ClassifierSpec, load_model, predict
 from loudclass.cli import COMMANDS, _resolve_options, build_parser, main
 from loudclass.errors import NumericError
 from loudclass.pipeline import (
@@ -565,28 +565,55 @@ def test_outputs_do_not_depend_on_the_worker_count(generated, tmp_path, monkeypa
 
 
 def test_worker_errors_match_the_inline_run(generated, tmp_path, monkeypatch, capsys):
-    def broken(self, X, y01):
-        raise NumericError("svm failed")
-
-    # Fork hands the patched class to the workers.
-    monkeypatch.setattr(SvmBinary, "fit", broken)
+    data = generated / "labeled.json"
+    unroved = feature_matrix(load_labeled_json(data))
+    fit = harness.fit
     cfg = harness.ExperimentConfig(
-        data_path=str(generated / "labeled.json"), k=3, designated="dt",
+        data_path=str(data), k=3, designated="dt",
         classifiers=(ClassifierSpec("dt"), ClassifierSpec("svm"), ClassifierSpec("lr")),
     )
-    failures = []
-    for workers in (1, 2):
-        monkeypatch.setattr(harness, "_usable_cpus", lambda n=workers: n)
-        rc = run("evaluate", "--out-dir", str(tmp_path / f"workers{workers}"),
-                 "--data", str(generated / "labeled.json"), "--only", "dt,svm,lr",
-                 "--classifier", "dt", "--k", "3")
-        failures.append((rc, capsys.readouterr().err))
-        assert multiprocessing.active_children() == []
-        with pytest.raises(NumericError) as info:
-            harness.run_experiment(cfg)
-        assert info.value.__notes__ == ["stage: classifier svm"]
-        assert multiprocessing.active_children() == []
-    assert failures[0] == failures[1]
-    rc, err = failures[0]
-    assert rc == 4
-    assert "svm failed" in err and "stage: classifier svm" in err
+    for sweep in (None, ((0.0, 0.0), (5.0, 5.0))):
+        command = ["evaluate"] if sweep is None else ["sweep", "--conditions", "0:0,5:5"]
+
+        def broken(spec, X, y, sweep=sweep, **kwargs):
+            # svm fails on every fit of evaluate, and in the sweep on its
+            # second condition only, the one whose rows are roved.
+            roved = not (X[:1] == unroved).all(axis=1).any()
+            if spec.variant == "svm" and (sweep is None or roved):
+                raise NumericError("svm failed")
+            return fit(spec, X, y, **kwargs)
+
+        # Fork hands the patched function to the workers.
+        monkeypatch.setattr(harness, "fit", broken)
+        failures = []
+        for workers in (1, 2):
+            monkeypatch.setattr(harness, "_usable_cpus", lambda n=workers: n)
+            rc = run(*command, "--out-dir", str(tmp_path / f"{command[0]}{workers}"),
+                     "--data", str(data), "--only", "dt,svm,lr",
+                     "--classifier", "dt", "--k", "3")
+            failures.append((rc, capsys.readouterr().err))
+            assert multiprocessing.active_children() == []
+            with pytest.raises(NumericError) as info:
+                if sweep is None:
+                    harness.run_experiment(cfg)
+                else:
+                    harness.roving_sweep(cfg, sweep)
+            assert info.value.__notes__ == ["stage: classifier svm"]
+            assert multiprocessing.active_children() == []
+        assert failures[0] == failures[1]
+        rc, err = failures[0]
+        assert rc == 4
+        assert "svm failed" in err and "stage: classifier svm" in err
+
+
+def test_sweep_rejects_perm_repeats_below_one_before_any_fit(generated, tmp_path,
+                                                             monkeypatch, capsys):
+    fits = []
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(harness, "fit", lambda *args, **kwargs: fits.append(args))
+    rc = run("sweep", "--data", str(generated / "labeled.json"),
+             "--out-dir", str(tmp_path / "sweep"), "--only", "dt",
+             "--classifier", "dt", "--k", "3", "--perm-repeats", "0")
+    assert rc == 2
+    assert "perm_repeats must be >= 1" in capsys.readouterr().err
+    assert fits == []

@@ -1,13 +1,15 @@
 import multiprocessing
 import os
 import threading
+import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from loudclass import harness
+from loudclass import harness, metrics
 from loudclass.classifiers import ClassifierSpec, fit
-from loudclass.errors import ConfigurationError
+from loudclass.errors import ConfigurationError, DataError
 from loudclass.explain import importance_report
 from loudclass.harness import (
     DEFAULT_ROVING_CONDITIONS,
@@ -21,7 +23,7 @@ from loudclass.harness import (
     run_experiment,
 )
 from loudclass.loudness import FEATURE_NAMES
-from loudclass.metrics import sorted_labels
+from loudclass.metrics import MetricWarning, sorted_labels
 from loudclass.pipeline import (
     RovingConfig,
     SyntheticConfig,
@@ -113,6 +115,8 @@ def test_config_validation():
         fast_config(repeats=0)
     with pytest.raises(ConfigurationError):
         fast_config(perm_metric="f1")
+    with pytest.raises(ConfigurationError):
+        fast_config(perm_repeats=0)
 
 
 def test_classifier_names_deduplicate():
@@ -314,13 +318,62 @@ def test_roving_sweep_importance_scores_the_plan0_fold0_model():
 
 
 def test_roving_sweep_data_errors_carry_the_stage(monkeypatch):
-    def broken(records, cfg):
-        raise ConfigurationError("bad offsets")
+    # Every condition is featurized before the first fit, so an error in the
+    # last condition leaves the earlier ones uncross-validated.
+    fits = multiprocessing.Value("i", 0)
 
+    def counted(*args, **kwargs):
+        with fits.get_lock():
+            fits.value += 1
+        return fit(*args, **kwargs)
+
+    def broken(records, cfg):
+        if cfg.mean == 10.0:
+            raise DataError("bad offsets")
+        return apply_roving(records, cfg)
+
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(harness, "fit", counted)
     monkeypatch.setattr(harness, "apply_roving", broken)
-    with pytest.raises(ConfigurationError) as info:
-        roving_sweep(fast_config(), conditions=((5.0, 5.0),))
-    assert "stage: data" in getattr(info.value, "__notes__", [])
+    with pytest.raises(DataError) as info:
+        roving_sweep(fast_config(), conditions=((0.0, 0.0), (5.0, 5.0), (10.0, 5.0)))
+    assert info.value.__notes__ == ["stage: data"]
+    assert fits.value == 0
+
+
+def test_roving_sweep_forks_one_pool_for_all_conditions(monkeypatch):
+    pools = []
+
+    class CountedPool(harness.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", CountedPool)
+    sweep = roving_sweep(fast_config(), conditions=((0.0, 0.0), (5.0, 5.0), (10.0, 5.0)))
+    assert len(pools) == 1
+    assert len(sweep.reports) == len(sweep.importance) == 3
+    assert multiprocessing.active_children() == []
+
+
+def test_roving_sweep_metric_events_do_not_depend_on_the_worker_count(monkeypatch):
+    # Small unstratified folds leave classes out of some test folds, so F1
+    # hits its 0/0 convention; permutation importance is scored in a worker.
+    cfg = fast_config(synthetic=SyntheticConfig(records_per_class=4, seed=7),
+                      k=3, stratified=False, perm_repeats=2)
+    seen = []
+    for workers in (1, 2):
+        monkeypatch.setattr(harness, "_usable_cpus", lambda n=workers: n)
+        before = Counter(metrics.degenerate_events)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            roving_sweep(cfg, conditions=((0.0, 0.0), (10.0, 5.0)))
+        messages = [str(w.message) for w in caught if w.category is MetricWarning]
+        seen.append((metrics.degenerate_events - before, messages))
+    assert seen[0] == seen[1]
+    events, messages = seen[0]
+    assert events["f1_zero_division"] == len(messages) > 0
 
 
 def test_roving_sweep_classifier_errors_carry_the_stage():
