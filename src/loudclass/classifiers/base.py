@@ -9,7 +9,8 @@ class TrainedModel:
     """A fitted classifier: its resolved parameters and seed, the scaler
     fitted on the training rows and the fitted parts built from them.
 
-    Subclasses score each class; ``predict`` takes the argmax.
+    Subclasses score each class; ``predict_index`` takes the argmax, as an
+    index into ``classes``, and ``predict`` maps it to the class labels.
     """
 
     def __init__(self, variant, classes, scaler, submodels, *, seed, params):
@@ -28,8 +29,11 @@ class TrainedModel:
     def predict_proba(self, X) -> np.ndarray:
         raise NotImplementedError
 
-    def predict(self, X) -> list:
-        proba = self.predict_proba(X)
+    def predict_index(self, X) -> np.ndarray:
+        """Index into ``classes`` of each row's predicted class."""
         # np.argmax returns the first maximum, giving the documented
         # first-in-class-list tie-break for free.
-        return [self.classes[i] for i in np.argmax(proba, axis=1)]
+        return np.argmax(self.predict_proba(X), axis=1)
+
+    def predict(self, X) -> list:
+        return [self.classes[i] for i in self.predict_index(X).tolist()]

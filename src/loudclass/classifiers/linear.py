@@ -29,17 +29,29 @@ def logistic_loss(z: np.ndarray, y: np.ndarray) -> float:
 def penalized_logistic(theta: np.ndarray, X: np.ndarray, y: np.ndarray, alpha: float):
     """Mean logistic loss plus alpha * ||w||^2 / (2n), its gradient and its
     Hessian; theta packs (weights, bias) and the bias is not penalized."""
+    return penalized_logistic_objective(X, y, alpha)(theta)
+
+
+def penalized_logistic_objective(X: np.ndarray, y: np.ndarray, alpha: float):
+    """``penalized_logistic`` as a function of theta alone. The design
+    matrix with its column of ones, the ridge vector and its diagonal
+    matrix are built once, not at every evaluation."""
     n = len(y)
     A = np.column_stack([X, np.ones(n)])
-    z = A @ theta
-    p = expit(z)
-    ridge = np.full(len(theta), alpha / n)
+    ridge = np.full(A.shape[1], alpha / n)
     ridge[-1] = 0.0
-    loss = logistic_loss(z, y) + 0.5 * float(ridge @ (theta * theta))
-    grad = A.T @ ((p - y) / n) + ridge * theta
-    # p * (1 - p) computed as expit(z) * expit(-z) keeps its tails above zero.
-    hess = (A.T * (p * expit(-z) / n)) @ A + np.diag(ridge)
-    return loss, grad, hess
+    ridge_matrix = np.diag(ridge)
+
+    def objective(theta: np.ndarray):
+        z = A @ theta
+        p = expit(z)
+        loss = logistic_loss(z, y) + 0.5 * float(ridge @ (theta * theta))
+        grad = A.T @ ((p - y) / n) + ridge * theta
+        # p * (1 - p) computed as expit(z) * expit(-z) keeps its tails above zero.
+        hess = (A.T * (p * expit(-z) / n)) @ A + ridge_matrix
+        return loss, grad, hess
+
+    return objective
 
 
 class LogisticRegressionBinary:
@@ -64,7 +76,7 @@ class LogisticRegressionBinary:
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y01, dtype=np.float64)
         self.result_ = minimize_newton(
-            lambda theta: penalized_logistic(theta, X, y, ALPHA),
+            penalized_logistic_objective(X, y, ALPHA),
             np.zeros(X.shape[1] + 1),
             gtol=self.gtol,
             max_iter=self.max_iter,

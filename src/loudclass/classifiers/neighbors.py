@@ -106,11 +106,14 @@ class KnnModel(TrainedModel):
         labels, counts = self._votes(X)
         return counts / labels.shape[1]
 
-    def predict(self, X) -> list:
+    def predict_index(self, X) -> np.ndarray:
         # Rows are sorted by distance; the first neighbor whose class count
         # equals the row's maximum wins, so ties go to the nearest class.
         labels, counts = self._votes(X)
         rows = np.arange(len(labels))[:, None]
         top = counts[rows, labels] == counts.max(axis=1, keepdims=True)
-        winners = labels[rows[:, 0], top.argmax(axis=1)]
-        return [self.classes[i] for i in winners.tolist()]
+        return labels[rows[:, 0], top.argmax(axis=1)]
+
+    # The inherited predict, bound here by name too: perfbench/spans.py
+    # wraps KnnModel.predict.
+    predict = TrainedModel.predict

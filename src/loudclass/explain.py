@@ -25,7 +25,17 @@ import numpy as np
 from .classifiers import TrainedModel
 from .errors import ConfigurationError, DataError, ShapeError
 from .loudness import FEATURE_NAMES
-from .metrics import accuracy, balanced_accuracy
+# accuracy and balanced_accuracy are unused here, but perfbench/spans.py
+# wraps this module's names.
+from .metrics import (  # noqa: F401
+    accuracy,
+    accuracy_of,
+    balanced_accuracy,
+    balanced_accuracy_of,
+    count_matrix,
+    label_codes,
+    sorted_labels,
+)
 
 # 2^16 coalition evaluations is the ceiling before enumeration cost
 # stops being "feasible by construction".
@@ -292,12 +302,6 @@ class PermutationImportanceReport:
         raise KeyError(name)
 
 
-def _score(y, predicted, metric: str) -> float:
-    if metric == "balanced_accuracy":
-        return balanced_accuracy(y, predicted)
-    return accuracy(y, predicted)
-
-
 def permutation_importance(
     model: TrainedModel,
     X,
@@ -312,8 +316,11 @@ def permutation_importance(
 
     Shuffle streams are keyed by (seed, feature, repeat), so results do
     not depend on evaluation order. Each feature's shuffled copies are
-    stacked and scored by one ``predict``. Negative decreases are
-    legitimate: shuffling can accidentally help.
+    stacked and scored by one ``predict_index``. Scores come from the
+    count matrix of ``y`` against the predictions, both as indices into the
+    sorted labels of ``y``, so they equal the label API's
+    ``balanced_accuracy(y, predicted)`` and ``accuracy(y, predicted)``.
+    Negative decreases are legitimate: shuffling can accidentally help.
     """
     if metric not in PERMUTATION_METRICS:
         raise ConfigurationError(
@@ -328,7 +335,17 @@ def permutation_importance(
     if len(y) != X.shape[0]:
         raise ShapeError(f"{X.shape[0]} feature rows but {len(y)} labels")
 
-    baseline = _score(y, model.predict(X), metric)
+    classes = sorted_labels(y)
+    t = label_codes(y, classes)
+    # Model class index -> index into classes; a class y lacks gets
+    # len(classes), as label_codes gives every label outside the list.
+    recode = label_codes(model.classes, classes)
+    score_of = balanced_accuracy_of if metric == "balanced_accuracy" else accuracy_of
+
+    def score(predicted: np.ndarray) -> float:
+        return score_of(count_matrix(t, recode[predicted], len(classes)))
+
+    baseline = score(model.predict_index(X))
     n, d = X.shape
     decreases = np.empty((d, repeats))
     for fi in range(d):
@@ -336,10 +353,9 @@ def permutation_importance(
         for rep in range(repeats):
             rng = np.random.default_rng(np.random.SeedSequence([seed, fi, rep]))
             shuffled[rep * n : (rep + 1) * n, fi] = X[rng.permutation(n), fi]
-        predicted = model.predict(shuffled)
+        predicted = model.predict_index(shuffled)
         for rep in range(repeats):
-            score = _score(y, predicted[rep * n : (rep + 1) * n], metric)
-            decreases[fi, rep] = baseline - score
+            decreases[fi, rep] = baseline - score(predicted[rep * n : (rep + 1) * n])
     return SplitImportance(split, metric, baseline, decreases)
 
 

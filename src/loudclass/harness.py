@@ -11,14 +11,18 @@ The (classifier, plan, fold) fits of an experiment are independent and
 seeded on their own, so they run on every usable CPU in worker processes,
 forked once per command: a sweep hands the fits of all its conditions to
 one pool. Workers fit and predict, and in a sweep the worker that fits a
-condition's designated model also scores its permutation importance. Every
-cross-validation metric is computed in the parent, in task order, so
-outputs, warnings and ``metrics.degenerate_events`` do not depend on the
-number of workers; permutation importance can hit no degenerate case (see
+condition's designated model also scores its permutation importance.
+Predictions travel as class indices into the sorted class list; the parent
+encodes the labels once and scores every fold from one count matrix of
+class indices (``metrics.count_matrix``). Every cross-validation metric is
+computed in the parent, in task order, so outputs, warnings and
+``metrics.degenerate_events`` do not depend on the number of workers;
+permutation importance can hit no degenerate case (see
 ``_cross_validate``), so scoring it in a worker hides no event.
 
-A sweep roves and featurizes every condition before it fits anything, so a
-data error in any condition ends the run before the first fit.
+A sweep featurizes the base records once and roves that feature matrix for
+every condition before it fits anything, so a data error in any condition
+ends the run before the first fit.
 """
 
 from __future__ import annotations
@@ -41,10 +45,16 @@ from .explain import (
     importance_report,
 )
 from .loudness import FEATURE_NAMES
-from .metrics import (
+# balanced_accuracy, confusion, f1_per_class, weighted_f1 and apply_roving
+# are unused here, but perfbench/spans.py wraps this module's names.
+from .metrics import (  # noqa: F401
     ConfusionMatrix,
     balanced_accuracy,
+    balanced_accuracy_of,
     confusion,
+    confusion_of,
+    count_matrix,
+    f1_of,
     f1_per_class,
     label_codes,
     micro_average_ovr,
@@ -53,8 +63,9 @@ from .metrics import (
     roc_curve,
     sorted_labels,
     weighted_f1,
+    weighted_f1_of,
 )
-from .pipeline import (
+from .pipeline import (  # noqa: F401
     RovingConfig,
     SyntheticConfig,
     apply_roving,
@@ -62,6 +73,7 @@ from .pipeline import (
     generate_synthetic,
     labels_of,
     load_labeled_json,
+    rove_matrix,
 )
 
 DEFAULT_ROVING_CONDITIONS = (
@@ -270,14 +282,17 @@ def make_fold_plans(cfg: ExperimentConfig, labels) -> tuple[FoldPlan, ...]:
     )
 
 
-def _designated_detail(name, classes, y, proba, predicted) -> DesignatedDetail:
-    counts = confusion(y, predicted, classes=classes, normalize="none")
-    normalized = confusion(y, predicted, classes=classes, normalize="by_predicted")
+def _designated_detail(name, classes, y, codes, proba, predicted) -> DesignatedDetail:
+    """Confusion, ROC and PR detail of the pooled out-of-fold class indices
+    ``predicted`` and probabilities ``proba``; ``codes`` are the class
+    indices of the labels ``y``."""
+    matrix = count_matrix(codes, predicted, len(classes))
+    counts = confusion_of(matrix, classes, normalize="none")
+    normalized = confusion_of(matrix, classes, normalize="by_predicted")
     roc_curves: dict = {}
     roc_auc: dict = {}
     pr_curves: dict = {}
     pr_ap: dict = {}
-    codes = label_codes(y, classes)
     for ci, cls in enumerate(classes):
         y_bin = codes == ci
         scores = proba[:, ci]
@@ -302,18 +317,22 @@ def run_experiment(cfg: ExperimentConfig) -> MetricsReport:
     """
     try:
         records = resolve_records(cfg)
-        if cfg.roving is not None:
-            records = apply_roving(records, cfg.roving)
         X = feature_matrix(records)
+        if cfg.roving is not None:
+            X = rove_matrix(X, records, cfg.roving)
         y = labels_of(records)
     except LoudclassError as exc:
         raise _with_stage("data", exc)
-    try:
-        plans = make_fold_plans(cfg, y)
-    except LoudclassError as exc:
-        raise _with_stage("fold-plan", exc)
+    plans = _fold_plans(cfg, y)
     [(report, _)] = _cross_validate(cfg, [(cfg, X)], y, plans)
     return report
+
+
+def _fold_plans(cfg: ExperimentConfig, y) -> tuple[FoldPlan, ...]:
+    try:
+        return make_fold_plans(cfg, y)
+    except LoudclassError as exc:
+        raise _with_stage("fold-plan", exc)
 
 
 def _usable_cpus() -> int:
@@ -329,7 +348,8 @@ def _fit_fold(context, task):
     train and test rows.
 
     Returns (train predictions, test predictions, test probabilities,
-    permutation importance). The probabilities come only for the
+    permutation importance); predictions are class indices into
+    ``classes``. The probabilities come only for the
     designated classifier on plan 0. The importance comes only for its
     plan-0 fold 0 and only when the context asks for it: the roving sweep
     scores that model here, right after its fit, so the model never leaves
@@ -341,8 +361,8 @@ def _fit_fold(context, task):
     train_idx, test_idx = plans[plan_index].fold_indices(fold)
     y_train = [y[i] for i in train_idx]
     model = fit(cfg.classifiers[ci], X[train_idx], y_train, classes=classes)
-    pred_train = model.predict(X[train_idx])
-    pred_test = model.predict(X[test_idx])
+    pred_train = model.predict_index(X[train_idx])
+    pred_test = model.predict_index(X[test_idx])
     if ci != designated or plan_index != 0:
         return pred_train, pred_test, None, None
     proba = model.predict_proba(X[test_idx])
@@ -461,47 +481,55 @@ def _cross_validate(cfg, experiments, y, plans, *, importance=False):
         for plan_index, plan in enumerate(plans)
         for fold in range(plan.k)
     ]
+    codes = label_codes(y, classes)
     with closing(_fold_fits(context, tasks)) as outcomes:
         return [
-            _experiment_report(ecfg, names, classes, y, plans, outcomes)
+            _experiment_report(ecfg, names, classes, y, codes, plans, outcomes)
             for ecfg, _ in experiments
         ]
 
 
-def _experiment_report(cfg, names, classes, y, plans, outcomes):
+def _experiment_report(cfg, names, classes, y, codes, plans, outcomes):
     """Score one experiment's outcomes, read from ``outcomes`` in task
-    order; returns its report and its permutation importance, if any."""
+    order; returns its report and its permutation importance, if any.
+
+    ``codes`` are the class indices of the labels ``y``. Each fold is
+    scored from one count matrix of its true and predicted class indices.
+    The classes a fold's balanced accuracy and weighted F1 score are those
+    present in its true labels, as the label API scores them by default.
+    """
     n = len(y)
+    k = len(classes)
     results = []
     designated_detail = None
     importance = None
     for name, spec in zip(names, cfg.classifiers):
         train_ba, test_ba, train_wf1, test_wf1 = [], [], [], []
-        per_class_f1: dict = {cls: [] for cls in classes}
-        pooled_proba = np.empty((n, len(classes)))
-        pooled_pred: list = [None] * n
+        test_f1 = []
+        pooled_proba = np.empty((n, k))
+        pooled_pred = np.empty(n, dtype=np.intp)
         try:
             for plan in plans:
                 for train_idx, test_idx in plan:
-                    y_train = [y[i] for i in train_idx]
-                    y_test = [y[i] for i in test_idx]
                     pred_train, pred_test, proba, report = next(outcomes)
-                    train_ba.append(balanced_accuracy(y_train, pred_train))
-                    test_ba.append(balanced_accuracy(y_test, pred_test))
-                    train_wf1.append(weighted_f1(y_train, pred_train))
-                    test_wf1.append(weighted_f1(y_test, pred_test))
-                    for cls in classes:
-                        per_class_f1[cls].append(
-                            f1_per_class(y_test, pred_test, cls)
-                        )
+                    t_train, t_test = codes[train_idx], codes[test_idx]
+                    train = count_matrix(t_train, pred_train, k)
+                    test = count_matrix(t_test, pred_test, k)
+                    train_ba.append(balanced_accuracy_of(train))
+                    test_ba.append(balanced_accuracy_of(test))
+                    train_wf1.append(weighted_f1_of(train, t_train))
+                    test_wf1.append(weighted_f1_of(test, t_test))
+                    test_f1.append(f1_of(test))
                     if report is not None:
                         importance = report
                     if proba is not None:
                         pooled_proba[test_idx] = proba
-                        for idx, label in zip(test_idx, pred_test):
-                            pooled_pred[idx] = label
+                        pooled_pred[test_idx] = pred_test
         except LoudclassError as exc:
             raise _with_stage(f"classifier {name}", exc)
+        per_class_f1 = {
+            cls: tuple(fold[ci] for fold in test_f1) for ci, cls in enumerate(classes)
+        }
         results.append(
             ClassifierResult(
                 name,
@@ -510,13 +538,13 @@ def _experiment_report(cfg, names, classes, y, plans, outcomes):
                 tuple(test_ba),
                 tuple(train_wf1),
                 tuple(test_wf1),
-                {cls: tuple(v) for cls, v in per_class_f1.items()},
+                per_class_f1,
             )
         )
         if name == cfg.designated:
             try:
                 designated_detail = _designated_detail(
-                    name, classes, y, pooled_proba, pooled_pred
+                    name, classes, y, codes, pooled_proba, pooled_pred
                 )
             except LoudclassError as exc:
                 raise _with_stage("designated detail", exc)
@@ -555,10 +583,10 @@ def roving_sweep(
 ) -> SweepReport:
     """Run one experiment per (mean, sd) offset condition.
 
-    Base records and fold plans are resolved once and shared, so the
-    conditions differ only in the participant offsets; (0, 0) is
-    bit-identical to a plain run. Every condition is roved and featurized
-    before any fit, so a data error in any condition is raised, with its
+    Base records, their feature matrix and fold plans are resolved once
+    and shared, so the conditions differ only in the participant offsets;
+    (0, 0) is bit-identical to a plain run. Every condition is roved before
+    any fit, so a data error in any condition is raised, with its
     ``stage: data`` note, before any classifier is fitted. All conditions'
     fits then run as one task list on one pool of workers. Permutation
     importance scores the model each experiment fitted for the designated
@@ -568,18 +596,22 @@ def roving_sweep(
         raise ConfigurationError(
             "sweep config must leave roving unset; conditions supply it"
         )
-    base = resolve_records(cfg)
-    y = labels_of(base)
-    plans = make_fold_plans(cfg, y)
+    try:
+        base = resolve_records(cfg)
+        X = feature_matrix(base)
+        y = labels_of(base)
+    except LoudclassError as exc:
+        raise _with_stage("data", exc)
+    plans = _fold_plans(cfg, y)
 
     experiments = []
     for mean, sd in conditions:
         rcfg = RovingConfig(mean, sd, cfg.rove_seed)
         try:
-            X = feature_matrix(apply_roving(base, rcfg))
+            roved = rove_matrix(X, base, rcfg)
         except LoudclassError as exc:
             raise _with_stage("data", exc)
-        experiments.append((replace(cfg, roving=rcfg), X))
+        experiments.append((replace(cfg, roving=rcfg), roved))
     outcomes = _cross_validate(cfg, experiments, y, plans, importance=True)
     return SweepReport(
         tuple(conditions),

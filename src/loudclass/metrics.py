@@ -1,12 +1,18 @@
 """Classification metrics: balanced accuracy, F1 family, ROC/PR curves,
 confusion matrices, and the paired t-test used to compare classifiers.
 
-Every count comes from one confusion matrix: labels map to class indices
-with one dict lookup each and ``np.bincount`` tallies the (true,
-predicted) pairs. Degenerate 0/0 ratios resolve to 0 by convention; every
-such event raises a ``MetricWarning`` and increments ``degenerate_events``
-so silent fallbacks cannot hide in aggregate numbers. Balanced accuracy
-likewise warns when it has to exclude a class with no true instances.
+Every count comes from one count matrix over class indices
+(``count_matrix``): ``np.bincount`` tallies the (true, predicted) index
+pairs. The ``*_of`` functions score such a matrix; callers that already
+hold class indices, such as the cross-validation harness and permutation
+importance, call them directly. The label API (``balanced_accuracy``,
+``weighted_f1``, ``f1_per_class``, ``accuracy``, ``confusion``) maps its
+labels to indices once, with one dict lookup each, and calls the same
+functions. Degenerate 0/0 ratios resolve to 0 by convention; every such
+event raises a ``MetricWarning`` and increments ``degenerate_events`` so
+silent fallbacks cannot hide in aggregate numbers. Balanced accuracy
+likewise warns when it has to exclude a listed class with no true
+instances.
 """
 
 from __future__ import annotations
@@ -59,15 +65,28 @@ def label_codes(labels, classes) -> np.ndarray:
     return np.fromiter(map(index.get, labels, repeat(len(classes), n)), np.intp, n)
 
 
-def _count_matrix(y_true, y_pred, classes) -> np.ndarray:
-    """(k+1) x (k+1) counts over the k ``classes``, rows true, columns predicted.
+def count_matrix(t, p, n_classes: int) -> np.ndarray:
+    """(k+1) x (k+1) counts of the (true, predicted) class-index pairs of
+    ``t`` and ``p``, rows true, columns predicted, for k = ``n_classes``.
 
-    Row and column k pool every label outside ``classes``.
+    Index k stands for every label outside the class list, as
+    ``label_codes`` gives it, so row and column k pool those labels.
     """
-    size = len(classes) + 1
-    t = label_codes(y_true, classes)
-    p = label_codes(y_pred, classes)
-    return np.bincount(t * size + p, minlength=size * size).reshape(size, size)
+    size = n_classes + 1
+    pairs = np.asarray(t, dtype=np.intp) * size + np.asarray(p, dtype=np.intp)
+    return np.bincount(pairs, minlength=size * size).reshape(size, size)
+
+
+def _label_counts(y_true, y_pred, classes) -> np.ndarray:
+    """``count_matrix`` of two label sequences over ``classes``."""
+    return count_matrix(
+        label_codes(y_true, classes), label_codes(y_pred, classes), len(classes)
+    )
+
+
+def _check_lengths(y_true, y_pred) -> None:
+    if len(y_true) != len(y_pred):
+        raise ShapeError("y_true and y_pred must have equal length")
 
 
 @dataclass(frozen=True)
@@ -102,9 +121,8 @@ def _per_class_counts(matrix: np.ndarray) -> list[BinaryCounts]:
 
 
 def binary_counts(y_true, y_pred, positive) -> BinaryCounts:
-    if len(y_true) != len(y_pred):
-        raise ShapeError("y_true and y_pred must have equal length")
-    return _per_class_counts(_count_matrix(y_true, y_pred, (positive,)))[0]
+    _check_lengths(y_true, y_pred)
+    return _per_class_counts(_label_counts(y_true, y_pred, (positive,)))[0]
 
 
 def precision(counts: BinaryCounts) -> float:
@@ -139,6 +157,66 @@ def f1_from_counts(counts: BinaryCounts) -> float:
     return 2 * counts.tp / denom
 
 
+def f1_of(matrix: np.ndarray) -> list[float]:
+    """F1 of each of the k classes of a ``count_matrix``, class by class;
+    0 for a class that is never true and never predicted."""
+    return [f1_from_counts(counts) for counts in _per_class_counts(matrix)[:-1]]
+
+
+def balanced_accuracy_of(matrix: np.ndarray, classes=None) -> float:
+    """Unweighted mean recall of the classes of a ``count_matrix`` that
+    have true instances, in class order.
+
+    ``classes`` names the matrix's k classes: each one without true
+    instances is then excluded with a warning. Without names, the scored
+    classes are the ones present in the true labels, so a class without
+    true instances is not one of them and is left out silently.
+    """
+    hits = matrix.diagonal().tolist()
+    true = matrix.sum(axis=1).tolist()
+    if sum(true) == 0:
+        raise UndefinedMetricError("balanced accuracy needs at least one instance")
+    recalls = []
+    for ci in range(len(true) - 1):
+        if true[ci] == 0:
+            if classes is not None:
+                _degenerate(
+                    "balanced_accuracy_empty_class",
+                    f"class {classes[ci]} has no true instances and is excluded",
+                )
+            continue
+        recalls.append(hits[ci] / true[ci])
+    if not recalls:
+        raise UndefinedMetricError("no class has true instances")
+    return sum(recalls) / len(recalls)
+
+
+def accuracy_of(matrix: np.ndarray) -> float:
+    """Fraction of the pairs of a ``count_matrix`` that predict their true
+    class; labels outside the class list are never correct."""
+    n = int(matrix.sum())
+    if n == 0:
+        raise UndefinedMetricError("accuracy needs at least one instance")
+    return int(matrix.diagonal()[:-1].sum()) / n
+
+
+def weighted_f1_of(matrix: np.ndarray, t) -> float:
+    """Support-weighted mean F1 of the classes of a ``count_matrix`` that
+    have true instances, summed in the order in which they first appear
+    in ``t``, the true class indices the matrix counts."""
+    n = int(matrix.sum())
+    if n == 0:
+        raise UndefinedMetricError("weighted F1 needs at least one instance")
+    t = np.asarray(t, dtype=np.intp)
+    _, first = np.unique(t, return_index=True)
+    support = matrix.sum(axis=1).tolist()
+    per_class = _per_class_counts(matrix)
+    return sum(
+        (support[ci] / n) * f1_from_counts(per_class[ci])
+        for ci in t[np.sort(first)].tolist()
+    )
+
+
 def f1_per_class(y_true, y_pred, cls) -> float:
     """F1 with ``cls`` as the positive class; 0 when the class never occurs."""
     return f1_from_counts(binary_counts(y_true, y_pred, cls))
@@ -147,54 +225,28 @@ def f1_per_class(y_true, y_pred, cls) -> float:
 def balanced_accuracy(y_true, y_pred, classes=None) -> float:
     """Unweighted mean of per-class recall.
 
-    Classes without true instances carry no recall and are excluded with a
-    warning. For two classes this reduces to (sensitivity + specificity)/2.
+    Listed classes without true instances carry no recall and are excluded
+    with a warning; by default the classes are the labels of ``y_true``.
+    For two classes this reduces to (sensitivity + specificity)/2.
     """
-    if len(y_true) != len(y_pred):
-        raise ShapeError("y_true and y_pred must have equal length")
-    if len(y_true) == 0:
-        raise UndefinedMetricError("balanced accuracy needs at least one instance")
-    if classes is None:
-        classes = sorted_labels(y_true)
-    per_class = _per_class_counts(_count_matrix(y_true, y_pred, classes))
-    recalls = []
-    for cls, counts in zip(classes, per_class):
-        if counts.tp + counts.fn == 0:
-            _degenerate(
-                "balanced_accuracy_empty_class",
-                f"class {cls} has no true instances and is excluded",
-            )
-            continue
-        recalls.append(counts.tp / (counts.tp + counts.fn))
-    if not recalls:
-        raise UndefinedMetricError("no class has true instances")
-    return sum(recalls) / len(recalls)
+    _check_lengths(y_true, y_pred)
+    classes = sorted_labels(y_true) if classes is None else list(classes)
+    return balanced_accuracy_of(_label_counts(y_true, y_pred, classes), classes)
 
 
 def accuracy(y_true, y_pred) -> float:
     """Plain fraction of correct predictions."""
-    if len(y_true) != len(y_pred):
-        raise ShapeError("y_true and y_pred must have equal length")
-    if len(y_true) == 0:
-        raise UndefinedMetricError("accuracy needs at least one instance")
-    matrix = _count_matrix(y_true, y_pred, sorted_labels(y_true))
-    return int(matrix.trace()) / len(y_true)
+    _check_lengths(y_true, y_pred)
+    return accuracy_of(_label_counts(y_true, y_pred, sorted_labels(y_true)))
 
 
 def weighted_f1(y_true, y_pred) -> float:
     """Support-weighted mean of per-class F1 over the classes present."""
-    if len(y_true) != len(y_pred):
-        raise ShapeError("y_true and y_pred must have equal length")
-    n = len(y_true)
-    if n == 0:
-        raise UndefinedMetricError("weighted F1 needs at least one instance")
-    # Summed in first-appearance order of y_true, as Counter keeps it.
-    support = Counter(y_true)
-    per_class = _per_class_counts(_count_matrix(y_true, y_pred, list(support)))
-    return sum(
-        (count / n) * f1_from_counts(counts)
-        for count, counts in zip(support.values(), per_class)
-    )
+    _check_lengths(y_true, y_pred)
+    # Classes in first-appearance order of y_true, the order of the sum.
+    classes = list(dict.fromkeys(y_true))
+    t = label_codes(y_true, classes)
+    return weighted_f1_of(count_matrix(t, label_codes(y_pred, classes), len(classes)), t)
 
 
 @dataclass(frozen=True)
@@ -307,30 +359,42 @@ class ConfusionMatrix:
 def confusion(y_true, y_pred, classes=None, normalize: str = "none") -> ConfusionMatrix:
     """Count matrix, optionally column-normalized by predicted class.
 
-    Zero predicted columns stay zero under normalization.
+    Zero predicted columns stay zero under normalization. Every label must
+    be one of ``classes``.
     """
-    if normalize not in ("none", "by_predicted"):
-        raise ConfigurationError(
-            f"normalize must be 'none' or 'by_predicted', got {normalize!r}"
-        )
-    if len(y_true) != len(y_pred):
-        raise ShapeError("y_true and y_pred must have equal length")
+    _check_normalize(normalize)
+    _check_lengths(y_true, y_pred)
     if classes is None:
         classes = sorted_labels(list(y_true) + list(y_pred))
     classes = tuple(classes)
-    matrix = _count_matrix(y_true, y_pred, classes)
+    matrix = _label_counts(y_true, y_pred, classes)
     if matrix[-1].any() or matrix[:, -1].any():
         known = set(classes)
         outside = next(
             label for pair in zip(y_true, y_pred) for label in pair if label not in known
         )
         raise DataError(f"label {outside!r} outside the class set")
+    return confusion_of(matrix, classes, normalize)
+
+
+def confusion_of(matrix: np.ndarray, classes, normalize: str = "none") -> ConfusionMatrix:
+    """The confusion matrix of the k ``classes`` of a ``count_matrix``,
+    optionally column-normalized by predicted class; the pooled row and
+    column of labels outside the class list are left out."""
+    _check_normalize(normalize)
     counts = matrix[:-1, :-1].astype(np.float64)
     if normalize == "by_predicted":
         sums = counts.sum(axis=0)
         nonzero = sums > 0
         counts[:, nonzero] = counts[:, nonzero] / sums[nonzero]
-    return ConfusionMatrix(classes, counts, normalize)
+    return ConfusionMatrix(tuple(classes), counts, normalize)
+
+
+def _check_normalize(normalize: str) -> None:
+    if normalize not in ("none", "by_predicted"):
+        raise ConfigurationError(
+            f"normalize must be 'none' or 'by_predicted', got {normalize!r}"
+        )
 
 
 @dataclass(frozen=True)

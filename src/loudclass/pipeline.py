@@ -43,6 +43,7 @@ from .errors import (
 )
 from .loudness import (
     FEATURE_NAMES,
+    LEVEL_FEATURE_INDICES,
     LoudnessFeatureVector,
     LoudnessFunction,
     derive_features,
@@ -121,12 +122,15 @@ class LabeledRecord:
     pta: float
 
     def __post_init__(self) -> None:
-        violations = validate_features(self.features)
-        if violations:
-            raise DataError(
-                f"invalid features for {self.participant_id}/{self.ear}: "
-                + "; ".join(violations)
-            )
+        _check_features(self.participant_id, self.ear, self.features)
+
+
+def _check_features(participant_id: str, ear: str, features: LoudnessFeatureVector) -> None:
+    violations = validate_features(features)
+    if violations:
+        raise DataError(
+            f"invalid features for {participant_id}/{ear}: " + "; ".join(violations)
+        )
 
 
 @dataclass(frozen=True)
@@ -382,27 +386,46 @@ def participant_offset(cfg: RovingConfig, participant_id: str) -> float:
     return float(rng.normal(cfg.mean, cfg.sd))
 
 
-def apply_roving(records: list[LabeledRecord], cfg: RovingConfig) -> list[LabeledRecord]:
-    """Shift every dB-level feature by one per-participant offset.
+def rove_matrix(X: np.ndarray, records: list[LabeledRecord], cfg: RovingConfig) -> np.ndarray:
+    """``X``, the feature matrix of ``records``, with every dB-level column
+    of a row shifted by the offset of the row's participant.
 
     Both ears and both frequencies of a participant share the offset; slope
-    features are carried over bit-identically. A zero offset returns the
-    record object unchanged, which makes (mean=0, sd=0) a byte-level no-op.
+    columns, and every row whose offset is zero, keep their bits, and
+    (mean=0, sd=0) returns ``X`` itself. A finite offset keeps the level
+    order of a valid record, since rounding is monotone, so only a row whose
+    levels overflow can become invalid; the first such row raises the
+    ``DataError`` that a ``LabeledRecord`` with its features raises.
     """
     if cfg.mean == 0.0 and cfg.sd == 0.0:
-        return list(records)
-    offsets: dict[str, float] = {}
-    out = []
-    for r in records:
-        o = offsets.get(r.participant_id)
-        if o is None:
-            o = participant_offset(cfg, r.participant_id)
-            offsets[r.participant_id] = o
-        if o == 0.0:
-            out.append(r)
-        else:
-            out.append(replace(r, features=r.features.shifted(o)))
+        return X
+    ids = [r.participant_id for r in records]
+    offsets = {pid: participant_offset(cfg, pid) for pid in dict.fromkeys(ids)}
+    shift = np.array([offsets[pid] for pid in ids], dtype=np.float64)
+    moved = np.flatnonzero(shift != 0.0)
+    levels = list(LEVEL_FEATURE_INDICES)
+    out = X.copy()
+    with np.errstate(over="ignore"):  # an overflowed row is reported below
+        out[np.ix_(moved, levels)] += shift[moved, None]
+    for i in np.flatnonzero(~np.isfinite(out[:, levels]).all(axis=1)).tolist():
+        r = records[i]
+        _check_features(r.participant_id, r.ear, LoudnessFeatureVector.from_sequence(out[i]))
     return out
+
+
+def apply_roving(records: list[LabeledRecord], cfg: RovingConfig) -> list[LabeledRecord]:
+    """``records`` with their features roved by ``rove_matrix``.
+
+    A record whose features do not move is returned as the same object,
+    which makes (mean=0, sd=0) a byte-level no-op.
+    """
+    X = feature_matrix(records)
+    roved = rove_matrix(X, records, cfg)
+    moved = (roved != X).any(axis=1).tolist()
+    return [
+        replace(r, features=LoudnessFeatureVector.from_sequence(row)) if m else r
+        for r, row, m in zip(records, roved, moved)
+    ]
 
 
 def _extended_profile(profile: StandardAudiogram) -> tuple[float, ...]:

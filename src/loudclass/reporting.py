@@ -37,24 +37,16 @@ def dump_json(payload, path) -> Path:
     return path
 
 
-def _cell(value) -> str:
-    if isinstance(value, bool):
-        return str(value)
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return str(value)
-
-
 def write_csv_rows(path, header, rows) -> Path:
+    """Write ``header`` and ``rows`` as CSV. ``csv`` writes a float, numpy's
+    float64 included, as its shortest round-trip repr, and an int or a bool
+    as ``str`` does; no row holds None, which it would write as ''."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_cell(v) for v in row])
+        writer.writerows(rows)
     return path
 
 

@@ -784,6 +784,17 @@ def test_ovr_fit_predict_all_variants(rng, variant):
     assert model.classes == tuple(sorted(set(labels)))
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_predict_is_predict_index_mapped_to_classes(rng, variant):
+    X, labels = six_class_data(rng, n_per=4)
+    params = {"max_iter": 20} if variant == "nn" else {}
+    model = fit(ClassifierSpec(variant, params=params), X, labels)
+    queries = np.vstack([X, X[::3] + rng.normal(scale=0.5, size=X[::3].shape)])
+    index = model.predict_index(queries)
+    assert index.shape == (len(queries),)
+    assert predict(model, queries) == [model.classes[i] for i in index]
+
+
 def test_ovr_fit_validations(rng):
     X, labels = six_class_data(rng, n_per=3)
     with pytest.raises(DegenerateLabelError):
@@ -856,6 +867,23 @@ def test_knn_tie_breaks_toward_nearer_neighbor():
     # midpoint is 5.5, so 5.4 leans a and 5.6 leans b.
     assert predict(model, np.array([[5.4]])) == ["a"]
     assert predict(model, np.array([[5.6]])) == ["b"]
+
+
+@pytest.mark.parametrize("k", [2, 4])
+def test_knn_predict_index_keeps_the_nearest_class_tie_rule(rng, k):
+    # Even k over duplicated rows gives tied votes, won by the class of the
+    # nearer neighbor; for some rows that is not the first tied class, so a
+    # plain argmax of predict_proba would differ.
+    X = np.repeat(rng.integers(0, 3, size=(8, 2)).astype(float), 2, axis=0)
+    labels = [f"c{i}" for i in rng.integers(0, 3, size=len(X))]
+    model = fit(ClassifierSpec("knn", params={"k": k}), X, labels)
+    queries = np.vstack([X, rng.integers(0, 5, size=(30, 2)) / 2.0])
+    neighbor_labels = model.submodels[0].neighbor_labels(model.scaler.transform(queries))
+    winners, _ = oracles.knn_vote_oracle(neighbor_labels, len(model.classes))
+    index = model.predict_index(queries)
+    assert index.tolist() == list(winners)
+    assert (index != np.argmax(predict_proba(model, queries), axis=1)).any()
+    assert predict(model, queries) == [model.classes[i] for i in index]
 
 
 def test_knn_proba_fractions(rng):

@@ -365,6 +365,17 @@ def test_removed_svm_max_passes_is_exit_2(generated, capsys, monkeypatch):
     assert "unknown svm parameters" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["evaluate", "sweep"])
+def test_too_few_records_for_k_names_the_fold_plan_stage(tmp_path, command, capsys):
+    assert run("generate", "--out-dir", str(tmp_path), "--per-class", "2") == 0
+    rc = run(command, "--out-dir", str(tmp_path / "out"),
+             "--data", str(tmp_path / "labeled.json"), "--k", "20")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "need at least k=20 records, got 12" in err
+    assert err.rstrip().endswith("stage: fold-plan")
+
+
 def test_help_exits_zero(capsys):
     assert run("--help") == 0
     assert "generate" in capsys.readouterr().out

@@ -30,6 +30,7 @@ from loudclass.pipeline import (
     apply_roving,
     feature_matrix,
     labels_of,
+    rove_matrix,
     write_labeled_json,
 )
 
@@ -271,7 +272,7 @@ def test_roving_sweep_shares_base_data_and_plans():
 
 def test_roving_sweep_fits_and_roves_once_per_condition(monkeypatch):
     # Shared memory, so that fits in forked workers are counted too.
-    calls = {name: multiprocessing.Value("i", 0) for name in ("fit", "apply_roving")}
+    calls = {name: multiprocessing.Value("i", 0) for name in ("fit", "rove_matrix")}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -282,14 +283,14 @@ def test_roving_sweep_fits_and_roves_once_per_condition(monkeypatch):
 
     monkeypatch.setattr(harness, "fit", counted("fit", harness.fit))
     monkeypatch.setattr(
-        harness, "apply_roving", counted("apply_roving", harness.apply_roving)
+        harness, "rove_matrix", counted("rove_matrix", harness.rove_matrix)
     )
     cfg = fast_config()
     conditions = ((0.0, 0.0), (10.0, 5.0))
     roving_sweep(cfg, conditions=conditions)
     fits = len(conditions) * len(cfg.classifiers) * cfg.k * cfg.repeats
     assert calls["fit"].value == fits
-    assert calls["apply_roving"].value == len(conditions)
+    assert calls["rove_matrix"].value == len(conditions)
 
 
 def test_roving_sweep_importance_scores_the_plan0_fold0_model():
@@ -327,14 +328,14 @@ def test_roving_sweep_data_errors_carry_the_stage(monkeypatch):
             fits.value += 1
         return fit(*args, **kwargs)
 
-    def broken(records, cfg):
+    def broken(X, records, cfg):
         if cfg.mean == 10.0:
             raise DataError("bad offsets")
-        return apply_roving(records, cfg)
+        return rove_matrix(X, records, cfg)
 
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(harness, "fit", counted)
-    monkeypatch.setattr(harness, "apply_roving", broken)
+    monkeypatch.setattr(harness, "rove_matrix", broken)
     with pytest.raises(DataError) as info:
         roving_sweep(fast_config(), conditions=((0.0, 0.0), (5.0, 5.0), (10.0, 5.0)))
     assert info.value.__notes__ == ["stage: data"]

@@ -1,3 +1,6 @@
+import warnings
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,12 +16,18 @@ from loudclass.metrics import (
     BinaryCounts,
     MetricWarning,
     accuracy,
+    accuracy_of,
     balanced_accuracy,
+    balanced_accuracy_of,
     binary_counts,
     confusion,
+    confusion_of,
+    count_matrix,
     degenerate_events,
     f1_from_counts,
+    f1_of,
     f1_per_class,
+    label_codes,
     micro_average_ovr,
     paired_t_test,
     pr_curve,
@@ -27,6 +36,7 @@ from loudclass.metrics import (
     roc_curve,
     specificity,
     weighted_f1,
+    weighted_f1_of,
 )
 
 labels_strategy = st.lists(st.sampled_from("abcd"), min_size=1, max_size=40)
@@ -125,6 +135,79 @@ def test_length_mismatch():
     for fn in (balanced_accuracy, weighted_f1, accuracy):
         with pytest.raises(ShapeError):
             fn(["a"], ["a", "b"])
+
+
+# --- the class-index core against the label API --------------------------------
+
+# True labels come from the class list, so its later classes are often absent
+# from them; predictions also take "e", a label outside the list.
+INDEX_CLASSES = ("a", "b", "c", "d")
+index_pairs = st.lists(
+    st.tuples(st.sampled_from("abbccd"), st.sampled_from("abcde")),
+    min_size=1,
+    max_size=40,
+)
+
+
+def _observed(fn):
+    """fn()'s result with the MetricWarning messages and the
+    degenerate events it raised."""
+    before = Counter(degenerate_events)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        value = fn()
+    messages = [str(w.message) for w in caught if w.category is MetricWarning]
+    return value, messages, degenerate_events - before
+
+
+@given(index_pairs)
+def test_class_index_core_matches_the_label_api(pairs):
+    # The harness and permutation importance score class indices over a
+    # class list that can hold classes absent from y_true; the label API
+    # takes its classes from y_true. Both must give the same bits, warnings
+    # and event counts.
+    y_true = [t for t, _ in pairs]
+    y_pred = [p for _, p in pairs]
+    t = label_codes(y_true, INDEX_CLASSES)
+    matrix = count_matrix(t, label_codes(y_pred, INDEX_CLASSES), len(INDEX_CLASSES))
+
+    def same(core, label_api):
+        got, want = _observed(core), _observed(label_api)
+        assert got == want
+        return got[0]
+
+    same(lambda: balanced_accuracy_of(matrix),
+         lambda: balanced_accuracy(y_true, y_pred))
+    same(lambda: balanced_accuracy_of(matrix, INDEX_CLASSES),
+         lambda: balanced_accuracy(y_true, y_pred, classes=INDEX_CLASSES))
+    same(lambda: accuracy_of(matrix), lambda: accuracy(y_true, y_pred))
+    same(lambda: f1_of(matrix),
+         lambda: [f1_per_class(y_true, y_pred, cls) for cls in INDEX_CLASSES])
+    value = same(lambda: weighted_f1_of(matrix, t), lambda: weighted_f1(y_true, y_pred))
+    # Summed class by class in the order the classes first appear in y_true.
+    n = len(y_true)
+    assert value == sum(
+        (y_true.count(cls) / n) * f1_per_class(y_true, y_pred, cls)
+        for cls in dict.fromkeys(y_true)
+    )
+    if "e" not in y_pred:
+        for normalize in ("none", "by_predicted"):
+            got = confusion_of(matrix, INDEX_CLASSES, normalize)
+            want = confusion(y_true, y_pred, INDEX_CLASSES, normalize)
+            assert got.classes == want.classes
+            assert np.array_equal(got.matrix, want.matrix)
+
+
+def test_class_index_core_reports_absent_classes_by_name():
+    # "c" has no true instance; it is named only when the classes are given.
+    matrix = count_matrix([0, 1, 1], [0, 2, 1], 3)
+    value, messages, events = _observed(lambda: balanced_accuracy_of(matrix, "abc"))
+    assert value == 0.75
+    assert messages == ["class c has no true instances and is excluded"]
+    assert events == Counter(balanced_accuracy_empty_class=1)
+    assert _observed(lambda: balanced_accuracy_of(matrix)) == (0.75, [], Counter())
+    with pytest.raises(UndefinedMetricError, match="at least one instance"):
+        balanced_accuracy_of(count_matrix([], [], 3))
 
 
 # --- property tests against oracles ------------------------------------------

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -38,6 +39,7 @@ from loudclass.pipeline import (
     merge_by_id_ear,
     participant_offset,
     preprocess,
+    rove_matrix,
     split_ears,
     write_csv,
     write_labeled_json,
@@ -211,6 +213,51 @@ def test_roving_is_order_independent(small_records):
     forward = apply_roving(small_records, cfg)
     backward = apply_roving(list(reversed(small_records)), cfg)
     assert forward == list(reversed(backward))
+
+
+def _roved_one_by_one(records, cfg):
+    """Roving by its per-record definition: each record's features shifted
+    by its participant's offset, a zero offset keeping the record."""
+    out = []
+    for r in records:
+        o = participant_offset(cfg, r.participant_id)
+        out.append(r if o == 0.0 else replace(r, features=r.features.shifted(o)))
+    return out
+
+
+@pytest.mark.parametrize("mean, sd, seed", [
+    (0.0, 0.0, 0), (5.0, 5.0, 0), (5.0, 10.0, 0), (10.0, 0.0, 3), (-7.5, 2.0, 9),
+])
+def test_rove_matrix_equals_roving_record_by_record(small_records, mean, sd, seed):
+    cfg = RovingConfig(mean, sd, seed=seed)
+    X = feature_matrix(small_records)
+    got = rove_matrix(X, small_records, cfg)
+    want = feature_matrix(_roved_one_by_one(small_records, cfg))
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+    via_records = feature_matrix(apply_roving(small_records, cfg))
+    assert got.view(np.uint64).tolist() == via_records.view(np.uint64).tolist()
+    assert np.array_equal(X, feature_matrix(small_records))  # X is not modified
+
+
+def test_rove_matrix_invalid_row_keeps_the_record_error():
+    # Levels near the float maximum overflow under a large offset.
+    big = LoudnessFeatureVector.from_sequence(
+        (1e308, 1.5e308, 1.7e308, 0.4, 1.8, 1.6e308) * 2
+    )
+    records = [
+        LabeledRecord("p1", "left", _features(), BisgaardClass.N4, 40.0),
+        LabeledRecord("p2", "right", big, BisgaardClass.N4, 40.0),
+    ]
+    cfg = RovingConfig(1e308, 0.0)
+    with pytest.raises(DataError) as want:
+        _roved_one_by_one(records, cfg)
+    assert str(want.value).startswith("invalid features for p2/right: ")
+    with pytest.raises(DataError) as got:
+        rove_matrix(feature_matrix(records), records, cfg)
+    assert str(got.value) == str(want.value)
+    with pytest.raises(DataError) as via_records:
+        apply_roving(records, cfg)
+    assert str(via_records.value) == str(want.value)
 
 
 def test_participant_offset_determinism():
