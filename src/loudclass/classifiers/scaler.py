@@ -21,10 +21,12 @@ class StandardScaler:
 
     Constant columns keep scale 1 so transforming never divides by zero.
     Statistics come exclusively from the data passed to ``fit``; test folds
-    are transformed with those fixed parameters. ``fit``, ``transform`` and
-    ``fit_transform`` reject rows holding NaN or an infinity with
-    ``DataError``, so every model's training and query rows are checked
-    here, each matrix once.
+    are transformed with those fixed parameters. ``fit`` and
+    ``fit_transform`` reject rows holding NaN or an infinity, and columns
+    whose mean or sd overflows, with ``DataError``; ``transform`` rejects
+    rows that are not finite once standardized, which covers non-finite
+    input rows. So every model's training and query rows are checked here,
+    each matrix once.
     """
 
     def __init__(self) -> None:
@@ -36,11 +38,16 @@ class StandardScaler:
         if X.ndim != 2:
             raise ShapeError(f"expected a 2-d matrix, got ndim={X.ndim}")
         _check_finite(X)
-        self.mean_ = X.mean(axis=0)
-        if X.shape[0] > 1:
-            sd = X.std(axis=0, ddof=1)
-        else:
-            sd = np.zeros(X.shape[1])
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = X.mean(axis=0)
+            sd = X.std(axis=0, ddof=1) if X.shape[0] > 1 else np.zeros(X.shape[1])
+        bad = ~(np.isfinite(mean) & np.isfinite(sd))
+        if bad.any():
+            raise DataError(
+                f"feature column {int(np.argmax(bad))} cannot be standardized: "
+                "its mean or sd overflows"
+            )
+        self.mean_ = mean
         self.scale_ = np.where(sd == 0.0, 1.0, sd)
         return self
 
@@ -52,11 +59,14 @@ class StandardScaler:
             raise ShapeError(
                 f"expected shape (n, {self.mean_.shape[0]}), got {X.shape}"
             )
-        _check_finite(X)
-        return (X - self.mean_) / self.scale_
+        with np.errstate(over="ignore", invalid="ignore"):
+            Z = (X - self.mean_) / self.scale_
+        _check_finite(Z)
+        return Z
 
     def fit_transform(self, X) -> np.ndarray:
-        """``fit(X).transform(X)``, checking X once."""
+        """``fit(X).transform(X)``, checking X once: a finite training row
+        lies within sqrt(n-1) finite sds of a finite mean."""
         X = np.asarray(X, dtype=np.float64)
         self.fit(X)
         return (X - self.mean_) / self.scale_

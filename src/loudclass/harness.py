@@ -20,9 +20,9 @@ computed in the parent, in task order, so outputs, warnings and
 permutation importance can hit no degenerate case (see
 ``_cross_validate``), so scoring it in a worker hides no event.
 
-A sweep featurizes the base records once and roves that feature matrix for
-every condition before it fits anything, so a data error in any condition
-ends the run before the first fit.
+``run_experiment`` and ``roving_sweep`` only build their configs and call
+``_cross_validate``, which roves every condition before it plans folds, so
+both commands report a data error before a fold-plan error.
 """
 
 from __future__ import annotations
@@ -202,7 +202,8 @@ class ClassifierResult:
     test_wf1: tuple[float, ...]
     per_class_f1: dict
 
-    def mean_sd(self, values: tuple[float, ...]) -> tuple[float, float]:
+    @staticmethod
+    def mean_sd(values: tuple[float, ...]) -> tuple[float, float]:
         arr = np.asarray(values)
         sd = float(arr.std(ddof=1)) if len(arr) > 1 else 0.0
         return float(arr.mean()), sd
@@ -315,24 +316,8 @@ def run_experiment(cfg: ExperimentConfig) -> MetricsReport:
 
     When CV is repeated, scores concatenate plan-major.
     """
-    try:
-        records = resolve_records(cfg)
-        X = feature_matrix(records)
-        if cfg.roving is not None:
-            X = rove_matrix(X, records, cfg.roving)
-        y = labels_of(records)
-    except LoudclassError as exc:
-        raise _with_stage("data", exc)
-    plans = _fold_plans(cfg, y)
-    [(report, _)] = _cross_validate(cfg, [(cfg, X)], y, plans)
+    [(report, _)] = _cross_validate(cfg, [cfg])
     return report
-
-
-def _fold_plans(cfg: ExperimentConfig, y) -> tuple[FoldPlan, ...]:
-    try:
-        return make_fold_plans(cfg, y)
-    except LoudclassError as exc:
-        raise _with_stage("fold-plan", exc)
 
 
 def _usable_cpus() -> int:
@@ -434,24 +419,41 @@ def _fold_fits(context, tasks):
         pool.shutdown(cancel_futures=True)
 
 
-def _cross_validate(cfg, experiments, y, plans, *, importance=False):
-    """Cross-validate the classifiers of ``cfg`` on each (config, feature
-    matrix) experiment, all on the shared fold ``plans``.
+def _cross_validate(cfg, configs, *, importance=False):
+    """Cross-validate the classifiers of ``cfg`` once per config of
+    ``configs``, all on one shared fold plan.
 
-    The experiments' configs may differ from ``cfg`` only in their roving
-    condition, which their reports record. All (experiment, classifier,
-    plan, fold) tasks go to one ``_fold_fits`` call, experiment-major, and
-    the outcomes are read back in that order, so every metric is computed
-    here in the order of a serial run. Returns one (report, permutation
-    importance) pair per experiment; the importance is None unless
-    ``importance`` asks for the designated classifier's plan-0, fold-0
-    model to be scored (see ``_fit_fold``).
+    The configs may differ from ``cfg`` only in their roving condition,
+    which their reports record. The records are featurized once and roved
+    per config under ``stage: data``, then the fold plans are made under
+    ``stage: fold-plan``. All (config, classifier, plan, fold) tasks go to
+    one ``_fold_fits`` call, config-major, and the outcomes are read back
+    in that order, so every metric is computed here in the order of a
+    serial run. Returns one (report, permutation importance) pair per
+    config; the importance is None unless ``importance`` asks for the
+    designated classifier's plan-0, fold-0 model to be scored (see
+    ``_fit_fold``).
 
     Permutation importance scores in the workers, but it can raise no
     ``MetricWarning`` and count no ``metrics.degenerate_events``:
     balanced accuracy and accuracy take their classes from the true labels
     they score, so every class they score has a true instance.
     """
+    try:
+        records = resolve_records(cfg)
+        X = feature_matrix(records)
+        y = labels_of(records)
+        matrices = tuple(
+            X if c.roving is None else rove_matrix(X, records, c.roving)
+            for c in configs
+        )
+    except LoudclassError as exc:
+        raise _with_stage("data", exc)
+    try:
+        plans = make_fold_plans(cfg, y)
+    except LoudclassError as exc:
+        raise _with_stage("fold-plan", exc)
+
     classes = tuple(sorted_labels(y))
     names = classifier_names(cfg.classifiers)
     if cfg.designated not in names:
@@ -467,7 +469,7 @@ def _cross_validate(cfg, experiments, y, plans, *, importance=False):
 
     context = (
         cfg,
-        tuple(X for _, X in experiments),
+        matrices,
         y,
         classes,
         plans,
@@ -476,7 +478,7 @@ def _cross_validate(cfg, experiments, y, plans, *, importance=False):
     )
     tasks = [
         (experiment, ci, plan_index, fold)
-        for experiment in range(len(experiments))
+        for experiment in range(len(configs))
         for ci in range(len(names))
         for plan_index, plan in enumerate(plans)
         for fold in range(plan.k)
@@ -484,8 +486,8 @@ def _cross_validate(cfg, experiments, y, plans, *, importance=False):
     codes = label_codes(y, classes)
     with closing(_fold_fits(context, tasks)) as outcomes:
         return [
-            _experiment_report(ecfg, names, classes, y, codes, plans, outcomes)
-            for ecfg, _ in experiments
+            _experiment_report(c, names, classes, y, codes, plans, outcomes)
+            for c in configs
         ]
 
 
@@ -583,36 +585,23 @@ def roving_sweep(
 ) -> SweepReport:
     """Run one experiment per (mean, sd) offset condition.
 
-    Base records, their feature matrix and fold plans are resolved once
-    and shared, so the conditions differ only in the participant offsets;
-    (0, 0) is bit-identical to a plain run. Every condition is roved before
-    any fit, so a data error in any condition is raised, with its
-    ``stage: data`` note, before any classifier is fitted. All conditions'
-    fits then run as one task list on one pool of workers. Permutation
-    importance scores the model each experiment fitted for the designated
-    classifier on plan 0, fold 0.
+    The conditions share the base records, their feature matrix and the
+    fold plans, so they differ only in the participant offsets; (0, 0) is
+    bit-identical to a plain run. A data error in any condition is raised
+    before any fold plan or fit (see ``_cross_validate``), and all
+    conditions' fits run as one task list on one pool of workers.
+    Permutation importance scores the model each experiment fitted for the
+    designated classifier on plan 0, fold 0.
     """
     if cfg.roving is not None:
         raise ConfigurationError(
             "sweep config must leave roving unset; conditions supply it"
         )
-    try:
-        base = resolve_records(cfg)
-        X = feature_matrix(base)
-        y = labels_of(base)
-    except LoudclassError as exc:
-        raise _with_stage("data", exc)
-    plans = _fold_plans(cfg, y)
-
-    experiments = []
-    for mean, sd in conditions:
-        rcfg = RovingConfig(mean, sd, cfg.rove_seed)
-        try:
-            roved = rove_matrix(X, base, rcfg)
-        except LoudclassError as exc:
-            raise _with_stage("data", exc)
-        experiments.append((replace(cfg, roving=rcfg), roved))
-    outcomes = _cross_validate(cfg, experiments, y, plans, importance=True)
+    configs = [
+        replace(cfg, roving=RovingConfig(mean, sd, cfg.rove_seed))
+        for mean, sd in conditions
+    ]
+    outcomes = _cross_validate(cfg, configs, importance=True)
     return SweepReport(
         tuple(conditions),
         tuple(report for report, _ in outcomes),

@@ -26,8 +26,6 @@ FEATURE_NAMES: tuple[str, ...] = tuple(
 # dB-valued features move under a calibration offset; slope features do not.
 LEVEL_FEATURE_INDICES: tuple[int, ...] = (0, 1, 2, 5, 6, 7, 8, 11)
 SLOPE_FEATURE_INDICES: tuple[int, ...] = (3, 4, 9, 10)
-LEVEL_FEATURE_NAMES: tuple[str, ...] = tuple(FEATURE_NAMES[i] for i in LEVEL_FEATURE_INDICES)
-SLOPE_FEATURE_NAMES: tuple[str, ...] = tuple(FEATURE_NAMES[i] for i in SLOPE_FEATURE_INDICES)
 
 CU_MIN = 0.0
 CU_MEDIUM = 25.0

@@ -24,7 +24,7 @@ import scipy
 from ._version import __version__
 from .errors import DataError
 from .explain import PermutationImportanceReport, ShapExplanation, beeswarm_export
-from .harness import ExperimentConfig, MetricsReport, SweepReport
+from .harness import ClassifierResult, ExperimentConfig, MetricsReport, SweepReport
 from .metrics import ConfusionMatrix
 from .pca import PcaModel
 
@@ -77,9 +77,8 @@ def experiment_config_jsonable(cfg: ExperimentConfig) -> dict:
 
 
 def _score_block(values: tuple[float, ...]) -> dict:
-    arr = np.asarray(values)
-    sd = float(arr.std(ddof=1)) if len(arr) > 1 else 0.0
-    return {"per_fold": list(values), "mean": float(arr.mean()), "sd": sd}
+    mean, sd = ClassifierResult.mean_sd(values)
+    return {"per_fold": list(values), "mean": mean, "sd": sd}
 
 
 def report_to_jsonable(report: MetricsReport) -> dict:

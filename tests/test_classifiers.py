@@ -108,6 +108,20 @@ def test_scaler_fit_transform_checks_once(rng, monkeypatch):
         StandardScaler().fit_transform(X)
 
 
+def test_scaler_rejects_overflowing_statistics_and_rows(rng):
+    X = rng.normal(size=(10, 3))
+    X[:, 1] += 1e308  # the column sum overflows, so its mean does
+    with pytest.raises(DataError, match="column 1 .* overflows"):
+        StandardScaler().fit(X)
+    X = rng.normal(size=(10, 3))
+    X[3, 2] = 1e200  # the sum of squares overflows, so the sd does
+    with pytest.raises(DataError, match="column 2 .* overflows"):
+        StandardScaler().fit_transform(X)
+    scaler = StandardScaler().fit(np.array([[0.0], [0.1], [0.2]]))  # sd 0.1
+    with pytest.raises(DataError, match="row 1"):
+        scaler.transform(np.array([[1.0], [1e308]]))  # finite, not once scaled
+
+
 def test_scaler_jsonable_round_trip(rng):
     X = rng.normal(size=(10, 3))
     scaler = StandardScaler().fit(X)

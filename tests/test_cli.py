@@ -8,19 +8,25 @@ import multiprocessing
 import os
 import shutil
 import sys
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from loudclass import harness, metrics
 from loudclass.classifiers import ClassifierSpec, load_model, predict
 from loudclass.cli import COMMANDS, _resolve_options, build_parser, main
-from loudclass.errors import NumericError
+from loudclass.errors import DataError, NumericError
+from loudclass.loudness import LEVEL_FEATURE_INDICES, LoudnessFeatureVector
 from loudclass.pipeline import (
+    RovingConfig,
     SyntheticConfig,
     feature_matrix,
     generate_synthetic_full,
     load_labeled_json,
+    rove_matrix,
     write_csv,
+    write_labeled_json,
 )
 
 
@@ -374,6 +380,71 @@ def test_too_few_records_for_k_names_the_fold_plan_stage(tmp_path, command, caps
     err = capsys.readouterr().err
     assert "need at least k=20 records, got 12" in err
     assert err.rstrip().endswith("stage: fold-plan")
+
+
+# Each command's way of roving the levels by 0 +- 1e308 dB.
+OVERFLOWING_ROVE = {
+    "evaluate": ("--rove-mean", "0", "--rove-sd", "1e308"),
+    "sweep": ("--conditions", "0:1e308"),
+}
+
+
+@pytest.mark.parametrize("command", ["evaluate", "sweep"])
+@pytest.mark.parametrize("rove, k, code, stage", [
+    (True, "100", 3, "data"),
+    (False, "100", 2, "fold-plan"),
+    (True, "3", 3, "data"),
+])
+def test_evaluate_and_sweep_report_errors_at_the_same_stage(
+        generated, command, rove, k, code, stage, capsys):
+    data = generated / "labeled.json"
+    records = load_labeled_json(data)
+    with pytest.raises(DataError):  # some participant's offset overflows
+        rove_matrix(feature_matrix(records), records, RovingConfig(0.0, 1e308, 0))
+    roving = OVERFLOWING_ROVE[command] if rove else ()
+    rc = run(command, "--out-dir", str(generated / "out"), "--data", str(data),
+             "--k", k, "--only", "lr", "--classifier", "lr", *roving)
+    err = capsys.readouterr().err
+    assert rc == code, err
+    assert err.rstrip().endswith(f"stage: {stage}")
+
+
+@pytest.mark.parametrize("argv, stage", [
+    (("sweep", "--only", "knn", "--classifier", "knn", "--conditions", "1e308:0"),
+     "classifier knn"),
+    (("evaluate", "--only", "lr", "--classifier", "lr", "--rove-mean", "1e308",
+      "--rove-sd", "0"), "classifier lr"),
+])
+def test_levels_whose_mean_overflows_are_a_data_error(generated, argv, stage, capsys):
+    command, *options = argv
+    rc = run(command, "--out-dir", str(generated / "out"),
+             "--data", str(generated / "labeled.json"), "--k", "3", *options)
+    err = capsys.readouterr().err
+    assert rc == 3, err
+    assert "its mean or sd overflows" in err
+    assert err.rstrip().endswith(f"stage: {stage}")
+
+
+def test_levels_whose_sd_overflows_are_a_data_error(generated, capsys):
+    # Scaling one class's levels by 1e200 keeps the column sums finite but
+    # overflows their squares. Stratified folds spread the class over every
+    # fold, so every training fold holds some of these records.
+    records = load_labeled_json(generated / "labeled.json")
+    X = feature_matrix(records)
+    huge = [i for i, r in enumerate(records) if r.label == records[0].label]
+    X[np.ix_(huge, LEVEL_FEATURE_INDICES)] *= 1e200
+    data = generated / "huge.json"
+    write_labeled_json(
+        [replace(r, features=LoudnessFeatureVector.from_sequence(row))
+         for r, row in zip(records, X)],
+        data,
+    )
+    rc = run("evaluate", "--out-dir", str(generated / "out"), "--data", str(data),
+             "--k", "3", "--only", "knn", "--classifier", "knn")
+    err = capsys.readouterr().err
+    assert rc == 3, err
+    assert "its mean or sd overflows" in err
+    assert err.rstrip().endswith("stage: classifier knn")
 
 
 def test_help_exits_zero(capsys):
