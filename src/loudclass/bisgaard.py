@@ -10,6 +10,7 @@ frequency grid, resampling log-linearly in frequency where grids differ.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import enum
 import hashlib
@@ -179,13 +180,7 @@ def resample(a: Audiogram, grid) -> Audiogram:
 
 def _interp_log2(a: Audiogram, freq: float) -> float:
     freqs = a.frequencies
-    lo, hi = 0, len(freqs) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if freqs[mid] < freq:
-            lo = mid + 1
-        else:
-            hi = mid
+    lo = bisect.bisect_left(freqs, freq)
     if freqs[lo] == freq:
         return a.thresholds[lo]
     left, right = lo - 1, lo

@@ -8,11 +8,24 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, DataError
 from .base import TrainedModel
 
 # Distance-matrix entries (query rows x training rows) scored per block.
 BLOCK_CELLS = 2**20
+
+
+def squared_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """|a|^2 + |b|^2 - 2 a.b for every row a of ``A`` and b of ``B``.
+
+    Raises DataError when a row's squared norm overflows. Training rows are
+    standardized, so with finite norms no distance to them overflows.
+    """
+    with np.errstate(over="ignore"):
+        a_sq, b_sq = (A * A).sum(axis=1), (B * B).sum(axis=1)
+    if not (np.isfinite(a_sq).all() and np.isfinite(b_sq).all()):
+        raise DataError("features too large: a row's squared norm overflows")
+    return a_sq[:, None] + b_sq[None, :] - 2.0 * (A @ B.T)
 
 
 class NearestNeighbors:
@@ -39,38 +52,22 @@ class NearestNeighbors:
     def neighbor_labels(self, Z: np.ndarray) -> np.ndarray:
         """Class indices of the k nearest training rows, nearest first.
 
-        Query rows are scored in blocks of at most ``BLOCK_CELLS`` distances
-        (at least one row), so memory stays bounded by the block, not by the
-        number of queries or training rows. Query rows must be finite.
+        Each of k passes takes every row's first smallest squared distance
+        (so ties go to the lower training position) and sets it to +inf for
+        the next pass. Query rows are scored in blocks of at most
+        ``BLOCK_CELLS`` distances (at least one row), so memory stays
+        bounded by the block, not by the number of queries or training
+        rows.
         """
-        x_sq = (self.X * self.X).sum(axis=1)
         rows = max(1, BLOCK_CELLS // len(self.X))
-        out = np.empty((len(Z), self.k), dtype=np.intp)
+        nearest = np.empty((len(Z), self.k), dtype=np.intp)
         for start in range(0, len(Z), rows):
-            block = Z[start : start + rows]
-            sq = (
-                (block * block).sum(axis=1)[:, None]
-                + x_sq[None, :]
-                - 2.0 * (block @ self.X.T)
-            )
-            out[start : start + rows] = self.y_idx[self._nearest(sq)]
-        return out
-
-    def _nearest(self, sq: np.ndarray) -> np.ndarray:
-        """Training positions of the k smallest entries of each row of
-        ``sq``, in the order of a stable argsort, without sorting the rows.
-
-        Only the entries at or below a row's k-th smallest distance can be
-        among its first k; sorting those by (row, distance, position) and
-        taking each row's first k gives the same positions and tie-break.
-        """
-        k = self.k
-        kth = np.partition(sq, k - 1, axis=1)[:, k - 1 : k]
-        rows, cols = np.nonzero(sq <= kth)  # row-major: rows ascend
-        order = np.lexsort((cols, sq[rows, cols], rows))
-        counts = np.bincount(rows, minlength=len(sq))
-        starts = np.cumsum(counts) - counts
-        return cols[order][starts[:, None] + np.arange(k)]
+            sq = squared_distances(Z[start : start + rows], self.X)
+            at = np.arange(len(sq))
+            for j in range(self.k):
+                nearest[start : start + rows, j] = col = sq.argmin(axis=1)
+                sq[at, col] = np.inf
+        return self.y_idx[nearest]
 
     def fitted_state(self) -> dict:
         return {"x": self.X.tolist(), "y_idx": self.y_idx.tolist()}

@@ -21,6 +21,7 @@ import numpy as np
 from scipy.special import expit
 
 from ..errors import ConfigurationError, NumericError
+from .neighbors import squared_distances
 
 # LIBSVM's floor on the curvature of a step along a pair.
 _TAU = 1e-12
@@ -31,11 +32,7 @@ def _iteration_cap(n: int) -> int:
 
 
 def rbf_kernel(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
-    sq = (
-        (A * A).sum(axis=1)[:, None]
-        + (B * B).sum(axis=1)[None, :]
-        - 2.0 * (A @ B.T)
-    )
+    sq = squared_distances(A, B)
     np.maximum(sq, 0.0, out=sq)
     return np.exp(-gamma * sq)
 

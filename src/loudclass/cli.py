@@ -526,6 +526,9 @@ def _run_evaluate(options: dict, out_dir: Path) -> None:
 
 
 def _run_explain(options: dict, out_dir: Path) -> None:
+    for name in ("background", "max_records", "perm_repeats"):
+        if int(options[name]) < 1:
+            raise ConfigurationError(f"{name} must be >= 1")
     records = load_labeled_json(options["data"])
     X = feature_matrix(records)
     y = labels_of(records)
@@ -538,8 +541,6 @@ def _run_explain(options: dict, out_dir: Path) -> None:
                 classes=sorted_labels(y))
 
     size = min(int(options["background"]), len(train_idx))
-    if size < 1:
-        raise ConfigurationError("background size must be >= 1")
     rng = np.random.default_rng(
         np.random.SeedSequence([int(options["seed"]), _BACKGROUND_STREAM])
     )
@@ -547,8 +548,6 @@ def _run_explain(options: dict, out_dir: Path) -> None:
     background = X[train_idx[chosen]]
 
     count = min(int(options["max_records"]), len(test_idx))
-    if count < 1:
-        raise ConfigurationError("max-records must be >= 1")
     explained = test_idx[:count]
     agnostic, _ = explain_model(model, X[explained], background,
                                 feature_names=FEATURE_NAMES)

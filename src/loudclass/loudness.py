@@ -16,7 +16,6 @@ from .errors import DomainError, ParameterError
 
 CENTER_FREQUENCIES_HZ: tuple[int, int] = (1500, 4000)
 
-_BLOCK_FIELDS = ("l2_5", "l25", "l50", "m_low", "m_high", "l_cut")
 _BLOCK_LABELS = ("L2.5", "L25", "L50", "MLOW", "MHIGH", "LCUT")
 
 FEATURE_NAMES: tuple[str, ...] = tuple(

@@ -2,6 +2,7 @@ import hashlib
 import inspect
 import json
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -958,11 +959,13 @@ def test_knn_vote_matches_oracle(seed, k, n_distinct, copies, n_classes):
     n_distinct=st.integers(1, 6),
     copies=st.integers(1, 4),
     k_fraction=st.floats(0.0, 1.0),
+    block_rows=st.integers(1, 12),
 )
-def test_knn_top_k_matches_stable_argsort(seed, n_distinct, copies, k_fraction):
+def test_knn_top_k_matches_stable_argsort(seed, n_distinct, copies, k_fraction, block_rows):
     # Each training row is its own class index, so neighbor_labels returns
     # training positions. Exact duplicate rows make distances tie; the
-    # stable argsort breaks those ties by position.
+    # stable argsort breaks those ties by position. Blocks of block_rows
+    # queries make the comparison cross block boundaries.
     rng = np.random.default_rng(seed)
     X = np.repeat(rng.integers(0, 3, size=(n_distinct, 2)).astype(float), copies, axis=0)
     X = X[rng.permutation(len(X))]
@@ -973,6 +976,45 @@ def test_knn_top_k_matches_stable_argsort(seed, n_distinct, copies, k_fraction):
     sq = (Z * Z).sum(axis=1)[:, None] + (X * X).sum(axis=1)[None, :] - 2.0 * (Z @ X.T)
     expected = np.argsort(sq, axis=1, kind="stable")[:, :k]
     assert np.array_equal(nn.neighbor_labels(Z), expected)
+    with mock.patch.object(neighbors, "BLOCK_CELLS", block_rows * n):
+        assert np.array_equal(nn.neighbor_labels(Z), expected)
+
+
+# sha256 of predict_proba(...).tobytes() for a model fit on every other row
+# of the small fixture and queried on all 144 rows in 16-row knn blocks,
+# taken at the commit before knn picked its neighbours by argmin passes.
+# A change here means the predictions moved; BLAS builds can move them too.
+PREDICTION_SHA256 = {
+    "knn-2": ("knn", {"k": 2},
+              "31355b74529ba4f018ef9e5d2829b693f37e149207f5774b3280c6aba2a99f38"),
+    "knn-7": ("knn", {"k": 7},
+              "a7e479034ec7d4b4c44386ce36ff7d59515e455b0033eefa47c6b80aeed15738"),
+    "svm": ("svm", {},
+            "496c38ceaba3990c4fba0034a6af2e66910858492903f3565ee772ce8bb7b1b0"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PREDICTION_SHA256))
+def test_distance_model_predictions_are_pinned(small_xy, monkeypatch, name):
+    variant, params, digest = PREDICTION_SHA256[name]
+    X, y = small_xy
+    model = fit(ClassifierSpec(variant, params=params), X[::2], y[::2])
+    monkeypatch.setattr(neighbors, "BLOCK_CELLS", 16 * len(X[::2]))
+    proba = predict_proba(model, X)
+    assert hashlib.sha256(proba.tobytes()).hexdigest() == digest
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_rows_whose_squared_norm_overflows_are_a_data_error(rng):
+    # 1e200 is finite and survives standardization, but its square does not.
+    X, _ = six_class_data(rng)
+    nn = NearestNeighbors(k=2).fit(X, np.arange(len(X)) % 6)
+    svm = SvmBinary().fit(X, (np.arange(len(X)) % 2).astype(float))
+    query = np.vstack([X[:2], np.full(X.shape[1], 1e200)])
+    with pytest.raises(DataError, match="squared norm overflows"):
+        nn.neighbor_labels(query)
+    with pytest.raises(DataError, match="squared norm overflows"):
+        svm.decision(query)
 
 
 def test_knn_neighbor_labels_blocks_match_one_block(rng, monkeypatch):

@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from loudclass import harness, metrics
+from loudclass import cli, harness, metrics
 from loudclass.classifiers import ClassifierSpec, load_model, predict
 from loudclass.cli import COMMANDS, _resolve_options, build_parser, main
 from loudclass.errors import DataError, NumericError
@@ -145,6 +145,46 @@ def test_explain_requires_classifier(generated, capsys):
     rc = run("explain", "--out-dir", str(generated))
     assert rc == 2
     assert "classifier" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option", ["--background", "--max-records", "--perm-repeats"])
+def test_explain_rejects_counts_below_one_before_any_work(generated, tmp_path, monkeypatch,
+                                                          capsys, option):
+    fits = []
+    monkeypatch.setattr(cli, "fit", lambda *args, **kwargs: fits.append(args))
+    out = tmp_path / "explain"
+    rc = run("explain", "--data", str(generated / "labeled.json"), "--out-dir", str(out),
+             "--classifier", "dt", "--k", "3", option, "0")
+    assert rc == 2
+    assert f"{option[2:].replace('-', '_')} must be >= 1" in capsys.readouterr().err
+    assert fits == []
+    assert not any(out.rglob("*"))
+
+
+@pytest.mark.parametrize("classifier", ["knn", "svm"])
+def test_explain_query_whose_squared_norm_overflows_is_a_data_error(generated, classifier,
+                                                                    capsys):
+    # explain's split is fold 0 of kfold_split(labels, k, seed); its first
+    # test record gets 4000 Hz levels of 1e200. The training rows stay
+    # finite, so the scaler accepts them and the query row standardizes to
+    # a finite row whose squared norm overflows.
+    records = load_labeled_json(generated / "labeled.json")
+    X = feature_matrix(records)
+    _, test_idx = harness.kfold_split([r.label for r in records], k=3,
+                                      seed=0).fold_indices(0)
+    X[test_idx[0], [i for i in LEVEL_FEATURE_INDICES if i >= 6]] = 1e200
+    data = generated / "huge.json"
+    write_labeled_json(
+        [replace(r, features=LoudnessFeatureVector.from_sequence(row))
+         for r, row in zip(records, X)],
+        data,
+    )
+    rc = run("explain", "--out-dir", str(generated / "out"), "--data", str(data),
+             "--k", "3", "--classifier", classifier, "--background", "5",
+             "--max-records", "2", "--perm-repeats", "1")
+    err = capsys.readouterr().err
+    assert rc == 3, err
+    assert "squared norm overflows" in err
 
 
 def test_explain_then_replay_is_byte_identical(generated, tmp_path):
