@@ -19,11 +19,14 @@ def _check_finite(X: np.ndarray) -> None:
 class StandardScaler:
     """Center to mean 0, scale to sample (n-1) standard deviation 1.
 
-    Constant columns keep scale 1 so transforming never divides by zero.
+    A constant column (max == min) keeps scale 1, so it is centered and
+    never divided by its computed sd, which can be rounding noise (about
+    6e-17 for ten copies of 0.3) rather than 0.
     Statistics come exclusively from the data passed to ``fit``; test folds
     are transformed with those fixed parameters. ``fit`` and
-    ``fit_transform`` reject rows holding NaN or an infinity, and columns
-    whose mean or sd overflows, with ``DataError``; ``transform`` rejects
+    ``fit_transform`` reject rows holding NaN or an infinity, columns whose
+    mean or sd overflows, and columns that are not constant yet whose sd
+    underflows to 0, with ``DataError``; ``transform`` rejects
     rows that are not finite once standardized, which covers non-finite
     input rows. So every model's training and query rows are checked here,
     each matrix once.
@@ -41,14 +44,15 @@ class StandardScaler:
         with np.errstate(over="ignore", invalid="ignore"):
             mean = X.mean(axis=0)
             sd = X.std(axis=0, ddof=1) if X.shape[0] > 1 else np.zeros(X.shape[1])
-        bad = ~(np.isfinite(mean) & np.isfinite(sd))
+        constant = X.max(axis=0, initial=-np.inf) == X.min(axis=0, initial=np.inf)
+        bad = ~(np.isfinite(mean) & np.isfinite(sd) & (constant | (sd > 0.0)))
         if bad.any():
             raise DataError(
                 f"feature column {int(np.argmax(bad))} cannot be standardized: "
-                "its mean or sd overflows"
+                "its mean or sd overflows, or its sd underflows to 0"
             )
         self.mean_ = mean
-        self.scale_ = np.where(sd == 0.0, 1.0, sd)
+        self.scale_ = np.where(constant, 1.0, sd)
         return self
 
     def transform(self, X) -> np.ndarray:

@@ -2,10 +2,11 @@
 
 Every subcommand writes its outputs plus a manifest.json recording the
 command, the fully resolved options (with absolute input paths), input
-checksums, and library versions. `loudclass replay --manifest M` re-runs
-the recorded command into a fresh directory and reproduces every output
-byte-for-byte, including the manifest itself (the output directory is
-never part of the recorded options).
+checksums, and library versions. `loudclass replay --manifest M` checks
+the recorded input checksums, resolves the recorded options as the config
+section of the recorded command, re-runs it into a fresh directory and
+reproduces every output byte-for-byte, including the manifest itself (the
+output directory is never part of the recorded options).
 
 Exit codes: 0 success, 2 usage or configuration, 3 data, 4 numeric.
 """
@@ -22,12 +23,7 @@ import numpy as np
 
 from .bisgaard import class_from_name
 from .classifiers import VARIANTS, ClassifierSpec, fit, save_model
-from .errors import (
-    ConfigurationError,
-    LoudclassError,
-    NumericError,
-    SchemaError,
-)
+from .errors import ConfigurationError, DataError, LoudclassError, NumericError
 from .explain import PERMUTATION_METRICS, explain_model, importance_report
 from .harness import (
     DEFAULT_ROVING_CONDITIONS,
@@ -60,6 +56,7 @@ from .reporting import (
     dump_json,
     importance_meta_jsonable,
     make_figures,
+    sha256_file,
     write_beeswarm_csv,
     write_importance_csv,
     write_manifest,
@@ -278,19 +275,23 @@ def _parse_param(text: str) -> tuple[str, object]:
     return key, value
 
 
-def _config_section(path: str | None, cmd: str) -> dict:
-    """The config-file values for ``cmd``: the flat keys it knows, overridden
-    by its own section. A flat key only another command knows is ignored."""
-    if path is None:
-        return {}
+def _read_json_object(path, what: str) -> dict:
+    """The JSON object in ``path``; a missing file, malformed JSON or any
+    other top-level value is a usage error."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError as exc:
-        raise ConfigurationError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"config file is not valid JSON: {exc}") from exc
+        raise ConfigurationError(f"{what} not found: {path}") from exc
+    except ValueError as exc:
+        raise ConfigurationError(f"{what} is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
-        raise ConfigurationError("config file must hold a JSON object")
+        raise ConfigurationError(f"{what} must hold a JSON object")
+    return payload
+
+
+def _config_section(payload: dict, cmd: str) -> dict:
+    """The config-file values for ``cmd``: the flat keys it knows, overridden
+    by its own section. A flat key only another command knows is ignored."""
     for key in COMMANDS:
         if not isinstance(payload.get(key, {}), dict):
             raise ConfigurationError(f"config section {key!r} must be an object")
@@ -340,10 +341,11 @@ def _as_conditions(value) -> list[list[float]]:
     return pairs
 
 
-def _resolve_options(cmd: str, args: argparse.Namespace) -> dict:
-    """Merge CLI values over config-file values over built-in defaults."""
+def _resolve_options(cmd: str, args: argparse.Namespace, payload: dict) -> dict:
+    """Merge CLI values over the config file's values (``payload``, the
+    whole file) over built-in defaults."""
     table = _TABLE[cmd][1]
-    config = _config_section(args.config, cmd)
+    config = _config_section(payload, cmd)
     options = {}
     for option in table:
         value = getattr(args, option.name)
@@ -461,8 +463,8 @@ def _run_rove(options: dict, out_dir: Path) -> None:
 
 def _run_pca(options: dict, out_dir: Path) -> None:
     records = load_labeled_json(options["data"])
-    Z, means, sds = standardize(feature_matrix(records))
-    model = fit_pca(Z, int(options["components"]), means=means, sds=sds)
+    Z, _, _ = standardize(feature_matrix(records))
+    model = fit_pca(Z, int(options["components"]))
     scores = transform(model, Z)
     ids = [f"{r.participant_id}:{r.ear}" for r in records]
     write_pca_outputs(model, scores, ids, out_dir, FEATURE_NAMES)
@@ -591,21 +593,24 @@ _RUNNERS = {
 }
 
 
-def _load_replay(args: argparse.Namespace) -> tuple[str, dict]:
-    path = Path(args.manifest)
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError as exc:
-        raise ConfigurationError(f"manifest not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"manifest is not valid JSON: {exc}") from exc
-    cmd = payload.get("command")
+def _load_replay(path: str) -> tuple[str, dict]:
+    """The recorded command and its recorded options as the section of a
+    config file, once every recorded input still has its recorded sha256."""
+    manifest = _read_json_object(path, "manifest")
+    cmd = manifest.get("command")
     if cmd not in _RUNNERS:
-        raise SchemaError(f"manifest names unknown command {cmd!r}")
-    options = payload.get("options")
-    if not isinstance(options, dict):
-        raise SchemaError("manifest has no options object")
-    return cmd, options
+        raise ConfigurationError(f"manifest names unknown command {cmd!r}")
+    inputs = manifest.get("inputs")
+    if not isinstance(inputs, dict):
+        raise ConfigurationError("manifest inputs must be an object of path: sha256")
+    for name, digest in inputs.items():
+        try:
+            actual = sha256_file(name)
+        except FileNotFoundError:
+            raise DataError(f"input {name} is missing") from None
+        if actual != digest:
+            raise DataError(f"input {name} changed since the manifest was written")
+    return cmd, {cmd: manifest.get("options")}
 
 
 def _fail(cmd: str, exc: BaseException, code: int) -> int:
@@ -627,9 +632,12 @@ def main(argv=None) -> int:
     out_dir = Path(args.out_dir)
     try:
         if cmd == "replay":
-            cmd, options = _load_replay(args)
+            # A replay runs the recorded command with no flags given.
+            cmd, payload = _load_replay(args.manifest)
+            args = parser.parse_args([cmd, "--out-dir", args.out_dir])
         else:
-            options = _resolve_options(cmd, args)
+            payload = _read_json_object(args.config, "config file") if args.config else {}
+        options = _resolve_options(cmd, args, payload)
         out_dir.mkdir(parents=True, exist_ok=True)
         _RUNNERS[cmd](options, out_dir)
     except ConfigurationError as exc:

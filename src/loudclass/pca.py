@@ -12,23 +12,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .classifiers import StandardScaler
 from .errors import ConfigurationError, DataError, DegenerateFeatureError, ShapeError
 from .loudness import FEATURE_NAMES
 
 
 @dataclass(frozen=True)
 class PcaModel:
-    """Fitted components plus the standardization that produced them."""
+    """Fitted components of a standardized feature matrix."""
 
-    means: np.ndarray
-    sds: np.ndarray
     loadings: np.ndarray  # (n_features, k), orthonormal columns
     explained_variance: np.ndarray  # (k,), non-increasing
     explained_variance_fraction: np.ndarray  # (k,)
 
     def __post_init__(self) -> None:
-        for name in ("means", "sds", "loadings", "explained_variance",
-                     "explained_variance_fraction"):
+        for name in ("loadings", "explained_variance", "explained_variance_fraction"):
             getattr(self, name).setflags(write=False)
 
     @property
@@ -36,44 +34,29 @@ class PcaModel:
         return self.loadings.shape[1]
 
 
-def _column_name(X: np.ndarray, index: int) -> str:
-    if X.shape[1] == len(FEATURE_NAMES):
-        return FEATURE_NAMES[index]
-    return f"column {index}"
-
-
 def standardize(X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Center each column and scale it to unit sample (n-1) variance.
 
-    Returns (Z, means, sds). A constant column cannot be standardized and
-    raises ``DegenerateFeatureError`` naming the column.
+    Returns (Z, means, sds) from a ``StandardScaler`` fitted on X, so
+    non-finite or overflowing columns are its ``DataError``s. A constant
+    column (max == min) cannot be standardized and raises
+    ``DegenerateFeatureError`` naming the column.
     """
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise ShapeError(f"expected a 2-d matrix, got ndim={X.ndim}")
-    if X.shape[0] < 2:
+    if X.ndim == 2 and X.shape[0] < 2:
         raise DataError("standardization needs at least 2 rows")
-    means = X.mean(axis=0)
-    sds = X.std(axis=0, ddof=1)
-    for i, sd in enumerate(sds):
-        if sd == 0.0:
-            raise DegenerateFeatureError(
-                f"{_column_name(X, i)} has zero variance and cannot be standardized"
-            )
-    return (X - means) / sds, means, sds
+    scaler = StandardScaler()
+    Z = scaler.fit_transform(X)
+    constant = np.flatnonzero(X.max(axis=0) == X.min(axis=0))
+    if constant.size:
+        i = int(constant[0])
+        name = FEATURE_NAMES[i] if X.shape[1] == len(FEATURE_NAMES) else f"column {i}"
+        raise DegenerateFeatureError(f"{name} is constant and cannot be standardized")
+    return Z, scaler.mean_, scaler.scale_
 
 
-def fit_pca(
-    Z,
-    k: int,
-    means: np.ndarray | None = None,
-    sds: np.ndarray | None = None,
-) -> PcaModel:
-    """Eigendecompose the sample correlation matrix of standardized data.
-
-    ``means``/``sds`` are bookkeeping from ``standardize`` and default to
-    0/1 when the caller standardized elsewhere.
-    """
+def fit_pca(Z, k: int) -> PcaModel:
+    """Eigendecompose the sample correlation matrix of standardized data."""
     Z = np.asarray(Z, dtype=np.float64)
     if Z.ndim != 2:
         raise ShapeError(f"expected a 2-d matrix, got ndim={Z.ndim}")
@@ -92,13 +75,10 @@ def fit_pca(
         if vectors[pivot, j] < 0:
             vectors[:, j] = -vectors[:, j]
     total = float(eigenvalues.sum())
-    fractions = values / total
     return PcaModel(
-        means=np.zeros(d) if means is None else np.asarray(means, dtype=np.float64).copy(),
-        sds=np.ones(d) if sds is None else np.asarray(sds, dtype=np.float64).copy(),
         loadings=vectors,
         explained_variance=values,
-        explained_variance_fraction=fractions,
+        explained_variance_fraction=values / total,
     )
 
 

@@ -122,6 +122,10 @@ class LabeledRecord:
     pta: float
 
     def __post_init__(self) -> None:
+        if self.ear not in EARS:
+            raise DataError(
+                f"ear of {self.participant_id} must be 'left' or 'right', got {self.ear!r}"
+            )
         _check_features(self.participant_id, self.ear, self.features)
 
 
@@ -649,28 +653,39 @@ def write_labeled_json(records: list[LabeledRecord], path) -> None:
         fh.write("\n")
 
 
+def _json_number(value, what: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
 def load_labeled_json(path) -> list[LabeledRecord]:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"not valid JSON: {exc}") from None
-    if not isinstance(payload, dict) or "records" not in payload:
+    records = payload.get("records") if isinstance(payload, dict) else None
+    if not isinstance(records, list):
         raise SchemaError("expected a top-level object with a 'records' list")
     out = []
-    for i, entry in enumerate(payload["records"]):
+    for i, entry in enumerate(records):
         try:
+            if not isinstance(entry, dict) or not isinstance(entry["features"], dict):
+                raise TypeError("a record and its 'features' must be objects")
             features = LoudnessFeatureVector.from_sequence(
-                entry["features"][name] for name in FEATURE_NAMES
+                _json_number(entry["features"][name], name) for name in FEATURE_NAMES
             )
             record = LabeledRecord(
                 participant_id=str(entry["participant_id"]),
                 ear=str(entry["ear"]),
                 features=features,
                 label=class_from_name(str(entry["label"])),
-                pta=float(entry["pta"]),
+                pta=_json_number(entry["pta"], "pta"),
             )
         except KeyError as exc:
             raise SchemaError(f"record {i} is missing key {exc}") from None
+        except TypeError as exc:
+            raise SchemaError(f"record {i}: {exc}") from None
         out.append(record)
     return out

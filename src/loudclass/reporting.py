@@ -330,7 +330,9 @@ def write_manifest(out_dir, command: str, options: dict, inputs) -> Path:
 def _read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise DataError(f"{path} is empty")
         return header, [row for row in reader]
 
 
@@ -360,17 +362,23 @@ def make_figures(in_dir, out_dir=None) -> list[Path]:
     report_path = in_dir / "report.json"
     if report_path.exists():
         consumed.append(report_path)
-        payload = json.loads(report_path.read_text(encoding="utf-8"))
+        try:
+            payload = json.loads(report_path.read_text(encoding="utf-8"))
+            summary_rows = list(_metrics_summary_rows(payload))
+            f1_rows = []
+            for name in sorted(payload["classifiers"]):
+                per_class = payload["classifiers"][name]["test_f1_per_class"]
+                for cls in sorted(per_class):
+                    f1_rows.append((name, cls, per_class[cls]["mean"], per_class[cls]["sd"]))
+        except KeyError as exc:
+            raise DataError(f"{report_path} is missing key {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"{report_path} is not an evaluate report: {exc}") from None
         write_csv_rows(
             out_dir / "metrics_summary.csv",
             ("classifier", "split", "metric", "mean", "sd"),
-            _metrics_summary_rows(payload),
+            summary_rows,
         )
-        f1_rows = []
-        for name in sorted(payload["classifiers"]):
-            per_class = payload["classifiers"][name]["test_f1_per_class"]
-            for cls in sorted(per_class):
-                f1_rows.append((name, cls, per_class[cls]["mean"], per_class[cls]["sd"]))
         write_csv_rows(
             out_dir / "per_class_f1_summary.csv",
             ("classifier", "class", "mean_f1", "sd_f1"),
@@ -400,8 +408,12 @@ def make_figures(in_dir, out_dir=None) -> list[Path]:
         consumed.append(sweep_imp)
         _, body = _read_csv(sweep_imp)
         grouped: dict[tuple, list[float]] = {}
-        for mean, sd, feature, split, _rep, decrease in body:
-            grouped.setdefault((mean, sd, split, feature), []).append(float(decrease))
+        for number, row in enumerate(body, start=1):
+            try:
+                mean, sd, feature, split, _rep, decrease = row
+                grouped.setdefault((mean, sd, split, feature), []).append(float(decrease))
+            except ValueError as exc:
+                raise DataError(f"{sweep_imp} row {number}: {exc}") from None
         rows = [
             (mean, sd, split, feature, statistics.median(values))
             for (mean, sd, split, feature), values in sorted(grouped.items())

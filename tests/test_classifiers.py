@@ -82,10 +82,22 @@ def test_scaler_standardizes(rng):
 
 
 def test_scaler_constant_column_passes_through(rng):
-    X = rng.normal(size=(10, 2))
+    X = rng.normal(size=(10, 3))
     X[:, 1] = 4.0
-    Z = StandardScaler().fit(X).transform(X)
+    X[:, 2] = 0.3  # computed sd about 6e-17
+    scaler = StandardScaler().fit(X)
+    Z = scaler.transform(X)
     assert np.all(Z[:, 1] == 0.0)  # centered, scale forced to 1
+    assert np.all(scaler.scale_[1:] == 1.0)
+    assert np.all(np.abs(scaler.transform(X + 0.1)[:, 2] - 0.1) < 1e-15)
+
+
+def test_scaler_rejects_a_varying_column_whose_sd_underflows(rng):
+    X = rng.normal(size=(10, 2))
+    X[:, 1] = 0.0
+    X[0, 1] = 1e-200  # squared deviations underflow to 0
+    with pytest.raises(DataError, match="column 1 cannot be standardized"):
+        StandardScaler().fit(X)
 
 
 def test_scaler_errors(rng):

@@ -498,6 +498,200 @@ def test_replay_missing_manifest_is_exit_2(tmp_path):
     assert rc == 2
 
 
+def _files(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.fixture(scope="module")
+def recorded_runs(tmp_path_factory):
+    """One small run of every command, each in the directory named after it."""
+    root = tmp_path_factory.mktemp("runs")
+    data = str(root / "generate" / "labeled.json")
+    steps = {
+        "generate": ("--per-class", "8", "--seed", "3", "--csv"),
+        "preprocess": ("--combined-csv", str(root / "generate" / "participants.csv"),
+                       "--min-pta", "0", "--min-class-count", "1",
+                       "--min-class-fraction", "0"),
+        "rove": ("--data", data, "--mean", "5", "--sd", "2", "--seed", "1"),
+        "pca": ("--data", data, "--components", "3"),
+        "train": ("--data", data, "--classifier", "dt"),
+        "evaluate": ("--data", data, "--only", "dt", "--classifier", "dt", "--k", "3"),
+        "explain": ("--data", data, "--classifier", "dt", "--k", "3",
+                    "--background", "5", "--max-records", "2", "--perm-repeats", "1"),
+        "sweep": ("--data", data, "--only", "dt", "--classifier", "dt", "--k", "3",
+                  "--conditions", "0:0,5:5", "--perm-repeats", "1"),
+        "report": ("--in-dir", str(root / "evaluate")),
+    }
+    assert set(steps) == set(COMMANDS) - {"replay"}
+    for command, argv in steps.items():
+        assert run(command, "--out-dir", str(root / command), *argv) == 0, command
+    return root
+
+
+@pytest.mark.parametrize("command", [c for c in COMMANDS if c != "replay"])
+def test_every_command_replays_byte_identically(recorded_runs, tmp_path, command):
+    original = recorded_runs / command
+    [manifest] = original.rglob("manifest.json")
+    replayed = tmp_path / command
+    assert run("replay", "--manifest", str(manifest), "--out-dir", str(replayed)) == 0
+    assert _files(replayed) == _files(original)
+
+
+@pytest.fixture()
+def explained(generated):
+    rc = run("explain", "--out-dir", str(generated), "--classifier", "dt", "--k", "3",
+             "--background", "5", "--max-records", "2", "--perm-repeats", "1")
+    assert rc == 0
+    return generated
+
+
+def _with(key, value):
+    def edit(manifest):
+        manifest[key] = value
+        return json.dumps(manifest)
+    return edit
+
+
+def _with_option(key, value):
+    def edit(manifest):
+        manifest["options"][key] = value
+        return json.dumps(manifest)
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_with_option("max_records", "three"), "max_records must be a number, got 'three'"),
+    (_with_option("background", 2.5), "background must be an integer"),
+    (_with_option("bogus", 1), "unknown config keys for explain: bogus"),
+    (_with("command", "bogus"), "manifest names unknown command 'bogus'"),
+    (_with("options", None), "config section 'explain' must be an object"),
+    (_with("inputs", None), "manifest inputs must be an object"),
+    (lambda manifest: json.dumps([manifest]), "manifest must hold a JSON object"),
+    (lambda manifest: "{not json", "manifest is not valid JSON"),
+], ids=["string-count", "fractional-count", "unknown-key", "unknown-command",
+        "no-options", "no-inputs", "top-level-list", "not-json"])
+def test_malformed_manifest_is_exit_2(explained, tmp_path, edit, message, capsys):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(edit(json.loads((explained / "manifest.json").read_text())))
+    replayed = tmp_path / "replayed"
+    rc = run("replay", "--manifest", str(manifest), "--out-dir", str(replayed))
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert message in err
+    assert not replayed.exists()
+
+
+def test_manifest_option_left_out_replays_with_its_default(explained, tmp_path):
+    manifest = json.loads((explained / "manifest.json").read_text())
+    assert manifest["options"].pop("metric") == "balanced_accuracy"
+    edited = tmp_path / "manifest.json"
+    edited.write_text(json.dumps(manifest))
+    replayed = tmp_path / "replayed"
+    assert run("replay", "--manifest", str(edited), "--out-dir", str(replayed)) == 0
+    names = {"shap_beeswarm.csv", "perm_importance.csv", "perm_importance_meta.json",
+             "manifest.json"}
+    assert set(_files(replayed)) == names
+    assert all(_files(replayed)[name] == (explained / name).read_bytes() for name in names)
+
+
+@pytest.mark.parametrize("change, message", [
+    ("edit", "changed since the manifest was written"),
+    ("delete", "is missing"),
+])
+def test_replay_checks_the_recorded_input_checksums(explained, tmp_path, change, message,
+                                                    capsys):
+    data = explained / "labeled.json"
+    if change == "edit":
+        write_labeled_json(load_labeled_json(data)[1:], data)
+    else:
+        data.unlink()
+    replayed = tmp_path / "replayed"
+    rc = run("replay", "--manifest", str(explained / "manifest.json"),
+             "--out-dir", str(replayed))
+    err = capsys.readouterr().err
+    assert rc == 3, err
+    assert f"input {data.resolve()} {message}" in err
+    assert not replayed.exists()
+
+
+def _set_record(index, key, value):
+    def edit(payload):
+        payload["records"][index][key] = value
+    return edit
+
+
+def _set_feature(index, name, value):
+    def edit(payload):
+        payload["records"][index]["features"][name] = value
+    return edit
+
+
+@pytest.mark.parametrize("command", [
+    ("pca",), ("evaluate", "--only", "dt", "--classifier", "dt", "--k", "3"),
+    ("rove", "--mean", "5"), ("train", "--classifier", "dt"),
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("edit, message", [
+    (lambda payload: payload.update(records={"0": 1}), "a 'records' list"),
+    (lambda payload: payload["records"].__setitem__(2, [1.0]), "record 2: "),
+    (_set_record(2, "features", [1.0] * 12), "record 2: "),
+    (_set_feature(2, "L50_4000", "loud"), "record 2: L50_4000 must be a number"),
+    (_set_feature(2, "MLOW_1500", None), "record 2: MLOW_1500 must be a number"),
+    (_set_feature(2, "L25_1500", "60"), "record 2: L25_1500 must be a number"),
+    (_set_record(2, "pta", "high"), "record 2: pta must be a number"),
+    (_set_record(2, "pta", None), "record 2: pta must be a number"),
+    (_set_record(2, "ear", "middle"), "must be 'left' or 'right', got 'middle'"),
+], ids=["records-not-a-list", "record-not-an-object", "features-not-an-object",
+        "feature-string", "feature-null", "feature-numeric-string", "pta-string",
+        "pta-null", "ear-middle"])
+def test_malformed_labeled_json_is_a_data_error(generated, tmp_path, command, edit,
+                                                message, capsys):
+    payload = json.loads((generated / "labeled.json").read_text())
+    edit(payload)
+    data = tmp_path / "bad.json"
+    data.write_text(json.dumps(payload))
+    rc = run(command[0], "--data", str(data), "--out-dir", str(tmp_path / "out"),
+             *command[1:])
+    err = capsys.readouterr().err
+    assert rc == 3, err
+    assert message in err
+
+
+def test_pca_on_levels_that_overflow_is_a_data_error(generated, capsys):
+    records = load_labeled_json(generated / "labeled.json")
+    X = feature_matrix(records)
+    X[:, LEVEL_FEATURE_INDICES] *= 1e305  # finite, but their column sums overflow
+    data = generated / "huge.json"
+    write_labeled_json(
+        [replace(r, features=LoudnessFeatureVector.from_sequence(row))
+         for r, row in zip(records, X)],
+        data,
+    )
+    rc = run("pca", "--out-dir", str(generated / "out"), "--data", str(data))
+    err = capsys.readouterr().err
+    assert rc == 3, err
+    assert "its mean or sd overflows" in err
+
+
+@pytest.mark.parametrize("name, text, message", [
+    ("report.json", "{not json", "report.json is not an evaluate report"),
+    ("report.json", "{}", "report.json is missing key 'classifiers'"),
+    ("sweep/perm_importance.csv",
+     "rove_mean,rove_sd,feature,split,repeat,decrease\n0.0,0.0,L25_1500,test,0\n",
+     "perm_importance.csv row 1: not enough values to unpack"),
+    ("roc_N2.csv", "", "roc_N2.csv is empty"),
+], ids=["report-not-json", "report-without-classifiers", "importance-row-too-short",
+        "empty-curve"])
+def test_report_on_malformed_inputs_is_exit_3(tmp_path, name, text, message, capsys):
+    source = tmp_path / "in" / name
+    source.parent.mkdir(parents=True)
+    source.write_text(text)
+    rc = run("report", "--in-dir", str(tmp_path / "in"), "--out-dir", str(tmp_path / "o"))
+    err = capsys.readouterr().err
+    assert rc == 3, err
+    assert message in err
+
+
 # sha256 of every output but manifest.json of
 #   generate --per-class 4 (seed 0), then
 #   evaluate --classifier dt --only dt,rf --k 3 --no-stratify
@@ -621,7 +815,7 @@ def test_default_options_are_pinned(tmp_path, monkeypatch, command):
     resolved = {
         key: value.replace(str(out), "<out>").replace(str(tmp_path), "<cwd>")
         if isinstance(value, str) else value
-        for key, value in _resolve_options(command, args).items()
+        for key, value in _resolve_options(command, args, {}).items()
     }
     assert resolved == DEFAULT_OPTIONS[command]
     for key, value in resolved.items():

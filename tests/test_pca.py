@@ -28,9 +28,10 @@ def test_standardize_columns_have_unit_sample_variance(rng):
 
 def test_standardize_rejects_constant_column(rng):
     X = rng.normal(size=(10, 3))
-    X[:, 1] = 7.0
-    with pytest.raises(DegenerateFeatureError):
-        standardize(X)
+    for value in (7.0, 0.3):  # ten copies of 0.3 have a computed sd of about 6e-17
+        X[:, 1] = value
+        with pytest.raises(DegenerateFeatureError, match="column 1 is constant"):
+            standardize(X)
     with pytest.raises(DataError):
         standardize(X[:1])
     with pytest.raises(ShapeError):

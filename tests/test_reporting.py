@@ -166,8 +166,8 @@ def test_write_sweep(tmp_path):
 
 
 def test_write_pca_outputs(small_records, tmp_path):
-    Z, means, sds = standardize(feature_matrix(small_records))
-    model = fit_pca(Z, 2, means=means, sds=sds)
+    Z, _, _ = standardize(feature_matrix(small_records))
+    model = fit_pca(Z, 2)
     scores = transform(model, Z)
     ids = [f"{r.participant_id}:{r.ear}" for r in small_records]
     write_pca_outputs(model, scores, ids, tmp_path, FEATURE_NAMES)
