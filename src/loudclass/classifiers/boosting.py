@@ -5,10 +5,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import expit
 
 from ..errors import ConfigurationError
-from .linear import logistic_loss
+from .linear import expit, logistic_loss
 from .tree import TreeNode, build_tree, presort, tree_predict
 
 _HESSIAN_EPS = 1e-16

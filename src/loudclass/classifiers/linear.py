@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import expit
 
 from ..errors import ConfigurationError
 
@@ -12,6 +11,18 @@ from ..optimize import minimize_lbfgs, minimize_newton  # noqa: F401
 
 # The L2 penalty on lr's weights, the same as nn's default ``alpha``.
 ALPHA = 1e-4
+
+
+def expit(x):
+    """The logistic function 1 / (1 + exp(-x)), ``scipy.special.expit``.
+
+    scipy.special is imported at the first call, not with this module: its
+    import takes about 0.3 s, which a command that fits no model with a
+    logistic output should not pay.
+    """
+    import scipy.special
+
+    return scipy.special.expit(x)
 
 
 def logistic_loss(z: np.ndarray, y: np.ndarray) -> float:

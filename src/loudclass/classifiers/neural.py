@@ -10,11 +10,10 @@ the gradient is asked for.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import expit
 
 from ..errors import ConfigurationError
 from ..optimize import minimize_lbfgs
-from .linear import logistic_loss
+from .linear import expit, logistic_loss
 
 
 def _layout(n_inputs: int, hidden: tuple[int, ...]):

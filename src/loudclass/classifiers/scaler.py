@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigurationError, DataError, ShapeError
+from ..loudness import column_name
 
 
 def _check_finite(X: np.ndarray) -> None:
@@ -48,7 +49,7 @@ class StandardScaler:
         bad = ~(np.isfinite(mean) & np.isfinite(sd) & (constant | (sd > 0.0)))
         if bad.any():
             raise DataError(
-                f"feature column {int(np.argmax(bad))} cannot be standardized: "
+                f"{column_name(int(np.argmax(bad)), X.shape[1])} cannot be standardized: "
                 "its mean or sd overflows, or its sd underflows to 0"
             )
         self.mean_ = mean

@@ -18,9 +18,9 @@ the midpoint of max_{I_up} v and min_{I_low} v when there is none.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import expit
 
 from ..errors import ConfigurationError, NumericError
+from .linear import expit
 from .neighbors import squared_distances
 
 # LIBSVM's floor on the curvature of a step along a pair.

@@ -22,6 +22,14 @@ FEATURE_NAMES: tuple[str, ...] = tuple(
     f"{label}_{freq}" for freq in CENTER_FREQUENCIES_HZ for label in _BLOCK_LABELS
 )
 
+
+def column_name(index: int, width: int) -> str:
+    """How a message names column ``index`` of a matrix ``width`` columns
+    wide: by its feature name when the matrix holds the twelve features,
+    otherwise by its index."""
+    return FEATURE_NAMES[index] if width == len(FEATURE_NAMES) else f"column {index}"
+
+
 # dB-valued features move under a calibration offset; slope features do not.
 LEVEL_FEATURE_INDICES: tuple[int, ...] = (0, 1, 2, 5, 6, 7, 8, 11)
 SLOPE_FEATURE_INDICES: tuple[int, ...] = (3, 4, 9, 10)

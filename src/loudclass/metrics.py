@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
-from scipy.special import stdtr
 
 from .errors import (
     ConfigurationError,
@@ -426,5 +425,8 @@ def paired_t_test(scores_a, scores_b) -> TTestResult:
             return TTestResult(t=0.0, p=1.0, degenerate=False)
         return TTestResult(t=math.copysign(math.inf, mean), p=0.0, degenerate=True)
     t = mean / (sd / math.sqrt(n))
+    # Imported at the first t-test: scipy.special takes about 0.3 s to load.
+    from scipy.special import stdtr
+
     p = 2.0 * float(stdtr(n - 1, -abs(t)))
     return TTestResult(t=t, p=p, degenerate=False)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .classifiers import StandardScaler
 from .errors import ConfigurationError, DataError, DegenerateFeatureError, ShapeError
-from .loudness import FEATURE_NAMES
+from .loudness import column_name
 
 
 @dataclass(frozen=True)
@@ -49,8 +49,7 @@ def standardize(X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Z = scaler.fit_transform(X)
     constant = np.flatnonzero(X.max(axis=0) == X.min(axis=0))
     if constant.size:
-        i = int(constant[0])
-        name = FEATURE_NAMES[i] if X.shape[1] == len(FEATURE_NAMES) else f"column {i}"
+        name = column_name(int(constant[0]), X.shape[1])
         raise DegenerateFeatureError(f"{name} is constant and cannot be standardized")
     return Z, scaler.mean_, scaler.scale_
 

@@ -659,6 +659,12 @@ def _json_number(value, what: str) -> float:
     return float(value)
 
 
+def _json_string(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"{what} must be a string, got {value!r}")
+    return value
+
+
 def load_labeled_json(path) -> list[LabeledRecord]:
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -677,10 +683,10 @@ def load_labeled_json(path) -> list[LabeledRecord]:
                 _json_number(entry["features"][name], name) for name in FEATURE_NAMES
             )
             record = LabeledRecord(
-                participant_id=str(entry["participant_id"]),
-                ear=str(entry["ear"]),
+                participant_id=_json_string(entry["participant_id"], "participant_id"),
+                ear=_json_string(entry["ear"], "ear"),
                 features=features,
-                label=class_from_name(str(entry["label"])),
+                label=class_from_name(_json_string(entry["label"], "label")),
                 pta=_json_number(entry["pta"], "pta"),
             )
         except KeyError as exc:

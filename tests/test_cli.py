@@ -461,7 +461,7 @@ def test_levels_whose_mean_overflows_are_a_data_error(generated, argv, stage, ca
              "--data", str(generated / "labeled.json"), "--k", "3", *options)
     err = capsys.readouterr().err
     assert rc == 3, err
-    assert "its mean or sd overflows" in err
+    assert "L2.5_1500 cannot be standardized: its mean or sd overflows" in err
     assert err.rstrip().endswith(f"stage: {stage}")
 
 
@@ -483,7 +483,7 @@ def test_levels_whose_sd_overflows_are_a_data_error(generated, capsys):
              "--k", "3", "--only", "knn", "--classifier", "knn")
     err = capsys.readouterr().err
     assert rc == 3, err
-    assert "its mean or sd overflows" in err
+    assert "L2.5_1500 cannot be standardized: its mean or sd overflows" in err
     assert err.rstrip().endswith("stage: classifier knn")
 
 
@@ -641,9 +641,13 @@ def _set_feature(index, name, value):
     (_set_record(2, "pta", "high"), "record 2: pta must be a number"),
     (_set_record(2, "pta", None), "record 2: pta must be a number"),
     (_set_record(2, "ear", "middle"), "must be 'left' or 'right', got 'middle'"),
+    (_set_record(2, "participant_id", None), "record 2: participant_id must be a string"),
+    (_set_record(2, "participant_id", 7), "record 2: participant_id must be a string"),
+    (_set_record(2, "ear", None), "record 2: ear must be a string"),
+    (_set_record(2, "label", None), "record 2: label must be a string"),
 ], ids=["records-not-a-list", "record-not-an-object", "features-not-an-object",
         "feature-string", "feature-null", "feature-numeric-string", "pta-string",
-        "pta-null", "ear-middle"])
+        "pta-null", "ear-middle", "id-null", "id-number", "ear-null", "label-null"])
 def test_malformed_labeled_json_is_a_data_error(generated, tmp_path, command, edit,
                                                 message, capsys):
     payload = json.loads((generated / "labeled.json").read_text())
@@ -670,7 +674,7 @@ def test_pca_on_levels_that_overflow_is_a_data_error(generated, capsys):
     rc = run("pca", "--out-dir", str(generated / "out"), "--data", str(data))
     err = capsys.readouterr().err
     assert rc == 3, err
-    assert "its mean or sd overflows" in err
+    assert "L2.5_1500 cannot be standardized: its mean or sd overflows" in err
 
 
 @pytest.mark.parametrize("name, text, message", [
