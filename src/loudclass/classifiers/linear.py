@@ -12,6 +12,9 @@ from ..optimize import minimize_lbfgs, minimize_newton  # noqa: F401
 # The L2 penalty on lr's weights, the same as nn's default ``alpha``.
 ALPHA = 1e-4
 
+# The variants whose submodels fit or score through ``expit``.
+EXPIT_VARIANTS = frozenset({"gb", "lr", "nn", "svm"})
+
 
 def expit(x):
     """The logistic function 1 / (1 + exp(-x)), ``scipy.special.expit``.

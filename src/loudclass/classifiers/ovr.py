@@ -10,15 +10,18 @@ resolved parameters, the scaler, the seed (nn and rf only) and the fitted
 state of each submodel. Loading rebuilds every submodel with the
 constructor call ``fit`` makes and then restores its fitted state.
 
-A variant's hyperparameter defaults are written in one place, the keyword
-defaults of its submodel's constructor; ``DEFAULT_PARAMS`` reads them from
-there. The default seeds are ``DEFAULT_SEEDS``.
+A variant's hyperparameter defaults and types are written in one place,
+the keyword defaults and annotations of its submodel's constructor;
+``DEFAULT_PARAMS`` and ``ClassifierSpec.resolved`` read them from there.
+The default seeds are ``DEFAULT_SEEDS``.
 """
 
 from __future__ import annotations
 
 import inspect
 import json
+import numbers
+import types
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -67,14 +70,49 @@ _MODEL_TYPES = {"knn": KnnModel}
 _CONTEXT_ARGS = {"nn": ("n_inputs", "seed_key"), "rf": ("seed_key",)}
 
 # Each variant's hyperparameters are its submodel constructor's keyword
-# defaults, in signature order.
-DEFAULT_PARAMS: dict[str, dict] = {
-    variant: {
-        name: p.default
-        for name, p in inspect.signature(cls).parameters.items()
+# arguments, in signature order.
+_PARAMETERS = {
+    variant: [
+        p for name, p in inspect.signature(cls, eval_str=True).parameters.items()
         if name not in _CONTEXT_ARGS.get(variant, ())
-    }
+    ]
     for variant, cls in _SUBMODEL_TYPES.items()
+}
+
+DEFAULT_PARAMS: dict[str, dict] = {
+    variant: {p.name: p.default for p in params}
+    for variant, params in _PARAMETERS.items()
+}
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+# The value each annotation accepts, as JSON decodes it: an int takes an
+# integer, a float any number, neither a bool; a tuple of ints takes a list.
+_ACCEPTS = {
+    int: ("an integer", _is_int),
+    float: ("a number", lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool)),
+    type(None): ("null", lambda v: v is None),
+    tuple[int, ...]: (
+        "a list of integers",
+        lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v)),
+    ),
+}
+
+# Per variant and parameter, the (description, test) of each member of its
+# annotation; an annotation outside ``_ACCEPTS`` fails here, at import.
+_PARAM_TYPES: dict[str, dict[str, list]] = {
+    variant: {
+        p.name: [
+            _ACCEPTS[t]
+            for t in (p.annotation.__args__
+                      if isinstance(p.annotation, types.UnionType) else (p.annotation,))
+        ]
+        for p in params
+    }
+    for variant, params in _PARAMETERS.items()
 }
 
 FORMAT_VERSION = 4
@@ -105,6 +143,13 @@ class ClassifierSpec:
             raise ConfigurationError(
                 f"unknown {self.variant} parameters: {', '.join(sorted(unknown))}"
             )
+        for name, value in self.params.items():
+            accepted = _PARAM_TYPES[self.variant][name]
+            if not any(test(value) for _, test in accepted):
+                raise ConfigurationError(
+                    f"{self.variant} parameter {name} must be "
+                    f"{' or '.join(what for what, _ in accepted)}, got {value!r}"
+                )
         merged = {**defaults, **self.params}
         if self.variant not in DEFAULT_SEEDS:
             return None, merged

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bisgaard import class_from_name
+from .bisgaard import BisgaardClass, class_from_name
 from .classifiers import VARIANTS, ClassifierSpec, fit, save_model
 from .errors import ConfigurationError, DataError, LoudclassError, NumericError
 from .explain import PERMUTATION_METRICS, explain_model, importance_report
@@ -372,6 +372,11 @@ def _resolve_options(cmd: str, args: argparse.Namespace, payload: dict) -> dict:
 
     if "classes" in options:
         options["classes"] = _as_name_list(options["classes"], "classes")
+        unknown = set(options["classes"]) - set(BisgaardClass.__members__)
+        if unknown:
+            raise ConfigurationError(
+                f"unknown audiogram classes: {', '.join(sorted(unknown))}"
+            )
     if "only" in options:
         options["only"] = _as_name_list(options["only"], "only")
         unknown = set(options["only"]) - set(VARIANTS)
@@ -425,10 +430,10 @@ def _run_generate(options: dict, out_dir: Path) -> None:
         l2_5_offset_sd=float(options["l2_5_offset_sd"]),
         l_cut_noise_sd=float(options["l_cut_noise_sd"]),
     )
-    participants, labeled = generate_synthetic_full(cfg)
+    ears, labeled = generate_synthetic_full(cfg)
     write_labeled_json(labeled, out_dir / "labeled.json")
     if options["csv"]:
-        write_csv(participants, out_dir / "participants.csv")
+        write_csv(ears, out_dir / "participants.csv")
     write_manifest(out_dir, "generate", options, [])
 
 

@@ -38,6 +38,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .classifiers import VARIANTS, ClassifierSpec, fit
+from .classifiers.linear import EXPIT_VARIANTS
 from .errors import ConfigurationError, LoudclassError
 from .explain import (
     PERMUTATION_METRICS,
@@ -380,7 +381,7 @@ def _fit_fold_in_worker(task):
     return _fit_fold(_worker_context, task)
 
 
-def _fold_fits(context, tasks):
+def _fold_fits(context, tasks, *, import_expit: bool):
     """Yield ``_fit_fold(context, task)`` for every task, in task order.
 
     The tasks run in ``min(usable CPUs, tasks)`` worker processes forked
@@ -396,9 +397,10 @@ def _fold_fits(context, tasks):
     workers. Closing the generator shuts the pool down; a task that is
     already running finishes first.
 
-    ``scipy.special``, which lr, nn, svm, gb and the t-tests import only
-    when they first need it, is imported here once, before the fork, so
-    every worker inherits it and none spends the 0.3 s to import it again.
+    ``scipy.special``, which ``expit`` and the t-tests import only when
+    they first need it, is imported here once, before the fork, when
+    ``import_expit`` says a task fits a variant of ``EXPIT_VARIANTS``. Every
+    worker then inherits it and none spends the 0.3 s to import it again.
     """
     workers = min(_usable_cpus(), len(tasks))
     if (
@@ -409,7 +411,8 @@ def _fold_fits(context, tasks):
         for task in tasks:
             yield _fit_fold(context, task)
         return
-    import scipy.special  # noqa: F401
+    if import_expit:
+        import scipy.special  # noqa: F401
 
     pool = ProcessPoolExecutor(
         workers,
@@ -490,7 +493,8 @@ def _cross_validate(cfg, configs, *, importance=False):
         for fold in range(plan.k)
     ]
     codes = label_codes(y, classes)
-    with closing(_fold_fits(context, tasks)) as outcomes:
+    import_expit = any(spec.variant in EXPIT_VARIANTS for spec in cfg.classifiers)
+    with closing(_fold_fits(context, tasks, import_expit=import_expit)) as outcomes:
         return [
             _experiment_report(c, names, classes, y, codes, plans, outcomes)
             for c in configs

@@ -1,12 +1,12 @@
 """Record ingestion, the preprocessing cascade, roving, and synthetic data.
 
-The cascade runs in a fixed order: split participants into ear-level
-records, drop records with missing measurements, merge the audiogram and
-loudness sides by (participant, ear), label each merged record with its
-nearest standard profile, exclude records whose pure-tone average marks
-normal hearing, and prune rare classes once. A calibration-offset
-("roving") step can then shift every dB-level feature by one per-participant
-Gaussian draw, leaving slopes untouched.
+Data arrive as one record per ear, as the CSV schema has one row per ear.
+The cascade runs in a fixed order: drop records with missing measurements,
+merge the audiogram and loudness sides by (participant, ear), label each
+merged record with its nearest standard profile, exclude records whose
+pure-tone average marks normal hearing, and prune rare classes once. A
+calibration-offset ("roving") step can then shift every dB-level feature by
+one per-participant Gaussian draw, leaving slopes untouched.
 
 A seeded synthetic generator stands in for clinical data: it jitters the
 standard profiles, maps thresholds at the two center frequencies to
@@ -75,40 +75,19 @@ DEFAULT_SYNTHETIC_CLASSES: tuple[BisgaardClass, ...] = (
 
 
 @dataclass(frozen=True)
-class EarData:
-    """What one source dataset knows about one ear."""
-
-    audiogram: Audiogram | None = None
-    features: LoudnessFeatureVector | None = None
-
-    def is_empty(self) -> bool:
-        return self.audiogram is None and self.features is None
-
-
-@dataclass(frozen=True)
-class ParticipantRecord:
-    """Per-participant container before the ear split."""
-
-    participant_id: str
-    left: EarData | None = None
-    right: EarData | None = None
-
-    def __post_init__(self) -> None:
-        ears = [e for e in (self.left, self.right) if e is not None and not e.is_empty()]
-        if not ears:
-            raise ParameterError(
-                f"participant {self.participant_id!r} carries no ear data"
-            )
-
-
-@dataclass(frozen=True)
 class EarRecord:
-    """One ear of one participant, possibly holding only one data side."""
+    """One ear of one participant, holding at least one data side."""
 
     participant_id: str
     ear: str
     audiogram: Audiogram | None = None
     features: LoudnessFeatureVector | None = None
+
+    def __post_init__(self) -> None:
+        if self.audiogram is None and self.features is None:
+            raise ParameterError(
+                f"ear {self.participant_id}/{self.ear} carries no data"
+            )
 
 
 @dataclass(frozen=True)
@@ -221,18 +200,6 @@ class PreprocessSummary:
         return d
 
 
-def split_ears(records: list[ParticipantRecord]) -> list[EarRecord]:
-    """One record per present ear; participant order, left before right."""
-    out: list[EarRecord] = []
-    for rec in records:
-        for ear, data in (("left", rec.left), ("right", rec.right)):
-            if data is not None and not data.is_empty():
-                out.append(
-                    EarRecord(rec.participant_id, ear, data.audiogram, data.features)
-                )
-    return out
-
-
 def _features_complete(features: LoudnessFeatureVector) -> bool:
     return all(math.isfinite(v) for v in features.as_tuple())
 
@@ -245,8 +212,6 @@ def drop_incomplete(records: list[EarRecord]) -> list[EarRecord]:
     """
     out = []
     for r in records:
-        if r.audiogram is None and r.features is None:
-            continue
         if r.audiogram is not None and not r.audiogram.is_complete():
             continue
         if r.features is not None and not _features_complete(r.features):
@@ -339,32 +304,30 @@ def _label_and_filter(
 
 
 def preprocess(
-    audiogram_participants: list[ParticipantRecord],
-    loudness_participants: list[ParticipantRecord],
+    audiogram_ears: list[EarRecord],
+    loudness_ears: list[EarRecord],
     *,
     min_pta: float = DEFAULT_MIN_PTA,
     min_fraction: float = DEFAULT_MIN_CLASS_FRACTION,
     min_count: int = DEFAULT_MIN_CLASS_COUNT,
 ) -> tuple[list[LabeledRecord], PreprocessSummary]:
     """Run the full cascade on separate audiogram and loudness datasets."""
-    audio_ears = split_ears(audiogram_participants)
-    audio_complete = drop_incomplete(audio_ears)
-    loud_ears = split_ears(loudness_participants)
-    loud_complete = drop_incomplete(loud_ears)
-    counts = (len(audio_ears), len(audio_complete), len(loud_ears), len(loud_complete))
+    audio_complete = drop_incomplete(audiogram_ears)
+    loud_complete = drop_incomplete(loudness_ears)
+    counts = (len(audiogram_ears), len(audio_complete),
+              len(loudness_ears), len(loud_complete))
     return _label_and_filter(merge_by_id_ear(audio_complete, loud_complete), counts,
                              min_pta, min_fraction, min_count)
 
 
 def prepare_combined(
-    participants: list[ParticipantRecord],
+    ears: list[EarRecord],
     *,
     min_pta: float = DEFAULT_MIN_PTA,
     min_fraction: float = DEFAULT_MIN_CLASS_FRACTION,
     min_count: int = DEFAULT_MIN_CLASS_COUNT,
 ) -> tuple[list[LabeledRecord], PreprocessSummary]:
     """Cascade for a single dataset that carries both sides per record."""
-    ears = split_ears(participants)
     complete = [
         r for r in drop_incomplete(ears) if r.audiogram is not None and r.features is not None
     ]
@@ -485,8 +448,9 @@ def _synthesize_ear(
 
 def generate_synthetic_full(
     cfg: SyntheticConfig,
-) -> tuple[list[ParticipantRecord], list[LabeledRecord]]:
-    """Synthesize participants (audiograms + features) and labeled records.
+) -> tuple[list[EarRecord], list[LabeledRecord]]:
+    """Synthesize ears (audiograms + features) and their labeled records,
+    both in the same order.
 
     Each participant contributes two ears with independent jitter; an odd
     records-per-class count leaves the last participant single-eared. RNG
@@ -494,7 +458,7 @@ def generate_synthetic_full(
     depend on generation order.
     """
     by_class = {p.bisgaard_class: p for p in load_profiles()}
-    participants: list[ParticipantRecord] = []
+    ear_records: list[EarRecord] = []
     labeled: list[LabeledRecord] = []
     for ci, cls in enumerate(cfg.classes):
         base = _extended_profile(by_class[cls])
@@ -503,18 +467,14 @@ def generate_synthetic_full(
             pid = f"syn-{cls.name}-p{pi:04d}"
             remaining = cfg.records_per_class - 2 * pi
             ears = EARS if remaining >= 2 else EARS[:1]
-            ear_data: dict[str, EarData] = {}
             for ei, ear in enumerate(ears):
                 rng = np.random.default_rng(
                     np.random.SeedSequence([cfg.seed, ci, pi, ei])
                 )
                 audiogram, record = _synthesize_ear(cfg, base, rng, pid, ear)
-                ear_data[ear] = EarData(audiogram=audiogram, features=record.features)
+                ear_records.append(EarRecord(pid, ear, audiogram, record.features))
                 labeled.append(record)
-            participants.append(
-                ParticipantRecord(pid, ear_data.get("left"), ear_data.get("right"))
-            )
-    return participants, labeled
+    return ear_records, labeled
 
 
 def generate_synthetic(cfg: SyntheticConfig) -> list[LabeledRecord]:
@@ -548,12 +508,14 @@ def _format_cell(value: float | None) -> str:
     return repr(float(value))
 
 
-def load_csv(path) -> list[ParticipantRecord]:
-    """Read participant records from the documented CSV schema.
+def load_csv(path) -> list[EarRecord]:
+    """Read one ear record per row of the documented CSV schema.
 
-    Empty cells mark missing values: a fully empty block (all thresholds or
-    all features) means that side is absent; a partially empty block keeps
-    the side present with NaN gaps so ``drop_incomplete`` can remove it.
+    The records come in participant order of first appearance, left ear
+    before right, whatever the row order. Empty cells mark missing values:
+    a fully empty block (all thresholds or all features) means that side is
+    absent; a partially empty block keeps the side present with NaN gaps so
+    ``drop_incomplete`` can remove it.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -567,8 +529,7 @@ def load_csv(path) -> list[ParticipantRecord]:
             raise SchemaError(
                 f"header mismatch: unknown columns {unknown}, missing columns {missing}"
             )
-        order: list[str] = []
-        ears: dict[str, dict[str, EarData]] = {}
+        by_participant: dict[str, dict[str, EarRecord]] = {}
         for line_number, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -598,41 +559,36 @@ def load_csv(path) -> list[ParticipantRecord]:
                 features = LoudnessFeatureVector.from_sequence(feature_values)
             if audiogram is None and features is None:
                 raise ParseError("row carries no data", line_number)
-            if pid not in ears:
-                ears[pid] = {}
-                order.append(pid)
-            if ear in ears[pid]:
+            by_ear = by_participant.setdefault(pid, {})
+            if ear in by_ear:
                 raise ParseError(f"duplicate entry for ({pid!r}, {ear!r})", line_number)
-            ears[pid][ear] = EarData(audiogram=audiogram, features=features)
+            by_ear[ear] = EarRecord(pid, ear, audiogram, features)
     return [
-        ParticipantRecord(pid, ears[pid].get("left"), ears[pid].get("right"))
-        for pid in order
+        by_ear[ear] for by_ear in by_participant.values() for ear in EARS if ear in by_ear
     ]
 
 
-def write_csv(records: list[ParticipantRecord], path) -> None:
-    """Inverse of ``load_csv``; floats use shortest round-trip formatting."""
+def write_csv(records: list[EarRecord], path) -> None:
+    """Inverse of ``load_csv``, one row per record in the given order;
+    floats use shortest round-trip formatting."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
         for rec in records:
-            for ear, data in (("left", rec.left), ("right", rec.right)):
-                if data is None or data.is_empty():
-                    continue
-                if data.audiogram is not None:
-                    if data.audiogram.frequencies != THRESHOLD_FREQUENCIES_HZ:
-                        raise DataError(
-                            f"audiogram of {rec.participant_id}/{ear} is not on "
-                            "the clinical frequency grid"
-                        )
-                    thresholds = [_format_cell(t) for t in data.audiogram.thresholds]
-                else:
-                    thresholds = [""] * len(THRESHOLD_COLUMNS)
-                if data.features is not None:
-                    features = [_format_cell(v) for v in data.features.as_tuple()]
-                else:
-                    features = [""] * len(FEATURE_NAMES)
-                writer.writerow([rec.participant_id, ear, *thresholds, *features])
+            if rec.audiogram is not None:
+                if rec.audiogram.frequencies != THRESHOLD_FREQUENCIES_HZ:
+                    raise DataError(
+                        f"audiogram of {rec.participant_id}/{rec.ear} is not on "
+                        "the clinical frequency grid"
+                    )
+                thresholds = [_format_cell(t) for t in rec.audiogram.thresholds]
+            else:
+                thresholds = [""] * len(THRESHOLD_COLUMNS)
+            if rec.features is not None:
+                features = [_format_cell(v) for v in rec.features.as_tuple()]
+            else:
+                features = [""] * len(FEATURE_NAMES)
+            writer.writerow([rec.participant_id, rec.ear, *thresholds, *features])
 
 
 def write_labeled_json(records: list[LabeledRecord], path) -> None:

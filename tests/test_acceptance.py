@@ -42,8 +42,7 @@ from loudclass.metrics import (
 )
 from loudclass.pca import fit_pca, standardize, transform
 from loudclass.pipeline import (
-    EarData,
-    ParticipantRecord,
+    EarRecord,
     RovingConfig,
     SyntheticConfig,
     apply_roving,
@@ -370,26 +369,17 @@ def _cascade_fixture():
             return class_thresholds[i - 357]
         return np.full(len(grid), 30.0)
 
-    audio_participants = []
-    for p in range(1199):
-        pid = f"p{p:04d}"
-        sides = {}
-        for ear in ("left", "right"):
-            ag = Audiogram(grid, threshold_row(pid, ear), ear=ear,
-                           participant_id=pid)
-            sides[ear] = EarData(audiogram=ag)
-        audio_participants.append(
-            ParticipantRecord(pid, left=sides["left"], right=sides["right"]))
-
-    loud_sides: dict[str, dict[str, EarData]] = {}
-    for i, (pid, ear) in enumerate(loud_ears):
-        vec = broken if i >= 1272 else template
-        loud_sides.setdefault(pid, {})[ear] = EarData(features=vec)
-    loud_participants = [
-        ParticipantRecord(pid, left=sides.get("left"), right=sides.get("right"))
-        for pid, sides in loud_sides.items()
+    audio_records = [
+        EarRecord(pid, ear, audiogram=Audiogram(grid, threshold_row(pid, ear),
+                                                ear=ear, participant_id=pid))
+        for pid in (f"p{p:04d}" for p in range(1199))
+        for ear in ("left", "right")
     ]
-    return audio_participants, loud_participants
+    loud_records = [
+        EarRecord(pid, ear, features=broken if i >= 1272 else template)
+        for i, (pid, ear) in enumerate(loud_ears)
+    ]
+    return audio_records, loud_records
 
 
 @criterion("8 pipeline count bookkeeping", 1.0)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from loudclass import cli, harness, metrics
-from loudclass.classifiers import ClassifierSpec, load_model, predict
+from loudclass.classifiers import ClassifierSpec, load_model, ovr, predict
 from loudclass.cli import COMMANDS, _resolve_options, build_parser, main
 from loudclass.errors import DataError, NumericError
 from loudclass.loudness import LEVEL_FEATURE_INDICES, LoudnessFeatureVector
@@ -351,10 +351,10 @@ def test_preprocess_requires_input_choice(tmp_path, capsys):
 
 
 def test_preprocess_combined_csv(tmp_path):
-    participants, labeled = generate_synthetic_full(
+    ears, labeled = generate_synthetic_full(
         SyntheticConfig(records_per_class=6, seed=4))
     src = tmp_path / "combined.csv"
-    write_csv(participants, src)
+    write_csv(ears, src)
     out = tmp_path / "out"
     rc = run("preprocess", "--out-dir", str(out), "--combined-csv", str(src),
              "--min-pta", "0", "--min-class-count", "1",
@@ -393,6 +393,20 @@ def test_unknown_only_variant_is_exit_2(generated, capsys):
     assert "magic" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("source", ["option", "config"])
+def test_unknown_generate_class_is_exit_2(tmp_path, capsys, source):
+    if source == "option":
+        extra = ("--classes", "N2,X9")
+    else:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"generate": {"classes": ["N2", "X9"]}}))
+        extra = ("--config", str(config))
+    rc = run("generate", "--out-dir", str(tmp_path / "g"), *extra)
+    assert rc == 2
+    assert "unknown audiogram classes: X9" in capsys.readouterr().err
+    assert not (tmp_path / "g" / "labeled.json").exists()
+
+
 def test_designated_must_be_in_only(generated, capsys):
     rc = run("evaluate", "--out-dir", str(generated), "--only", "dt",
              "--classifier", "svm")
@@ -409,6 +423,42 @@ def test_removed_svm_max_passes_is_exit_2(generated, capsys, monkeypatch):
              "--param", "max_passes=5")
     assert rc == 2
     assert "unknown svm parameters" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+@pytest.mark.parametrize("variant, param", [
+    ("knn", "k=abc"), ("knn", "k=2.5"), ("knn", "k=null"),
+    ("lr", "gtol=abc"), ("lr", "max_iter=2.5"),
+    ("nn", "hidden=abc"), ("nn", "max_iter=abc"),
+    ("svm", "C=abc"), ("svm", "gamma=abc"),
+    ("rf", "n_trees=abc"), ("rf", "max_features=2.5"),
+    ("gb", "learning_rate=abc"), ("gb", "max_depth=abc"),
+    ("dt", "min_samples_split=abc"),
+])
+def test_wrong_typed_param_is_exit_2_before_any_fit(generated, capsys, monkeypatch,
+                                                     command, variant, param):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a classifier was fitted before the parameters were checked")
+
+    monkeypatch.setattr(harness, "fit", no_fit)
+    monkeypatch.setattr(ovr, "_make_submodel", no_fit)
+    rc = run(command, "--out-dir", str(generated), "--classifier", variant,
+             "--param", param)
+    assert rc == 2
+    name = param.partition("=")[0]
+    assert f"{variant} parameter {name} must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("variant, param", [
+    ("svm", "gamma=null"), ("rf", "max_features=null"),
+    ("nn", "ftol=null"), ("nn", "hidden=[8]"),
+])
+def test_param_of_an_accepted_type_trains(generated, variant, param):
+    rc = run("train", "--out-dir", str(generated), "--classifier", variant,
+             "--param", param, "--model-out", "model.json")
+    assert rc == 0
+    key, _, raw = param.partition("=")
+    assert load_model(generated / "model.json").params[key] == json.loads(raw)
 
 
 @pytest.mark.parametrize("command", ["evaluate", "sweep"])

@@ -2,9 +2,10 @@
 
 scipy.special takes about 0.3 s to import, so the package imports it only
 where a logistic output (lr, nn, svm, gb) or a t-test first needs it, and
-``harness._fold_fits`` imports it once before it forks its workers. Each
-test runs in a fresh interpreter: this test process has loaded scipy.special
-already (``tests/oracles.py`` imports it).
+``harness._fold_fits`` imports it once before it forks its workers when one
+of them will fit such a variant. Each test runs in a fresh interpreter: this
+test process has loaded scipy.special already (``tests/oracles.py`` imports
+it).
 """
 
 import json
@@ -77,7 +78,30 @@ def test_fold_fit_workers_start_with_scipy_special_loaded():
         "harness._usable_cpus = lambda: 2\n"
         "harness._fit_fold = lambda context, task: (\n"
         "    os.getpid() != int(context), 'scipy.special' in sys.modules)\n"
-        "print(json.dumps([before, list(harness._fold_fits(str(os.getpid()), [0, 1]))]))\n"
+        "print(json.dumps([before, list(harness._fold_fits(\n"
+        "    str(os.getpid()), [0, 1], import_expit=True))]))\n"
     )
     # Each task ran in a worker, not inline, and found the module there.
     assert python(code) == [False, [[True, True], [True, True]]]
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="the pool forks its workers")
+@pytest.mark.parametrize("variant, loaded", [("rf", False), ("lr", True)])
+def test_evaluate_imports_scipy_special_before_forking_only_for_a_logistic_fit(
+        tmp_path, variant, loaded):
+    data = tmp_path / "labeled.json"
+    assert main(["generate", "--out-dir", str(tmp_path), "--per-class", "5"]) == 0
+    code = (
+        "import json, sys\n"
+        "from loudclass import harness\n"
+        "from loudclass.cli import main\n"
+        "harness._usable_cpus = lambda: 2\n"
+        "rc = main(json.loads(sys.argv[1]))\n"
+        "print(json.dumps([rc, 'scipy.special' in sys.modules]))\n"
+    )
+    argv = ["evaluate", "--data", str(data), "--out-dir", str(tmp_path / "e"),
+            "--only", variant, "--classifier", variant, "--k", "3"]
+    # With one classifier there is no t-test, so only the pre-fork import
+    # can load the module in this (the parent) process.
+    assert python(code, json.dumps(argv)) == [0, loaded]

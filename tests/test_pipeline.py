@@ -8,6 +8,7 @@ from loudclass.bisgaard import Audiogram, BisgaardClass, classify, load_profiles
 from loudclass.errors import (
     ConfigurationError,
     DataError,
+    ParameterError,
     ParseError,
     SchemaError,
 )
@@ -19,10 +20,8 @@ from loudclass.loudness import (
 from loudclass.pipeline import (
     CSV_COLUMNS,
     THRESHOLD_FREQUENCIES_HZ,
-    EarData,
     EarRecord,
     LabeledRecord,
-    ParticipantRecord,
     RovingConfig,
     SyntheticConfig,
     apply_roving,
@@ -40,7 +39,6 @@ from loudclass.pipeline import (
     participant_offset,
     preprocess,
     rove_matrix,
-    split_ears,
     write_csv,
     write_labeled_json,
 )
@@ -66,18 +64,11 @@ def _audiogram(offset: float, pid: str = "p1", ear: str = "left") -> Audiogram:
 
 # --- cascade stages ----------------------------------------------------------
 
-def test_split_ears_order_and_presence():
-    rec = ParticipantRecord(
-        "p1",
-        left=EarData(audiogram=_audiogram(0)),
-        right=EarData(features=_features()),
-    )
-    ears = split_ears([rec])
-    assert [(e.participant_id, e.ear) for e in ears] == [("p1", "left"), ("p1", "right")]
-    only_right = ParticipantRecord("p2", right=EarData(features=_features()))
-    assert [e.ear for e in split_ears([only_right])] == ["right"]
-    with pytest.raises(Exception):
-        ParticipantRecord("p3")
+def test_ear_record_needs_a_data_side():
+    EarRecord("p1", "left", audiogram=_audiogram(0))
+    EarRecord("p1", "right", features=_features())
+    with pytest.raises(ParameterError):
+        EarRecord("p3", "left")
 
 
 def test_drop_incomplete_rules():
@@ -163,16 +154,10 @@ def test_rare_class_filter_thresholds():
 
 
 def test_preprocess_summary_counts():
-    participants, _ = generate_synthetic_full(SyntheticConfig(records_per_class=10, seed=4))
+    ears, _ = generate_synthetic_full(SyntheticConfig(records_per_class=10, seed=4))
     final, summary = preprocess(
-        [ParticipantRecord(p.participant_id,
-                           EarData(audiogram=p.left.audiogram) if p.left else None,
-                           EarData(audiogram=p.right.audiogram) if p.right else None)
-         for p in participants],
-        [ParticipantRecord(p.participant_id,
-                           EarData(features=p.left.features) if p.left else None,
-                           EarData(features=p.right.features) if p.right else None)
-         for p in participants],
+        [replace(e, features=None) for e in ears],
+        [replace(e, audiogram=None) for e in ears],
     )
     assert summary.merged == summary.audiogram_complete
     assert summary.after_class_filter == len(final)
@@ -290,17 +275,14 @@ def test_generator_covers_requested_classes(small_records):
 
 
 def test_generator_labels_match_stored_audiograms():
-    participants, labeled = generate_synthetic_full(
+    ears, labeled = generate_synthetic_full(
         SyntheticConfig(records_per_class=6, seed=9)
     )
-    audiograms = {
-        (p.participant_id, ear): getattr(p, ear).audiogram
-        for p in participants
-        for ear in ("left", "right")
-        if getattr(p, ear) is not None
-    }
-    for rec in labeled:
-        a = audiograms[(rec.participant_id, rec.ear)]
+    assert [(e.participant_id, e.ear) for e in ears] == [
+        (r.participant_id, r.ear) for r in labeled
+    ]
+    for ear, rec in zip(ears, labeled):
+        a = ear.audiogram
         cls, _ = classify(a)
         assert cls is rec.label
         assert rec.pta == pytest.approx(pta(a))
@@ -324,12 +306,24 @@ def test_generator_validation():
 # --- serialization -----------------------------------------------------------
 
 def test_csv_round_trip(tmp_path):
-    participants, _ = generate_synthetic_full(SyntheticConfig(records_per_class=6, seed=2))
+    ears, _ = generate_synthetic_full(SyntheticConfig(records_per_class=7, seed=2))
     path = tmp_path / "data.csv"
-    write_csv(participants, path)
+    write_csv(ears, path)
     header = path.read_text().splitlines()[0]
     assert tuple(header.split(",")) == CSV_COLUMNS
-    assert load_csv(path) == participants
+    assert load_csv(path) == ears
+
+
+def test_csv_loads_participants_in_order_of_first_appearance_left_first(tmp_path):
+    path = tmp_path / "shuffled.csv"
+    thresholds = ",".join(["10"] * len(THRESHOLD_FREQUENCIES_HZ))
+    rows = [f"{pid},{ear},{thresholds}" + "," * 12
+            for pid, ear in (("p2", "right"), ("p1", "left"), ("p2", "left"),
+                             ("p1", "right"))]
+    path.write_text(",".join(CSV_COLUMNS) + "\n" + "\n".join(rows) + "\n")
+    assert [(r.participant_id, r.ear) for r in load_csv(path)] == [
+        ("p2", "left"), ("p2", "right"), ("p1", "left"), ("p1", "right"),
+    ]
 
 
 def test_csv_missing_cells(tmp_path):
@@ -340,8 +334,9 @@ def test_csv_missing_cells(tmp_path):
         + f"p1,left,{thresholds}" + "," * 12 + "\n"
     )
     [rec] = load_csv(path)
-    assert rec.left.audiogram is not None
-    assert rec.left.features is None
+    assert (rec.participant_id, rec.ear) == ("p1", "left")
+    assert rec.audiogram is not None
+    assert rec.features is None
 
 
 def test_csv_errors(tmp_path):
