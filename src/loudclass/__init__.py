@@ -1,5 +1,15 @@
 """Loudness-feature hearing-profile classification toolkit."""
 
+import os
+
+# BLAS runs on one thread per process unless the user set these: fold
+# fits already run one per CPU in worker processes, where more BLAS
+# threads only compete for the same CPUs. BLAS reads them when numpy
+# loads, so this acts only when loudclass is imported before numpy.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
+
 from ._version import __version__
 from .bisgaard import (
     Audiogram,

@@ -27,6 +27,7 @@ both commands report a data error before a fold-plan error.
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 import os
 import threading
@@ -38,7 +39,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .classifiers import VARIANTS, ClassifierSpec, fit
-from .classifiers.linear import EXPIT_VARIANTS
 from .errors import ConfigurationError, LoudclassError
 from .explain import (
     PERMUTATION_METRICS,
@@ -74,6 +74,7 @@ from .pipeline import (  # noqa: F401
     generate_synthetic,
     labels_of,
     load_labeled_json,
+    participant_normals,
     rove_matrix,
 )
 
@@ -381,7 +382,7 @@ def _fit_fold_in_worker(task):
     return _fit_fold(_worker_context, task)
 
 
-def _fold_fits(context, tasks, *, import_expit: bool):
+def _fold_fits(context, tasks):
     """Yield ``_fit_fold(context, task)`` for every task, in task order.
 
     The tasks run in ``min(usable CPUs, tasks)`` worker processes forked
@@ -396,11 +397,6 @@ def _fold_fits(context, tasks, *, import_expit: bool):
     thread, so a lock another thread holds would stay locked in the
     workers. Closing the generator shuts the pool down; a task that is
     already running finishes first.
-
-    ``scipy.special``, which ``expit`` and the t-tests import only when
-    they first need it, is imported here once, before the fork, when
-    ``import_expit`` says a task fits a variant of ``EXPIT_VARIANTS``. Every
-    worker then inherits it and none spends the 0.3 s to import it again.
     """
     workers = min(_usable_cpus(), len(tasks))
     if (
@@ -411,9 +407,6 @@ def _fold_fits(context, tasks, *, import_expit: bool):
         for task in tasks:
             yield _fit_fold(context, task)
         return
-    if import_expit:
-        import scipy.special  # noqa: F401
-
     pool = ProcessPoolExecutor(
         workers,
         mp_context=multiprocessing.get_context("fork"),
@@ -452,8 +445,10 @@ def _cross_validate(cfg, configs, *, importance=False):
         records = resolve_records(cfg)
         X = feature_matrix(records)
         y = labels_of(records)
+        normals = functools.cache(lambda seed: participant_normals(records, seed))
         matrices = tuple(
-            X if c.roving is None else rove_matrix(X, records, c.roving)
+            X if c.roving is None
+            else rove_matrix(X, records, c.roving, normals(c.roving.seed))
             for c in configs
         )
     except LoudclassError as exc:
@@ -493,8 +488,7 @@ def _cross_validate(cfg, configs, *, importance=False):
         for fold in range(plan.k)
     ]
     codes = label_codes(y, classes)
-    import_expit = any(spec.variant in EXPIT_VARIANTS for spec in cfg.classifiers)
-    with closing(_fold_fits(context, tasks, import_expit=import_expit)) as outcomes:
+    with closing(_fold_fits(context, tasks)) as outcomes:
         return [
             _experiment_report(c, names, classes, y, codes, plans, outcomes)
             for c in configs

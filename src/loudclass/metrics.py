@@ -28,6 +28,7 @@ import numpy as np
 from .errors import (
     ConfigurationError,
     DataError,
+    NumericError,
     ShapeError,
     UndefinedMetricError,
 )
@@ -425,8 +426,76 @@ def paired_t_test(scores_a, scores_b) -> TTestResult:
             return TTestResult(t=0.0, p=1.0, degenerate=False)
         return TTestResult(t=math.copysign(math.inf, mean), p=0.0, degenerate=True)
     t = mean / (sd / math.sqrt(n))
-    # Imported at the first t-test: scipy.special takes about 0.3 s to load.
-    from scipy.special import stdtr
+    return TTestResult(t=t, p=t_two_sided_p(t, n - 1), degenerate=False)
 
-    p = 2.0 * float(stdtr(n - 1, -abs(t)))
-    return TTestResult(t=t, p=p, degenerate=False)
+
+def t_two_sided_p(t: float, df: int) -> float:
+    """P(|T| >= |t|) for Student's t with ``df`` degrees of freedom.
+
+    That is the regularized incomplete beta I_x(df/2, 1/2) at
+    x = df / (df + t^2). Its complement 1 - x is passed as t^2 / (df + t^2),
+    so neither tail is computed by cancellation. An infinite t gives 0 and
+    a NaN t gives NaN.
+    """
+    if math.isnan(t):
+        return math.nan
+    t2 = t * t
+    if math.isinf(t2):
+        # |t| > 1.3e154: x is t^-2 scaled by df, and 1 - x rounds to 1.
+        x, y = df / abs(t) / abs(t), 1.0
+    else:
+        x, y = df / (df + t2), t2 / (df + t2)
+    return _betainc(0.5 * df, 0.5, x, y)
+
+
+# The continued fraction stops once a step changes it by at most one
+# rounding unit; TINY stands in for a zero denominator (Lentz's method).
+_CF_EPS = 2.0**-52
+_CF_TINY = 1e-300
+_CF_MAX_TERMS = 10_000
+
+
+def _betainc(a: float, b: float, x: float, y: float) -> float:
+    """The regularized incomplete beta I_x(a, b), given x and y = 1 - x.
+
+    The continued fraction of Press et al., Numerical Recipes, section 6.4,
+    is evaluated at x where it converges fast, x < (a + 1) / (a + b + 2),
+    and otherwise at y through I_x(a, b) = 1 - I_y(b, a).
+    """
+    if x == 0.0:
+        return 0.0
+    if y == 0.0:
+        return 1.0
+    log_front = (
+        a * math.log(x) + b * math.log(y)
+        + math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+    )
+    if x < (a + 1.0) / (a + b + 2.0):
+        return math.exp(log_front) * _betainc_fraction(a, b, x) / a
+    return 1.0 - math.exp(log_front) * _betainc_fraction(b, a, y) / b
+
+
+def _betainc_fraction(a: float, b: float, x: float) -> float:
+    """The continued fraction of I_x(a, b) by the modified Lentz method."""
+
+    def guarded(v: float) -> float:
+        return v if abs(v) >= _CF_TINY else _CF_TINY
+
+    c = 1.0
+    d = 1.0 / guarded(1.0 - (a + b) * x / (a + 1.0))
+    h = d
+    for m in range(1, _CF_MAX_TERMS + 1):
+        # The even step d_2m, then the odd step d_2m+1.
+        for coef in (
+            m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m)),
+            -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0)),
+        ):
+            d = 1.0 / guarded(1.0 + coef * d)
+            c = guarded(1.0 + coef / c)
+            step = d * c
+            h *= step
+        if abs(step - 1.0) <= _CF_EPS:
+            return h
+    raise NumericError(
+        f"the incomplete beta I_x({a}, {b}) at x = {x} did not converge"
+    )

@@ -342,18 +342,38 @@ def _participant_key(participant_id: str) -> int:
     return int.from_bytes(digest, "big")
 
 
+def _participant_normal(seed: int, participant_id: str) -> float:
+    """The standard normal draw of a participant under rove seed ``seed``."""
+    seq = np.random.SeedSequence([seed, _participant_key(participant_id)])
+    return float(np.random.default_rng(seq).standard_normal())
+
+
 def participant_offset(cfg: RovingConfig, participant_id: str) -> float:
     """The calibration offset a participant receives under ``cfg``.
 
     Keyed by participant identity, not record order, so any record ordering
-    and any parallel execution produce identical offsets.
+    and any parallel execution produce identical offsets. It is
+    ``mean + sd * z`` with the participant's standard normal draw ``z``,
+    which is what ``Generator.normal(mean, sd)`` computes from the same
+    stream, bit for bit.
     """
-    seq = np.random.SeedSequence([cfg.seed, _participant_key(participant_id)])
-    rng = np.random.default_rng(seq)
-    return float(rng.normal(cfg.mean, cfg.sd))
+    return cfg.mean + cfg.sd * _participant_normal(cfg.seed, participant_id)
 
 
-def rove_matrix(X: np.ndarray, records: list[LabeledRecord], cfg: RovingConfig) -> np.ndarray:
+def participant_normals(records: list[LabeledRecord], seed: int) -> np.ndarray:
+    """Per record, the standard normal draw of its participant under rove
+    seed ``seed``; each participant's generator is built once."""
+    ids = [r.participant_id for r in records]
+    z = {pid: _participant_normal(seed, pid) for pid in dict.fromkeys(ids)}
+    return np.array([z[pid] for pid in ids], dtype=np.float64)
+
+
+def rove_matrix(
+    X: np.ndarray,
+    records: list[LabeledRecord],
+    cfg: RovingConfig,
+    normals: np.ndarray | None = None,
+) -> np.ndarray:
     """``X``, the feature matrix of ``records``, with every dB-level column
     of a row shifted by the offset of the row's participant.
 
@@ -363,16 +383,21 @@ def rove_matrix(X: np.ndarray, records: list[LabeledRecord], cfg: RovingConfig) 
     order of a valid record, since rounding is monotone, so only a row whose
     levels overflow can become invalid; the first such row raises the
     ``DataError`` that a ``LabeledRecord`` with its features raises.
+
+    ``normals`` are the records' ``participant_normals`` under ``cfg.seed``;
+    they are drawn here unless given, so that conditions sharing a seed can
+    share one draw. Row i moves by ``cfg.mean + cfg.sd * normals[i]``, its
+    participant's ``participant_offset``.
     """
     if cfg.mean == 0.0 and cfg.sd == 0.0:
         return X
-    ids = [r.participant_id for r in records]
-    offsets = {pid: participant_offset(cfg, pid) for pid in dict.fromkeys(ids)}
-    shift = np.array([offsets[pid] for pid in ids], dtype=np.float64)
-    moved = np.flatnonzero(shift != 0.0)
+    if normals is None:
+        normals = participant_normals(records, cfg.seed)
     levels = list(LEVEL_FEATURE_INDICES)
     out = X.copy()
     with np.errstate(over="ignore"):  # an overflowed row is reported below
+        shift = cfg.mean + cfg.sd * normals
+        moved = np.flatnonzero(shift != 0.0)
         out[np.ix_(moved, levels)] += shift[moved, None]
     for i in np.flatnonzero(~np.isfinite(out[:, levels]).all(axis=1)).tolist():
         r = records[i]

@@ -13,8 +13,10 @@ from collections import deque
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.special import expit
 
+# The package's own expit: the fused references are checked against split
+# arithmetic, bit for bit, which needs one expit on both sides.
+from loudclass.classifiers.linear import expit
 from loudclass.optimize import C1, MAX_BACKTRACKS, MEMORY, SHRINK
 
 

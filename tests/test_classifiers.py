@@ -2,6 +2,7 @@ import hashlib
 import inspect
 import json
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -36,7 +37,7 @@ from loudclass.classifiers import (
 from loudclass.classifiers import neighbors, neural, ovr
 from loudclass.classifiers import scaler as scaler_module
 from loudclass.classifiers import svm as svm_module
-from loudclass.classifiers.linear import ALPHA
+from loudclass.classifiers.linear import ALPHA, expit
 from loudclass.classifiers.svm import rbf_kernel
 from loudclass.classifiers.tree import _GAINS, _best_split, presort
 from loudclass.errors import (
@@ -241,12 +242,14 @@ def test_best_split_matches_oracle(seed, n, d, decimals, column, bootstrap, targ
 # format 3 by dropping the unused dt/gb ``seed`` keys from that JSON and
 # setting ``format_version`` to 3, and for format 4 by setting it to 4,
 # dropping the top-level dt/gb ``seed`` and dropping the hyperparameter
-# keys (and rf's ``seed_key``) from every submodel. A change here means the
+# keys (and rf's ``seed_key``) from every submodel. gb's was re-taken when
+# expit became numpy's 1 / (1 + exp(-x)): with scipy.special.expit swapped
+# back in, the code reproduces the old digest. A change here means the
 # trees moved; floating-point differences between platforms or numpy
 # builds can move them too.
 TREE_MODEL_SHA256 = {
     "dt": "d4b23879a5f7c61feb8c79cf1cb9366ca4dc4bd89d7d88de937092193e7f5ea0",
-    "gb": "2fa397385a28c76c27db54ca9e480460c2e5f3810508b1ee2b754d742ec7ff4a",
+    "gb": "4e598524691dd993a0b0211646e94ea47174bfabd5c87ca6a93398f7184abaf6",
     "rf": "23d5bf96e2aa55eb600c58512af922d24f0dc5412444436191c5cdab9bd83ccd",
 }
 
@@ -314,6 +317,53 @@ def test_boosting_handles_xor(rng):
 
 
 # --- logistic regression -------------------------------------------------------
+
+# scipy.special.expit computes 1 / (1 + exp(-x)) too, with the C library's
+# exp. The two exps differ by at most one unit in the last place, which is
+# 2^-52 relative; 1 + e and the division each round once on either side.
+EXPIT_RTOL = 2.0**-52 + 4 * 2.0**-53
+# Between x = -745 and -708.4 the result is subnormal, with absolute units.
+EXPIT_ATOL = 2 * 2.0**-1074
+EXPIT_EXACT = (np.inf, -np.inf, np.nan, 0.0, -0.0, 745.0, -745.0, 710.0, -710.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=50))
+@example(list(EXPIT_EXACT))
+def test_expit_matches_scipy(values):
+    from scipy.special import expit as scipy_expit
+
+    x = np.array(values)
+    np.testing.assert_allclose(expit(x), scipy_expit(x), rtol=EXPIT_RTOL,
+                               atol=EXPIT_ATOL, equal_nan=True)
+
+
+def test_expit_is_exact_at_its_limits():
+    from scipy.special import expit as scipy_expit
+
+    x = np.array(EXPIT_EXACT)
+    got = expit(x)
+    assert got.view(np.uint64).tolist() == scipy_expit(x).view(np.uint64).tolist()
+    assert got[[0, 1, 3, 4, 5, 6, 7, 8]].tolist() == [1.0, 0.0, 0.5, 0.5, 1.0, 0.0, 1.0, 0.0]
+    assert np.isnan(got[2])
+
+
+def test_expit_on_normal_draws_matches_scipy():
+    from scipy.special import expit as scipy_expit
+
+    rng = np.random.default_rng(0)
+    x = np.concatenate([scale * rng.normal(size=50_000) for scale in (1.0, 30.0, 300.0)])
+    np.testing.assert_allclose(expit(x), scipy_expit(x), rtol=EXPIT_RTOL, atol=EXPIT_ATOL)
+
+
+def test_expit_raises_no_runtime_warning():
+    # pytest turns every RuntimeWarning into an error (pyproject.toml);
+    # exp(-x) overflows for every x below -709.78.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert expit(np.array([-1e308, -800.0, -710.0])).tolist() == [0.0] * 3
+        assert expit(-800.0) == 0.0
+
 
 def test_logistic_gradient_matches_finite_differences(rng):
     X = rng.normal(size=(12, 3))
@@ -471,7 +521,7 @@ REFERENCE_FITS = {
     "ftol-two-layers": ((0, (3, 5), 1.0, 1e-4, 1e-4), "ftol"),
     "gtol-one-layer": ((6, (4,), 1.0, None, 1e-4), "gtol"),
     "gtol-two-layers": ((3, (3, 5), 10.0, None, 1.0), "gtol"),
-    "line_search-two-layers": ((3, (3, 5), 1.0, None, 1e-4), "line_search"),
+    "line_search-two-layers": ((10, (3, 5), 1.0, None, 1e-4), "line_search"),
 }
 
 
@@ -994,7 +1044,9 @@ def test_knn_top_k_matches_stable_argsort(seed, n_distinct, copies, k_fraction, 
 
 # sha256 of predict_proba(...).tobytes() for a model fit on every other row
 # of the small fixture and queried on all 144 rows in 16-row knn blocks,
-# taken at the commit before knn picked its neighbours by argmin passes.
+# taken at the commit before knn picked its neighbours by argmin passes;
+# svm's was re-taken when expit became numpy's 1 / (1 + exp(-x)), and with
+# scipy.special.expit swapped back in the code reproduces the old digest.
 # A change here means the predictions moved; BLAS builds can move them too.
 PREDICTION_SHA256 = {
     "knn-2": ("knn", {"k": 2},
@@ -1002,7 +1054,7 @@ PREDICTION_SHA256 = {
     "knn-7": ("knn", {"k": 7},
               "a7e479034ec7d4b4c44386ce36ff7d59515e455b0033eefa47c6b80aeed15738"),
     "svm": ("svm", {},
-            "496c38ceaba3990c4fba0034a6af2e66910858492903f3565ee772ce8bb7b1b0"),
+            "50767613028fae441bbc6afef356dc13e3651ac2a51d956096a86af4b7210f59"),
 }
 
 

@@ -7,7 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from loudclass import harness, metrics
+from loudclass import harness, metrics, pipeline
 from loudclass.classifiers import ClassifierSpec, fit
 from loudclass.errors import ConfigurationError, DataError
 from loudclass.explain import importance_report
@@ -293,6 +293,21 @@ def test_roving_sweep_fits_and_roves_once_per_condition(monkeypatch):
     assert calls["rove_matrix"].value == len(conditions)
 
 
+def test_roving_sweep_draws_each_participant_once(monkeypatch):
+    draws = Counter()
+
+    def counted(seed, participant_id):
+        draws[participant_id] += 1
+        return normal(seed, participant_id)
+
+    normal = pipeline._participant_normal
+    monkeypatch.setattr(pipeline, "_participant_normal", counted)
+    cfg = fast_config()
+    roving_sweep(cfg, conditions=((0.0, 0.0), (5.0, 5.0), (10.0, 5.0)))
+    participants = {r.participant_id for r in resolve_records(cfg)}
+    assert draws == Counter(dict.fromkeys(participants, 1))
+
+
 def test_roving_sweep_importance_scores_the_plan0_fold0_model():
     cfg = fast_config(repeats=2)
     conditions = ((0.0, 0.0), (10.0, 5.0))
@@ -328,10 +343,10 @@ def test_roving_sweep_data_errors_carry_the_stage(monkeypatch):
             fits.value += 1
         return fit(*args, **kwargs)
 
-    def broken(X, records, cfg):
+    def broken(X, records, cfg, normals):
         if cfg.mean == 10.0:
             raise DataError("bad offsets")
-        return rove_matrix(X, records, cfg)
+        return rove_matrix(X, records, cfg, normals)
 
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(harness, "fit", counted)

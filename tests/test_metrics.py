@@ -1,3 +1,4 @@
+import math
 import warnings
 from collections import Counter
 
@@ -35,6 +36,7 @@ from loudclass.metrics import (
     recall,
     roc_curve,
     specificity,
+    t_two_sided_p,
     weighted_f1,
     weighted_f1_of,
 )
@@ -341,6 +343,46 @@ def test_t_test_against_scipy():
     assert mine.t == pytest.approx(ref.statistic, abs=1e-10)
     assert mine.p == pytest.approx(ref.pvalue, abs=1e-10)
     assert not mine.degenerate
+
+
+T_GRID = np.geomspace(1e-6, 1e4, 241)
+
+
+@pytest.mark.parametrize("df, closed_form", [
+    (1, lambda t: 1.0 - 2.0 / np.pi * np.arctan(t)),
+    (2, lambda t: 1.0 - t / np.sqrt(2.0 + t * t)),
+])
+def test_t_tail_matches_its_closed_forms(df, closed_form):
+    got = np.array([t_two_sided_p(float(t), df) for t in T_GRID])
+    assert np.abs(got - closed_form(T_GRID)).max() <= 1e-15
+    negative = np.array([t_two_sided_p(-float(t), df) for t in T_GRID])
+    assert np.array_equal(negative, got)
+
+
+def test_t_tail_matches_scipy_stdtr():
+    from scipy.special import stdtr
+
+    for df in [*range(1, 31), 40, 50, 75, 99, 150, 250, 500, 750, 999]:
+        got = np.array([t_two_sided_p(float(t), df) for t in T_GRID])
+        want = 2.0 * stdtr(df, -T_GRID)
+        # Relative where the tail is small and still a normal float, absolute
+        # where p is above one half.
+        small = (want <= 0.5) & (want >= np.finfo(np.float64).tiny)
+        assert np.all(np.abs(got - want)[small] <= 1e-11 * want[small]), df
+        assert np.all(np.abs(got - want)[want > 0.5] <= 1e-10), df
+
+
+def test_t_tail_limits():
+    from scipy.special import stdtr
+
+    for df in (1, 2, 9, 999):
+        assert t_two_sided_p(np.inf, df) == 0.0 == 2.0 * stdtr(df, -np.inf)
+        assert t_two_sided_p(-np.inf, df) == 0.0
+        assert math.isnan(t_two_sided_p(math.nan, df))
+        assert math.isnan(2.0 * stdtr(df, math.nan))
+        assert t_two_sided_p(0.0, df) == 1.0
+    # t^2 overflows; the tail is (2/pi)/|t| for one degree of freedom.
+    assert t_two_sided_p(1e160, 1) == pytest.approx(2.0 / math.pi / 1e160, rel=1e-14)
 
 
 def test_t_test_degenerate_cases():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from loudclass.bisgaard import Audiogram, BisgaardClass, classify, load_profiles, pta
+from loudclass.harness import DEFAULT_ROVING_CONDITIONS
 from loudclass.errors import (
     ConfigurationError,
     DataError,
@@ -36,7 +37,9 @@ from loudclass.pipeline import (
     load_csv,
     load_labeled_json,
     merge_by_id_ear,
+    participant_normals,
     participant_offset,
+    _participant_key,
     preprocess,
     rove_matrix,
     write_csv,
@@ -243,6 +246,39 @@ def test_rove_matrix_invalid_row_keeps_the_record_error():
     with pytest.raises(DataError) as via_records:
         apply_roving(records, cfg)
     assert str(via_records.value) == str(want.value)
+
+
+def _normal_draw_offset(cfg, participant_id):
+    """The offset as one ``Generator.normal(mean, sd)`` draw from the
+    participant's own generator, built anew for every condition."""
+    seq = np.random.SeedSequence([cfg.seed, _participant_key(participant_id)])
+    return float(np.random.default_rng(seq).normal(cfg.mean, cfg.sd))
+
+
+@pytest.mark.parametrize("mean, sd, seed", [
+    (5.0, 5.0, 0), (10.0, 10.0, 7), (-7.5, 2.0, 9), (0.0, 1e308, 0), (3.0, 0.0, 1),
+])
+def test_participant_offset_is_the_normal_draw_bit_for_bit(mean, sd, seed):
+    cfg = RovingConfig(mean, sd, seed=seed)
+    ids = [f"p{i:04d}" for i in range(2000)]
+    got = [participant_offset(cfg, pid) for pid in ids]
+    want = [_normal_draw_offset(cfg, pid) for pid in ids]
+    assert np.array(got).view(np.uint64).tolist() == np.array(want).view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("mean, sd", DEFAULT_ROVING_CONDITIONS)
+def test_shared_normals_rove_the_default_conditions_bit_for_bit(small_records, mean, sd):
+    # One draw per participant, shared by every condition of a rove seed,
+    # gives the matrix of one Generator.normal draw per condition.
+    cfg = RovingConfig(mean, sd, seed=0)
+    X = feature_matrix(small_records)
+    got = rove_matrix(X, small_records, cfg, participant_normals(small_records, 0))
+    want = []
+    for r in small_records:
+        o = _normal_draw_offset(cfg, r.participant_id)
+        want.append(r if o == 0.0 else replace(r, features=r.features.shifted(o)))
+    want = feature_matrix(want)
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
 
 def test_participant_offset_determinism():
