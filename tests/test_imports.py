@@ -1,7 +1,9 @@
 """What a fresh loudclass process loads and sets before it computes.
 
-Each test runs in a fresh interpreter: this test process has loaded numpy
-and scipy.special already (``tests/oracles.py`` and the scipy oracles).
+No command loads scipy.special: the package's ``expit`` is numpy's and the
+t-test's tail is ``metrics.t_two_sided_p``. Each test runs in a fresh
+interpreter: this test process has loaded numpy and scipy.special already
+(``tests/oracles.py`` and the scipy oracles).
 """
 
 import json
@@ -14,9 +16,36 @@ from pathlib import Path
 import pytest
 
 import loudclass
+from loudclass.cli import main
 
 SRC = Path(loudclass.__file__).resolve().parents[1]
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+needs_fork = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                                reason="the fold fits fork their workers")
+
+# Runs each command line of ``sys.argv[1]`` with two usable CPUs and prints,
+# per command, its name, exit code and whether scipy.special is loaded in
+# this (the parent) process; then whether any fold fit ran in a forked
+# worker, and how many fold fits found scipy.special loaded after them.
+WATCHED_COMMANDS = (
+    "import json, multiprocessing, os, sys\n"
+    "from loudclass import harness\n"
+    "from loudclass.cli import main\n"
+    "harness._usable_cpus = lambda: 2\n"
+    "parent = os.getpid()\n"
+    "forked, loaded = multiprocessing.Value('i', 0), multiprocessing.Value('i', 0)\n"
+    "fit_fold = harness._fit_fold\n"
+    "def watched(context, task):\n"
+    "    outcome = fit_fold(context, task)\n"
+    "    with forked.get_lock():\n"
+    "        forked.value += os.getpid() != parent\n"
+    "        loaded.value += 'scipy.special' in sys.modules\n"
+    "    return outcome\n"
+    "harness._fit_fold = watched\n"
+    "print(json.dumps([[argv[0], main(argv), 'scipy.special' in sys.modules]\n"
+    "                  for argv in json.loads(sys.argv[1])]\n"
+    "                 + [forked.value > 0, loaded.value]))\n"
+)
 
 
 def python(code: str, *args: str, env: dict | None = None):
@@ -30,50 +59,82 @@ def python(code: str, *args: str, env: dict | None = None):
     return json.loads(done.stdout.splitlines()[-1])
 
 
-@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
-                    reason="the fold fits fork their workers")
-def test_no_command_loads_scipy_special(tmp_path):
+def test_importing_the_cli_leaves_scipy_special_unloaded():
+    code = "import json, sys, loudclass.cli; print(json.dumps('scipy.special' in sys.modules))"
+    assert python(code) is False
+
+
+def test_commands_that_fit_no_logistic_model_leave_scipy_special_unloaded(tmp_path):
+    evaluated = tmp_path / "evaluated"
     data = tmp_path / "generated" / "labeled.json"
+    assert main(["generate", "--out-dir", str(data.parent), "--per-class", "5",
+                 "--csv"]) == 0
+    assert main(["evaluate", "--data", str(data), "--out-dir", str(evaluated),
+                 "--only", "dt,knn", "--classifier", "dt", "--k", "3"]) == 0
     commands = [
-        ["generate", "--out-dir", str(data.parent), "--per-class", "8", "--csv"],
+        ["generate", "--out-dir", str(tmp_path / "g"), "--per-class", "5"],
+        ["rove", "--data", str(data), "--out-dir", str(tmp_path / "r"), "--mean", "5"],
+        ["pca", "--data", str(data), "--out-dir", str(tmp_path / "p")],
+        ["preprocess", "--combined-csv", str(data.parent / "participants.csv"),
+         "--out-dir", str(tmp_path / "c")],
+        ["report", "--in-dir", str(evaluated), "--out-dir", str(tmp_path / "f")],
+        *(["explain", "--data", str(data), "--out-dir", str(tmp_path / name),
+           "--classifier", name, "--k", "3", "--background", "5", "--max-records", "2"]
+          for name in ("rf", "dt", "knn")),
+    ]
+    code = (
+        "import json, sys\n"
+        "from loudclass.cli import main\n"
+        "print(json.dumps([[argv[0], main(argv), 'scipy.special' in sys.modules]\n"
+        "                  for argv in json.loads(sys.argv[1])]))\n"
+    )
+    assert python(code, json.dumps(commands)) == [
+        [argv[0], 0, False] for argv in commands
+    ]
+
+
+@needs_fork
+def test_commands_that_fit_a_logistic_model_leave_scipy_special_unloaded(tmp_path):
+    data = tmp_path / "labeled.json"
+    assert main(["generate", "--out-dir", str(tmp_path), "--per-class", "8"]) == 0
+    commands = [
+        # All seven classifiers, so the t-tests run too.
         ["evaluate", "--data", str(data), "--out-dir", str(tmp_path / "e"), "--k", "2"],
         ["sweep", "--data", str(data), "--out-dir", str(tmp_path / "s"), "--k", "2",
          "--only", "lr,nn,svm,gb", "--classifier", "lr", "--conditions", "0:0,5:5"],
         ["train", "--data", str(data), "--out-dir", str(tmp_path / "t"),
          "--classifier", "nn"],
-        *(["explain", "--data", str(data), "--out-dir", str(tmp_path / name),
-           "--classifier", name, "--k", "3", "--background", "5", "--max-records", "2"]
-          for name in ("lr", "rf")),
-        ["rove", "--data", str(data), "--out-dir", str(tmp_path / "r"), "--mean", "5"],
-        ["pca", "--data", str(data), "--out-dir", str(tmp_path / "p")],
-        ["preprocess", "--combined-csv", str(data.parent / "participants.csv"),
-         "--out-dir", str(tmp_path / "c")],
-        ["report", "--in-dir", str(tmp_path / "e"), "--out-dir", str(tmp_path / "f")],
+        ["explain", "--data", str(data), "--out-dir", str(tmp_path / "x"),
+         "--classifier", "lr", "--k", "3", "--background", "5", "--max-records", "2"],
     ]
-    # Every fold fit counts, in shared memory, whether it ran in a forked
-    # worker and whether scipy.special was loaded after it.
-    code = (
-        "import json, multiprocessing, os, sys\n"
-        "from loudclass import harness\n"
-        "from loudclass.cli import main\n"
-        "harness._usable_cpus = lambda: 2\n"
-        "parent = os.getpid()\n"
-        "forked, loaded = multiprocessing.Value('i', 0), multiprocessing.Value('i', 0)\n"
-        "fit_fold = harness._fit_fold\n"
-        "def watched(context, task):\n"
-        "    outcome = fit_fold(context, task)\n"
-        "    with forked.get_lock():\n"
-        "        forked.value += os.getpid() != parent\n"
-        "        loaded.value += 'scipy.special' in sys.modules\n"
-        "    return outcome\n"
-        "harness._fit_fold = watched\n"
-        "print(json.dumps([[argv[0], main(argv), 'scipy.special' in sys.modules]\n"
-        "                  for argv in json.loads(sys.argv[1])]\n"
-        "                 + [forked.value > 0, loaded.value]))\n"
-    )
-    assert python(code, json.dumps(commands)) == [
+    assert python(WATCHED_COMMANDS, json.dumps(commands)) == [
         *([argv[0], 0, False] for argv in commands), True, 0
     ]
+
+
+@needs_fork
+def test_fold_fit_workers_start_without_scipy_special():
+    code = (
+        "import json, os, sys\n"
+        "from loudclass import harness\n"
+        "harness._usable_cpus = lambda: 2\n"
+        "harness._fit_fold = lambda context, task: (\n"
+        "    os.getpid() != int(context), 'scipy.special' in sys.modules)\n"
+        "print(json.dumps(list(harness._fold_fits(str(os.getpid()), [0, 1]))))\n"
+    )
+    # Each task ran in a worker, not inline, and did not find the module there.
+    assert python(code) == [[True, False], [True, False]]
+
+
+@needs_fork
+@pytest.mark.parametrize("variant", ["rf", "lr"])
+def test_evaluate_leaves_scipy_special_unloaded(tmp_path, variant):
+    data = tmp_path / "labeled.json"
+    assert main(["generate", "--out-dir", str(tmp_path), "--per-class", "5"]) == 0
+    argv = ["evaluate", "--data", str(data), "--out-dir", str(tmp_path / "e"),
+            "--only", variant, "--classifier", variant, "--k", "3"]
+    # Neither the parent nor any forked fold fit loads the module.
+    assert python(WATCHED_COMMANDS, json.dumps([argv])) == [["evaluate", 0, False], True, 0]
 
 
 def test_blas_runs_on_one_thread_unless_the_user_says_otherwise():
