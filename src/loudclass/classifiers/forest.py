@@ -7,10 +7,10 @@ import math
 import numpy as np
 
 from ..errors import ConfigurationError
-from .tree import TreeNode, build_tree, leaf_boxes, presort, tree_predict
+from .tree import LeafVoteModel, TreeNode, build_tree, value_ranks
 
 
-class RandomForestBinary:
+class RandomForestBinary(LeafVoteModel):
     """Majority-vote forest; score = fraction of trees voting positive.
 
     Each tree sees a bootstrap sample and draws ceil(sqrt(d)) candidate
@@ -39,16 +39,17 @@ class RandomForestBinary:
         y01 = np.asarray(y01, dtype=np.float64)
         n, d = X.shape
         max_features = self.max_features or math.ceil(math.sqrt(d))
+        ranks = value_ranks(X)
         self.trees_ = []
         for t in range(self.n_trees):
             rng = np.random.default_rng(np.random.SeedSequence([*self.seed_key, t]))
             bootstrap = rng.integers(0, n, size=n)
-            X_boot = X[bootstrap]
             self.trees_.append(
                 build_tree(
-                    X_boot,
+                    X[bootstrap],
                     y01[bootstrap],
-                    presort(X_boot),
+                    # presort(X[bootstrap]), sorted by radix (see value_ranks).
+                    np.argsort(ranks[:, bootstrap], axis=1, kind="stable"),
                     criterion="entropy",
                     min_samples_split=self.min_samples_split,
                     max_features=max_features,
@@ -57,23 +58,19 @@ class RandomForestBinary:
             )
         return self
 
-    def predict_score(self, X) -> np.ndarray:
+    @property
+    def trees(self) -> list[TreeNode]:
         if self.trees_ is None:
             raise ConfigurationError("forest is not fitted")
-        votes = np.zeros(len(X), dtype=np.float64)
-        for tree in self.trees_:
-            votes += tree_predict(tree, X) > 0.5
-        return votes / len(self.trees_)
+        return self.trees_
 
-    def leaf_table(self, n_features: int):
-        """``(lo, hi, payload)`` over every tree's leaves: the score is the
-        sum of the payloads of the leaves whose boxes hold the row, one per
-        tree (see ``leaf_boxes``)."""
-        lo, hi, value = (
-            np.concatenate(parts)
-            for parts in zip(*(leaf_boxes(t, n_features) for t in self.trees_))
-        )
-        return lo, hi, (value > 0.5) / len(self.trees_)
+    def tree_votes(self, values: np.ndarray) -> np.ndarray:
+        """True where the tree's leaf is mostly positive. Their sums are
+        integer counts, exact in any order."""
+        return values > 0.5
+
+    def score_from_votes(self, votes: np.ndarray) -> np.ndarray:
+        return votes / len(self.trees_)
 
     def fitted_state(self) -> dict:
         return {"trees": [t.to_jsonable() for t in self.trees_]}

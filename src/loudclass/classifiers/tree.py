@@ -3,7 +3,9 @@
 Split search is exhaustive over midpoints between consecutive distinct
 feature values, presorted as in CART (Breiman et al. 1984) and SLIQ (Mehta,
 Agrawal & Rissanen 1996). ``presort(X)`` runs one stable argsort per feature;
-boosting sorts once for all its stages, the forest once per bootstrap. A
+boosting sorts once for all its stages. The forest ranks its training
+values once (``value_ranks``) and sorts each bootstrap by those integer
+ranks, which gives the same order as sorting the bootstrap's values. A
 split divides each feature's order between the children with a boolean
 filter, which keeps the order a stable sort of the child's rows would give
 (equal values in ascending row order). One pass of cumulative sums over the
@@ -113,6 +115,33 @@ def presort(X: np.ndarray) -> np.ndarray:
     return np.argsort(np.asarray(X, dtype=np.float64).T, axis=1, kind="stable")
 
 
+def small_index_dtype(count: int):
+    """int16 for indices into fewer than 2**15 items, else intp."""
+    return np.int16 if count < 2**15 else np.intp
+
+
+def value_ranks(X: np.ndarray) -> np.ndarray:
+    """``d x n`` dense ranks: row i of feature f gets the number of distinct
+    values of column f below ``X[i, f]``.
+
+    Ranks order rows as their values do and tie exactly where the values
+    tie, so a stable argsort of ``value_ranks(X)[:, rows]`` is
+    ``presort(X[rows])`` for any row selection, repeats included. The ranks
+    are int16 while n < 2**15, which numpy's stable sort orders by radix.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    n, d = X.shape
+    order = presort(X)
+    sorted_values = np.take_along_axis(X.T, order, axis=1)
+    steps = sorted_values[:, 1:] != sorted_values[:, :-1]
+    dtype = small_index_dtype(n)
+    dense = np.zeros((d, n), dtype=dtype)
+    np.cumsum(steps, axis=1, out=dense[:, 1:])
+    ranks = np.empty((d, n), dtype=dtype)
+    np.put_along_axis(ranks, order, dense, axis=1)
+    return ranks
+
+
 def _best_split(X, y, order, candidates, gain_fn):
     """Best (gain, feature, threshold) over ``candidates``, or None.
 
@@ -203,17 +232,51 @@ def tree_predict(node: TreeNode, X: np.ndarray) -> np.ndarray:
     """Leaf value per row."""
     X = np.asarray(X, dtype=np.float64)
     out = np.empty(len(X), dtype=np.float64)
-    _route(node, X, np.arange(len(X)), out)
+
+    def at_leaf(leaf, rows):
+        out[rows] = leaf.value
+
+    _route(node, X, np.arange(len(X)), at_leaf)
     return out
 
 
-def _route(node: TreeNode, X, indices, out) -> None:
+def tree_leaves(node: TreeNode, X: np.ndarray) -> np.ndarray:
+    """The leaf each row reaches, numbered as ``leaf_boxes`` orders them.
+
+    With ``leaf_boxes`` this is the record of each row's path: the path
+    tests feature f exactly where its leaf's box is finite in f, and a row
+    reaches the same leaf whatever its value of f within the box.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    number = {id(leaf): i for i, leaf in enumerate(_leaves(node))}
+    out = np.empty(len(X), dtype=small_index_dtype(len(number)))
+
+    def at_leaf(leaf, rows):
+        out[rows] = number[id(leaf)]
+
+    _route(node, X, np.arange(len(X)), at_leaf)
+    return out
+
+
+def _route(node: TreeNode, X, indices, at_leaf) -> None:
+    """Send the rows ``indices`` down from ``node``; ``at_leaf(leaf, rows)``
+    receives the rows that reach each leaf, and a subtree that no row
+    reaches is not visited."""
+    if len(indices) == 0:
+        return
     if node.is_leaf:
-        out[indices] = node.value
+        at_leaf(node, indices)
         return
     mask = X[indices, node.feature] <= node.threshold
-    _route(node.left, X, indices[mask], out)
-    _route(node.right, X, indices[~mask], out)
+    _route(node.left, X, indices[mask], at_leaf)
+    _route(node.right, X, indices[~mask], at_leaf)
+
+
+def _leaves(node: TreeNode) -> list[TreeNode]:
+    """The leaves, left subtree first, as ``leaf_boxes`` walks them."""
+    if node.is_leaf:
+        return [node]
+    return _leaves(node.left) + _leaves(node.right)
 
 
 def leaf_boxes(node: TreeNode, n_features: int):
@@ -232,19 +295,54 @@ def leaf_boxes(node: TreeNode, n_features: int):
             values.append(node.value)
             return
         f, t = node.feature, node.threshold
-        walk(node.left, lo, {**hi, f: min(hi.get(f, np.inf), t)})
-        walk(node.right, {**lo, f: max(lo.get(f, -np.inf), t)}, hi)
+        left_hi, right_lo = hi.copy(), lo.copy()
+        left_hi[f] = min(hi[f], t)
+        right_lo[f] = max(lo[f], t)
+        walk(node.left, lo, left_hi)
+        walk(node.right, right_lo, hi)
 
-    walk(node, {}, {})
-    lo = np.full((len(values), n_features), -np.inf)
-    hi = np.full((len(values), n_features), np.inf)
-    for leaf, (low, high) in enumerate(zip(lows, highs)):
-        lo[leaf, list(low)] = list(low.values())
-        hi[leaf, list(high)] = list(high.values())
-    return lo, hi, np.array(values, dtype=np.float64)
+    walk(node, [-np.inf] * n_features, [np.inf] * n_features)
+    return (np.array(lows, dtype=np.float64), np.array(highs, dtype=np.float64),
+            np.array(values, dtype=np.float64))
 
 
-class DecisionTreeBinary:
+class LeafVoteModel:
+    """A binary model that scores a row from the one leaf it reaches in each
+    of its ``trees``.
+
+    Each tree's leaf value becomes a vote (``tree_votes``), and the score is
+    a function of the votes summed over the trees (``score_from_votes``),
+    linear in the sum. ``predict_score``, ``leaf_table`` and the permutation
+    importance of ``explain`` all score through these two methods, so each
+    model states its rule once.
+    """
+
+    @property
+    def trees(self) -> list[TreeNode]:
+        raise NotImplementedError
+
+    def tree_votes(self, values: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def score_from_votes(self, votes: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def predict_score(self, X) -> np.ndarray:
+        votes = [self.tree_votes(tree_predict(tree, X)) for tree in self.trees]
+        return self.score_from_votes(np.sum(votes, axis=0))
+
+    def leaf_table(self, n_features: int):
+        """``(lo, hi, payload)`` over every tree's leaves: the score is the
+        sum of the payloads of the leaves whose boxes hold the row, one per
+        tree (see ``leaf_boxes``)."""
+        lo, hi, value = (
+            np.concatenate(parts)
+            for parts in zip(*(leaf_boxes(t, n_features) for t in self.trees))
+        )
+        return lo, hi, self.score_from_votes(self.tree_votes(value))
+
+
+class DecisionTreeBinary(LeafVoteModel):
     """Entropy CART for one one-vs-rest problem; score = leaf positive fraction."""
 
     def __init__(self, *, min_samples_split: int = 5):
@@ -258,15 +356,17 @@ class DecisionTreeBinary:
         )
         return self
 
-    def predict_score(self, X) -> np.ndarray:
+    @property
+    def trees(self) -> list[TreeNode]:
         if self.tree_ is None:
             raise ConfigurationError("tree is not fitted")
-        return tree_predict(self.tree_, X)
+        return [self.tree_]
 
-    def leaf_table(self, n_features: int):
-        """``(lo, hi, payload)``: the score is the payload of the leaf whose
-        box holds the row (see ``leaf_boxes``)."""
-        return leaf_boxes(self.tree_, n_features)
+    def tree_votes(self, values: np.ndarray) -> np.ndarray:
+        return values
+
+    def score_from_votes(self, votes: np.ndarray) -> np.ndarray:
+        return votes
 
     def fitted_state(self) -> dict:
         return {"tree": self.tree_.to_jsonable()}

@@ -12,6 +12,14 @@ null-player axioms hold to floating-point precision.
   "independent" form): a closed form per (background row, leaf) pair.
 - Every other variant enumerates the 2^d coalitions outright; with 12
   features that is 4096 composite rows per background row.
+
+Permutation importance scores each shuffled copy of the data as one
+``predict`` of it would, bit for bit. Most variants stack a feature's
+copies and score them in one ``predict_index``. dt and rf route the data
+once per tree and then re-route, per shuffled feature, only the rows whose
+shuffled value leaves the interval their leaf allows, which excludes every
+row whose tree path does not test that feature (see
+``_leaf_sum_copies``).
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from .classifiers import TrainedModel
+from .classifiers.tree import leaf_boxes, tree_leaves, tree_predict
 from .errors import ConfigurationError, DataError, ShapeError
 from .loudness import FEATURE_NAMES
 # accuracy and balanced_accuracy are unused here, but perfbench/spans.py
@@ -315,8 +324,10 @@ def permutation_importance(
     """Per-feature score drop when that column is shuffled, repeated.
 
     Shuffle streams are keyed by (seed, feature, repeat), so results do
-    not depend on evaluation order. Each feature's shuffled copies are
-    stacked and scored by one ``predict_index``. Scores come from the
+    not depend on evaluation order. Every copy is predicted as one
+    ``predict_index`` of it would be: dt and rf re-route only the rows
+    whose shuffled value can change their leaf, the other variants score
+    each feature's stacked copies in one call. Scores come from the
     count matrix of ``y`` against the predictions, both as indices into the
     sorted labels of ``y``, so they equal the label API's
     ``balanced_accuracy(y, predicted)`` and ``accuracy(y, predicted)``.
@@ -345,18 +356,91 @@ def permutation_importance(
     def score(predicted: np.ndarray) -> float:
         return score_of(count_matrix(t, recode[predicted], len(classes)))
 
-    baseline = score(model.predict_index(X))
+    copies = _leaf_sum_copies if model.variant in _LEAF_SUM_VARIANTS else _stacked_copies
+    predictions = copies(model, X, seed, repeats)
+    baseline = score(next(predictions))
+    decreases = np.empty((X.shape[1], repeats))
+    for fi, predicted in enumerate(predictions):
+        for rep in range(repeats):
+            decreases[fi, rep] = baseline - score(predicted[rep])
+    return SplitImportance(split, metric, baseline, decreases)
+
+
+def _shuffles(seed: int, fi: int, repeats: int, n: int) -> np.ndarray:
+    """``(repeats, n)``: the row order of column ``fi`` in each shuffled copy."""
+    return np.array([
+        np.random.default_rng(np.random.SeedSequence([seed, fi, rep])).permutation(n)
+        for rep in range(repeats)
+    ])
+
+
+def _stacked_copies(model: TrainedModel, X: np.ndarray, seed: int, repeats: int):
+    """The class index predicted for each row of X, then, per feature, for
+    each row of each shuffled copy ``(repeats, n)``: one ``predict_index``
+    of the feature's copies stacked."""
     n, d = X.shape
-    decreases = np.empty((d, repeats))
+    yield model.predict_index(X)
     for fi in range(d):
         shuffled = np.tile(X, (repeats, 1))
-        for rep in range(repeats):
-            rng = np.random.default_rng(np.random.SeedSequence([seed, fi, rep]))
-            shuffled[rep * n : (rep + 1) * n, fi] = X[rng.permutation(n), fi]
-        predicted = model.predict_index(shuffled)
-        for rep in range(repeats):
-            decreases[fi, rep] = baseline - score(predicted[rep * n : (rep + 1) * n])
-    return SplitImportance(split, metric, baseline, decreases)
+        shuffled[:, fi] = X[_shuffles(seed, fi, repeats, n), fi].ravel()
+        yield model.predict_index(shuffled).reshape(repeats, n)
+
+
+def _leaf_sum_copies(model: TrainedModel, X: np.ndarray, seed: int, repeats: int):
+    """``_stacked_copies`` for dt and rf, re-routing only the rows that can
+    move.
+
+    X is standardized once; the scaler acts per element, so the shuffled
+    column of the standardized X is the standardized shuffled column. Each
+    tree routes X once, keeping each row's leaf and vote. A row reaches
+    leaf l exactly when it lies in l's box (``leaf_boxes``), so a shuffled
+    copy of a row stays in the row's leaf while the new value of the
+    shuffled feature stays in the leaf's interval of that feature; a path
+    that does not test the feature leaves the interval unbounded. Only the
+    copied rows whose new value falls outside are routed again, and every
+    other row keeps its vote. Each copy's vote sums then go through the
+    submodel's own ``score_from_votes``, so they give ``predict_index``'s
+    bits: rf votes are integer counts, exact in any order, and dt has one
+    tree, whose old vote is subtracted to exactly 0 before the new one is
+    added.
+    """
+    Z = model.scaler.transform(X)
+    n, d = Z.shape
+    # Per submodel: its vote sums, and per tree (tree, each row's vote and
+    # leaf, the leaves' boxes, and which features the tree tests).
+    routed = []
+    for sub in model.submodels:
+        trees = []
+        for tree in sub.trees:
+            lo, hi, value = leaf_boxes(tree, d)
+            leaves = tree_leaves(tree, Z)
+            tests = np.isfinite(lo).any(axis=0) | np.isfinite(hi).any(axis=0)
+            trees.append((tree, sub.tree_votes(value[leaves]), leaves, lo, hi, tests))
+        routed.append((np.sum([votes for _, votes, *_ in trees], axis=0), trees))
+    yield np.argmax(np.column_stack([
+        sub.score_from_votes(total) for sub, (total, _) in zip(model.submodels, routed)
+    ]), axis=1)
+    scores = np.empty((len(routed), repeats, n))
+    for fi in range(d):
+        column = Z[_shuffles(seed, fi, repeats, n), fi]
+        for ci, (sub, (total, trees)) in enumerate(zip(model.submodels, routed)):
+            sums = np.empty((repeats, n), dtype=total.dtype)
+            sums[:] = total
+            flat = sums.reshape(-1)
+            for tree, votes, leaves, lo, hi, tests in trees:
+                if not tests[fi]:
+                    continue
+                stays = (lo[leaves, fi] < column) & (column <= hi[leaves, fi])
+                moves = np.flatnonzero(~stays)  # positions in the (repeats, n) copies
+                if len(moves) == 0:
+                    continue
+                rows = moves % n
+                moved = Z[rows]
+                moved[:, fi] = column.reshape(-1)[moves]
+                new = sub.tree_votes(tree_predict(tree, moved))
+                flat[moves] = (flat[moves] - votes[rows]) + new
+            scores[ci] = sub.score_from_votes(sums)
+        yield np.argmax(scores, axis=0)
 
 
 def importance_report(

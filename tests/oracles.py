@@ -401,6 +401,22 @@ def best_split_oracle(X, y, criterion: str):
 
 # --- k nearest neighbors -----------------------------------------------------
 
+def tree_descent(node, row):
+    """The leaf one row reaches, walked down one node at a time, and the
+    features its path tests."""
+    tested = set()
+    while not node.is_leaf:
+        tested.add(node.feature)
+        node = node.left if row[node.feature] <= node.threshold else node.right
+    return node, tested
+
+
+def leaves_left_first(node) -> list:
+    if node.is_leaf:
+        return [node]
+    return leaves_left_first(node.left) + leaves_left_first(node.right)
+
+
 def knn_vote_oracle(neighbor_labels, n_classes: int) -> tuple[list[int], np.ndarray]:
     """Per-row knn vote over class indices sorted nearest first.
 

@@ -39,7 +39,16 @@ from loudclass.classifiers import scaler as scaler_module
 from loudclass.classifiers import svm as svm_module
 from loudclass.classifiers.linear import ALPHA, expit
 from loudclass.classifiers.svm import rbf_kernel
-from loudclass.classifiers.tree import _GAINS, _best_split, presort
+from loudclass.classifiers.tree import (
+    _GAINS,
+    _best_split,
+    build_tree,
+    leaf_boxes,
+    presort,
+    tree_leaves,
+    tree_predict,
+    value_ranks,
+)
 from loudclass.errors import (
     ConfigurationError,
     DataError,
@@ -235,6 +244,59 @@ def test_best_split_matches_oracle(seed, n, d, decimals, column, bootstrap, targ
     else:
         assert found[1:] == expected[1:]
         assert found[0] == pytest.approx(expected[0], abs=1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 40),
+    d=st.integers(1, 4),
+    decimals=st.sampled_from([0, 1, 6]),
+    column=st.sampled_from(["plain", "constant", "duplicate"]),
+)
+@example(seed=0, n=1, d=1, decimals=0, column="plain")
+@example(seed=1, n=9, d=3, decimals=0, column="constant")
+def test_rank_presort_equals_presort_of_bootstrap(seed, n, d, decimals, column):
+    # Rounding ties values and gives -0.0 next to 0.0; a bootstrap repeats rows.
+    rng = np.random.default_rng(seed)
+    X = np.round(rng.normal(size=(n, d)), decimals)
+    if column == "constant":
+        X[:, -1] = 0.25
+    elif column == "duplicate":
+        X[:, -1] = X[:, 0]
+    ranks = value_ranks(X)
+    assert ranks.dtype == np.int16 and ranks.shape == (d, n)
+    for rows in (np.arange(n), rng.integers(0, n, size=n), rng.integers(0, n, size=2 * n)):
+        order = np.argsort(ranks[:, rows], axis=1, kind="stable")
+        assert np.array_equal(order, presort(X[rows]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40), query=st.integers(0, 30),
+       corner=st.booleans())
+@example(seed=0, n=30, query=0, corner=False)
+def test_tree_predict_and_leaves_match_row_by_row_descent(seed, n, query, corner):
+    # Queries crowded into one corner of the feature space leave whole
+    # subtrees without a row.
+    rng = np.random.default_rng(seed)
+    X = np.round(rng.normal(size=(n, 3)), 1)
+    y = rng.integers(0, 2, n).astype(float)
+    tree = build_tree(X, y, presort(X), criterion="entropy")
+    lo, hi, value = leaf_boxes(tree, 3)
+    ordered = oracles.leaves_left_first(tree)
+    Q = rng.normal(size=(query, 3))
+    if corner:
+        Q = X.min(axis=0) - np.abs(Q)
+    for rows in (X, Q):
+        values, leaves = tree_predict(tree, rows), tree_leaves(tree, rows)
+        assert np.array_equal(value[leaves], values)
+        for row, row_value, leaf in zip(rows, values, leaves):
+            expected_leaf, tested = oracles.tree_descent(tree, row)
+            assert ordered[leaf] is expected_leaf
+            assert row_value == expected_leaf.value
+            assert np.all((lo[leaf] < row) & (row <= hi[leaf]))
+            bounded = np.isfinite(lo[leaf]) | np.isfinite(hi[leaf])
+            assert set(np.flatnonzero(bounded).tolist()) == tested
 
 
 # sha256 of the sorted model JSON on the small fixture, taken from per-node

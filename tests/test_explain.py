@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import oracles
 from loudclass.classifiers import ClassifierSpec, fit, predict_proba
@@ -337,11 +337,8 @@ def test_importance_report_has_both_splits(rng):
     assert report.feature_names == tuple(f"x{i}" for i in range(5))
 
 
-@pytest.mark.parametrize("variant", ["rf", "lr"])
-def test_batched_permutation_equals_one_predict_per_copy(rng, variant):
-    X, labels = informative_data(rng, n=60)
-    model = fit(ClassifierSpec(variant), X, labels)
-    repeats, seed = 4, 9
+def one_predict_per_copy(model, X, labels, repeats, seed):
+    """Baseline and decreases with one ``predict`` per shuffled copy."""
     baseline = balanced_accuracy(labels, model.predict(X))
     expected = np.empty((X.shape[1], repeats))
     for fi in range(X.shape[1]):
@@ -350,6 +347,52 @@ def test_batched_permutation_equals_one_predict_per_copy(rng, variant):
             shuffled = X.copy()
             shuffled[:, fi] = X[rng_copy.permutation(len(X)), fi]
             expected[fi, rep] = baseline - balanced_accuracy(labels, model.predict(shuffled))
+    return baseline, expected
+
+
+@pytest.mark.parametrize("variant", ["dt", "rf", "lr"])
+def test_batched_permutation_equals_one_predict_per_copy(rng, variant):
+    X, labels = informative_data(rng, n=60)
+    model = fit(ClassifierSpec(variant), X, labels)
+    repeats, seed = 4, 9
+    baseline, expected = one_predict_per_copy(model, X, labels, repeats, seed)
     split = permutation_importance(model, X, labels, repeats=repeats, seed=seed)
     assert split.baseline == baseline
     assert np.array_equal(split.decreases, expected)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    variant=st.sampled_from(["dt", "rf"]),
+    data_seed=st.integers(0, 2**32 - 1),
+    n=st.integers(8, 30),
+    n_classes=st.integers(2, 3),
+    seed=st.integers(0, 2**16),
+    repeats=st.integers(1, 4),
+)
+@example(variant="rf", data_seed=0, n=20, n_classes=3, seed=0, repeats=3)
+@example(variant="dt", data_seed=1, n=12, n_classes=2, seed=5, repeats=1)
+def test_rerouted_permutation_equals_one_predict_per_copy(
+    variant, data_seed, n, n_classes, seed, repeats
+):
+    # dt and rf re-route only the rows whose paths test the shuffled
+    # feature. Rounded values tie, repeated rows duplicate, and the last
+    # column is constant; the first two thirds of the rows train the model
+    # and both splits are scored.
+    rng = np.random.default_rng(data_seed)
+    X = np.round(rng.normal(size=(n, 4)), 0)
+    X[n // 2 :] = X[: n - n // 2]
+    X[:, -1] = 2.0
+    labels = [f"c{i}" for i in rng.integers(0, n_classes, size=n)]
+    cut = 2 * n // 3
+    assume(len(set(labels[:cut])) > 1 and 2 * len(set(labels[:cut])) <= cut)
+    model = fit(ClassifierSpec(variant), X[:cut], labels[:cut])
+    for rows in (slice(None, cut), slice(cut, None)):
+        baseline, expected = one_predict_per_copy(
+            model, X[rows], labels[rows], repeats, seed
+        )
+        split = permutation_importance(
+            model, X[rows], labels[rows], repeats=repeats, seed=seed
+        )
+        assert split.baseline == baseline
+        assert np.array_equal(split.decreases, expected)

@@ -1,9 +1,10 @@
 """What a fresh loudclass process loads and sets before it computes.
 
 No command loads scipy.special: the package's ``expit`` is numpy's and the
-t-test's tail is ``metrics.t_two_sided_p``. Each test runs in a fresh
-interpreter: this test process has loaded numpy and scipy.special already
-(``tests/oracles.py`` and the scipy oracles).
+t-test's tail is ``metrics.t_two_sided_p``. scipy is a test dependency
+only: the manifest reads its version from the installed metadata. Each
+test runs in a fresh interpreter: this test process has loaded numpy and
+scipy.special already (``tests/oracles.py`` and the scipy oracles).
 """
 
 import json
@@ -62,6 +63,23 @@ def python(code: str, *args: str, env: dict | None = None):
 def test_importing_the_cli_leaves_scipy_special_unloaded():
     code = "import json, sys, loudclass.cli; print(json.dumps('scipy.special' in sys.modules))"
     assert python(code) is False
+
+
+def test_importing_the_cli_and_evaluating_leave_scipy_unloaded(tmp_path):
+    data = tmp_path / "labeled.json"
+    assert main(["generate", "--out-dir", str(tmp_path), "--per-class", "5"]) == 0
+    argv = ["evaluate", "--data", str(data), "--out-dir", str(tmp_path / "e"),
+            "--only", "dt,knn", "--classifier", "dt", "--k", "3"]
+    code = (
+        "import json, sys\n"
+        "import loudclass.cli\n"
+        "imported = 'scipy' in sys.modules\n"
+        "code = loudclass.cli.main(json.loads(sys.argv[1]))\n"
+        "print(json.dumps([imported, code, 'scipy' in sys.modules]))\n"
+    )
+    assert python(code, json.dumps(argv)) == [False, 0, False]
+    versions = json.loads((tmp_path / "e" / "manifest.json").read_text())["versions"]
+    assert "scipy" in versions  # installed here, as a test dependency
 
 
 def test_commands_that_fit_no_logistic_model_leave_scipy_special_unloaded(tmp_path):

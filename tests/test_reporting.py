@@ -1,7 +1,9 @@
 import csv
+import importlib.util
 import json
 
 import pytest
+import scipy
 
 from loudclass.classifiers import ClassifierSpec, fit
 from loudclass.errors import DataError
@@ -140,7 +142,17 @@ def test_write_manifest(tmp_path):
     digest = next(iter(payload["inputs"].values()))
     assert digest == "5994471abb01112afcc18159f6cc74b4f511b99806da59b3caf5a9c173cacfc5"
     assert set(payload["versions"]) == {"loudclass", "python", "numpy", "scipy"}
+    assert payload["versions"]["scipy"] == scipy.__version__
     assert "out_dir" not in payload
+
+
+def test_manifest_without_scipy_has_no_scipy_version(tmp_path, monkeypatch):
+    find_spec = importlib.util.find_spec
+    monkeypatch.setattr(importlib.util, "find_spec",
+                        lambda name: None if name == "scipy" else find_spec(name))
+    write_manifest(tmp_path, "evaluate", {"k": 10}, [])
+    payload = json.loads((tmp_path / "manifest.json").read_text())
+    assert set(payload["versions"]) == {"loudclass", "python", "numpy"}
 
 
 def test_write_sweep(tmp_path):

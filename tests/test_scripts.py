@@ -1,10 +1,15 @@
-"""Smoke tests: each script under scripts/ runs end to end on small data."""
+"""Smoke tests: each script under scripts/ runs end to end on small data;
+bench_pairs.py, which runs the benchmark, has its summary tested on canned
+runs."""
 
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import loudclass
 from loudclass.cli import main as cli
@@ -80,3 +85,53 @@ def test_resource_usage_script(tmp_path):
     for key in ("wall_s", "self_cpu_s", "children_cpu_s", "self_peak_rss_mb",
                 "children_peak_rss_mb"):
         assert usage[key] >= 0, key
+
+
+def _bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _run(seed, side, wall, auc, outputs, rc=0):
+    metrics = {"wall_s": {"value": wall, "unit": "s"}, "micro_auc": {"value": auc, "unit": "1"}}
+    return {"workload": "w", "seed": seed, "side": side, "rc": rc,
+            "result": {"correct": rc == 0, "metrics": metrics},
+            "output_sha256": outputs, "source_sha256": f"src-{side}", "reps": 3}
+
+
+def test_bench_pairs_summary_on_canned_runs():
+    bench = _bench_pairs()
+    assert bench.parse_seeds("1-3,7") == [1, 2, 3, 7]
+    same, moved = {"a.csv": "1", "b.json": "2"}, {"a.csv": "1", "b.json": "3"}
+    runs = [
+        _run(1, "parent", 1.0, 0.9, same), _run(1, "change", 0.8, 0.9, moved),
+        _run(2, "change", 0.9, 0.95, moved), _run(2, "parent", 1.2, 0.9, same),
+        _run(3, "parent", 1.1, 0.9, same), _run(3, "change", 1.3, 0.8, moved),
+        _run(4, "parent", 1.0, 0.9, same), _run(4, "change", 0.5, 0.9, moved),
+        _run(5, "parent", 0.7, 0.9, same), _run(5, "change", 0.0, 0.0, None, rc=1),
+    ]
+    end_to_end = [{"name": "wall_s", "better": "lower"},
+                  {"name": "micro_auc", "better": "higher"}]
+    summary = bench.summarize("w", runs, end_to_end)
+    assert summary["seeds"] == [1, 2, 3, 4] and summary["pairs"] == 4
+    wall = summary["wall_s"]
+    assert wall["parent_runs"] == [1.0, 1.2, 1.1, 1.0]
+    assert wall["change_runs"] == [0.8, 0.9, 1.3, 0.5]
+    assert wall["change_wins"] == 3
+    assert wall["parent_median"] == 1.05
+    assert wall["change_median"] == pytest.approx(0.85)
+    assert wall["parent_quartiles"] == [1.0, 1.125]
+    # A tie counts for neither side; higher is better for an AUC.
+    assert summary["micro_auc"]["change_wins"] == 1
+    assert summary["outputs_same_across_runs"] == {"parent": True, "change": True}
+    assert summary["outputs_with_changed_sha256"] == ["b.json"]
+    assert summary["failed_runs"] == [{"seed": 5, "side": "change"}]
+
+    merged = bench.merge({"what": "old", "summary": [{"workload": "x"}],
+                          "runs": [{"workload": "x"}]}, "w", runs, summary, None)
+    assert merged["what"] == "old"
+    assert [s["workload"] for s in merged["summary"]] == ["x", "w"]
+    assert len(merged["runs"]) == 1 + len(runs)
+    assert merged["source_sha256"] == {"parent": "src-parent", "change": "src-change"}
