@@ -1,8 +1,37 @@
-"""The fitted-model interface shared by the one-vs-rest and knn models."""
+"""The fitted-model interface shared by the one-vs-rest and knn models,
+and the bounds that declare each hyperparameter's domain."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
+
+
+@dataclass(frozen=True)
+class AtLeast:
+    """The lower bound of a numeric hyperparameter, declared once in the
+    annotation of its constructor argument, as in
+    ``k: Annotated[int, AtLeast(1)] = 2``. ``ovr.check_params`` reads it
+    there and applies it. NaN is admitted by no bound."""
+
+    low: int | float
+
+    def admits(self, value) -> bool:
+        return value >= self.low
+
+    def __str__(self) -> str:
+        return f">= {self.low}"
+
+
+class Above(AtLeast):
+    """A strict lower bound: the value must exceed ``low``."""
+
+    def admits(self, value) -> bool:
+        return value > self.low
+
+    def __str__(self) -> str:
+        return f"> {self.low}"
 
 
 class TrainedModel:

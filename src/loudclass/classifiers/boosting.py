@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import math
+from typing import Annotated
 
 import numpy as np
 
 from ..errors import ConfigurationError
+from .base import Above, AtLeast
 from .linear import expit, logistic_loss
 from .tree import TreeNode, build_tree, presort, tree_predict
 
@@ -26,15 +28,11 @@ class GradientBoostingBinary:
     def __init__(
         self,
         *,
-        n_estimators: int = 100,
-        learning_rate: float = 1.0,
-        max_depth: int = 2,
-        min_samples_split: int = 2,
+        n_estimators: Annotated[int, AtLeast(1)] = 100,
+        learning_rate: Annotated[float, Above(0)] = 1.0,
+        max_depth: Annotated[int, AtLeast(1)] = 2,
+        min_samples_split: Annotated[int, AtLeast(2)] = 2,
     ):
-        if n_estimators < 1:
-            raise ConfigurationError("n_estimators must be >= 1")
-        if learning_rate <= 0:
-            raise ConfigurationError("learning_rate must be positive")
         self.n_estimators = n_estimators
         self.learning_rate = learning_rate
         self.max_depth = max_depth

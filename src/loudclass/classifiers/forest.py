@@ -3,31 +3,32 @@
 from __future__ import annotations
 
 import math
+from typing import Annotated
 
 import numpy as np
 
 from ..errors import ConfigurationError
+from .base import AtLeast
 from .tree import LeafVoteModel, TreeNode, build_tree, value_ranks
 
 
 class RandomForestBinary(LeafVoteModel):
     """Majority-vote forest; score = fraction of trees voting positive.
 
-    Each tree sees a bootstrap sample and draws ceil(sqrt(d)) candidate
-    features per split. Per-tree RNG streams are keyed by (seed_key, tree),
-    so results do not depend on fitting order.
+    Each tree sees a bootstrap sample and draws ``max_features`` candidate
+    features per split: ceil(sqrt(d)) when it is None, and all d when it
+    is d or more (``build_tree`` clips it). Per-tree RNG streams are keyed
+    by (seed_key, tree), so results do not depend on fitting order.
     """
 
     def __init__(
         self,
         *,
         seed_key: tuple[int, ...],
-        n_trees: int = 10,
-        min_samples_split: int = 2,
-        max_features: int | None = None,
+        n_trees: Annotated[int, AtLeast(1)] = 10,
+        min_samples_split: Annotated[int, AtLeast(2)] = 2,
+        max_features: Annotated[int, AtLeast(1)] | None = None,
     ):
-        if n_trees < 1:
-            raise ConfigurationError("n_trees must be >= 1")
         self.n_trees = n_trees
         self.min_samples_split = min_samples_split
         self.max_features = max_features
@@ -38,7 +39,9 @@ class RandomForestBinary(LeafVoteModel):
         X = np.asarray(X, dtype=np.float64)
         y01 = np.asarray(y01, dtype=np.float64)
         n, d = X.shape
-        max_features = self.max_features or math.ceil(math.sqrt(d))
+        max_features = self.max_features
+        if max_features is None:
+            max_features = math.ceil(math.sqrt(d))
         ranks = value_ranks(X)
         self.trees_ = []
         for t in range(self.n_trees):

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+from typing import Annotated
+
 import numpy as np
 
 from ..errors import ConfigurationError
 
 # minimize_lbfgs is unused here, but perfbench/spans.py wraps this module's name.
 from ..optimize import minimize_lbfgs, minimize_newton  # noqa: F401
+from .base import Above, AtLeast
 
 # The L2 penalty on lr's weights, the same as nn's default ``alpha``.
 ALPHA = 1e-4
@@ -76,7 +79,12 @@ class LogisticRegressionBinary:
     the last fit, with its stop reason; it is not part of the fitted state.
     """
 
-    def __init__(self, *, gtol: float = 1e-6, max_iter: int = 100):
+    def __init__(
+        self,
+        *,
+        gtol: Annotated[float, Above(0)] = 1e-6,
+        max_iter: Annotated[int, AtLeast(1)] = 100,
+    ):
         self.gtol = gtol
         self.max_iter = max_iter
         self.weights_: np.ndarray | None = None

@@ -6,10 +6,12 @@ votes over the stored training set already produce a score per class.
 
 from __future__ import annotations
 
+from typing import Annotated
+
 import numpy as np
 
 from ..errors import ConfigurationError, DataError
-from .base import TrainedModel
+from .base import AtLeast, TrainedModel
 
 # Distance-matrix entries (query rows x training rows) scored per block.
 BLOCK_CELLS = 2**20
@@ -35,9 +37,7 @@ class NearestNeighbors:
     training-set position.
     """
 
-    def __init__(self, *, k: int = 2):
-        if k < 1:
-            raise ConfigurationError("k must be >= 1")
+    def __init__(self, *, k: Annotated[int, AtLeast(1)] = 2):
         self.k = k
         self.X: np.ndarray | None = None
         self.y_idx: np.ndarray | None = None

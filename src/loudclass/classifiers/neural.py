@@ -9,10 +9,13 @@ the gradient is asked for.
 
 from __future__ import annotations
 
+from typing import Annotated
+
 import numpy as np
 
 from ..errors import ConfigurationError
 from ..optimize import minimize_lbfgs
+from .base import Above, AtLeast
 from .linear import expit, logistic_loss
 
 
@@ -108,14 +111,12 @@ class NeuralNetBinary:
         n_inputs: int,
         *,
         seed_key: tuple[int, ...],
-        hidden: tuple[int, ...] = (20, 10),
-        alpha: float = 1e-4,
-        max_iter: int = 3000,
-        gtol: float = 1e-5,
-        ftol: float | None = 1e-11,
+        hidden: tuple[Annotated[int, AtLeast(1)], ...] = (20, 10),
+        alpha: Annotated[float, AtLeast(0)] = 1e-4,
+        max_iter: Annotated[int, AtLeast(1)] = 3000,
+        gtol: Annotated[float, Above(0)] = 1e-5,
+        ftol: Annotated[float, Above(0)] | None = 1e-11,
     ):
-        if any(h < 1 for h in hidden):
-            raise ConfigurationError("hidden layer sizes must be >= 1")
         self.n_inputs = n_inputs
         self.hidden = tuple(hidden)
         self.alpha = alpha

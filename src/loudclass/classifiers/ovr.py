@@ -10,20 +10,26 @@ resolved parameters, the scaler, the seed (nn and rf only) and the fitted
 state of each submodel. Loading rebuilds every submodel with the
 constructor call ``fit`` makes and then restores its fitted state.
 
-A variant's hyperparameter defaults and types are written in one place,
-the keyword defaults and annotations of its submodel's constructor;
-``DEFAULT_PARAMS`` and ``ClassifierSpec.resolved`` read them from there.
-The default seeds are ``DEFAULT_SEEDS``.
+A variant's hyperparameter defaults, types and domains are written in one
+place, the keyword defaults and annotations of its submodel's constructor
+(``k: Annotated[int, AtLeast(1)] = 2``); ``DEFAULT_PARAMS`` and
+``check_params`` read them from there. The default seeds are
+``DEFAULT_SEEDS``; any seed given must be an integer >= 0. ``check_params``
+is the one hyperparameter and seed check: ``ClassifierSpec.resolved`` calls
+it before any fit and ``model_from_jsonable`` before any submodel is
+rebuilt.
 """
 
 from __future__ import annotations
 
 import inspect
 import json
+import math
 import numbers
 import types
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Annotated, Callable, Union, get_args, get_origin
 
 import numpy as np
 
@@ -36,7 +42,7 @@ from ..errors import (
     ShapeError,
 )
 from ..metrics import label_codes, sorted_labels
-from .base import TrainedModel
+from .base import AtLeast, TrainedModel
 from .boosting import GradientBoostingBinary
 from .forest import RandomForestBinary
 from .linear import LogisticRegressionBinary
@@ -49,7 +55,7 @@ from .tree import DecisionTreeBinary
 VARIANTS = ("dt", "gb", "knn", "lr", "nn", "rf", "svm")
 
 # Only the network and the forest draw random numbers; the other variants
-# fit deterministically and take no seed.
+# fit deterministically and ignore the seed.
 DEFAULT_SEEDS = {"nn": 1, "rf": 0}
 
 _SUBMODEL_TYPES = {
@@ -89,31 +95,70 @@ def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-# The value each annotation accepts, as JSON decodes it: an int takes an
-# integer, a float any number, neither a bool; a tuple of ints takes a list.
-_ACCEPTS = {
-    int: ("an integer", _is_int),
-    float: ("a number", lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool)),
-    type(None): ("null", lambda v: v is None),
-    tuple[int, ...]: (
-        "a list of integers",
-        lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v)),
-    ),
-}
+def _is_finite(value) -> bool:
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
 
-# Per variant and parameter, the (description, test) of each member of its
-# annotation; an annotation outside ``_ACCEPTS`` fails here, at import.
-_PARAM_TYPES: dict[str, dict[str, list]] = {
-    variant: {
-        p.name: [
-            _ACCEPTS[t]
-            for t in (p.annotation.__args__
-                      if isinstance(p.annotation, types.UnionType) else (p.annotation,))
-        ]
-        for p in params
-    }
+
+# The numbers each bounded type takes, as JSON decodes them: an int takes an
+# integer, a float any finite number; neither takes a bool.
+_NUMBERS = {int: ("an integer", _is_int), float: ("a finite number", _is_finite)}
+
+
+def _domain(annotation) -> tuple[str, Callable[[object], bool]]:
+    """The description and the test of the values an annotation admits:
+    a bounded int or float, None, a union of these, or a tuple of one of
+    them, which takes a non-empty list (nn ``hidden`` is the one tuple, and
+    a network without a hidden layer is lr's model). Any other annotation,
+    an unbounded number among them, declares no domain and raises here, at
+    import."""
+    origin, args = get_origin(annotation), get_args(annotation)
+    if origin in (Union, types.UnionType):
+        members = [_domain(arg) for arg in args]
+        return (" or ".join(what for what, _ in members),
+                lambda v: any(admits(v) for _, admits in members))
+    if annotation is type(None):
+        return "null", lambda v: v is None
+    if origin is tuple and len(args) == 2 and args[1] is Ellipsis:
+        what, admits = _domain(args[0])
+        return (f"a non-empty list, each {what}",
+                lambda v: isinstance(v, (list, tuple)) and len(v) > 0 and all(map(admits, v)))
+    if origin is Annotated and args[0] in _NUMBERS and len(args) == 2:
+        (what, is_number), bound = _NUMBERS[args[0]], args[1]
+        # The type test comes first, so the bound compares numbers only.
+        return f"{what} {bound}", lambda v: is_number(v) and bound.admits(v)
+    raise TypeError(f"no domain declared by the annotation {annotation!r}")
+
+
+# Per variant and parameter, the (description, test) of its domain.
+_DOMAINS: dict[str, dict[str, tuple]] = {
+    variant: {p.name: _domain(p.annotation) for p in params}
     for variant, params in _PARAMETERS.items()
 }
+_SEED = _domain(Annotated[int, AtLeast(0)])
+
+
+def check_params(variant: str, seed, params: dict) -> None:
+    """Reject, as a ``ConfigurationError``, a seed (unless None) or a
+    parameter value outside its domain, or a parameter ``variant`` does not
+    take. ``params`` may name any subset of the variant's parameters."""
+    domains = _DOMAINS[variant]
+    unknown = set(params) - set(domains)
+    if unknown:
+        raise ConfigurationError(
+            f"unknown {variant} parameters: {', '.join(sorted(unknown))}"
+        )
+    checks = [] if seed is None else [(f"{variant} seed", seed, _SEED)]
+    checks += [(f"{variant} parameter {name}", value, domains[name])
+               for name, value in params.items()]
+    for what, value, (description, admits) in checks:
+        if not admits(value):
+            raise ConfigurationError(f"{what} must be {description}, got {value!r}")
+
 
 FORMAT_VERSION = 4
 
@@ -134,23 +179,11 @@ class ClassifierSpec:
             )
 
     def resolved(self) -> tuple[int | None, dict]:
-        """The seed and the full parameter set. Variants without a default
-        seed draw no random numbers; their seed is None whatever ``seed``
-        says."""
-        defaults = DEFAULT_PARAMS[self.variant]
-        unknown = set(self.params) - set(defaults)
-        if unknown:
-            raise ConfigurationError(
-                f"unknown {self.variant} parameters: {', '.join(sorted(unknown))}"
-            )
-        for name, value in self.params.items():
-            accepted = _PARAM_TYPES[self.variant][name]
-            if not any(test(value) for _, test in accepted):
-                raise ConfigurationError(
-                    f"{self.variant} parameter {name} must be "
-                    f"{' or '.join(what for what, _ in accepted)}, got {value!r}"
-                )
-        merged = {**defaults, **self.params}
+        """The seed and the full parameter set, once ``check_params`` has
+        passed them. Variants without a default seed draw no random numbers;
+        their seed is None whatever valid ``seed`` says."""
+        check_params(self.variant, self.seed, self.params)
+        merged = {**DEFAULT_PARAMS[self.variant], **self.params}
         if self.variant not in DEFAULT_SEEDS:
             return None, merged
         return DEFAULT_SEEDS[self.variant] if self.seed is None else self.seed, merged
@@ -286,6 +319,7 @@ def model_from_jsonable(payload: dict) -> TrainedModel:
                 f"{variant} params must have exactly the keys {', '.join(sorted(expected))}"
             )
         seed = payload["seed"] if variant in DEFAULT_SEEDS else None
+        check_params(variant, seed, params)
         scaler = StandardScaler.from_jsonable(payload["scaler"])
         submodels = [
             _make_submodel(variant, params, seed, ci, len(scaler.mean_)).load_fitted_state(state)
@@ -295,8 +329,10 @@ def model_from_jsonable(payload: dict) -> TrainedModel:
         raise SchemaError(f"model payload missing field {exc.args[0]!r}") from exc
     except SchemaError:
         raise
+    except ConfigurationError as exc:
+        raise SchemaError(f"model file: {exc}") from exc
     except (TypeError, ValueError) as exc:
-        # A value of the wrong type, caught by a constructor or by numpy.
+        # A scaler or fitted-state value of the wrong type.
         raise SchemaError(f"model payload has a bad {variant} value: {exc}") from exc
     model_type = _MODEL_TYPES.get(variant, OvrModel)
     return model_type(variant, classes, scaler, submodels, seed=seed, params=params)

@@ -17,9 +17,12 @@ the midpoint of max_{I_up} v and min_{I_low} v when there is none.
 
 from __future__ import annotations
 
+from typing import Annotated
+
 import numpy as np
 
 from ..errors import ConfigurationError, NumericError
+from .base import Above
 from .linear import expit
 from .neighbors import squared_distances
 
@@ -49,14 +52,10 @@ class SvmBinary:
     def __init__(
         self,
         *,
-        C: float = 1000.0,
-        tol: float = 1e-3,
-        gamma: float | None = None,
+        C: Annotated[float, Above(0)] = 1000.0,
+        tol: Annotated[float, Above(0)] = 1e-3,
+        gamma: Annotated[float, Above(0)] | None = None,
     ):
-        if C <= 0:
-            raise ConfigurationError("C must be positive")
-        if tol <= 0:
-            raise ConfigurationError("tol must be positive")
         self.C = C
         self.tol = tol
         self.gamma = gamma

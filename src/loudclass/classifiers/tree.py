@@ -22,11 +22,12 @@ Either way the arithmetic is fixed, so every build is deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Annotated, Callable
 
 import numpy as np
 
 from ..errors import ConfigurationError, ShapeError
+from .base import AtLeast
 
 
 @dataclass
@@ -345,7 +346,7 @@ class LeafVoteModel:
 class DecisionTreeBinary(LeafVoteModel):
     """Entropy CART for one one-vs-rest problem; score = leaf positive fraction."""
 
-    def __init__(self, *, min_samples_split: int = 5):
+    def __init__(self, *, min_samples_split: Annotated[int, AtLeast(2)] = 5):
         self.min_samples_split = min_samples_split
         self.tree_: TreeNode | None = None
 

@@ -477,9 +477,10 @@ def _run_pca(options: dict, out_dir: Path) -> None:
 
 
 def _classifier_spec(options: dict) -> ClassifierSpec:
+    seed = options.get("classifier_seed")
     return ClassifierSpec(
         options["classifier"],
-        seed=options.get("classifier_seed"),
+        seed=None if seed is None else int(seed),
         params=dict(options.get("params") or {}),
     )
 
@@ -536,6 +537,8 @@ def _run_explain(options: dict, out_dir: Path) -> None:
     for name in ("background", "max_records", "perm_repeats"):
         if int(options[name]) < 1:
             raise ConfigurationError(f"{name} must be >= 1")
+    if int(options["seed"]) < 0:
+        raise ConfigurationError("seed must be non-negative")
     records = load_labeled_json(options["data"])
     X = feature_matrix(records)
     y = labels_of(records)

@@ -175,6 +175,8 @@ class ExperimentConfig:
             raise ConfigurationError("repeats must be >= 1")
         if self.perm_repeats < 1:
             raise ConfigurationError("perm_repeats must be >= 1")
+        if self.seed < 0:
+            raise ConfigurationError("seed must be non-negative")
         if self.perm_metric not in PERMUTATION_METRICS:
             raise ConfigurationError(
                 f"perm_metric must be one of {', '.join(PERMUTATION_METRICS)}"
@@ -467,7 +469,9 @@ def _cross_validate(cfg, configs, *, importance=False):
         )
     for name, spec in zip(names, cfg.classifiers):
         try:
-            spec.resolved()  # reject unknown parameters before any fit
+            # Unknown, wrong-typed or out-of-range parameters, and a bad
+            # seed, are rejected here, before any fit.
+            spec.resolved()
         except LoudclassError as exc:
             raise _with_stage(f"classifier {name}", exc)
 

@@ -3,6 +3,7 @@ import inspect
 import json
 import tracemalloc
 import warnings
+from typing import Annotated
 from unittest import mock
 
 import numpy as np
@@ -35,6 +36,7 @@ from loudclass.classifiers import (
     save_model,
 )
 from loudclass.classifiers import neighbors, neural, ovr
+from loudclass.classifiers.base import AtLeast
 from loudclass.classifiers import scaler as scaler_module
 from loudclass.classifiers import svm as svm_module
 from loudclass.classifiers.linear import ALPHA, expit
@@ -544,8 +546,6 @@ def test_nn_seed_determinism(rng):
 
 def test_nn_validation():
     with pytest.raises(ConfigurationError):
-        NeuralNetBinary(3, hidden=(0,), seed_key=(1,))
-    with pytest.raises(ConfigurationError):
         NeuralNetBinary(3, seed_key=(1,)).decision(np.zeros((1, 3)))
 
 
@@ -710,13 +710,6 @@ def test_svm_gamma_default(rng):
     assert fixed.gamma_ == 0.25
 
 
-def test_svm_validation():
-    with pytest.raises(ConfigurationError):
-        SvmBinary(C=0.0)
-    with pytest.raises(ConfigurationError):
-        SvmBinary(tol=-1.0)
-
-
 def svm_dual_objective(model) -> float:
     """1/2 a'Qa - sum(a) from the support vectors a fitted model keeps."""
     ay = model.sv_alpha_y_
@@ -851,6 +844,38 @@ def test_spec_defaults_cover_every_variant():
     assert DEFAULT_PARAMS["knn"]["k"] == 2
     assert DEFAULT_PARAMS["rf"]["n_trees"] == 10
     assert DEFAULT_PARAMS["svm"]["C"] == 1000.0
+
+
+def test_every_default_lies_in_its_domain():
+    for variant in VARIANTS:
+        ovr.check_params(variant, DEFAULT_SEEDS.get(variant), DEFAULT_PARAMS[variant])
+
+
+@pytest.mark.parametrize("annotation", [
+    int, float, float | None, tuple[int, ...], list[int], Annotated[str, AtLeast(1)],
+])
+def test_a_parameter_without_a_declared_domain_fails_at_import(annotation):
+    with pytest.raises(TypeError, match="no domain declared"):
+        ovr._domain(annotation)
+
+
+@pytest.mark.parametrize("variant, params", [
+    ("svm", {"C": 10**400}),  # a finite int, but not as a float
+    ("svm", {"C": float("inf")}),
+    ("svm", {"C": True}),
+    ("nn", {"hidden": [4, True]}),
+    ("nn", {"hidden": "20"}),
+])
+def test_check_params_rejects(variant, params):
+    with pytest.raises(ConfigurationError, match=f"{variant} parameter "):
+        ovr.check_params(variant, None, params)
+
+
+def test_check_params_admits_numpy_scalars_and_only_integer_seeds():
+    ovr.check_params("svm", np.int64(3), {"C": np.float64(2.0), "tol": 1})
+    ovr.check_params("lr", 0, {})
+    with pytest.raises(ConfigurationError, match="lr seed must be an integer >= 0"):
+        ovr.check_params("lr", 2.0, {})
 
 
 def test_spec_validation():
@@ -1270,6 +1295,24 @@ def test_model_value_of_wrong_type_is_schema_error(rng, variant, section, key, v
     target[key] = value
     with pytest.raises(SchemaError):
         model_from_jsonable(payload)
+
+
+@pytest.mark.parametrize("variant, key, value", [
+    ("knn", "k", 2.5), ("knn", "k", True), ("lr", "gtol", "x"), ("lr", "max_iter", -5),
+    ("svm", "C", float("nan")), ("nn", "hidden", []), ("rf", "seed", -1), ("rf", "seed", 2.5),
+])
+def test_model_value_outside_its_domain_is_schema_error(rng, tmp_path, variant, key, value):
+    X, labels = six_class_data(rng, n_per=4)
+    params = {"max_iter": 5} if variant == "nn" else {}
+    payload = model_to_jsonable(fit(ClassifierSpec(variant, params=params), X, labels))
+    if key == "seed":
+        payload["seed"], what = value, f"{variant} seed"
+    else:
+        payload["params"][key], what = value, f"{variant} parameter {key}"
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(payload))  # NaN as the literal NaN, which is not JSON
+    with pytest.raises(SchemaError, match=f"model file: {what} must be"):
+        load_model(path)
 
 
 def test_only_random_variants_store_a_seed(rng):

@@ -425,6 +425,15 @@ def test_removed_svm_max_passes_is_exit_2(generated, capsys, monkeypatch):
     assert "unknown svm parameters" in capsys.readouterr().err
 
 
+def run_without_fits(monkeypatch, *argv: str) -> int:
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a classifier was fitted before the parameters were checked")
+
+    monkeypatch.setattr(harness, "fit", no_fit)
+    monkeypatch.setattr(ovr, "_make_submodel", no_fit)
+    return run(*argv)
+
+
 @pytest.mark.parametrize("command", ["train", "evaluate"])
 @pytest.mark.parametrize("variant, param", [
     ("knn", "k=abc"), ("knn", "k=2.5"), ("knn", "k=null"),
@@ -437,21 +446,76 @@ def test_removed_svm_max_passes_is_exit_2(generated, capsys, monkeypatch):
 ])
 def test_wrong_typed_param_is_exit_2_before_any_fit(generated, capsys, monkeypatch,
                                                      command, variant, param):
-    def no_fit(*args, **kwargs):
-        raise AssertionError("a classifier was fitted before the parameters were checked")
-
-    monkeypatch.setattr(harness, "fit", no_fit)
-    monkeypatch.setattr(ovr, "_make_submodel", no_fit)
-    rc = run(command, "--out-dir", str(generated), "--classifier", variant,
-             "--param", param)
+    rc = run_without_fits(monkeypatch, command, "--out-dir", str(generated),
+                          "--classifier", variant, "--param", param)
     assert rc == 2
     name = param.partition("=")[0]
     assert f"{variant} parameter {name} must be" in capsys.readouterr().err
 
 
+# Per parameter, a value just outside its domain, and for a float NaN too.
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+@pytest.mark.parametrize("variant, param", [
+    ("dt", "min_samples_split=1"), ("dt", "min_samples_split=-3"),
+    ("gb", "n_estimators=0"), ("gb", "learning_rate=0"), ("gb", "learning_rate=NaN"),
+    ("gb", "max_depth=0"), ("gb", "min_samples_split=1"),
+    ("knn", "k=0"),
+    ("lr", "gtol=0"), ("lr", "gtol=NaN"), ("lr", "max_iter=0"),
+    ("nn", "hidden=[]"), ("nn", "hidden=[0]"), ("nn", "hidden=[8,0]"),
+    ("nn", "alpha=-1e-9"), ("nn", "alpha=NaN"), ("nn", "max_iter=0"),
+    ("nn", "gtol=0"), ("nn", "gtol=NaN"), ("nn", "ftol=0"), ("nn", "ftol=NaN"),
+    ("rf", "n_trees=0"), ("rf", "min_samples_split=1"), ("rf", "max_features=0"),
+    ("svm", "C=0"), ("svm", "C=NaN"), ("svm", "C=-Infinity"),
+    ("svm", "tol=0"), ("svm", "tol=-1"), ("svm", "tol=NaN"),
+    ("svm", "gamma=0"), ("svm", "gamma=-1"), ("svm", "gamma=NaN"), ("svm", "gamma=Infinity"),
+])
+def test_out_of_range_param_is_exit_2_before_any_fit(generated, capsys, monkeypatch,
+                                                      command, variant, param):
+    rc = run_without_fits(monkeypatch, command, "--out-dir", str(generated),
+                          "--classifier", variant, "--param", param)
+    assert rc == 2
+    name = param.partition("=")[0]
+    assert f"{variant} parameter {name} must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+@pytest.mark.parametrize("variant", ["rf", "nn", "lr"])
+def test_negative_classifier_seed_is_exit_2_before_any_fit(generated, capsys, monkeypatch,
+                                                           command, variant):
+    rc = run_without_fits(monkeypatch, command, "--out-dir", str(generated),
+                          "--classifier", variant, "--classifier-seed", "-1")
+    assert rc == 2
+    assert f"{variant} seed must be an integer >= 0, got -1" in capsys.readouterr().err
+
+
+def test_integral_float_classifier_seed_from_a_config_trains(generated, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"classifier_seed": 2.0}))
+    rc = run("train", "--out-dir", str(generated), "--classifier", "rf",
+             "--config", str(config), "--model-out", "model.json")
+    assert rc == 0
+    seed = json.loads((generated / "model.json").read_text())["seed"]
+    assert seed == 2 and type(seed) is int
+
+
+@pytest.mark.parametrize("command", ["evaluate", "sweep", "explain"])
+def test_negative_master_seed_is_exit_2_before_any_data_is_read(tmp_path, capsys, command):
+    rc = run(command, "--out-dir", str(tmp_path), "--data", str(tmp_path / "absent.json"),
+             "--classifier", "lr", "--seed", "-1")
+    assert rc == 2
+    assert "seed must be non-negative" in capsys.readouterr().err
+
+
+# Accepted types, each bound on its boundary, and an rf max_features above
+# the 12 features (every feature is then a candidate at each split).
 @pytest.mark.parametrize("variant, param", [
     ("svm", "gamma=null"), ("rf", "max_features=null"),
     ("nn", "ftol=null"), ("nn", "hidden=[8]"),
+    ("dt", "min_samples_split=2"), ("gb", "n_estimators=1"), ("gb", "max_depth=1"),
+    ("gb", "min_samples_split=2"), ("knn", "k=1"), ("lr", "max_iter=1"),
+    ("nn", "hidden=[1]"), ("nn", "alpha=0"), ("nn", "max_iter=1"),
+    ("rf", "n_trees=1"), ("rf", "min_samples_split=2"), ("rf", "max_features=1"),
+    ("rf", "max_features=13"),
 ])
 def test_param_of_an_accepted_type_trains(generated, variant, param):
     rc = run("train", "--out-dir", str(generated), "--classifier", variant,

@@ -118,6 +118,8 @@ def test_config_validation():
         fast_config(perm_metric="f1")
     with pytest.raises(ConfigurationError):
         fast_config(perm_repeats=0)
+    with pytest.raises(ConfigurationError, match="seed must be non-negative"):
+        fast_config(seed=-1)
 
 
 def test_classifier_names_deduplicate():
