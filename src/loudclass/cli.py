@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -84,7 +85,8 @@ class Option:
     "required or derived later"), and ``kind`` the value type, taken from
     the default unless that is None. ``path`` options are made absolute
     before the manifest records them, so replay works from any working
-    directory. ``extra`` goes to ``add_argument`` as is.
+    directory. ``extra`` goes to ``add_argument`` as is. ``resolve`` gives
+    the value the run uses, so the manifest records exactly what ran.
     """
 
     def __init__(self, name: str, default=None, help: str | None = None,
@@ -110,22 +112,36 @@ class Option:
         parser.add_argument(*self.flags, dest=self.name, default=None,
                             help=self.help, **kwargs, **self.extra)
 
-    def check(self, value) -> None:
-        """Reject a value that is not of the option's type: a config file
-        can hold any JSON value, and a wrong one is a usage error, not a
-        traceback or a silent conversion."""
+    def resolve(self, value):
+        """The value the run uses. A config file can hold any JSON value, and
+        a wrong one is a usage error, not a traceback or a silent conversion:
+        an int option takes an integral number and gives the int, a float
+        option a finite number and gives the float."""
         if value is None and self.default is None:
-            return
+            return None
         if self.kind is bool and not isinstance(value, bool):
             raise ConfigurationError(f"{self.name} must be true or false, got {value!r}")
         if self.kind in (int, float) and (
             isinstance(value, bool) or not isinstance(value, (int, float))
         ):
             raise ConfigurationError(f"{self.name} must be a number, got {value!r}")
-        if self.kind is int and isinstance(value, float) and not value.is_integer():
-            raise ConfigurationError(f"{self.name} must be an integer, got {value!r}")
+        if self.kind is int:
+            if isinstance(value, float) and not value.is_integer():
+                raise ConfigurationError(f"{self.name} must be an integer, got {value!r}")
+            return int(value)
+        if self.kind is float:
+            try:
+                number = float(value)
+            except OverflowError:  # an int beyond the float range
+                number = math.inf
+            if not math.isfinite(number):
+                raise ConfigurationError(
+                    f"{self.name} must be a finite number, got {value!r}"
+                )
+            return number
         if self.kind is str and not isinstance(value, str):
             raise ConfigurationError(f"{self.name} must be a string, got {value!r}")
+        return value
 
 
 def _field_defaults(cls) -> dict:
@@ -351,8 +367,7 @@ def _resolve_options(cmd: str, args: argparse.Namespace, payload: dict) -> dict:
         value = getattr(args, option.name)
         if value is None:
             value = config.get(option.name, option.default)
-        option.check(value)
-        options[option.name] = value
+        options[option.name] = option.resolve(value)
 
     if "params" in options:
         # --param pairs override single keys of the config's params object.
@@ -387,7 +402,7 @@ def _resolve_options(cmd: str, args: argparse.Namespace, payload: dict) -> dict:
     if "conditions" in options:
         options["conditions"] = _as_conditions(options["conditions"])
     if "metric" in options:
-        metric = str(options["metric"]).replace("-", "_")
+        metric = options["metric"].replace("-", "_")
         if metric not in PERMUTATION_METRICS:
             raise ConfigurationError(
                 f"metric must be one of {', '.join(PERMUTATION_METRICS)}"
@@ -422,13 +437,13 @@ def _resolve_options(cmd: str, args: argparse.Namespace, payload: dict) -> dict:
 
 def _run_generate(options: dict, out_dir: Path) -> None:
     cfg = SyntheticConfig(
-        records_per_class=int(options["per_class"]),
+        records_per_class=options["per_class"],
         classes=tuple(class_from_name(name) for name in options["classes"]),
-        seed=int(options["seed"]),
-        jitter_sd=float(options["jitter_sd"]),
-        l2_5_offset_mean=float(options["l2_5_offset_mean"]),
-        l2_5_offset_sd=float(options["l2_5_offset_sd"]),
-        l_cut_noise_sd=float(options["l_cut_noise_sd"]),
+        seed=options["seed"],
+        jitter_sd=options["jitter_sd"],
+        l2_5_offset_mean=options["l2_5_offset_mean"],
+        l2_5_offset_sd=options["l2_5_offset_sd"],
+        l_cut_noise_sd=options["l_cut_noise_sd"],
     )
     ears, labeled = generate_synthetic_full(cfg)
     write_labeled_json(labeled, out_dir / "labeled.json")
@@ -439,9 +454,9 @@ def _run_generate(options: dict, out_dir: Path) -> None:
 
 def _run_preprocess(options: dict, out_dir: Path) -> None:
     kwargs = dict(
-        min_pta=float(options["min_pta"]),
-        min_fraction=float(options["min_class_fraction"]),
-        min_count=int(options["min_class_count"]),
+        min_pta=options["min_pta"],
+        min_fraction=options["min_class_fraction"],
+        min_count=options["min_class_count"],
     )
     if options["combined_csv"]:
         records, summary = prepare_combined(load_csv(options["combined_csv"]), **kwargs)
@@ -460,8 +475,7 @@ def _run_preprocess(options: dict, out_dir: Path) -> None:
 
 def _run_rove(options: dict, out_dir: Path) -> None:
     records = load_labeled_json(options["data"])
-    cfg = RovingConfig(float(options["mean"]), float(options["sd"]),
-                       int(options["seed"]))
+    cfg = RovingConfig(options["mean"], options["sd"], options["seed"])
     write_labeled_json(apply_roving(records, cfg), out_dir / "labeled_roved.json")
     write_manifest(out_dir, "rove", options, [options["data"]])
 
@@ -469,7 +483,7 @@ def _run_rove(options: dict, out_dir: Path) -> None:
 def _run_pca(options: dict, out_dir: Path) -> None:
     records = load_labeled_json(options["data"])
     Z, _, _ = standardize(feature_matrix(records))
-    model = fit_pca(Z, int(options["components"]))
+    model = fit_pca(Z, options["components"])
     scores = transform(model, Z)
     ids = [f"{r.participant_id}:{r.ear}" for r in records]
     write_pca_outputs(model, scores, ids, out_dir, FEATURE_NAMES)
@@ -477,12 +491,8 @@ def _run_pca(options: dict, out_dir: Path) -> None:
 
 
 def _classifier_spec(options: dict) -> ClassifierSpec:
-    seed = options.get("classifier_seed")
-    return ClassifierSpec(
-        options["classifier"],
-        seed=None if seed is None else int(seed),
-        params=dict(options.get("params") or {}),
-    )
+    return ClassifierSpec(options["classifier"], seed=options["classifier_seed"],
+                          params=options["params"])
 
 
 def _run_train(options: dict, out_dir: Path) -> None:
@@ -503,26 +513,23 @@ def _experiment_config(options: dict) -> ExperimentConfig:
     )
     roving = None
     if options.get("rove_mean") is not None or options.get("rove_sd") is not None:
-        roving = RovingConfig(
-            float(options.get("rove_mean") or 0.0),
-            float(options.get("rove_sd") or 0.0),
-            int(options["rove_seed"]),
-        )
+        roving = RovingConfig(options.get("rove_mean") or 0.0,
+                              options.get("rove_sd") or 0.0, options["rove_seed"])
     # Only sweep has permutation-importance options; evaluate keeps the defaults.
     permutation = {}
     if "perm_repeats" in options:
-        permutation = {"perm_repeats": int(options["perm_repeats"]),
-                       "perm_metric": str(options["metric"])}
+        permutation = {"perm_repeats": options["perm_repeats"],
+                       "perm_metric": options["metric"]}
     return ExperimentConfig(
         data_path=options["data"],
         roving=roving,
         classifiers=specs,
-        k=int(options["k"]),
-        stratified=bool(options["stratified"]),
-        repeats=int(options["repeats"]),
+        k=options["k"],
+        stratified=options["stratified"],
+        repeats=options["repeats"],
         designated=designated,
-        seed=int(options["seed"]),
-        rove_seed=int(options["rove_seed"]),
+        seed=options["seed"],
+        rove_seed=options["rove_seed"],
         **permutation,
     )
 
@@ -535,29 +542,28 @@ def _run_evaluate(options: dict, out_dir: Path) -> None:
 
 def _run_explain(options: dict, out_dir: Path) -> None:
     for name in ("background", "max_records", "perm_repeats"):
-        if int(options[name]) < 1:
+        if options[name] < 1:
             raise ConfigurationError(f"{name} must be >= 1")
-    if int(options["seed"]) < 0:
+    if options["seed"] < 0:
         raise ConfigurationError("seed must be non-negative")
     records = load_labeled_json(options["data"])
     X = feature_matrix(records)
     y = labels_of(records)
-    plan = kfold_split(y, k=int(options["k"]), stratified=True,
-                       seed=int(options["seed"]))
+    plan = kfold_split(y, k=options["k"], stratified=True, seed=options["seed"])
     train_idx, test_idx = plan.fold_indices(0)
     y_train = [y[i] for i in train_idx]
     y_test = [y[i] for i in test_idx]
     model = fit(_classifier_spec(options), X[train_idx], y_train,
                 classes=sorted_labels(y))
 
-    size = min(int(options["background"]), len(train_idx))
+    size = min(options["background"], len(train_idx))
     rng = np.random.default_rng(
-        np.random.SeedSequence([int(options["seed"]), _BACKGROUND_STREAM])
+        np.random.SeedSequence([options["seed"], _BACKGROUND_STREAM])
     )
     chosen = np.sort(rng.choice(len(train_idx), size=size, replace=False))
     background = X[train_idx[chosen]]
 
-    count = min(int(options["max_records"]), len(test_idx))
+    count = min(options["max_records"], len(test_idx))
     explained = test_idx[:count]
     agnostic, _ = explain_model(model, X[explained], background,
                                 feature_names=FEATURE_NAMES)
@@ -566,8 +572,8 @@ def _run_explain(options: dict, out_dir: Path) -> None:
 
     imp = importance_report(
         model, X[train_idx], y_train, X[test_idx], y_test,
-        repeats=int(options["perm_repeats"]), metric=options["metric"],
-        seed=int(options["seed"]), feature_names=FEATURE_NAMES,
+        repeats=options["perm_repeats"], metric=options["metric"],
+        seed=options["seed"], feature_names=FEATURE_NAMES,
     )
     write_importance_csv(imp, out_dir / "perm_importance.csv")
     dump_json(importance_meta_jsonable(imp), out_dir / "perm_importance_meta.json")

@@ -177,6 +177,8 @@ class ExperimentConfig:
             raise ConfigurationError("perm_repeats must be >= 1")
         if self.seed < 0:
             raise ConfigurationError("seed must be non-negative")
+        if self.rove_seed < 0:
+            raise ConfigurationError("roving seed must be non-negative")
         if self.perm_metric not in PERMUTATION_METRICS:
             raise ConfigurationError(
                 f"perm_metric must be one of {', '.join(PERMUTATION_METRICS)}"

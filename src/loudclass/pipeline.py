@@ -173,8 +173,11 @@ class SyntheticConfig:
             raise ConfigurationError("class set must not repeat classes")
         if self.seed < 0:
             raise ConfigurationError("seed must be non-negative")
-        for name in ("jitter_sd", "l2_5_offset_sd", "l_cut_noise_sd"):
-            if getattr(self, name) < 0:
+        for name in ("jitter_sd", "l2_5_offset_mean", "l2_5_offset_sd", "l_cut_noise_sd"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigurationError(f"{name} must be finite, got {value}")
+            if name.endswith("_sd") and value < 0:
                 raise ConfigurationError(f"{name} must be >= 0")
 
 
@@ -295,6 +298,12 @@ def _label_and_filter(
     ``input_counts`` are the audiogram and the loudness ear counts, each
     before and after dropping incomplete records.
     """
+    if not math.isfinite(min_pta):
+        raise ConfigurationError(f"min_pta must be finite, got {min_pta}")
+    if not 0 <= min_fraction <= 1:
+        raise ConfigurationError(f"min_fraction must lie in [0, 1], got {min_fraction}")
+    if min_count < 0:
+        raise ConfigurationError(f"min_count must be >= 0, got {min_count}")
     labeled = label_records(merged)
     after_pta = filter_pta(labeled, min_pta)
     final, class_set = filter_rare_classes(after_pta, min_fraction, min_count)

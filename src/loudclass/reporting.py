@@ -29,15 +29,14 @@ from .metrics import ConfusionMatrix
 from .pca import PcaModel
 
 
-def dump_json(payload, path) -> Path:
+def dump_json(payload, path) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n",
                     encoding="utf-8")
-    return path
 
 
-def write_csv_rows(path, header, rows) -> Path:
+def write_csv_rows(path, header, rows) -> None:
     """Write ``header`` and ``rows`` as CSV. ``csv`` writes a float, numpy's
     float64 included, as its shortest round-trip repr, and an int or a bool
     as ``str`` does; no row holds None, which it would write as ''."""
@@ -47,7 +46,6 @@ def write_csv_rows(path, header, rows) -> Path:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
-    return path
 
 
 def sha256_file(path) -> str:
@@ -136,70 +134,47 @@ def _write_confusion_csv(path, counts: ConfusionMatrix, fractions: ConfusionMatr
                     float(fractions.matrix[i, j]),
                 )
             )
-    return write_csv_rows(
+    write_csv_rows(
         path,
         ("true_class", "predicted_class", "count", "fraction_of_predicted"),
         rows,
     )
 
 
-def _write_curve_csvs(out_dir: Path, detail) -> list[Path]:
-    written = []
+def _write_curve_csvs(out_dir: Path, detail) -> None:
     # csv writes Python floats with the digits it gives numpy's float64
     # scalars, in about half the time.
     for key, points in detail.roc_curves.items():
         rows = zip(points.thresholds.tolist(), points.x.tolist(), points.y.tolist())
-        written.append(
-            write_csv_rows(
-                out_dir / f"roc_{_slug(key)}.csv",
-                ("threshold", "one_minus_specificity", "sensitivity"),
-                rows,
-            )
-        )
+        write_csv_rows(out_dir / f"roc_{_slug(key)}.csv",
+                       ("threshold", "one_minus_specificity", "sensitivity"), rows)
     for key, points in detail.pr_curves.items():
         rows = zip(points.thresholds.tolist(), points.x.tolist(), points.y.tolist())
-        written.append(
-            write_csv_rows(
-                out_dir / f"pr_{_slug(key)}.csv",
-                ("threshold", "recall", "precision"),
-                rows,
-            )
-        )
-    return written
+        write_csv_rows(out_dir / f"pr_{_slug(key)}.csv",
+                       ("threshold", "recall", "precision"), rows)
 
 
-def write_report(report: MetricsReport, out_dir) -> list[Path]:
+def write_report(report: MetricsReport, out_dir) -> None:
     """report.json plus the per-class F1, confusion, ROC, and PR tables."""
     out_dir = Path(out_dir)
-    written = [dump_json(report_to_jsonable(report), out_dir / "report.json")]
+    dump_json(report_to_jsonable(report), out_dir / "report.json")
 
     f1_rows = []
     for result in report.results:
         for cls, values in result.per_class_f1.items():
             for fold, value in enumerate(values):
                 f1_rows.append((result.name, str(cls), fold, value))
-    written.append(
-        write_csv_rows(
-            out_dir / "per_class_f1.csv",
-            ("classifier", "class", "fold", "f1"),
-            f1_rows,
-        )
-    )
+    write_csv_rows(out_dir / "per_class_f1.csv", ("classifier", "class", "fold", "f1"),
+                   f1_rows)
     detail = report.designated
-    written.append(
-        _write_confusion_csv(
-            out_dir / "confusion.csv",
-            detail.confusion_counts,
-            detail.confusion_by_predicted,
-        )
-    )
-    written.extend(_write_curve_csvs(out_dir, detail))
-    return written
+    _write_confusion_csv(out_dir / "confusion.csv", detail.confusion_counts,
+                         detail.confusion_by_predicted)
+    _write_curve_csvs(out_dir, detail)
 
 
-def write_beeswarm_csv(explanation: ShapExplanation, record_ids, path) -> Path:
+def write_beeswarm_csv(explanation: ShapExplanation, record_ids, path) -> None:
     rows = beeswarm_export(explanation, record_ids)
-    return write_csv_rows(
+    write_csv_rows(
         path,
         ("record_id", "feature", "shap_value", "feature_value", "rank"),
         [
@@ -219,9 +194,9 @@ def _importance_rows(report: PermutationImportanceReport):
                        float(split.decreases[fi, rep]))
 
 
-def write_importance_csv(report: PermutationImportanceReport, path) -> Path:
-    return write_csv_rows(path, ("feature", "split", "repeat", "decrease"),
-                          _importance_rows(report))
+def write_importance_csv(report: PermutationImportanceReport, path) -> None:
+    write_csv_rows(path, ("feature", "split", "repeat", "decrease"),
+                   _importance_rows(report))
 
 
 def importance_meta_jsonable(report: PermutationImportanceReport) -> dict:
@@ -231,13 +206,12 @@ def importance_meta_jsonable(report: PermutationImportanceReport) -> dict:
     }
 
 
-def write_sweep(sweep: SweepReport, out_dir) -> list[Path]:
+def write_sweep(sweep: SweepReport, out_dir) -> None:
     """Per-condition reports plus the condition-indexed summary tables."""
     sweep_dir = Path(out_dir) / "sweep"
-    written = []
     for (mean, sd), report in zip(sweep.conditions, sweep.reports):
         name = f"report_m{_num(mean)}_sd{_num(sd)}.json"
-        written.append(dump_json(report_to_jsonable(report), sweep_dir / name))
+        dump_json(report_to_jsonable(report), sweep_dir / name)
 
     auc_rows = []
     overlay_rows = []
@@ -248,19 +222,15 @@ def write_sweep(sweep: SweepReport, out_dir) -> list[Path]:
         micro = detail.roc_curves["micro"]
         for t, x, y in zip(micro.thresholds.tolist(), micro.x.tolist(), micro.y.tolist()):
             overlay_rows.append((mean, sd, t, x, y))
-    written.append(
-        write_csv_rows(
-            sweep_dir / "auc_summary.csv",
-            ("rove_mean", "rove_sd", "curve", "auc"),
-            auc_rows,
-        )
+    write_csv_rows(
+        sweep_dir / "auc_summary.csv",
+        ("rove_mean", "rove_sd", "curve", "auc"),
+        auc_rows,
     )
-    written.append(
-        write_csv_rows(
-            sweep_dir / "roc_micro_overlay.csv",
-            ("rove_mean", "rove_sd", "threshold", "one_minus_specificity", "sensitivity"),
-            overlay_rows,
-        )
+    write_csv_rows(
+        sweep_dir / "roc_micro_overlay.csv",
+        ("rove_mean", "rove_sd", "threshold", "one_minus_specificity", "sensitivity"),
+        overlay_rows,
     )
 
     importance_rows = (
@@ -268,18 +238,15 @@ def write_sweep(sweep: SweepReport, out_dir) -> list[Path]:
         for (mean, sd), imp in zip(sweep.conditions, sweep.importance)
         for row in _importance_rows(imp)
     )
-    written.append(
-        write_csv_rows(
-            sweep_dir / "perm_importance.csv",
-            ("rove_mean", "rove_sd", "feature", "split", "repeat", "decrease"),
-            importance_rows,
-        )
+    write_csv_rows(
+        sweep_dir / "perm_importance.csv",
+        ("rove_mean", "rove_sd", "feature", "split", "repeat", "decrease"),
+        importance_rows,
     )
-    return written
 
 
 def write_pca_outputs(model: PcaModel, scores: np.ndarray, record_ids, out_dir,
-                      feature_names) -> list[Path]:
+                      feature_names) -> None:
     out_dir = Path(out_dir)
     k = model.n_components
     component_names = [f"pc{i + 1}" for i in range(k)]
@@ -289,24 +256,19 @@ def write_pca_outputs(model: PcaModel, scores: np.ndarray, record_ids, out_dir,
     score_rows = [
         (record_ids[ri], *scores[ri, :]) for ri in range(scores.shape[0])
     ]
-    written = [
-        write_csv_rows(
-            out_dir / "pca_loadings.csv", ("feature", *component_names), loading_rows
-        ),
-        write_csv_rows(
-            out_dir / "pca_scores.csv", ("record_id", *component_names), score_rows
-        ),
-        dump_json(
-            {
-                "explained_variance": [float(v) for v in model.explained_variance],
-                "explained_variance_fraction": [
-                    float(v) for v in model.explained_variance_fraction
-                ],
-            },
-            out_dir / "pca_explained.json",
-        ),
-    ]
-    return written
+    write_csv_rows(out_dir / "pca_loadings.csv", ("feature", *component_names),
+                   loading_rows)
+    write_csv_rows(out_dir / "pca_scores.csv", ("record_id", *component_names),
+                   score_rows)
+    dump_json(
+        {
+            "explained_variance": [float(v) for v in model.explained_variance],
+            "explained_variance_fraction": [
+                float(v) for v in model.explained_variance_fraction
+            ],
+        },
+        out_dir / "pca_explained.json",
+    )
 
 
 def _scipy_version() -> str | None:
@@ -327,7 +289,7 @@ def _scipy_version() -> str | None:
     return None
 
 
-def write_manifest(out_dir, command: str, options: dict, inputs) -> Path:
+def write_manifest(out_dir, command: str, options: dict, inputs) -> None:
     """Record what was run, on which inputs, under which library versions.
 
     The output directory is deliberately absent so a replay into a fresh
@@ -349,7 +311,7 @@ def write_manifest(out_dir, command: str, options: dict, inputs) -> Path:
         "inputs": {str(Path(p).resolve()): sha256_file(p) for p in inputs},
         "versions": versions,
     }
-    return dump_json(payload, Path(out_dir) / "manifest.json")
+    dump_json(payload, Path(out_dir) / "manifest.json")
 
 
 def _read_csv(path: Path) -> tuple[list[str], list[list[str]]]:

@@ -652,6 +652,86 @@ def test_every_command_replays_byte_identically(recorded_runs, tmp_path, command
     assert _files(replayed) == _files(original)
 
 
+def _table_options(kind):
+    """Every (command, option) of ``cli._TABLE`` whose value is a ``kind``."""
+    return [pytest.param(command, option, id=f"{command}-{option.name}")
+            for command, (_, options) in cli._TABLE.items()
+            for option in options if option.kind is kind]
+
+
+def _recorded_options(recorded_runs, command) -> dict:
+    [manifest] = (recorded_runs / command).rglob("manifest.json")
+    return json.loads(manifest.read_text())["options"]
+
+
+@pytest.mark.parametrize("command, option", _table_options(int))
+def test_integral_float_for_an_int_option_is_recorded_as_the_int(recorded_runs, tmp_path,
+                                                                 command, option):
+    options = _recorded_options(recorded_runs, command)
+    value = 1 if options[option.name] is None else options[option.name]
+    runs = {}
+    for given in (value, float(value)):
+        config = tmp_path / f"{given!r}.json"
+        config.write_text(json.dumps({command: {**options, option.name: given}}))
+        out = tmp_path / repr(given)
+        assert run(command, "--out-dir", str(out), "--config", str(config)) == 0
+        runs[type(given)] = _files(out)
+    assert runs[float] == runs[int]
+    [manifest] = (tmp_path / repr(float(value))).rglob("manifest.json")
+    recorded = json.loads(manifest.read_text())["options"][option.name]
+    assert recorded == value and type(recorded) is int
+
+
+@pytest.mark.parametrize("source, text", [
+    ("config", "NaN"), ("config", "Infinity"), ("config", "-Infinity"),
+    ("flag", "nan"), ("flag", "inf"),
+])
+@pytest.mark.parametrize("command, option", _table_options(float))
+def test_non_finite_float_option_is_exit_2_before_any_output(recorded_runs, tmp_path,
+                                                            capsys, command, option,
+                                                            source, text):
+    options = _recorded_options(recorded_runs, command)
+    flags = [option.flags[0], text] if source == "flag" else []
+    if source == "config":
+        options[option.name] = float(text)  # json writes it back as NaN or Infinity
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({command: options}))
+    out = tmp_path / "out"
+    rc = run(command, "--out-dir", str(out), "--config", str(config), *flags)
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert f"{option.name} must be a finite number, got" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--min-pta", "nan", "min_pta must be a finite number, got nan"),
+    ("--min-class-fraction", "2", "min_fraction must lie in [0, 1], got 2.0"),
+    ("--min-class-fraction", "-0.5", "min_fraction must lie in [0, 1], got -0.5"),
+    ("--min-class-count", "-1", "min_count must be >= 0, got -1"),
+])
+def test_preprocess_threshold_outside_its_domain_writes_no_labeled_json(tmp_path, capsys,
+                                                                       flag, value, message):
+    assert run("generate", "--out-dir", str(tmp_path), "--per-class", "4", "--csv") == 0
+    out = tmp_path / "out"
+    rc = run("preprocess", "--out-dir", str(out),
+             "--combined-csv", str(tmp_path / "participants.csv"), flag, value)
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not (out / "labeled.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("evaluate",), ("evaluate", "--rove-mean", "5"), ("evaluate", "--rove-sd", "2"),
+    ("sweep",),
+], ids=["evaluate", "evaluate-rove-mean", "evaluate-rove-sd", "sweep"])
+def test_negative_rove_seed_is_exit_2_before_any_data_is_read(tmp_path, capsys, argv):
+    rc = run(*argv, "--out-dir", str(tmp_path), "--data", str(tmp_path / "absent.json"),
+             "--rove-seed", "-1")
+    assert rc == 2
+    assert "roving seed must be non-negative" in capsys.readouterr().err
+
+
 @pytest.fixture()
 def explained(generated):
     rc = run("explain", "--out-dir", str(generated), "--classifier", "dt", "--k", "3",

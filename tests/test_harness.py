@@ -120,6 +120,8 @@ def test_config_validation():
         fast_config(perm_repeats=0)
     with pytest.raises(ConfigurationError, match="seed must be non-negative"):
         fast_config(seed=-1)
+    with pytest.raises(ConfigurationError, match="roving seed must be non-negative"):
+        ExperimentConfig(data_path="x", rove_seed=-1)
 
 
 def test_classifier_names_deduplicate():

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -40,6 +41,7 @@ from loudclass.pipeline import (
     participant_normals,
     participant_offset,
     _participant_key,
+    prepare_combined,
     preprocess,
     rove_matrix,
     write_csv,
@@ -165,6 +167,30 @@ def test_preprocess_summary_counts():
     assert summary.merged == summary.audiogram_complete
     assert summary.after_class_filter == len(final)
     assert summary.as_dict()["class_set"] == [c.name for c in summary.class_set]
+
+
+@pytest.mark.parametrize("cascade", ["preprocess", "prepare_combined"])
+@pytest.mark.parametrize("threshold, message", [
+    ({"min_pta": math.nan}, "min_pta must be finite"),
+    ({"min_pta": math.inf}, "min_pta must be finite"),
+    ({"min_fraction": 2.0}, "min_fraction must lie in [0, 1]"),
+    ({"min_fraction": -0.1}, "min_fraction must lie in [0, 1]"),
+    ({"min_fraction": math.nan}, "min_fraction must lie in [0, 1]"),
+    ({"min_count": -1}, "min_count must be >= 0"),
+])
+def test_cascade_thresholds_outside_their_domain(cascade, threshold, message):
+    ears, _ = generate_synthetic_full(SyntheticConfig(records_per_class=2, seed=4))
+    run = {"preprocess": lambda: preprocess(ears, ears, **threshold),
+           "prepare_combined": lambda: prepare_combined(ears, **threshold)}[cascade]
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        run()
+
+
+def test_cascade_thresholds_on_their_boundaries_are_accepted():
+    ears, _ = generate_synthetic_full(SyntheticConfig(records_per_class=2, seed=4))
+    assert prepare_combined(ears, min_fraction=1.0, min_count=0)[0] == []
+    final, _ = prepare_combined(ears, min_pta=-1e9, min_fraction=0.0, min_count=0)
+    assert len(final) == len(ears)
 
 
 # --- roving ------------------------------------------------------------------
@@ -337,6 +363,18 @@ def test_generator_validation():
         SyntheticConfig(records_per_class=0)
     with pytest.raises(ConfigurationError):
         SyntheticConfig(records_per_class=5, jitter_sd=-1.0)
+
+
+@pytest.mark.parametrize("name", ["jitter_sd", "l2_5_offset_mean", "l2_5_offset_sd",
+                                  "l_cut_noise_sd"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_generator_noise_terms_must_be_finite(name, value):
+    with pytest.raises(ConfigurationError, match=f"{name} must be finite"):
+        SyntheticConfig(records_per_class=4, **{name: value})
+
+
+def test_generator_offset_mean_may_be_negative():
+    assert SyntheticConfig(records_per_class=4, l2_5_offset_mean=-5.0).l2_5_offset_mean == -5.0
 
 
 # --- serialization -----------------------------------------------------------
