@@ -24,8 +24,6 @@ from .classifiers import (
     OvrModel,
     fit,
     load_model,
-    predict,
-    predict_proba,
     save_model,
 )
 from .errors import (
@@ -117,8 +115,6 @@ __all__ = [
     "load_labeled_json",
     "load_model",
     "load_profiles",
-    "predict",
-    "predict_proba",
     "preprocess",
     "pta",
     "roving_sweep",

@@ -66,9 +66,6 @@ class BisgaardClass(enum.Enum):
     __hash__ = object.__hash__
 
 
-CLASS_ORDER: tuple[BisgaardClass, ...] = tuple(sorted(BisgaardClass))
-
-
 def class_from_name(name: str) -> BisgaardClass:
     try:
         return BisgaardClass[name]

@@ -2,7 +2,7 @@
 
 from .boosting import GradientBoostingBinary
 from .forest import RandomForestBinary
-from .linear import LogisticRegressionBinary, penalized_logistic
+from .linear import LogisticRegressionBinary
 from .neighbors import KnnModel, NearestNeighbors
 from .neural import NeuralNetBinary
 from .ovr import (
@@ -16,8 +16,6 @@ from .ovr import (
     load_model,
     model_from_jsonable,
     model_to_jsonable,
-    predict,
-    predict_proba,
     save_model,
 )
 from .scaler import StandardScaler
@@ -46,9 +44,6 @@ __all__ = [
     "load_model",
     "model_from_jsonable",
     "model_to_jsonable",
-    "penalized_logistic",
-    "predict",
-    "predict_proba",
     "save_model",
     "tree_predict",
 ]

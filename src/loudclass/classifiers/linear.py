@@ -40,16 +40,12 @@ def logistic_loss(z: np.ndarray, y: np.ndarray) -> float:
     return float(t.sum() / len(t))
 
 
-def penalized_logistic(theta: np.ndarray, X: np.ndarray, y: np.ndarray, alpha: float):
-    """Mean logistic loss plus alpha * ||w||^2 / (2n), its gradient and its
-    Hessian; theta packs (weights, bias) and the bias is not penalized."""
-    return penalized_logistic_objective(X, y, alpha)(theta)
-
-
 def penalized_logistic_objective(X: np.ndarray, y: np.ndarray, alpha: float):
-    """``penalized_logistic`` as a function of theta alone. The design
-    matrix with its column of ones, the ridge vector and its diagonal
-    matrix are built once, not at every evaluation."""
+    """The function of theta that gives the mean logistic loss plus
+    alpha * ||w||^2 / (2n), its gradient and its Hessian; theta packs
+    (weights, bias) and the bias is not penalized. The design matrix with
+    its column of ones, the ridge vector and its diagonal matrix are built
+    once, not at every evaluation."""
     n = len(y)
     A = np.column_stack([X, np.ones(n)])
     ridge = np.full(A.shape[1], alpha / n)

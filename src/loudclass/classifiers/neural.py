@@ -137,11 +137,6 @@ class NeuralNetBinary:
             parts.append(np.zeros(fo))
         return np.concatenate(parts)
 
-    def loss_and_grad(self, theta: np.ndarray, X: np.ndarray, y: np.ndarray):
-        """Penalized mean logistic loss and its analytic gradient."""
-        objective = _Objective(self.layout, self.alpha, X, y)
-        return objective.value(theta), objective.gradient(theta)
-
     def fit(self, X, y01) -> "NeuralNetBinary":
         objective = _Objective(self.layout, self.alpha, X, y01)
         self.result_ = minimize_lbfgs(

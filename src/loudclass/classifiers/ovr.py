@@ -245,14 +245,6 @@ def fit(spec: ClassifierSpec, X, y, *, classes=None) -> TrainedModel:
     return model_type(spec.variant, class_list, scaler, submodels, seed=seed, params=params)
 
 
-def predict_proba(model: TrainedModel, X) -> np.ndarray:
-    return model.predict_proba(X)
-
-
-def predict(model: TrainedModel, X) -> list:
-    return model.predict(X)
-
-
 def _label_kind(classes) -> str:
     if all(isinstance(c, BisgaardClass) for c in classes):
         return "bisgaard"
@@ -340,7 +332,9 @@ def model_from_jsonable(payload: dict) -> TrainedModel:
 
 def save_model(model: TrainedModel, path) -> None:
     text = json.dumps(model_to_jsonable(model), sort_keys=True, indent=2) + "\n"
-    Path(path).write_text(text, encoding="utf-8")
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text, encoding="utf-8")
 
 
 def load_model(path) -> TrainedModel:

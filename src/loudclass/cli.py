@@ -76,6 +76,26 @@ EXIT_NUMERIC = 4
 _BACKGROUND_STREAM = 101
 
 
+def _number(value, what: str):
+    """``value`` if it is a JSON number; a bool or any other value is a
+    usage error."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigurationError(f"{what} must be a number, got {value!r}")
+    return value
+
+
+def _finite_float(value, what: str) -> float:
+    """``value`` as a float if it is a finite number; NaN, an infinity and an
+    int beyond the float range are usage errors."""
+    try:
+        number = float(_number(value, what))
+    except OverflowError:  # an int beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigurationError(f"{what} must be a finite number, got {value!r}")
+    return number
+
+
 class Option:
     """One subcommand option, declared once.
 
@@ -121,24 +141,12 @@ class Option:
             return None
         if self.kind is bool and not isinstance(value, bool):
             raise ConfigurationError(f"{self.name} must be true or false, got {value!r}")
-        if self.kind in (int, float) and (
-            isinstance(value, bool) or not isinstance(value, (int, float))
-        ):
-            raise ConfigurationError(f"{self.name} must be a number, got {value!r}")
         if self.kind is int:
-            if isinstance(value, float) and not value.is_integer():
+            if isinstance(_number(value, self.name), float) and not value.is_integer():
                 raise ConfigurationError(f"{self.name} must be an integer, got {value!r}")
             return int(value)
         if self.kind is float:
-            try:
-                number = float(value)
-            except OverflowError:  # an int beyond the float range
-                number = math.inf
-            if not math.isfinite(number):
-                raise ConfigurationError(
-                    f"{self.name} must be a finite number, got {value!r}"
-                )
-            return number
+            return _finite_float(value, self.name)
         if self.kind is str and not isinstance(value, str):
             raise ConfigurationError(f"{self.name} must be a string, got {value!r}")
         return value
@@ -336,7 +344,10 @@ def _as_name_list(value, what: str) -> list[str]:
 
 
 def _as_conditions(value) -> list[list[float]]:
-    if isinstance(value, str):
+    """(mean, sd) pairs from a list of pairs or the flag's ``mean:sd`` list;
+    each number must be finite, as for a float option."""
+    flag_form = isinstance(value, str)
+    if flag_form:
         items = [chunk.strip().split(":") for chunk in value.split(",") if chunk.strip()]
     elif isinstance(value, (list, tuple)):
         items = value
@@ -348,10 +359,15 @@ def _as_conditions(value) -> list[list[float]]:
             raise ConfigurationError(
                 f"condition {item!r} must be a [mean, sd] pair or mean:sd, e.g. 10:5"
             )
-        try:
-            pairs.append([float(item[0]), float(item[1])])
-        except (TypeError, ValueError) as exc:
-            raise ConfigurationError(f"condition {item!r}: {exc}") from exc
+        if flag_form:
+            try:
+                item = [float(part) for part in item]
+            except ValueError as exc:
+                raise ConfigurationError(f"condition {item!r}: {exc}") from exc
+        pairs.append([
+            _finite_float(v, f"{name} of condition {item!r}")
+            for v, name in zip(item, ("mean", "sd"))
+        ])
     if not pairs:
         raise ConfigurationError("at least one roving condition is required")
     return pairs
@@ -652,7 +668,6 @@ def main(argv=None) -> int:
         else:
             payload = _read_json_object(args.config, "config file") if args.config else {}
         options = _resolve_options(cmd, args, payload)
-        out_dir.mkdir(parents=True, exist_ok=True)
         _RUNNERS[cmd](options, out_dir)
     except ConfigurationError as exc:
         return _fail(cmd, exc, EXIT_USAGE)

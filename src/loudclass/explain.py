@@ -31,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from .classifiers import TrainedModel
-from .classifiers.tree import leaf_boxes, tree_leaves, tree_predict
+from .classifiers.tree import LeafVoteModel, leaf_boxes, tree_leaves, tree_predict
 from .errors import ConfigurationError, DataError, ShapeError
 from .loudness import FEATURE_NAMES
 # accuracy and balanced_accuracy are unused here, but perfbench/spans.py
@@ -51,10 +51,6 @@ from .metrics import (  # noqa: F401
 _MAX_EXACT_FEATURES = 16
 
 PERMUTATION_METRICS = ("balanced_accuracy", "accuracy")
-
-# Variants whose class scores are sums of tree-leaf payloads. gb is not one:
-# its score is expit of a tree sum.
-_LEAF_SUM_VARIANTS = ("dt", "rf")
 
 
 def default_feature_names(n_features: int) -> list[str]:
@@ -215,7 +211,7 @@ def _class_shapley(model: TrainedModel, X: np.ndarray, background: np.ndarray):
     standardized composites. The other variants enumerate coalitions.
     """
     n, d = X.shape
-    if model.variant in _LEAF_SUM_VARIANTS:
+    if isinstance(model.submodels[0], LeafVoteModel):
         z = model.scaler.transform(background)
         tables = [m.leaf_table(d) for m in model.submodels]
         phi = np.array([
@@ -294,9 +290,6 @@ class SplitImportance:
         arr.setflags(write=False)
         object.__setattr__(self, "decreases", arr)
 
-    def median_decrease(self) -> np.ndarray:
-        return np.median(self.decreases, axis=1)
-
 
 @dataclass(frozen=True)
 class PermutationImportanceReport:
@@ -356,7 +349,8 @@ def permutation_importance(
     def score(predicted: np.ndarray) -> float:
         return score_of(count_matrix(t, recode[predicted], len(classes)))
 
-    copies = _leaf_sum_copies if model.variant in _LEAF_SUM_VARIANTS else _stacked_copies
+    leaf_sum = isinstance(model.submodels[0], LeafVoteModel)
+    copies = _leaf_sum_copies if leaf_sum else _stacked_copies
     predictions = copies(model, X, seed, repeats)
     baseline = score(next(predictions))
     decreases = np.empty((X.shape[1], repeats))

@@ -233,10 +233,6 @@ class DesignatedDetail:
     def micro_auc(self) -> float:
         return self.roc_auc["micro"]
 
-    @property
-    def micro_ap(self) -> float:
-        return self.pr_ap["micro"]
-
 
 @dataclass(frozen=True)
 class MetricsReport:
@@ -581,12 +577,6 @@ class SweepReport:
     conditions: tuple[tuple[float, float], ...]
     reports: tuple[MetricsReport, ...]
     importance: tuple[PermutationImportanceReport, ...]
-
-    def micro_auc_by_condition(self) -> dict:
-        return {
-            cond: report.designated.micro_auc
-            for cond, report in zip(self.conditions, self.reports)
-        }
 
 
 def roving_sweep(

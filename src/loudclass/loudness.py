@@ -32,7 +32,6 @@ def column_name(index: int, width: int) -> str:
 
 # dB-valued features move under a calibration offset; slope features do not.
 LEVEL_FEATURE_INDICES: tuple[int, ...] = (0, 1, 2, 5, 6, 7, 8, 11)
-SLOPE_FEATURE_INDICES: tuple[int, ...] = (3, 4, 9, 10)
 
 CU_MIN = 0.0
 CU_MEDIUM = 25.0
@@ -58,13 +57,6 @@ class LoudnessFunction:
                 raise ParameterError(f"{name} must be finite")
         if self.m_low <= 0 or self.m_high <= 0:
             raise ParameterError("slopes m_low and m_high must be strictly positive")
-
-
-def cu_at_level(fn: LoudnessFunction, level: float) -> float:
-    """Loudness rating in CU at ``level`` dB, clamped to [0, 50]."""
-    slope = fn.m_low if level <= fn.l_cut else fn.m_high
-    cu = CU_MEDIUM + slope * (level - fn.l_cut)
-    return min(max(cu, CU_MIN), CU_MAX)
 
 
 def level_at_cu(fn: LoudnessFunction, cu: float) -> float:
@@ -114,23 +106,6 @@ class LoudnessFeatureVector:
         if len(vals) != len(FEATURE_NAMES):
             raise ParameterError(f"expected {len(FEATURE_NAMES)} values, got {len(vals)}")
         return cls(FrequencyFeatures(*vals[:6]), FrequencyFeatures(*vals[6:]))
-
-    def shifted(self, offset: float) -> "LoudnessFeatureVector":
-        """New vector with every dB level moved by ``offset``; slopes kept.
-
-        Slope fields are carried over untouched so they stay bit-identical.
-        """
-        def shift(block: FrequencyFeatures) -> FrequencyFeatures:
-            return FrequencyFeatures(
-                l2_5=block.l2_5 + offset,
-                l25=block.l25 + offset,
-                l50=block.l50 + offset,
-                m_low=block.m_low,
-                m_high=block.m_high,
-                l_cut=block.l_cut + offset,
-            )
-
-        return LoudnessFeatureVector(shift(self.f1500), shift(self.f4000))
 
     def with_l_cut(self, l_cut_1500: float, l_cut_4000: float) -> "LoudnessFeatureVector":
         return LoudnessFeatureVector(

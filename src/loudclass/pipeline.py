@@ -21,6 +21,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -357,18 +358,6 @@ def _participant_normal(seed: int, participant_id: str) -> float:
     return float(np.random.default_rng(seq).standard_normal())
 
 
-def participant_offset(cfg: RovingConfig, participant_id: str) -> float:
-    """The calibration offset a participant receives under ``cfg``.
-
-    Keyed by participant identity, not record order, so any record ordering
-    and any parallel execution produce identical offsets. It is
-    ``mean + sd * z`` with the participant's standard normal draw ``z``,
-    which is what ``Generator.normal(mean, sd)`` computes from the same
-    stream, bit for bit.
-    """
-    return cfg.mean + cfg.sd * _participant_normal(cfg.seed, participant_id)
-
-
 def participant_normals(records: list[LabeledRecord], seed: int) -> np.ndarray:
     """Per record, the standard normal draw of its participant under rove
     seed ``seed``; each participant's generator is built once."""
@@ -395,8 +384,9 @@ def rove_matrix(
 
     ``normals`` are the records' ``participant_normals`` under ``cfg.seed``;
     they are drawn here unless given, so that conditions sharing a seed can
-    share one draw. Row i moves by ``cfg.mean + cfg.sd * normals[i]``, its
-    participant's ``participant_offset``.
+    share one draw. Row i moves by ``cfg.mean + cfg.sd * normals[i]``, bit
+    for bit the ``Generator.normal(cfg.mean, cfg.sd)`` draw of its
+    participant's stream, which no record order or worker count changes.
     """
     if cfg.mean == 0.0 and cfg.sd == 0.0:
         return X
@@ -605,6 +595,8 @@ def load_csv(path) -> list[EarRecord]:
 def write_csv(records: list[EarRecord], path) -> None:
     """Inverse of ``load_csv``, one row per record in the given order;
     floats use shortest round-trip formatting."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
@@ -638,6 +630,8 @@ def write_labeled_json(records: list[LabeledRecord], path) -> None:
             for r in records
         ]
     }
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
@@ -646,7 +640,10 @@ def write_labeled_json(records: list[LabeledRecord], path) -> None:
 def _json_number(value, what: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"{what} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an int beyond the float range
+        raise TypeError(f"{what} must be a number within the float range") from None
 
 
 def _json_string(value, what: str) -> str:

@@ -17,7 +17,15 @@ from scipy.optimize import minimize
 # The package's own expit: the fused references are checked against split
 # arithmetic, bit for bit, which needs one expit on both sides.
 from loudclass.classifiers.linear import expit
+from loudclass.loudness import (
+    CU_MAX,
+    CU_MEDIUM,
+    CU_MIN,
+    FrequencyFeatures,
+    LoudnessFeatureVector,
+)
 from loudclass.optimize import C1, MAX_BACKTRACKS, MEMORY, SHRINK
+from loudclass.pipeline import _participant_normal
 
 
 # --- plain counting metrics -------------------------------------------------
@@ -397,6 +405,38 @@ def best_split_oracle(X, y, criterion: str):
         if gain > eps and (best is None or gain > best[0] + eps):
             best = (gain, f, threshold)
     return best
+
+
+# --- loudness function and roving, one record at a time ----------------------
+
+def cu_at_level(fn, level: float) -> float:
+    """Loudness rating in CU at ``level`` dB, clamped to [0, 50]: the forward
+    map that ``level_at_cu`` inverts."""
+    slope = fn.m_low if level <= fn.l_cut else fn.m_high
+    cu = CU_MEDIUM + slope * (level - fn.l_cut)
+    return min(max(cu, CU_MIN), CU_MAX)
+
+
+def participant_offset(cfg, participant_id: str) -> float:
+    """The calibration offset a participant receives under ``cfg``:
+    ``mean + sd * z`` with the participant's standard normal draw ``z``."""
+    return cfg.mean + cfg.sd * _participant_normal(cfg.seed, participant_id)
+
+
+def shifted(v: LoudnessFeatureVector, offset: float) -> LoudnessFeatureVector:
+    """``v`` with every dB level moved by ``offset``; the slope fields are
+    carried over untouched, so they keep their bits."""
+    def shift(block: FrequencyFeatures) -> FrequencyFeatures:
+        return FrequencyFeatures(
+            l2_5=block.l2_5 + offset,
+            l25=block.l25 + offset,
+            l50=block.l50 + offset,
+            m_low=block.m_low,
+            m_high=block.m_high,
+            l_cut=block.l_cut + offset,
+        )
+
+    return LoudnessFeatureVector(shift(v.f1500), shift(v.f4000))
 
 
 # --- k nearest neighbors -----------------------------------------------------

@@ -12,8 +12,8 @@ import warnings
 import numpy as np
 
 from loudclass.bisgaard import Audiogram, classify, load_profiles
-from loudclass.classifiers import ClassifierSpec, fit, predict_proba
-from loudclass.classifiers.neural import NeuralNetBinary
+from loudclass.classifiers import ClassifierSpec, fit
+from loudclass.classifiers.neural import NeuralNetBinary, _Objective
 from loudclass.cli import main as cli_main
 from loudclass.explain import exact_shapley, importance_report
 from loudclass.harness import (
@@ -216,15 +216,17 @@ def test_criterion_5_classifier_sanity(tmp_path):
     net = NeuralNetBinary(5, hidden=(4, 3), seed_key=(1,))
     theta = net.initial_parameters() + 0.05 * rng.normal(
         size=net.initial_parameters().shape)
-    _, grad = net.loss_and_grad(theta, X, y)
+    objective = _Objective(net.layout, net.alpha, X, y)
+    objective.value(theta)
+    grad = objective.gradient(theta)
     h = 1e-6
     numeric = np.zeros_like(theta)
     for i in range(len(theta)):
         probe = theta.copy()
         probe[i] += h
-        up, _ = net.loss_and_grad(probe, X, y)
+        up = objective.value(probe)
         probe[i] -= 2 * h
-        down, _ = net.loss_and_grad(probe, X, y)
+        down = objective.value(probe)
         numeric[i] = (up - down) / (2 * h)
     scale = max(1.0, float(np.linalg.norm(grad)))
     assert np.linalg.norm(numeric - grad) / scale < 1e-5
@@ -254,7 +256,7 @@ def test_criterion_6_explainability():
     labels = np.array(["a", "b", "c"])[rng.integers(0, 3, size=90)]
     X_fit = rng.normal(size=(90, d)) + (labels == "a")[:, None] * 1.5
     model = fit(ClassifierSpec("lr"), X_fit, labels)
-    f = lambda M: predict_proba(model, M)[:, 0]
+    f = lambda M: model.predict_proba(M)[:, 0]
     for x in records:
         phi, base = exact_shapley(f, x, background)
         assert abs(phi.sum() + base - float(f(x[None, :])[0])) < 1e-6
@@ -282,7 +284,7 @@ def test_criterion_6_explainability():
         rep = importance_report(m, X[train], y[train], X[test], y[test],
                                 repeats=5, metric="balanced_accuracy",
                                 seed=seed)
-        hits += int(np.argmax(rep.split("test").median_decrease()) == 2)
+        hits += int(np.argmax(np.median(rep.split("test").decreases, axis=1)) == 2)
     assert hits >= 19, f"informative feature ranked first in {hits}/20 runs"
 
 
@@ -303,14 +305,16 @@ def test_criterion_7_soft_paper_shape():
         perm_repeats=10,
     )
     sweep = roving_sweep(cfg, conditions=((0.0, 0.0), (10.0, 5.0)))
-    aucs = sweep.micro_auc_by_condition()
+    aucs = {cond: report.designated.roc_auc["micro"]
+            for cond, report in zip(sweep.conditions, sweep.reports)}
     problems = []
     if aucs[(10.0, 5.0)] > aucs[(0.0, 0.0)] + 0.05:
         problems.append(
             f"roved micro-AUC {aucs[(10.0, 5.0)]:.3f} exceeds "
             f"no-roving {aucs[(0.0, 0.0)]:.3f} + 0.05"
         )
-    ranking = np.argsort(sweep.importance[0].split("test").median_decrease())[::-1]
+    medians = np.median(sweep.importance[0].split("test").decreases, axis=1)
+    ranking = np.argsort(medians)[::-1]
     top3 = {FEATURE_NAMES[i] for i in ranking[:3]}
     if not top3 & {"L2.5_1500", "L2.5_4000"}:
         problems.append(f"no l2_5 feature in importance top 3: {sorted(top3)}")

@@ -30,16 +30,13 @@ from loudclass.classifiers import (
     load_model,
     model_from_jsonable,
     model_to_jsonable,
-    penalized_logistic,
-    predict,
-    predict_proba,
     save_model,
 )
 from loudclass.classifiers import neighbors, neural, ovr
 from loudclass.classifiers.base import AtLeast
 from loudclass.classifiers import scaler as scaler_module
 from loudclass.classifiers import svm as svm_module
-from loudclass.classifiers.linear import ALPHA, expit
+from loudclass.classifiers.linear import ALPHA, expit, penalized_logistic_objective
 from loudclass.classifiers.svm import rbf_kernel
 from loudclass.classifiers.tree import (
     _GAINS,
@@ -433,14 +430,15 @@ def test_logistic_gradient_matches_finite_differences(rng):
     X = rng.normal(size=(12, 3))
     y = (rng.uniform(size=12) > 0.5).astype(float)
     theta = rng.normal(size=4)
-    _, grad, _ = penalized_logistic(theta, X, y, 0.7)
+    objective = penalized_logistic_objective(X, y, 0.7)
+    _, grad, _ = objective(theta)
     h = 1e-6
     for i in range(len(theta)):
         probe = theta.copy()
         probe[i] += h
-        up, _, _ = penalized_logistic(probe, X, y, 0.7)
+        up, _, _ = objective(probe)
         probe[i] -= 2 * h
-        down, _, _ = penalized_logistic(probe, X, y, 0.7)
+        down, _, _ = objective(probe)
         assert grad[i] == pytest.approx((up - down) / (2 * h), abs=1e-6)
 
 
@@ -448,15 +446,16 @@ def test_logistic_hessian_matches_finite_differences(rng):
     X = rng.normal(size=(12, 3))
     y = (rng.uniform(size=12) > 0.5).astype(float)
     theta = rng.normal(size=4)
-    _, _, hess = penalized_logistic(theta, X, y, 0.7)
+    objective = penalized_logistic_objective(X, y, 0.7)
+    _, _, hess = objective(theta)
     h = 1e-6
     numeric = np.zeros_like(hess)
     for i in range(len(theta)):
         probe = theta.copy()
         probe[i] += h
-        _, up, _ = penalized_logistic(probe, X, y, 0.7)
+        _, up, _ = objective(probe)
         probe[i] -= 2 * h
-        _, down, _ = penalized_logistic(probe, X, y, 0.7)
+        _, down, _ = objective(probe)
         numeric[:, i] = (up - down) / (2 * h)
     assert hess == pytest.approx(numeric, abs=1e-7)
 
@@ -484,7 +483,7 @@ def test_logistic_fit_meets_kkt_and_matches_oracle(rng, spread, gap):
     X, y = two_blobs(rng, spread=spread, gap=gap)
     model = LogisticRegressionBinary().fit(X, y)
     theta = np.append(model.weights_, model.bias_)
-    _, grad, _ = penalized_logistic(theta, X, y, ALPHA)
+    _, grad, _ = penalized_logistic_objective(X, y, ALPHA)(theta)
     assert np.max(np.abs(grad)) <= model.gtol
     # On separable blobs the Hessian's smallest eigenvalue is near 5e-6, so
     # |g| <= 1e-6 only bounds theta to about 0.2; the comparison with the
@@ -515,15 +514,17 @@ def test_nn_gradient_matches_finite_differences(rng):
     theta = net.initial_parameters() + 0.05 * rng.normal(
         size=net.initial_parameters().shape
     )
-    _, grad = net.loss_and_grad(theta, X, y)
+    objective = neural._Objective(net.layout, net.alpha, X, y)
+    objective.value(theta)
+    grad = objective.gradient(theta)
     h = 1e-6
     numeric = np.zeros_like(theta)
     for i in range(len(theta)):
         probe = theta.copy()
         probe[i] += h
-        up, _ = net.loss_and_grad(probe, X, y)
+        up = objective.value(probe)
         probe[i] -= 2 * h
-        down, _ = net.loss_and_grad(probe, X, y)
+        down = objective.value(probe)
         numeric[i] = (up - down) / (2 * h)
     scale = max(1.0, float(np.linalg.norm(grad)))
     assert np.linalg.norm(numeric - grad) / scale < 1e-5
@@ -625,7 +626,11 @@ def test_nn_value_and_gradient_match_fused_reference(seed, hidden, spread):
     value = objective.value(theta)
     grad = objective.gradient(theta)
     fused_value, fused_grad = oracles.nn_loss_and_grad(theta, X, y, hidden, net.alpha)
-    loss, loss_grad = net.loss_and_grad(theta, X, y)
+    # An objective keeps only the pass of the point it valued last.
+    again = neural._Objective(net.layout, net.alpha, X, y)
+    again.value(np.zeros_like(theta))
+    loss = again.value(theta)
+    loss_grad = again.gradient(theta)
     assert value == fused_value == loss
     for g in (fused_grad, loss_grad):
         assert np.array_equal(grad, g)
@@ -940,10 +945,10 @@ def test_ovr_fit_predict_all_variants(rng, variant):
     if variant == "nn":
         spec = ClassifierSpec(variant, params={"max_iter": 200})
     model = fit(spec, X, labels)
-    proba = predict_proba(model, X)
+    proba = model.predict_proba(X)
     assert proba.shape == (len(labels), 6)
     assert np.all(proba >= 0) and np.all(proba <= 1)
-    predictions = predict(model, X)
+    predictions = model.predict(X)
     assert np.mean([p == t for p, t in zip(predictions, labels)]) >= 0.9
     assert model.classes == tuple(sorted(set(labels)))
 
@@ -956,7 +961,7 @@ def test_predict_is_predict_index_mapped_to_classes(rng, variant):
     queries = np.vstack([X, X[::3] + rng.normal(scale=0.5, size=X[::3].shape)])
     index = model.predict_index(queries)
     assert index.shape == (len(queries),)
-    assert predict(model, queries) == [model.classes[i] for i in index]
+    assert model.predict(queries) == [model.classes[i] for i in index]
 
 
 def test_ovr_fit_validations(rng):
@@ -986,16 +991,16 @@ def test_non_finite_query_rows_are_rejected(rng, variant, value):
     bad = X[:3].copy()
     bad[1, 2] = value
     with pytest.raises(DataError, match="row 1"):
-        predict(model, bad)
+        model.predict(bad)
     with pytest.raises(DataError, match="row 1"):
-        predict_proba(model, bad)
+        model.predict_proba(bad)
 
 
 def test_ovr_two_class_lr_columns_complement(rng):
     X, y = two_blobs(rng, spread=1.5, gap=2.0)
     labels = ["neg" if v == 0 else "pos" for v in y]
     model = fit(ClassifierSpec("lr"), X, labels)
-    proba = predict_proba(model, X)
+    proba = model.predict_proba(X)
     # LR on flipped labels learns the negated decision (the penalty is
     # symmetric), so the two one-vs-rest columns must (nearly) sum to one.
     assert proba.sum(axis=1) == pytest.approx(np.ones(len(y)), abs=1e-8)
@@ -1014,8 +1019,8 @@ def test_ovr_seed_changes_stochastic_variants(rng):
     a = fit(ClassifierSpec("rf", seed=0), X, labels)
     b = fit(ClassifierSpec("rf", seed=0), X, labels)
     c = fit(ClassifierSpec("rf", seed=5), X, labels)
-    assert np.array_equal(predict_proba(a, X), predict_proba(b, X))
-    assert not np.array_equal(predict_proba(a, X), predict_proba(c, X))
+    assert np.array_equal(a.predict_proba(X), b.predict_proba(X))
+    assert not np.array_equal(a.predict_proba(X), c.predict_proba(X))
 
 
 # --- k nearest neighbors ---------------------------------------------------------
@@ -1024,13 +1029,13 @@ def test_knn_tie_breaks_toward_nearer_neighbor():
     X = np.array([[0.0], [1.0], [10.0], [11.0]])
     labels = ["a", "a", "b", "b"]
     model = fit(ClassifierSpec("knn"), X, labels)
-    assert predict(model, np.array([[0.5]])) == ["a"]
-    assert predict(model, np.array([[10.5]])) == ["b"]
+    assert model.predict(np.array([[0.5]])) == ["a"]
+    assert model.predict(np.array([[10.5]])) == ["b"]
     # Between the clusters the two nearest neighbors are one a and one b,
     # a 1:1 vote; the class of the nearer one must win. The cluster
     # midpoint is 5.5, so 5.4 leans a and 5.6 leans b.
-    assert predict(model, np.array([[5.4]])) == ["a"]
-    assert predict(model, np.array([[5.6]])) == ["b"]
+    assert model.predict(np.array([[5.4]])) == ["a"]
+    assert model.predict(np.array([[5.6]])) == ["b"]
 
 
 @pytest.mark.parametrize("k", [2, 4])
@@ -1046,14 +1051,14 @@ def test_knn_predict_index_keeps_the_nearest_class_tie_rule(rng, k):
     winners, _ = oracles.knn_vote_oracle(neighbor_labels, len(model.classes))
     index = model.predict_index(queries)
     assert index.tolist() == list(winners)
-    assert (index != np.argmax(predict_proba(model, queries), axis=1)).any()
-    assert predict(model, queries) == [model.classes[i] for i in index]
+    assert (index != np.argmax(model.predict_proba(queries), axis=1)).any()
+    assert model.predict(queries) == [model.classes[i] for i in index]
 
 
 def test_knn_proba_fractions(rng):
     X, labels = six_class_data(rng)
     model = fit(ClassifierSpec("knn"), X, labels)
-    proba = predict_proba(model, X)
+    proba = model.predict_proba(X)
     assert proba.sum(axis=1) == pytest.approx(np.ones(len(labels)), abs=1e-12)
     assert set(np.unique(proba)) <= {0.0, 0.5, 1.0}
 
@@ -1098,8 +1103,8 @@ def test_knn_vote_matches_oracle(seed, k, n_distinct, copies, n_classes):
     Z = model.scaler.transform(queries)
     neighbor_labels = model.submodels[0].neighbor_labels(Z)
     winners, proba = oracles.knn_vote_oracle(neighbor_labels, len(model.classes))
-    assert predict(model, queries) == [model.classes[i] for i in winners]
-    assert np.array_equal(predict_proba(model, queries), proba)
+    assert model.predict(queries) == [model.classes[i] for i in winners]
+    assert np.array_equal(model.predict_proba(queries), proba)
 
 
 @settings(max_examples=80, deadline=None)
@@ -1151,7 +1156,7 @@ def test_distance_model_predictions_are_pinned(small_xy, monkeypatch, name):
     X, y = small_xy
     model = fit(ClassifierSpec(variant, params=params), X[::2], y[::2])
     monkeypatch.setattr(neighbors, "BLOCK_CELLS", 16 * len(X[::2]))
-    proba = predict_proba(model, X)
+    proba = model.predict_proba(X)
     assert hashlib.sha256(proba.tobytes()).hexdigest() == digest
 
 
@@ -1226,7 +1231,7 @@ def test_model_round_trip(rng, variant, tmp_path):
     clone = load_model(path)
     assert clone.variant == variant
     assert clone.classes == model.classes
-    assert np.array_equal(predict_proba(clone, X), predict_proba(model, X))
+    assert np.array_equal(clone.predict_proba(X), model.predict_proba(X))
 
 
 def test_model_json_is_versioned_and_sorted(rng, tmp_path):
@@ -1251,7 +1256,7 @@ def test_model_round_trip_bisgaard_labels(separable_xy, tmp_path):
     clone = load_model(path)
     assert clone.classes == model.classes
     assert all(isinstance(c, BisgaardClass) for c in clone.classes)
-    assert predict(clone, X[:5]) == predict(model, X[:5])
+    assert clone.predict(X[:5]) == model.predict(X[:5])
 
 
 def test_model_schema_errors(rng, tmp_path):

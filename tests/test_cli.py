@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from loudclass import cli, harness, metrics
-from loudclass.classifiers import ClassifierSpec, load_model, ovr, predict
+from loudclass.classifiers import ClassifierSpec, load_model, ovr
 from loudclass.cli import COMMANDS, _resolve_options, build_parser, main
 from loudclass.errors import DataError, NumericError
 from loudclass.loudness import LEVEL_FEATURE_INDICES, LoudnessFeatureVector
@@ -104,7 +104,7 @@ def test_train_writes_loadable_model(generated, tmp_path):
     assert rc == 0
     model = load_model(generated / "model.json")
     records = load_labeled_json(generated / "labeled.json")
-    labels = predict(model, feature_matrix(records))
+    labels = model.predict(feature_matrix(records))
     assert len(labels) == len(records)
 
 
@@ -244,7 +244,20 @@ def test_config_unknown_key_rejected(tmp_path, capsys):
     ("evaluate", {"k": None}, "k must be a number"),
     ("evaluate", {"k": "abc"}, "k must be a number"),
     ("sweep", {"conditions": [[None, 5]]}, "condition [None, 5]"),
-], ids=["k-null", "k-word", "condition-null"])
+    ("sweep", {"conditions": [[10**400, 5]]}, "mean of condition [1000"),
+    ("sweep", {"conditions": [[True, 5]]},
+     "mean of condition [True, 5] must be a number, got True"),
+    ("sweep", {"conditions": [["10", "5"]]}, "mean of condition ['10', '5'] must be a number"),
+    ("sweep", {"conditions": [[0, float("inf")]]},
+     "sd of condition [0, inf] must be a finite number, got inf"),
+    ("sweep", {"conditions": "nan:5"},
+     "mean of condition [nan, 5.0] must be a finite number, got nan"),
+    ("sweep", {"conditions": "5:1e400"},
+     "sd of condition [5.0, inf] must be a finite number, got inf"),
+    ("sweep", {"conditions": "0:0,5:x"}, "condition ['5', 'x']: could not convert"),
+], ids=["k-null", "k-word", "condition-null", "condition-beyond-float", "condition-bool",
+        "condition-strings", "condition-inf", "condition-nan-text", "condition-overflow-text",
+        "condition-word-text"])
 def test_config_bad_value_is_exit_2(generated, command, config, message, capsys):
     cfg = generated / "cfg.json"
     cfg.write_text(json.dumps(config))
@@ -839,9 +852,13 @@ def _set_feature(index, name, value):
     (_set_record(2, "participant_id", 7), "record 2: participant_id must be a string"),
     (_set_record(2, "ear", None), "record 2: ear must be a string"),
     (_set_record(2, "label", None), "record 2: label must be a string"),
+    (_set_feature(2, "LCUT_4000", 10**400),
+     "record 2: LCUT_4000 must be a number within the float range"),
+    (_set_record(2, "pta", -10**400), "record 2: pta must be a number within the float range"),
 ], ids=["records-not-a-list", "record-not-an-object", "features-not-an-object",
         "feature-string", "feature-null", "feature-numeric-string", "pta-string",
-        "pta-null", "ear-middle", "id-null", "id-number", "ear-null", "label-null"])
+        "pta-null", "ear-middle", "id-null", "id-number", "ear-null", "label-null",
+        "feature-beyond-float", "pta-beyond-float"])
 def test_malformed_labeled_json_is_a_data_error(generated, tmp_path, command, edit,
                                                 message, capsys):
     payload = json.loads((generated / "labeled.json").read_text())
@@ -853,6 +870,48 @@ def test_malformed_labeled_json_is_a_data_error(generated, tmp_path, command, ed
     err = capsys.readouterr().err
     assert rc == 3, err
     assert message in err
+
+
+# Commands that fail before their first write: the arguments besides
+# --out-dir, the config file's content (or None) and the exit code. {data}
+# is a generated labeled.json, {huge} the same with a 400-digit feature.
+FAILED_BEFORE_WRITING = {
+    "param-out-of-domain": (("evaluate", "--data", "{data}", "--param", "max_iter=0",
+                             "--classifier", "lr"), None, 2),
+    "missing-csv": (("preprocess", "--combined-csv", "{missing}"), None, 3),
+    **{f"{argv[0]}-feature-beyond-float": ((*argv, "--data", "{huge}"), None, 3)
+       for argv in [("pca",), ("rove",), ("train",), ("evaluate",),
+                    ("explain", "--classifier", "dt"), ("sweep",)]},
+    "condition-beyond-float": (("sweep", "--data", "{data}"),
+                               {"conditions": [[10**400, 5]]}, 2),
+    "condition-bool": (("sweep", "--data", "{data}"), {"conditions": [[True, 5]]}, 2),
+    "condition-nan": (("sweep", "--data", "{data}", "--conditions", "nan:5"), None, 2),
+}
+
+
+@pytest.mark.parametrize("argv, config, code", FAILED_BEFORE_WRITING.values(),
+                         ids=FAILED_BEFORE_WRITING.keys())
+def test_command_failing_before_its_first_write_leaves_no_out_dir(
+        generated, tmp_path, capsys, argv, config, code):
+    payload = json.loads((generated / "labeled.json").read_text())
+    _set_feature(0, "L2.5_1500", 10**400)(payload)
+    (tmp_path / "huge.json").write_text(json.dumps(payload))
+    paths = {"data": generated / "labeled.json", "huge": tmp_path / "huge.json",
+             "missing": tmp_path / "missing.csv"}
+    argv = [arg.format(**paths) for arg in argv]
+    if config is not None:
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        argv += ["--config", str(tmp_path / "config.json")]
+    out = tmp_path / "out"
+    rc = run(*argv, "--out-dir", str(out))
+    err = capsys.readouterr().err
+    assert rc == code, err
+    assert "Traceback" not in err
+    assert not out.exists()
+    # An existing --out-dir keeps its files, bytes and all.
+    before = {p: p.read_bytes() for p in generated.rglob("*") if p.is_file()}
+    assert run(*argv, "--out-dir", str(generated)) == code
+    assert {p: p.read_bytes() for p in generated.rglob("*") if p.is_file()} == before
 
 
 def test_pca_on_levels_that_overflow_is_a_data_error(generated, capsys):

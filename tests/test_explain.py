@@ -3,8 +3,8 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import oracles
-from loudclass.classifiers import ClassifierSpec, fit, predict_proba
-from loudclass.classifiers.tree import TreeNode, leaf_boxes, tree_predict
+from loudclass.classifiers import ClassifierSpec, fit, ovr
+from loudclass.classifiers.tree import LeafVoteModel, TreeNode, leaf_boxes, tree_predict
 from loudclass.errors import ConfigurationError, DataError, ShapeError
 from loudclass.explain import (
     ShapExplanation,
@@ -103,7 +103,7 @@ def test_class_agnostic_additivity(rng):
     record = X[4]
 
     agnostic, by_class = explain_model(model, record[None, :], background)
-    proba = predict_proba(model, record[None, :])[0]
+    proba = model.predict_proba(record[None, :])[0]
     for j, cls in enumerate(model.classes):
         phi_c, base_c = by_class[cls].values[0], by_class[cls].base_values[0]
         assert phi_c.sum() + base_c == pytest.approx(proba[j], abs=1e-9)
@@ -223,7 +223,7 @@ def test_tree_shap_needs_no_feature_limit(rng):
     labels = ["a" if v > 0 else "b" for v in X[:, 3]]
     model = fit(ClassifierSpec("dt"), X, labels)
     agnostic, _ = explain_model(model, X[:1], X[10:20])
-    proba = predict_proba(model, X[:1])[0]
+    proba = model.predict_proba(X[:1])[0]
     assert agnostic.values[0].sum() + agnostic.base_values[0] == pytest.approx(
         proba.mean(), abs=1e-12
     )
@@ -288,7 +288,7 @@ def test_informative_feature_ranks_first(rng):
     firsts = 0
     for seed in range(20):
         report = permutation_importance(model, X, labels, seed=seed)
-        firsts += int(np.argmax(report.median_decrease()) == 2)
+        firsts += int(np.argmax(np.median(report.decreases, axis=1)) == 2)
     assert firsts >= 19
 
 
@@ -359,6 +359,13 @@ def test_batched_permutation_equals_one_predict_per_copy(rng, variant):
     split = permutation_importance(model, X, labels, repeats=repeats, seed=seed)
     assert split.baseline == baseline
     assert np.array_equal(split.decreases, expected)
+
+
+def test_leaf_sum_paths_serve_dt_and_rf_only():
+    # TreeSHAP and the re-routing copies serve models whose submodels are
+    # LeafVoteModels; gb is not one, as its score is expit of a tree sum.
+    leaf_vote = {v for v, cls in ovr._SUBMODEL_TYPES.items() if issubclass(cls, LeafVoteModel)}
+    assert leaf_vote == {"dt", "rf"}
 
 
 @settings(max_examples=40, deadline=None)

@@ -178,7 +178,7 @@ def test_run_experiment_designated_detail(small_report):
     assert set(detail.roc_curves) == set(small_report.classes) | {"micro"}
     assert set(detail.pr_ap) == set(small_report.classes) | {"micro"}
     assert 0.0 <= detail.micro_auc <= 1.0
-    assert 0.0 <= detail.micro_ap <= 1.0
+    assert 0.0 <= detail.pr_ap["micro"] <= 1.0
 
 
 def test_run_experiment_t_tests(small_report):
@@ -260,7 +260,8 @@ def test_roving_sweep_structure():
     assert sweep.conditions == ((0.0, 0.0), (10.0, 5.0))
     assert len(sweep.reports) == 2
     assert len(sweep.importance) == 2
-    aucs = sweep.micro_auc_by_condition()
+    aucs = {cond: report.designated.roc_auc["micro"]
+            for cond, report in zip(sweep.conditions, sweep.reports)}
     assert set(aucs) == set(sweep.conditions)
     assert all(0.0 <= v <= 1.0 for v in aucs.values())
     for imp in sweep.importance:

@@ -123,15 +123,16 @@ def test_line_search_failure_stops_at_the_last_point():
 def test_matches_scipy_on_logistic_fit(rng):
     from scipy.optimize import minimize as scipy_minimize
 
-    from loudclass.classifiers import penalized_logistic
+    from loudclass.classifiers.linear import penalized_logistic_objective
 
     X = rng.normal(size=(60, 4))
     w = np.array([1.5, -2.0, 0.0, 0.5])
     y = (X @ w + 0.3 * rng.normal(size=60) > 0).astype(float)
     x0 = np.zeros(5)
+    objective = penalized_logistic_objective(X, y, 1e-4)
 
     def fun_grad(t):
-        return penalized_logistic(t, X, y, 1e-4)[:2]
+        return objective(t)[:2]
 
     mine = minimize_lbfgs(lambda t: fun_grad(t)[0], lambda t: fun_grad(t)[1], x0,
                           gtol=1e-8, max_iter=2000)
