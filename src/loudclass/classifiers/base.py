@@ -38,8 +38,12 @@ class TrainedModel:
     """A fitted classifier: its resolved parameters and seed, the scaler
     fitted on the training rows and the fitted parts built from them.
 
-    Subclasses score each class; ``predict_index`` takes the argmax, as an
-    index into ``classes``, and ``predict`` maps it to the class labels.
+    Subclasses score each class of rows already standardized by ``scaler``
+    (``proba_standardized``); ``predict_proba`` is the scaler's
+    ``transform`` followed by it, so a caller that scores many matrices
+    derived from one (the permutation copies) standardizes that one once.
+    ``predict_index`` takes the argmax, as an index into ``classes``, and
+    ``predict`` maps it to the class labels.
     """
 
     def __init__(self, variant, classes, scaler, submodels, *, seed, params):
@@ -55,13 +59,21 @@ class TrainedModel:
         """The training target of each submodel, from class indices."""
         raise NotImplementedError
 
-    def predict_proba(self, X) -> np.ndarray:
+    def proba_standardized(self, Z: np.ndarray) -> np.ndarray:
+        """Per-class scores of rows already standardized by ``scaler``."""
         raise NotImplementedError
+
+    def index_standardized(self, Z: np.ndarray) -> np.ndarray:
+        """``predict_index`` of rows already standardized by ``scaler``."""
+        # np.argmax returns the first maximum, giving the documented
+        # first-in-class-list tie-break for free.
+        return np.argmax(self.proba_standardized(Z), axis=1)
+
+    def predict_proba(self, X) -> np.ndarray:
+        return self.proba_standardized(self.scaler.transform(X))
 
     def predict_index(self, X) -> np.ndarray:
         """Index into ``classes`` of each row's predicted class."""
-        # np.argmax returns the first maximum, giving the documented
-        # first-in-class-list tie-break for free.
         return np.argmax(self.predict_proba(X), axis=1)
 
     def predict(self, X) -> list:

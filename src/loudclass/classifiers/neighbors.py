@@ -16,9 +16,25 @@ from .base import AtLeast, TrainedModel
 # Distance-matrix entries (query rows x training rows) scored per block.
 BLOCK_CELLS = 2**20
 
+# Entries of the norm sums held at once while a distance matrix is finished
+# (at least one row): 256 KiB, so each block's sums stay in cache.
+FINISH_CELLS = 2**15
+
 
 def squared_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """|a|^2 + |b|^2 - 2 a.b for every row a of ``A`` and b of ``B``.
+
+    The result is the buffer of the one product ``A @ B.T``, finished in
+    place: it is doubled, then each block of at most ``FINISH_CELLS``
+    entries becomes ``(a_sq + b_sq) - 2 a.b``, with the norm sums of the
+    block in one reused buffer. The product is the same call on the same
+    rows as ``a_sq[:, None] + b_sq[None, :] - 2.0 * (A @ B.T)``, and every
+    entry takes the same three roundings in the same order, so the bits
+    equal that expression's. The 2 is not folded into ``A``: ``(2A) @ B.T``
+    rounds differently from ``2 (A @ B.T)`` where products near the
+    subnormal range. Besides the result, only the norms, one block of sums
+    and numpy's fixed-size buffer for the broadcast add are allocated, where
+    the expression holds four full-size matrices.
 
     Raises DataError when a row's squared norm overflows. Training rows are
     standardized, so with finite norms no distance to them overflows.
@@ -27,7 +43,17 @@ def squared_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
         a_sq, b_sq = (A * A).sum(axis=1), (B * B).sum(axis=1)
     if not (np.isfinite(a_sq).all() and np.isfinite(b_sq).all()):
         raise DataError("features too large: a row's squared norm overflows")
-    return a_sq[:, None] + b_sq[None, :] - 2.0 * (A @ B.T)
+    g = A @ B.T
+    g *= 2.0
+    rows = max(1, FINISH_CELLS // max(1, len(b_sq)))
+    sums = np.empty((min(rows, len(a_sq)), len(b_sq)))
+    for start in range(0, len(a_sq), rows):
+        block = g[start : start + rows]
+        t = sums[: len(block)]
+        t[:] = a_sq[start : start + rows, None]
+        t += b_sq
+        np.subtract(t, block, out=block)
+    return g
 
 
 class NearestNeighbors:
@@ -57,7 +83,11 @@ class NearestNeighbors:
         the next pass. Query rows are scored in blocks of at most
         ``BLOCK_CELLS`` distances (at least one row), so memory stays
         bounded by the block, not by the number of queries or training
-        rows.
+        rows. Each block's distances are one ``squared_distances`` call,
+        finished in the product's own buffer, which the passes then mark in
+        place. The blocks depend only on the query and training row counts,
+        so a matrix product, whose rounding can depend on the rows it is
+        given, sees the same rows in every call on the same ``Z``.
         """
         rows = max(1, BLOCK_CELLS // len(self.X))
         nearest = np.empty((len(Z), self.k), dtype=np.intp)
@@ -89,9 +119,10 @@ class KnnModel(TrainedModel):
     def targets(y_idx: np.ndarray, n_classes: int) -> list[np.ndarray]:
         return [y_idx]
 
-    def _votes(self, X) -> tuple[np.ndarray, np.ndarray]:
-        """Neighbor class indices (n, k) and per-row class counts (n, classes)."""
-        labels = self.submodels[0].neighbor_labels(self.scaler.transform(X))
+    def _votes(self, Z) -> tuple[np.ndarray, np.ndarray]:
+        """Neighbor class indices (n, k) and per-row class counts (n, classes)
+        of standardized rows."""
+        labels = self.submodels[0].neighbor_labels(Z)
         n, n_classes = len(labels), len(self.classes)
         rows = np.arange(n)[:, None]
         counts = np.bincount(
@@ -99,18 +130,22 @@ class KnnModel(TrainedModel):
         ).reshape(n, n_classes)
         return labels, counts
 
-    def predict_proba(self, X) -> np.ndarray:
-        labels, counts = self._votes(X)
+    def proba_standardized(self, Z: np.ndarray) -> np.ndarray:
+        labels, counts = self._votes(Z)
         return counts / labels.shape[1]
 
-    def predict_index(self, X) -> np.ndarray:
+    def index_standardized(self, Z: np.ndarray) -> np.ndarray:
         # Rows are sorted by distance; the first neighbor whose class count
         # equals the row's maximum wins, so ties go to the nearest class.
-        labels, counts = self._votes(X)
+        labels, counts = self._votes(Z)
         rows = np.arange(len(labels))[:, None]
         top = counts[rows, labels] == counts.max(axis=1, keepdims=True)
         return labels[rows[:, 0], top.argmax(axis=1)]
 
-    # The inherited predict, bound here by name too: perfbench/spans.py
-    # wraps KnnModel.predict.
+    def predict_index(self, X) -> np.ndarray:
+        return self.index_standardized(self.scaler.transform(X))
+
+    # The inherited predict_proba and predict, bound here by name too:
+    # perfbench/spans.py wraps KnnModel.predict_proba and KnnModel.predict.
+    predict_proba = TrainedModel.predict_proba
     predict = TrainedModel.predict

@@ -200,9 +200,12 @@ class OvrModel(TrainedModel):
     def targets(y_idx: np.ndarray, n_classes: int) -> list[np.ndarray]:
         return [(y_idx == ci).astype(np.float64) for ci in range(n_classes)]
 
-    def predict_proba(self, X) -> np.ndarray:
-        Z = self.scaler.transform(X)
+    def proba_standardized(self, Z: np.ndarray) -> np.ndarray:
         return np.column_stack([m.predict_score(Z) for m in self.submodels])
+
+    # The inherited predict_proba, bound here by name too: perfbench/spans.py
+    # wraps OvrModel.predict_proba.
+    predict_proba = TrainedModel.predict_proba
 
 
 def fit(spec: ClassifierSpec, X, y, *, classes=None) -> TrainedModel:

@@ -35,9 +35,15 @@ def _iteration_cap(n: int) -> int:
 
 
 def rbf_kernel(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
+    """exp(-gamma max(d, 0)) of every squared distance d between rows of
+    ``A`` and ``B``, computed in the distance matrix's own buffer. Each step
+    is the elementwise operation ``np.exp(-gamma * sq)`` applies, and a
+    product is the same whichever factor comes first, so the bits equal
+    that expression's without its full-size temporaries."""
     sq = squared_distances(A, B)
     np.maximum(sq, 0.0, out=sq)
-    return np.exp(-gamma * sq)
+    sq *= -gamma
+    return np.exp(sq, out=sq)
 
 
 class SvmBinary:

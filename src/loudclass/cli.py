@@ -25,7 +25,12 @@ import numpy as np
 from .bisgaard import BisgaardClass, class_from_name
 from .classifiers import VARIANTS, ClassifierSpec, fit, save_model
 from .errors import ConfigurationError, DataError, LoudclassError, NumericError
-from .explain import PERMUTATION_METRICS, explain_model, importance_report
+from .explain import (
+    PERMUTATION_METRICS,
+    check_perm_repeats,
+    explain_model,
+    importance_report,
+)
 from .harness import (
     DEFAULT_ROVING_CONDITIONS,
     ExperimentConfig,
@@ -43,6 +48,7 @@ from .pipeline import (
     RovingConfig,
     SyntheticConfig,
     apply_roving,
+    check_thresholds,
     feature_matrix,
     generate_synthetic_full,
     labels_of,
@@ -474,6 +480,7 @@ def _run_preprocess(options: dict, out_dir: Path) -> None:
         min_fraction=options["min_class_fraction"],
         min_count=options["min_class_count"],
     )
+    check_thresholds(**kwargs)  # before any file is read
     if options["combined_csv"]:
         records, summary = prepare_combined(load_csv(options["combined_csv"]), **kwargs)
         inputs = [options["combined_csv"]]
@@ -557,9 +564,10 @@ def _run_evaluate(options: dict, out_dir: Path) -> None:
 
 
 def _run_explain(options: dict, out_dir: Path) -> None:
-    for name in ("background", "max_records", "perm_repeats"):
+    for name in ("background", "max_records"):
         if options[name] < 1:
             raise ConfigurationError(f"{name} must be >= 1")
+    check_perm_repeats(options["perm_repeats"], "perm_repeats")
     if options["seed"] < 0:
         raise ConfigurationError("seed must be non-negative")
     records = load_labeled_json(options["data"])

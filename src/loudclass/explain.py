@@ -14,12 +14,12 @@ null-player axioms hold to floating-point precision.
   features that is 4096 composite rows per background row.
 
 Permutation importance scores each shuffled copy of the data as one
-``predict`` of it would, bit for bit. Most variants stack a feature's
-copies and score them in one ``predict_index``. dt and rf route the data
-once per tree and then re-route, per shuffled feature, only the rows whose
-shuffled value leaves the interval their leaf allows, which excludes every
-row whose tree path does not test that feature (see
-``_leaf_sum_copies``).
+``predict`` of it would, bit for bit. The data is standardized once. Most
+variants stack a feature's standardized copies and score them in one
+``index_standardized`` call. dt and rf route the data once per tree and
+then re-route, per shuffled feature, only the rows whose shuffled value
+leaves the interval their leaf allows, which excludes every row whose tree
+path does not test that feature (see ``_leaf_sum_copies``).
 """
 
 from __future__ import annotations
@@ -51,6 +51,21 @@ from .metrics import (  # noqa: F401
 _MAX_EXACT_FEATURES = 16
 
 PERMUTATION_METRICS = ("balanced_accuracy", "accuracy")
+
+# The most shuffled copies of each feature permutation importance takes.
+# One feature's copies are stacked as repeats x rows x features float64
+# values, so at this bound the copies of 810 training rows of 12 features
+# take 0.78 GB.
+MAX_PERM_REPEATS = 10_000
+
+
+def check_perm_repeats(repeats: int, name: str = "repeats") -> None:
+    """Reject, as a ``ConfigurationError``, a count of shuffled copies per
+    feature outside [1, ``MAX_PERM_REPEATS``]."""
+    if repeats < 1:
+        raise ConfigurationError(f"{name} must be >= 1")
+    if repeats > MAX_PERM_REPEATS:
+        raise ConfigurationError(f"{name} must be <= {MAX_PERM_REPEATS}, got {repeats}")
 
 
 def default_feature_names(n_features: int) -> list[str]:
@@ -320,9 +335,9 @@ def permutation_importance(
     not depend on evaluation order. Every copy is predicted as one
     ``predict_index`` of it would be: dt and rf re-route only the rows
     whose shuffled value can change their leaf, the other variants score
-    each feature's stacked copies in one call. Scores come from the
-    count matrix of ``y`` against the predictions, both as indices into the
-    sorted labels of ``y``, so they equal the label API's
+    each feature's stacked standardized copies in one call. Scores come
+    from the count matrix of ``y`` against the predictions, both as indices
+    into the sorted labels of ``y``, so they equal the label API's
     ``balanced_accuracy(y, predicted)`` and ``accuracy(y, predicted)``.
     Negative decreases are legitimate: shuffling can accidentally help.
     """
@@ -330,8 +345,7 @@ def permutation_importance(
         raise ConfigurationError(
             f"metric must be one of {', '.join(PERMUTATION_METRICS)}"
         )
-    if repeats < 1:
-        raise ConfigurationError("repeats must be >= 1")
+    check_perm_repeats(repeats)
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ShapeError("expected a 2-d feature matrix")
@@ -370,14 +384,22 @@ def _shuffles(seed: int, fi: int, repeats: int, n: int) -> np.ndarray:
 
 def _stacked_copies(model: TrainedModel, X: np.ndarray, seed: int, repeats: int):
     """The class index predicted for each row of X, then, per feature, for
-    each row of each shuffled copy ``(repeats, n)``: one ``predict_index``
-    of the feature's copies stacked."""
-    n, d = X.shape
-    yield model.predict_index(X)
+    each row of each shuffled copy ``(repeats, n)``: one
+    ``index_standardized`` of the feature's copies stacked.
+
+    X is standardized once and the standardized rows are tiled, as
+    ``_leaf_sum_copies`` does: the scaler acts on each value alone, so the
+    shuffled column of the standardized X is the standardized shuffled
+    column, and each stacked matrix holds the bits ``predict_index`` of the
+    unstandardized copies would score.
+    """
+    Z = model.scaler.transform(X)
+    n, d = Z.shape
+    yield model.index_standardized(Z)
     for fi in range(d):
-        shuffled = np.tile(X, (repeats, 1))
-        shuffled[:, fi] = X[_shuffles(seed, fi, repeats, n), fi].ravel()
-        yield model.predict_index(shuffled).reshape(repeats, n)
+        shuffled = np.tile(Z, (repeats, 1))
+        shuffled[:, fi] = Z[_shuffles(seed, fi, repeats, n), fi].ravel()
+        yield model.index_standardized(shuffled).reshape(repeats, n)
 
 
 def _leaf_sum_copies(model: TrainedModel, X: np.ndarray, seed: int, repeats: int):

@@ -43,6 +43,7 @@ from .errors import ConfigurationError, LoudclassError
 from .explain import (
     PERMUTATION_METRICS,
     PermutationImportanceReport,
+    check_perm_repeats,
     importance_report,
 )
 from .loudness import FEATURE_NAMES
@@ -173,8 +174,7 @@ class ExperimentConfig:
             raise ConfigurationError("k must be >= 2")
         if self.repeats < 1:
             raise ConfigurationError("repeats must be >= 1")
-        if self.perm_repeats < 1:
-            raise ConfigurationError("perm_repeats must be >= 1")
+        check_perm_repeats(self.perm_repeats, "perm_repeats")
         if self.seed < 0:
             raise ConfigurationError("seed must be non-negative")
         if self.rove_seed < 0:

@@ -290,6 +290,18 @@ def filter_rare_classes(
     return survivors, tuple(sorted(keep))
 
 
+def check_thresholds(min_pta: float, min_fraction: float, min_count: int) -> None:
+    """Reject, as a ``ConfigurationError``, a cascade threshold outside its
+    domain: a non-finite ``min_pta``, a ``min_fraction`` outside [0, 1] or
+    a negative ``min_count``."""
+    if not math.isfinite(min_pta):
+        raise ConfigurationError(f"min_pta must be finite, got {min_pta}")
+    if not 0 <= min_fraction <= 1:
+        raise ConfigurationError(f"min_fraction must lie in [0, 1], got {min_fraction}")
+    if min_count < 0:
+        raise ConfigurationError(f"min_count must be >= 0, got {min_count}")
+
+
 def _label_and_filter(
     merged: list[EarRecord], input_counts: tuple[int, ...],
     min_pta: float, min_fraction: float, min_count: int,
@@ -299,12 +311,7 @@ def _label_and_filter(
     ``input_counts`` are the audiogram and the loudness ear counts, each
     before and after dropping incomplete records.
     """
-    if not math.isfinite(min_pta):
-        raise ConfigurationError(f"min_pta must be finite, got {min_pta}")
-    if not 0 <= min_fraction <= 1:
-        raise ConfigurationError(f"min_fraction must lie in [0, 1], got {min_fraction}")
-    if min_count < 0:
-        raise ConfigurationError(f"min_count must be >= 0, got {min_count}")
+    check_thresholds(min_pta, min_fraction, min_count)
     labeled = label_records(merged)
     after_pta = filter_pta(labeled, min_pta)
     final, class_set = filter_rare_classes(after_pta, min_fraction, min_count)

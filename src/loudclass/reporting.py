@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import importlib.util
+import io
 import json
 import platform
 import re
@@ -213,25 +214,17 @@ def write_sweep(sweep: SweepReport, out_dir) -> None:
         name = f"report_m{_num(mean)}_sd{_num(sd)}.json"
         dump_json(report_to_jsonable(report), sweep_dir / name)
 
-    auc_rows = []
-    overlay_rows = []
-    for (mean, sd), report in zip(sweep.conditions, sweep.reports):
-        detail = report.designated
-        for key in list(detail.roc_auc):
-            auc_rows.append((mean, sd, str(key), float(detail.roc_auc[key])))
-        micro = detail.roc_curves["micro"]
-        for t, x, y in zip(micro.thresholds.tolist(), micro.x.tolist(), micro.y.tolist()):
-            overlay_rows.append((mean, sd, t, x, y))
+    auc_rows = [
+        (mean, sd, str(key), float(auc))
+        for (mean, sd), report in zip(sweep.conditions, sweep.reports)
+        for key, auc in report.designated.roc_auc.items()
+    ]
     write_csv_rows(
         sweep_dir / "auc_summary.csv",
         ("rove_mean", "rove_sd", "curve", "auc"),
         auc_rows,
     )
-    write_csv_rows(
-        sweep_dir / "roc_micro_overlay.csv",
-        ("rove_mean", "rove_sd", "threshold", "one_minus_specificity", "sensitivity"),
-        overlay_rows,
-    )
+    _write_overlay(sweep, sweep_dir / "roc_micro_overlay.csv")
 
     importance_rows = (
         (mean, sd, *row)
@@ -243,6 +236,29 @@ def write_sweep(sweep: SweepReport, out_dir) -> None:
         ("rove_mean", "rove_sd", "feature", "split", "repeat", "decrease"),
         importance_rows,
     )
+
+
+def _write_overlay(sweep: SweepReport, path: Path) -> None:
+    """Every condition's micro-ROC points, the bytes ``write_csv_rows``
+    writes for the rows (mean, sd, threshold, x, y), streamed one condition
+    at a time. The condition's ``mean,sd,`` prefix is formatted once, by
+    csv. A point's cells are Python floats (``tolist``), which csv writes
+    as their repr, and a float's repr holds no character csv would quote."""
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(
+            ("rove_mean", "rove_sd", "threshold", "one_minus_specificity", "sensitivity")
+        )
+        for (mean, sd), report in zip(sweep.conditions, sweep.reports):
+            cells = io.StringIO()
+            csv.writer(cells, lineterminator="").writerow((mean, sd, ""))
+            prefix = cells.getvalue()
+            micro = report.designated.roc_curves["micro"]
+            handle.writelines(
+                f"{prefix}{t!r},{x!r},{y!r}\n"
+                for t, x, y in zip(micro.thresholds.tolist(), micro.x.tolist(),
+                                   micro.y.tolist())
+            )
 
 
 def write_pca_outputs(model: PcaModel, scores: np.ndarray, record_ids, out_dir,

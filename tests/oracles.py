@@ -473,3 +473,16 @@ def knn_vote_oracle(neighbor_labels, n_classes: int) -> tuple[list[int], np.ndar
         tied = set(np.flatnonzero(counts == counts.max()).tolist())
         winners.append(next(int(l) for l in labels if int(l) in tied))
     return winners, proba
+
+
+def squared_distances_reference(A, B) -> np.ndarray:
+    """|a|^2 + |b|^2 - 2 a.b as one expression over full-size temporaries,
+    the form ``neighbors.squared_distances`` finishes in place."""
+    a_sq, b_sq = (A * A).sum(axis=1), (B * B).sum(axis=1)
+    return a_sq[:, None] + b_sq[None, :] - 2.0 * (A @ B.T)
+
+
+def rbf_kernel_reference(A, B, gamma: float) -> np.ndarray:
+    """exp(-gamma max(d, 0)) of ``squared_distances_reference``, out of place."""
+    sq = squared_distances_reference(A, B)
+    return np.exp(-gamma * np.maximum(sq, 0.0))

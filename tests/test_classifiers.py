@@ -1215,6 +1215,65 @@ def test_knn_neighbor_labels_memory_is_bounded_by_cells_not_rows():
     assert peak < 32e6
 
 
+# Result widths (training rows): one column; a few, so one finishing block
+# holds every row; and wide enough that a block holds 2 to 8 rows, so a few
+# dozen query rows cross several blocks, the last one short.
+_DISTANCE_WIDTHS = st.one_of(
+    st.just(1), st.integers(1, 64),
+    st.integers(neighbors.FINISH_CELLS // 8, neighbors.FINISH_CELLS // 2),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.one_of(st.just(1), st.integers(1, 40)),
+    m=_DISTANCE_WIDTHS,
+    d=st.integers(1, 12),
+    a_exp=st.integers(-160, 150),
+    b_exp=st.integers(-160, 150),
+    gamma=st.floats(1e-6, 1e6),
+)
+@example(seed=0, n=1, m=1, d=1, a_exp=0, b_exp=0, gamma=1.0)
+@example(seed=1, n=37, m=neighbors.FINISH_CELLS // 4 + 3, d=12, a_exp=-160, b_exp=-155,
+         gamma=0.5)
+@example(seed=2, n=40, m=neighbors.FINISH_CELLS // 3, d=12, a_exp=150, b_exp=150,
+         gamma=1e-6)
+def test_distances_and_rbf_kernel_equal_their_expressions_bit_for_bit(
+        seed, n, m, d, a_exp, b_exp, gamma):
+    # Entries from 1e-160 (products in the subnormal range) to 1e150 (norms
+    # near the float maximum); zero rows make exact zero distances, so
+    # signed zeros are compared too.
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, d)) * 10.0**a_exp
+    B = rng.standard_normal((m, d)) * 10.0**b_exp
+    A[rng.random(n) < 0.2] = 0.0
+    B[rng.random(m) < 0.2] = 0.0
+    sq = neighbors.squared_distances(A, B)
+    assert sq.tobytes() == oracles.squared_distances_reference(A, B).tobytes()
+    K = rbf_kernel(A, B, gamma)
+    assert K.tobytes() == oracles.rbf_kernel_reference(A, B, gamma).tobytes()
+
+
+def test_squared_distances_peaks_below_one_matrix_and_one_finishing_block():
+    rng = np.random.default_rng(0)
+    n, m = 810, 810
+    A, B = rng.normal(size=(n, 12)), rng.normal(size=(m, 12))
+    tracemalloc.start()
+    try:
+        neighbors.squared_distances(A, B)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # One n x m result and one block of norm sums, plus what does not grow
+    # with the product of n and m: the two norm vectors and numpy's buffer
+    # of np.getbufsize() values for the broadcast add. The expression
+    # a_sq[:, None] + b_sq[None, :] - 2.0 * (A @ B.T) holds three n x m
+    # matrices at its peak.
+    bound = 8 * (n * m + neighbors.FINISH_CELLS + n + m + np.getbufsize())
+    assert peak < bound < 8 * 2 * n * m
+
+
 # --- persistence -----------------------------------------------------------------
 
 @pytest.mark.parametrize("variant", VARIANTS)

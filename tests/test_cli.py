@@ -734,6 +734,36 @@ def test_preprocess_threshold_outside_its_domain_writes_no_labeled_json(tmp_path
     assert not (out / "labeled.json").exists()
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--min-pta", "inf", "min_pta must be a finite number, got inf"),
+    ("--min-class-fraction", "2", "min_fraction must lie in [0, 1], got 2.0"),
+    ("--min-class-count", "-1", "min_count must be >= 0, got -1"),
+])
+@pytest.mark.parametrize("inputs", ["combined", "split"])
+def test_preprocess_threshold_outside_its_domain_is_exit_2_before_any_file_is_read(
+        tmp_path, capsys, flag, value, message, inputs):
+    missing = str(tmp_path / "missing.csv")
+    paths = (["--combined-csv", missing] if inputs == "combined"
+             else ["--audiogram-csv", missing, "--loudness-csv", missing])
+    out = tmp_path / "out"
+    rc = run("preprocess", "--out-dir", str(out), *paths, flag, value)
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["explain", "sweep"])
+@pytest.mark.parametrize("repeats", ["10001", "100000000000000000000"])
+def test_perm_repeats_above_its_bound_is_exit_2_before_any_data_is_read(
+        tmp_path, capsys, command, repeats):
+    out = tmp_path / "out"
+    rc = run(command, "--out-dir", str(out), "--data", str(tmp_path / "absent.json"),
+             "--classifier", "lr", "--perm-repeats", repeats)
+    assert rc == 2
+    assert f"perm_repeats must be <= 10000, got {repeats}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ("evaluate",), ("evaluate", "--rove-mean", "5"), ("evaluate", "--rove-sd", "2"),
     ("sweep",),

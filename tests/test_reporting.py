@@ -1,7 +1,9 @@
 import csv
 import importlib.util
 import json
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 import scipy
 
@@ -12,6 +14,7 @@ from loudclass.harness import ExperimentConfig, roving_sweep, run_experiment
 from loudclass.loudness import FEATURE_NAMES
 from loudclass.pca import fit_pca, standardize, transform
 from loudclass.pipeline import SyntheticConfig, feature_matrix, labels_of
+from loudclass import reporting
 from loudclass.reporting import (
     make_figures,
     write_beeswarm_csv,
@@ -175,6 +178,28 @@ def test_write_sweep(tmp_path):
     assert {r["rove_mean"] for r in overlay} == {"0.0", "10.0"}
     importance = read_csv(sweep_dir / "perm_importance.csv")
     assert {r["split"] for r in importance} == {"train", "test"}
+
+
+def test_micro_overlay_is_the_csv_writer_bytes(tmp_path):
+    # Conditions as ints, Python floats and numpy floats; curve values that
+    # csv writes as inf, -0.0, subnormals and 17-digit reprs.
+    values = np.array([np.inf, 1.0, 0.5, 0.1 + 0.2, 1e-300, 5e-324, -0.0, 1e300])
+    curves = [SimpleNamespace(thresholds=values, x=values[::-1] * scale, y=values * scale)
+              for scale in (1.0, 0.5, 3.0)]
+    conditions = ((0, 0), (np.float64(5.0), 2.5), (10.0, np.float64(0.1)))
+    sweep = SimpleNamespace(conditions=conditions, reports=[
+        SimpleNamespace(designated=SimpleNamespace(roc_curves={"micro": curve}))
+        for curve in curves
+    ])
+    header = ("rove_mean", "rove_sd", "threshold", "one_minus_specificity", "sensitivity")
+    rows = [(mean, sd, t, x, y)
+            for (mean, sd), c in zip(conditions, curves)
+            for t, x, y in zip(c.thresholds.tolist(), c.x.tolist(), c.y.tolist())]
+    reporting.write_csv_rows(tmp_path / "expected.csv", header, rows)
+    reporting._write_overlay(sweep, tmp_path / "overlay.csv")
+    expected = (tmp_path / "expected.csv").read_bytes()
+    assert (tmp_path / "overlay.csv").read_bytes() == expected
+    assert expected.count(b"\n") == 1 + 3 * len(values)
 
 
 def test_write_pca_outputs(small_records, tmp_path):
