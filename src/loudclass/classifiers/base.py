@@ -1,37 +1,8 @@
-"""The fitted-model interface shared by the one-vs-rest and knn models,
-and the bounds that declare each hyperparameter's domain."""
+"""The fitted-model interface shared by the one-vs-rest and knn models."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass(frozen=True)
-class AtLeast:
-    """The lower bound of a numeric hyperparameter, declared once in the
-    annotation of its constructor argument, as in
-    ``k: Annotated[int, AtLeast(1)] = 2``. ``ovr.check_params`` reads it
-    there and applies it. NaN is admitted by no bound."""
-
-    low: int | float
-
-    def admits(self, value) -> bool:
-        return value >= self.low
-
-    def __str__(self) -> str:
-        return f">= {self.low}"
-
-
-class Above(AtLeast):
-    """A strict lower bound: the value must exceed ``low``."""
-
-    def admits(self, value) -> bool:
-        return value > self.low
-
-    def __str__(self) -> str:
-        return f"> {self.low}"
 
 
 class TrainedModel:
@@ -42,8 +13,9 @@ class TrainedModel:
     (``proba_standardized``); ``predict_proba`` is the scaler's
     ``transform`` followed by it, so a caller that scores many matrices
     derived from one (the permutation copies) standardizes that one once.
-    ``predict_index`` takes the argmax, as an index into ``classes``, and
-    ``predict`` maps it to the class labels.
+    ``index_standardized`` takes the argmax of those scores as an index
+    into ``classes``, ``predict_index`` does so after the ``transform``,
+    and ``predict`` maps it to the class labels.
     """
 
     def __init__(self, variant, classes, scaler, submodels, *, seed, params):
@@ -74,7 +46,7 @@ class TrainedModel:
 
     def predict_index(self, X) -> np.ndarray:
         """Index into ``classes`` of each row's predicted class."""
-        return np.argmax(self.predict_proba(X), axis=1)
+        return self.index_standardized(self.scaler.transform(X))
 
     def predict(self, X) -> list:
         return [self.classes[i] for i in self.predict_index(X).tolist()]

@@ -8,7 +8,7 @@ from typing import Annotated
 import numpy as np
 
 from ..errors import ConfigurationError
-from .base import Above, AtLeast
+from ..domains import Above, AtLeast
 from .linear import expit, logistic_loss
 from .tree import TreeNode, build_tree, presort, tree_predict
 

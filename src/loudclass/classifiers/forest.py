@@ -8,7 +8,7 @@ from typing import Annotated
 import numpy as np
 
 from ..errors import ConfigurationError
-from .base import AtLeast
+from ..domains import AtLeast
 from .tree import LeafVoteModel, TreeNode, build_tree, value_ranks
 
 

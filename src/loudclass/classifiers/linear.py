@@ -10,7 +10,7 @@ from ..errors import ConfigurationError
 
 # minimize_lbfgs is unused here, but perfbench/spans.py wraps this module's name.
 from ..optimize import minimize_lbfgs, minimize_newton  # noqa: F401
-from .base import Above, AtLeast
+from ..domains import Above, AtLeast
 
 # The L2 penalty on lr's weights, the same as nn's default ``alpha``.
 ALPHA = 1e-4

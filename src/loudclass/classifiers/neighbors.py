@@ -11,7 +11,8 @@ from typing import Annotated
 import numpy as np
 
 from ..errors import ConfigurationError, DataError
-from .base import AtLeast, TrainedModel
+from ..domains import AtLeast
+from .base import TrainedModel
 
 # Distance-matrix entries (query rows x training rows) scored per block.
 BLOCK_CELLS = 2**20
@@ -141,9 +142,6 @@ class KnnModel(TrainedModel):
         rows = np.arange(len(labels))[:, None]
         top = counts[rows, labels] == counts.max(axis=1, keepdims=True)
         return labels[rows[:, 0], top.argmax(axis=1)]
-
-    def predict_index(self, X) -> np.ndarray:
-        return self.index_standardized(self.scaler.transform(X))
 
     # The inherited predict_proba and predict, bound here by name too:
     # perfbench/spans.py wraps KnnModel.predict_proba and KnnModel.predict.

@@ -15,7 +15,7 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..optimize import minimize_lbfgs
-from .base import Above, AtLeast
+from ..domains import Above, AtLeast
 from .linear import expit, logistic_loss
 
 

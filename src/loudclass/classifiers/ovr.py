@@ -24,16 +24,13 @@ from __future__ import annotations
 
 import inspect
 import json
-import math
-import numbers
-import types
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Annotated, Callable, Union, get_args, get_origin
 
 import numpy as np
 
 from ..bisgaard import BisgaardClass, class_from_name
+from ..domains import Seed, check, domain
 from ..errors import (
     ConfigurationError,
     DataError,
@@ -42,7 +39,7 @@ from ..errors import (
     ShapeError,
 )
 from ..metrics import label_codes, sorted_labels
-from .base import AtLeast, TrainedModel
+from .base import TrainedModel
 from .boosting import GradientBoostingBinary
 from .forest import RandomForestBinary
 from .linear import LogisticRegressionBinary
@@ -91,55 +88,12 @@ DEFAULT_PARAMS: dict[str, dict] = {
 }
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _is_finite(value) -> bool:
-    if not isinstance(value, numbers.Real) or isinstance(value, bool):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an integer beyond the float range
-        return False
-
-
-# The numbers each bounded type takes, as JSON decodes them: an int takes an
-# integer, a float any finite number; neither takes a bool.
-_NUMBERS = {int: ("an integer", _is_int), float: ("a finite number", _is_finite)}
-
-
-def _domain(annotation) -> tuple[str, Callable[[object], bool]]:
-    """The description and the test of the values an annotation admits:
-    a bounded int or float, None, a union of these, or a tuple of one of
-    them, which takes a non-empty list (nn ``hidden`` is the one tuple, and
-    a network without a hidden layer is lr's model). Any other annotation,
-    an unbounded number among them, declares no domain and raises here, at
-    import."""
-    origin, args = get_origin(annotation), get_args(annotation)
-    if origin in (Union, types.UnionType):
-        members = [_domain(arg) for arg in args]
-        return (" or ".join(what for what, _ in members),
-                lambda v: any(admits(v) for _, admits in members))
-    if annotation is type(None):
-        return "null", lambda v: v is None
-    if origin is tuple and len(args) == 2 and args[1] is Ellipsis:
-        what, admits = _domain(args[0])
-        return (f"a non-empty list, each {what}",
-                lambda v: isinstance(v, (list, tuple)) and len(v) > 0 and all(map(admits, v)))
-    if origin is Annotated and args[0] in _NUMBERS and len(args) == 2:
-        (what, is_number), bound = _NUMBERS[args[0]], args[1]
-        # The type test comes first, so the bound compares numbers only.
-        return f"{what} {bound}", lambda v: is_number(v) and bound.admits(v)
-    raise TypeError(f"no domain declared by the annotation {annotation!r}")
-
-
-# Per variant and parameter, the (description, test) of its domain.
-_DOMAINS: dict[str, dict[str, tuple]] = {
-    variant: {p.name: _domain(p.annotation) for p in params}
+# Per variant and parameter, its annotation; each must declare a bounded
+# domain, checked here at import.
+_DOMAINS: dict[str, dict] = {
+    variant: {p.name: p.annotation for p in params if domain(p.annotation, bounded=True)}
     for variant, params in _PARAMETERS.items()
 }
-_SEED = _domain(Annotated[int, AtLeast(0)])
 
 
 def check_params(variant: str, seed, params: dict) -> None:
@@ -152,12 +106,10 @@ def check_params(variant: str, seed, params: dict) -> None:
         raise ConfigurationError(
             f"unknown {variant} parameters: {', '.join(sorted(unknown))}"
         )
-    checks = [] if seed is None else [(f"{variant} seed", seed, _SEED)]
-    checks += [(f"{variant} parameter {name}", value, domains[name])
-               for name, value in params.items()]
-    for what, value, (description, admits) in checks:
-        if not admits(value):
-            raise ConfigurationError(f"{what} must be {description}, got {value!r}")
+    if seed is not None:
+        check(f"{variant} seed", seed, Seed)
+    for name, value in params.items():
+        check(f"{variant} parameter {name}", value, domains[name])
 
 
 FORMAT_VERSION = 4

@@ -22,7 +22,7 @@ from typing import Annotated
 import numpy as np
 
 from ..errors import ConfigurationError, NumericError
-from .base import Above
+from ..domains import Above
 from .linear import expit
 from .neighbors import squared_distances
 

@@ -27,7 +27,7 @@ from typing import Annotated, Callable
 import numpy as np
 
 from ..errors import ConfigurationError, ShapeError
-from .base import AtLeast
+from ..domains import AtLeast
 
 
 @dataclass

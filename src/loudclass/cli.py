@@ -15,22 +15,18 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import fields
 from pathlib import Path
+from typing import Annotated, get_args, get_origin
 
 import numpy as np
 
 from .bisgaard import BisgaardClass, class_from_name
 from .classifiers import VARIANTS, ClassifierSpec, fit, save_model
 from .errors import ConfigurationError, DataError, LoudclassError, NumericError
-from .explain import (
-    PERMUTATION_METRICS,
-    check_perm_repeats,
-    explain_model,
-    importance_report,
-)
+from .domains import AtLeast, OneOf, Seed, check, field_annotations
+from .explain import PERMUTATION_METRICS, explain_model, importance_report
 from .harness import (
     DEFAULT_ROVING_CONDITIONS,
     ExperimentConfig,
@@ -45,6 +41,7 @@ from .pipeline import (
     DEFAULT_MIN_CLASS_COUNT,
     DEFAULT_MIN_CLASS_FRACTION,
     DEFAULT_MIN_PTA,
+    DEFAULT_SYNTHETIC_CLASSES,
     RovingConfig,
     SyntheticConfig,
     apply_roving,
@@ -82,46 +79,31 @@ EXIT_NUMERIC = 4
 _BACKGROUND_STREAM = 101
 
 
-def _number(value, what: str):
-    """``value`` if it is a JSON number; a bool or any other value is a
-    usage error."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigurationError(f"{what} must be a number, got {value!r}")
-    return value
-
-
-def _finite_float(value, what: str) -> float:
-    """``value`` as a float if it is a finite number; NaN, an infinity and an
-    int beyond the float range are usage errors."""
-    try:
-        number = float(_number(value, what))
-    except OverflowError:  # an int beyond the float range
-        number = math.inf
-    if not math.isfinite(number):
-        raise ConfigurationError(f"{what} must be a finite number, got {value!r}")
-    return number
-
-
 class Option:
     """One subcommand option, declared once.
 
     ``name`` is both the config key and the argparse dest; the flag is
     ``--<name>`` unless ``flags`` says otherwise. ``default`` is the value
     when neither the command line nor a config file gives one (None means
-    "required or derived later"), and ``kind`` the value type, taken from
-    the default unless that is None. ``path`` options are made absolute
-    before the manifest records them, so replay works from any working
-    directory. ``extra`` goes to ``add_argument`` as is. ``resolve`` gives
-    the value the run uses, so the manifest records exactly what ran.
+    "required or derived later"), ``kind`` the value type, taken from the
+    default unless that is None, and ``domain`` its declared domain (see
+    ``loudclass.domains``), the kind unless given or a list or dict.
+    ``convert`` turns a given value into the form the domain describes.
+    ``path`` options are made absolute before the manifest records them, so
+    replay works from any working directory. ``extra`` goes to
+    ``add_argument`` as is. ``resolve`` gives the value the run uses, so
+    the manifest records exactly what ran.
     """
 
     def __init__(self, name: str, default=None, help: str | None = None,
-                 kind: type | None = None, *, path: bool = False,
-                 flags: tuple[str, ...] = (), **extra):
+                 kind: type | None = None, *, domain=None, convert=None,
+                 path: bool = False, flags: tuple[str, ...] = (), **extra):
         self.name = name
         self.default = default
         self.help = help
         self.kind = kind or type(default)
+        self.domain = domain or (None if self.kind in (list, dict) else self.kind)
+        self.convert = convert
         self.path = path
         self.flags = flags or ("--" + name.replace("_", "-"),)
         self.extra = extra
@@ -140,30 +122,69 @@ class Option:
 
     def resolve(self, value):
         """The value the run uses. A config file can hold any JSON value, and
-        a wrong one is a usage error, not a traceback or a silent conversion:
-        an int option takes an integral number and gives the int, a float
-        option a finite number and gives the float."""
+        one outside the option's domain is a usage error, not a traceback or
+        a silent conversion. An int option takes an integral number and
+        gives the int, a float option gives the float."""
         if value is None and self.default is None:
             return None
-        if self.kind is bool and not isinstance(value, bool):
-            raise ConfigurationError(f"{self.name} must be true or false, got {value!r}")
-        if self.kind is int:
-            if isinstance(_number(value, self.name), float) and not value.is_integer():
-                raise ConfigurationError(f"{self.name} must be an integer, got {value!r}")
-            return int(value)
-        if self.kind is float:
-            return _finite_float(value, self.name)
-        if self.kind is str and not isinstance(value, str):
-            raise ConfigurationError(f"{self.name} must be a string, got {value!r}")
-        return value
+        if self.convert is not None:
+            value = self.convert(value)
+        if self.domain is None:
+            return value
+        if self.kind is int and isinstance(value, float) and value.is_integer():
+            value = int(value)
+        check(self.name, value, self.domain)
+        return self.kind(value)
 
 
-def _field_defaults(cls) -> dict:
-    return {f.name: f.default for f in fields(cls)}
+def _field(cls, field: str, help: str | None = None, *, name: str | None = None,
+           **extra) -> Option:
+    """The option that sets ``field`` of the config dataclass ``cls``, with
+    the field's default (unless ``default`` is given), kind and domain."""
+    annotation = field_annotations(cls)[field]
+    [default] = [f.default for f in fields(cls) if f.name == field]
+    kind = get_args(annotation)[0] if get_origin(annotation) is Annotated else annotation
+    return Option(name or field, extra.pop("default", default), help, kind,
+                  domain=annotation, **extra)
 
 
-_SYNTHETIC = _field_defaults(SyntheticConfig)
-_EXPERIMENT = _field_defaults(ExperimentConfig)
+def _split(value):
+    """A comma-separated string as its list of names; any other value as is."""
+    if isinstance(value, str):
+        return [chunk.strip() for chunk in value.split(",") if chunk.strip()]
+    return value
+
+
+def _names(choices):
+    """The domain of a list option: a non-empty list of names from ``choices``."""
+    return tuple[Annotated[str, OneOf(tuple(choices))], ...]
+
+
+def _as_conditions(value) -> list[list[float]]:
+    """(mean, sd) pairs from a list of pairs or the flag's ``mean:sd`` list;
+    each number must lie in the domain of its ``RovingConfig`` field."""
+    flag_form = isinstance(value, str)
+    items = [chunk.split(":") for chunk in _split(value)] if flag_form else value
+    if not isinstance(items, (list, tuple)):
+        raise ConfigurationError("conditions must be a list or mean:sd string")
+    pairs: list[list[float]] = []
+    for item in items:
+        if not isinstance(item, (list, tuple)) or len(item) != 2:
+            raise ConfigurationError(
+                f"condition {item!r} must be a [mean, sd] pair or mean:sd, e.g. 10:5"
+            )
+        if flag_form:
+            try:
+                item = [float(part) for part in item]
+            except ValueError as exc:
+                raise ConfigurationError(f"condition {item!r}: {exc}") from exc
+        for v, name in zip(item, ("mean", "sd")):
+            check(f"{name} of condition {item!r}", v, field_annotations(RovingConfig)[name])
+        pairs.append([float(v) for v in item])
+    if not pairs:
+        raise ConfigurationError("at least one roving condition is required")
+    return pairs
+
 
 _DATA = Option("data", None, "labeled records JSON", str, path=True)
 
@@ -171,7 +192,8 @@ _DATA = Option("data", None, "labeled records JSON", str, path=True)
 def _classifier_options(default: str | None) -> tuple[Option, ...]:
     return (
         Option("classifier", default, "classifier variant", str, choices=VARIANTS),
-        Option("classifier_seed", None, "seed override for the selected classifier", int),
+        Option("classifier_seed", None, "seed override for the selected classifier", int,
+               domain=Seed),
         Option("params", {}, "hyperparameter override for the selected classifier, "
                "repeatable; values parse as JSON literals",
                flags=("--param",), action="append", metavar="KEY=VALUE"),
@@ -180,20 +202,31 @@ def _classifier_options(default: str | None) -> tuple[Option, ...]:
 
 _METRIC_CHOICES = tuple(m.replace("_", "-") for m in PERMUTATION_METRICS)
 
+
+def _metric_options(help: str | None = None) -> tuple[Option, ...]:
+    return (
+        _field(ExperimentConfig, "perm_repeats"),
+        _field(ExperimentConfig, "perm_metric", help, name="metric", choices=_METRIC_CHOICES,
+               convert=lambda v: v.replace("-", "_") if isinstance(v, str) else v),
+    )
+
+
 # Every subcommand: its help line and its options, in --help order. Values
-# that configure a dataclass are read from that dataclass.
+# that configure a dataclass take their default, kind and domain from its
+# field; a domain that no field declares is declared here.
 _TABLE: dict[str, tuple[str, tuple[Option, ...]]] = {
     "generate": ("write a synthetic labeled dataset", (
-        Option("per_class", 150, "labeled records to aim for per class"),
-        Option("classes", [c.name for c in _SYNTHETIC["classes"]],
-               "comma-separated audiogram class names"),
-        Option("seed", _SYNTHETIC["seed"]),
-        Option("jitter_sd", _SYNTHETIC["jitter_sd"],
-               "sd of the per-frequency threshold jitter in dB"),
-        Option("l2_5_offset_mean", _SYNTHETIC["l2_5_offset_mean"],
+        _field(SyntheticConfig, "records_per_class", "labeled records to aim for per class",
+               name="per_class", default=150),
+        Option("classes", [c.name for c in DEFAULT_SYNTHETIC_CLASSES],
+               "comma-separated audiogram class names",
+               domain=_names(BisgaardClass.__members__), convert=_split),
+        _field(SyntheticConfig, "seed"),
+        _field(SyntheticConfig, "jitter_sd", "sd of the per-frequency threshold jitter in dB"),
+        _field(SyntheticConfig, "l2_5_offset_mean",
                "mean gap between threshold and the L2.5 level"),
-        Option("l2_5_offset_sd", _SYNTHETIC["l2_5_offset_sd"]),
-        Option("l_cut_noise_sd", _SYNTHETIC["l_cut_noise_sd"],
+        _field(SyntheticConfig, "l2_5_offset_sd"),
+        _field(SyntheticConfig, "l_cut_noise_sd",
                "sd of the reported-L_cut decorrelation noise"),
         Option("csv", False, "also write participants.csv in the combined schema"),
     )),
@@ -211,13 +244,13 @@ _TABLE: dict[str, tuple[str, tuple[Option, ...]]] = {
     )),
     "rove": ("apply participant-level calibration offsets", (
         _DATA,
-        Option("mean", 0.0, flags=("--mean", "--rove-mean")),
-        Option("sd", 0.0, flags=("--sd", "--rove-sd")),
-        Option("seed", 0, flags=("--seed", "--rove-seed")),
+        _field(RovingConfig, "mean", default=0.0, flags=("--mean", "--rove-mean")),
+        _field(RovingConfig, "sd", default=0.0, flags=("--sd", "--rove-sd")),
+        _field(RovingConfig, "seed", flags=("--seed", "--rove-seed")),
     )),
     "pca": ("principal components of the standardized features", (
         _DATA,
-        Option("components", 2),
+        Option("components", 2, domain=Annotated[int, AtLeast(1)]),
     )),
     "train": ("fit one classifier on the full dataset", (
         _DATA,
@@ -228,41 +261,41 @@ _TABLE: dict[str, tuple[str, tuple[Option, ...]]] = {
     "evaluate": ("cross-validated comparison of classifiers", (
         _DATA,
         *_classifier_options("lr"),
-        Option("only", list(VARIANTS), "comma-separated subset of variants to evaluate"),
-        Option("k", _EXPERIMENT["k"], "fold count"),
-        Option("repeats", _EXPERIMENT["repeats"], "repetitions of the full cross-validation"),
-        Option("stratified", _EXPERIMENT["stratified"],
-               "plain instead of class-stratified folds", flags=("--no-stratify",)),
-        Option("seed", _EXPERIMENT["seed"]),
-        Option("rove_mean", None, "apply roving with this offset mean before evaluating",
-               float),
-        Option("rove_sd", None, kind=float),
-        Option("rove_seed", _EXPERIMENT["rove_seed"]),
+        Option("only", list(VARIANTS), "comma-separated subset of variants to evaluate",
+               domain=_names(VARIANTS), convert=_split),
+        _field(ExperimentConfig, "k", "fold count"),
+        _field(ExperimentConfig, "repeats", "repetitions of the full cross-validation"),
+        _field(ExperimentConfig, "stratified", "plain instead of class-stratified folds",
+               flags=("--no-stratify",)),
+        _field(ExperimentConfig, "seed"),
+        _field(RovingConfig, "mean", "apply roving with this offset mean before evaluating",
+               name="rove_mean", default=None),
+        _field(RovingConfig, "sd", name="rove_sd", default=None),
+        _field(ExperimentConfig, "rove_seed"),
     )),
     "explain": ("Shapley values and permutation importance", (
         _DATA,
         *_classifier_options(None),
-        Option("k", _EXPERIMENT["k"], "fold count; fold 0 provides the train/test split"),
-        Option("seed", _EXPERIMENT["seed"]),
-        Option("background", 100, "background sample size for the value function"),
-        Option("max_records", 50, "test records to explain"),
-        Option("perm_repeats", _EXPERIMENT["perm_repeats"]),
-        Option("metric", _EXPERIMENT["perm_metric"], "permutation-importance metric",
-               choices=_METRIC_CHOICES),
+        _field(ExperimentConfig, "k", "fold count; fold 0 provides the train/test split"),
+        _field(ExperimentConfig, "seed"),
+        Option("background", 100, "background sample size for the value function",
+               domain=Annotated[int, AtLeast(1)]),
+        Option("max_records", 50, "test records to explain",
+               domain=Annotated[int, AtLeast(1)]),
+        *_metric_options("permutation-importance metric"),
     )),
     "sweep": ("repeat the evaluation across roving conditions", (
         _DATA,
         *_classifier_options("lr"),
-        Option("only", list(VARIANTS)),
+        Option("only", list(VARIANTS), domain=_names(VARIANTS), convert=_split),
         Option("conditions", [list(pair) for pair in DEFAULT_ROVING_CONDITIONS],
-               "comma-separated mean:sd pairs, e.g. 0:0,10:5"),
-        Option("k", _EXPERIMENT["k"]),
-        Option("repeats", _EXPERIMENT["repeats"]),
-        Option("stratified", _EXPERIMENT["stratified"], flags=("--no-stratify",)),
-        Option("seed", _EXPERIMENT["seed"]),
-        Option("rove_seed", _EXPERIMENT["rove_seed"]),
-        Option("perm_repeats", _EXPERIMENT["perm_repeats"]),
-        Option("metric", _EXPERIMENT["perm_metric"], choices=_METRIC_CHOICES),
+               "comma-separated mean:sd pairs, e.g. 0:0,10:5", convert=_as_conditions),
+        _field(ExperimentConfig, "k"),
+        _field(ExperimentConfig, "repeats"),
+        _field(ExperimentConfig, "stratified", flags=("--no-stratify",)),
+        _field(ExperimentConfig, "seed"),
+        _field(ExperimentConfig, "rove_seed"),
+        *_metric_options(),
     )),
     "report": ("collect run outputs into plot-ready figure CSVs", (
         Option("in_dir", None, "directory holding evaluate and/or sweep outputs", str,
@@ -337,48 +370,6 @@ def _config_section(payload: dict, cmd: str) -> dict:
     return {**{k: v for k, v in flat.items() if k in allowed}, **section}
 
 
-def _as_name_list(value, what: str) -> list[str]:
-    if isinstance(value, str):
-        items = [chunk.strip() for chunk in value.split(",") if chunk.strip()]
-    elif isinstance(value, (list, tuple)):
-        items = [str(v) for v in value]
-    else:
-        raise ConfigurationError(f"{what} must be a list or comma-separated string")
-    if not items:
-        raise ConfigurationError(f"{what} must not be empty")
-    return items
-
-
-def _as_conditions(value) -> list[list[float]]:
-    """(mean, sd) pairs from a list of pairs or the flag's ``mean:sd`` list;
-    each number must be finite, as for a float option."""
-    flag_form = isinstance(value, str)
-    if flag_form:
-        items = [chunk.strip().split(":") for chunk in value.split(",") if chunk.strip()]
-    elif isinstance(value, (list, tuple)):
-        items = value
-    else:
-        raise ConfigurationError("conditions must be a list or mean:sd string")
-    pairs: list[list[float]] = []
-    for item in items:
-        if not isinstance(item, (list, tuple)) or len(item) != 2:
-            raise ConfigurationError(
-                f"condition {item!r} must be a [mean, sd] pair or mean:sd, e.g. 10:5"
-            )
-        if flag_form:
-            try:
-                item = [float(part) for part in item]
-            except ValueError as exc:
-                raise ConfigurationError(f"condition {item!r}: {exc}") from exc
-        pairs.append([
-            _finite_float(v, f"{name} of condition {item!r}")
-            for v, name in zip(item, ("mean", "sd"))
-        ])
-    if not pairs:
-        raise ConfigurationError("at least one roving condition is required")
-    return pairs
-
-
 def _resolve_options(cmd: str, args: argparse.Namespace, payload: dict) -> dict:
     """Merge CLI values over the config file's values (``payload``, the
     whole file) over built-in defaults."""
@@ -407,30 +398,6 @@ def _resolve_options(cmd: str, args: argparse.Namespace, payload: dict) -> dict:
         if option.path and options[option.name] is not None:
             options[option.name] = str(Path(options[option.name]).resolve())
 
-    if "classes" in options:
-        options["classes"] = _as_name_list(options["classes"], "classes")
-        unknown = set(options["classes"]) - set(BisgaardClass.__members__)
-        if unknown:
-            raise ConfigurationError(
-                f"unknown audiogram classes: {', '.join(sorted(unknown))}"
-            )
-    if "only" in options:
-        options["only"] = _as_name_list(options["only"], "only")
-        unknown = set(options["only"]) - set(VARIANTS)
-        if unknown:
-            raise ConfigurationError(
-                f"unknown classifier variants: {', '.join(sorted(unknown))}"
-            )
-    if "conditions" in options:
-        options["conditions"] = _as_conditions(options["conditions"])
-    if "metric" in options:
-        metric = options["metric"].replace("-", "_")
-        if metric not in PERMUTATION_METRICS:
-            raise ConfigurationError(
-                f"metric must be one of {', '.join(PERMUTATION_METRICS)}"
-            )
-        options["metric"] = metric
-
     if cmd == "preprocess":
         combined = options["combined_csv"] is not None
         split_pair = (
@@ -457,16 +424,15 @@ def _resolve_options(cmd: str, args: argparse.Namespace, payload: dict) -> dict:
     return options
 
 
+def _config(cls, options: dict, **values):
+    """``cls`` built from ``values`` and the options named as its fields."""
+    named = field_annotations(cls).keys() & options.keys()
+    return cls(**{**{name: options[name] for name in named}, **values})
+
+
 def _run_generate(options: dict, out_dir: Path) -> None:
-    cfg = SyntheticConfig(
-        records_per_class=options["per_class"],
-        classes=tuple(class_from_name(name) for name in options["classes"]),
-        seed=options["seed"],
-        jitter_sd=options["jitter_sd"],
-        l2_5_offset_mean=options["l2_5_offset_mean"],
-        l2_5_offset_sd=options["l2_5_offset_sd"],
-        l_cut_noise_sd=options["l_cut_noise_sd"],
-    )
+    cfg = _config(SyntheticConfig, options, records_per_class=options["per_class"],
+                  classes=tuple(class_from_name(name) for name in options["classes"]))
     ears, labeled = generate_synthetic_full(cfg)
     write_labeled_json(labeled, out_dir / "labeled.json")
     if options["csv"]:
@@ -498,7 +464,7 @@ def _run_preprocess(options: dict, out_dir: Path) -> None:
 
 def _run_rove(options: dict, out_dir: Path) -> None:
     records = load_labeled_json(options["data"])
-    cfg = RovingConfig(options["mean"], options["sd"], options["seed"])
+    cfg = _config(RovingConfig, options)
     write_labeled_json(apply_roving(records, cfg), out_dir / "labeled_roved.json")
     write_manifest(out_dir, "rove", options, [options["data"]])
 
@@ -539,22 +505,9 @@ def _experiment_config(options: dict) -> ExperimentConfig:
         roving = RovingConfig(options.get("rove_mean") or 0.0,
                               options.get("rove_sd") or 0.0, options["rove_seed"])
     # Only sweep has permutation-importance options; evaluate keeps the defaults.
-    permutation = {}
-    if "perm_repeats" in options:
-        permutation = {"perm_repeats": options["perm_repeats"],
-                       "perm_metric": options["metric"]}
-    return ExperimentConfig(
-        data_path=options["data"],
-        roving=roving,
-        classifiers=specs,
-        k=options["k"],
-        stratified=options["stratified"],
-        repeats=options["repeats"],
-        designated=designated,
-        seed=options["seed"],
-        rove_seed=options["rove_seed"],
-        **permutation,
-    )
+    metric = {"perm_metric": options["metric"]} if "metric" in options else {}
+    return _config(ExperimentConfig, options, data_path=options["data"], roving=roving,
+                   classifiers=specs, designated=designated, **metric)
 
 
 def _run_evaluate(options: dict, out_dir: Path) -> None:
@@ -564,12 +517,6 @@ def _run_evaluate(options: dict, out_dir: Path) -> None:
 
 
 def _run_explain(options: dict, out_dir: Path) -> None:
-    for name in ("background", "max_records"):
-        if options[name] < 1:
-            raise ConfigurationError(f"{name} must be >= 1")
-    check_perm_repeats(options["perm_repeats"], "perm_repeats")
-    if options["seed"] < 0:
-        raise ConfigurationError("seed must be non-negative")
     records = load_labeled_json(options["data"])
     X = feature_matrix(records)
     y = labels_of(records)

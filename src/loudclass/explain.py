@@ -27,11 +27,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Annotated
 
 import numpy as np
 
 from .classifiers import TrainedModel
 from .classifiers.tree import LeafVoteModel, leaf_boxes, tree_leaves, tree_predict
+from .domains import AtLeast, AtMost, OneOf, check
 from .errors import ConfigurationError, DataError, ShapeError
 from .loudness import FEATURE_NAMES
 # accuracy and balanced_accuracy are unused here, but perfbench/spans.py
@@ -51,21 +53,14 @@ from .metrics import (  # noqa: F401
 _MAX_EXACT_FEATURES = 16
 
 PERMUTATION_METRICS = ("balanced_accuracy", "accuracy")
+PermMetric = Annotated[str, OneOf(PERMUTATION_METRICS)]
 
 # The most shuffled copies of each feature permutation importance takes.
 # One feature's copies are stacked as repeats x rows x features float64
 # values, so at this bound the copies of 810 training rows of 12 features
 # take 0.78 GB.
 MAX_PERM_REPEATS = 10_000
-
-
-def check_perm_repeats(repeats: int, name: str = "repeats") -> None:
-    """Reject, as a ``ConfigurationError``, a count of shuffled copies per
-    feature outside [1, ``MAX_PERM_REPEATS``]."""
-    if repeats < 1:
-        raise ConfigurationError(f"{name} must be >= 1")
-    if repeats > MAX_PERM_REPEATS:
-        raise ConfigurationError(f"{name} must be <= {MAX_PERM_REPEATS}, got {repeats}")
+PermRepeats = Annotated[int, AtLeast(1), AtMost(MAX_PERM_REPEATS)]
 
 
 def default_feature_names(n_features: int) -> list[str]:
@@ -341,11 +336,8 @@ def permutation_importance(
     ``balanced_accuracy(y, predicted)`` and ``accuracy(y, predicted)``.
     Negative decreases are legitimate: shuffling can accidentally help.
     """
-    if metric not in PERMUTATION_METRICS:
-        raise ConfigurationError(
-            f"metric must be one of {', '.join(PERMUTATION_METRICS)}"
-        )
-    check_perm_repeats(repeats)
+    check("metric", metric, PermMetric)
+    check("repeats", repeats, PermRepeats)
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ShapeError("expected a 2-d feature matrix")

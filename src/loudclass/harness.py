@@ -35,15 +35,17 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass, field, replace
+from typing import Annotated
 
 import numpy as np
 
 from .classifiers import VARIANTS, ClassifierSpec, fit
 from .errors import ConfigurationError, LoudclassError
+from .domains import AtLeast, AtMost, Seed, check, check_fields
 from .explain import (
-    PERMUTATION_METRICS,
+    PermMetric,
+    PermRepeats,
     PermutationImportanceReport,
-    check_perm_repeats,
     importance_report,
 )
 from .loudness import FEATURE_NAMES
@@ -78,6 +80,13 @@ from .pipeline import (  # noqa: F401
     participant_normals,
     rove_matrix,
 )
+
+# The most repetitions of the cross-validation. Each is a full k-fold run
+# whose fold plan is held, and whose fits are queued, from the start: at
+# this bound the paper's seven-classifier evaluate (95 s each) takes 2.6 h.
+MAX_REPEATS = 100
+
+FoldCount = Annotated[int, AtLeast(2)]
 
 DEFAULT_ROVING_CONDITIONS = (
     (0.0, 0.0),
@@ -125,8 +134,7 @@ def kfold_split(labels, k: int = 10, stratified: bool = True, seed: int = 0) -> 
     """
     labels = list(labels)
     n = len(labels)
-    if k < 2:
-        raise ConfigurationError("k must be >= 2")
+    check("k", k, FoldCount)
     if n < k:
         raise ConfigurationError(f"need at least k={k} records, got {n}")
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
@@ -157,32 +165,20 @@ class ExperimentConfig:
     classifiers: tuple[ClassifierSpec, ...] = field(
         default_factory=default_classifier_specs
     )
-    k: int = 10
+    k: FoldCount = 10
     stratified: bool = True
-    repeats: int = 1
+    repeats: Annotated[int, AtLeast(1), AtMost(MAX_REPEATS)] = 1
     designated: str = "lr"
-    seed: int = 0
-    rove_seed: int = 0
-    perm_repeats: int = 10
-    perm_metric: str = "balanced_accuracy"
+    seed: Seed = 0
+    rove_seed: Seed = 0
+    perm_repeats: PermRepeats = 10
+    perm_metric: PermMetric = "balanced_accuracy"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "classifiers", tuple(self.classifiers))
         if not self.classifiers:
             raise ConfigurationError("at least one classifier is required")
-        if self.k < 2:
-            raise ConfigurationError("k must be >= 2")
-        if self.repeats < 1:
-            raise ConfigurationError("repeats must be >= 1")
-        check_perm_repeats(self.perm_repeats, "perm_repeats")
-        if self.seed < 0:
-            raise ConfigurationError("seed must be non-negative")
-        if self.rove_seed < 0:
-            raise ConfigurationError("roving seed must be non-negative")
-        if self.perm_metric not in PERMUTATION_METRICS:
-            raise ConfigurationError(
-                f"perm_metric must be one of {', '.join(PERMUTATION_METRICS)}"
-            )
+        check_fields(self)
 
 
 def classifier_names(specs) -> list[str]:

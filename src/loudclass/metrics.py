@@ -22,11 +22,12 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
+from typing import Annotated
 
 import numpy as np
 
+from .domains import OneOf, check
 from .errors import (
-    ConfigurationError,
     DataError,
     NumericError,
     ShapeError,
@@ -327,6 +328,7 @@ def micro_average_ovr(y_true, proba, classes, kind: str = "roc") -> tuple[CurveP
 
     Column ``j`` of ``proba`` must score class ``classes[j]``.
     """
+    check("kind", kind, Annotated[str, OneOf(("roc", "pr"))])
     proba = np.asarray(proba, dtype=np.float64)
     if proba.ndim != 2 or proba.shape[1] != len(classes):
         raise ShapeError(
@@ -336,12 +338,7 @@ def micro_average_ovr(y_true, proba, classes, kind: str = "roc") -> tuple[CurveP
         raise ShapeError("probability matrix and labels disagree on record count")
     codes = label_codes(y_true, classes)
     binarized = (np.arange(len(classes))[:, None] == codes).astype(np.float64).ravel()
-    scores = proba.T.ravel()
-    if kind == "roc":
-        return roc_curve(binarized, scores)
-    if kind == "pr":
-        return pr_curve(binarized, scores)
-    raise ConfigurationError(f"curve kind must be 'roc' or 'pr', got {kind!r}")
+    return (roc_curve if kind == "roc" else pr_curve)(binarized, proba.T.ravel())
 
 
 @dataclass(frozen=True)
@@ -356,13 +353,16 @@ class ConfusionMatrix:
         self.matrix.setflags(write=False)
 
 
+_NORMALIZE = Annotated[str, OneOf(("none", "by_predicted"))]
+
+
 def confusion(y_true, y_pred, classes=None, normalize: str = "none") -> ConfusionMatrix:
     """Count matrix, optionally column-normalized by predicted class.
 
     Zero predicted columns stay zero under normalization. Every label must
     be one of ``classes``.
     """
-    _check_normalize(normalize)
+    check("normalize", normalize, _NORMALIZE)
     _check_lengths(y_true, y_pred)
     if classes is None:
         classes = sorted_labels(list(y_true) + list(y_pred))
@@ -381,20 +381,13 @@ def confusion_of(matrix: np.ndarray, classes, normalize: str = "none") -> Confus
     """The confusion matrix of the k ``classes`` of a ``count_matrix``,
     optionally column-normalized by predicted class; the pooled row and
     column of labels outside the class list are left out."""
-    _check_normalize(normalize)
+    check("normalize", normalize, _NORMALIZE)
     counts = matrix[:-1, :-1].astype(np.float64)
     if normalize == "by_predicted":
         sums = counts.sum(axis=0)
         nonzero = sums > 0
         counts[:, nonzero] = counts[:, nonzero] / sums[nonzero]
     return ConfusionMatrix(tuple(classes), counts, normalize)
-
-
-def _check_normalize(normalize: str) -> None:
-    if normalize not in ("none", "by_predicted"):
-        raise ConfigurationError(
-            f"normalize must be 'none' or 'by_predicted', got {normalize!r}"
-        )
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Annotated
 
 import numpy as np
 
@@ -35,6 +36,7 @@ from .bisgaard import (
     pta,
     resample,
 )
+from .domains import AtLeast, AtMost, Seed, check_fields, domain
 from .errors import (
     ConfigurationError,
     DataError,
@@ -57,6 +59,11 @@ THRESHOLD_FREQUENCIES_HZ: tuple[float, ...] = (
 )
 
 THRESHOLD_COLUMNS: tuple[str, ...] = tuple(f"f{int(f)}" for f in THRESHOLD_FREQUENCIES_HZ)
+
+# A measured threshold in dB HL lies in the hearing-level range of a
+# clinical (type 1) audiometer at its widest, -10 to 120 dB HL (IEC
+# 60645-1:2017; ANSI/ASA S3.6-2018); no audiometer presents a tone outside.
+ThresholdDbHL = Annotated[float, AtLeast(-10), AtMost(120)]
 CSV_COLUMNS: tuple[str, ...] = ("id", "ear") + THRESHOLD_COLUMNS + FEATURE_NAMES
 
 EARS = ("left", "right")
@@ -125,17 +132,17 @@ class RovingConfig:
     """
 
     mean: float
-    sd: float
-    seed: int = 0
+    sd: Annotated[float, AtLeast(0)]
+    seed: Seed = 0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.mean) and math.isfinite(self.sd)):
-            raise ConfigurationError("roving mean and sd must be finite")
-        if self.sd < 0:
-            raise ConfigurationError(f"roving sd must be >= 0, got {self.sd}")
-        if self.seed < 0:
-            raise ConfigurationError("roving seed must be non-negative")
+        check_fields(self)
 
+
+# The most records per class the generator writes: 10 000 two-eared
+# participants, so every participant id keeps its four digits
+# (syn-N3-p9999), and all ten classes make 200 000 ears at most.
+MAX_RECORDS_PER_CLASS = 20_000
 
 # The synthetic generator's loudness recruitment: the lower slope shrinks
 # and the upper slope grows with the hearing threshold (per dB), each
@@ -157,29 +164,20 @@ class SyntheticConfig:
     constants. None of the values is a claim about clinical data.
     """
 
-    records_per_class: int
+    records_per_class: Annotated[int, AtLeast(1), AtMost(MAX_RECORDS_PER_CLASS)]
     classes: tuple[BisgaardClass, ...] = DEFAULT_SYNTHETIC_CLASSES
-    seed: int = 0
-    jitter_sd: float = 4.0
+    seed: Seed = 0
+    jitter_sd: Annotated[float, AtLeast(0)] = 4.0
     l2_5_offset_mean: float = 5.0
-    l2_5_offset_sd: float = 3.0
-    l_cut_noise_sd: float = 2.0
+    l2_5_offset_sd: Annotated[float, AtLeast(0)] = 3.0
+    l_cut_noise_sd: Annotated[float, AtLeast(0)] = 2.0
 
     def __post_init__(self) -> None:
-        if self.records_per_class < 1:
-            raise ConfigurationError("records_per_class must be >= 1")
+        check_fields(self)
         if not self.classes:
             raise ConfigurationError("class set must be non-empty")
         if len(set(self.classes)) != len(self.classes):
             raise ConfigurationError("class set must not repeat classes")
-        if self.seed < 0:
-            raise ConfigurationError("seed must be non-negative")
-        for name in ("jitter_sd", "l2_5_offset_mean", "l2_5_offset_sd", "l_cut_noise_sd"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ConfigurationError(f"{name} must be finite, got {value}")
-            if name.endswith("_sd") and value < 0:
-                raise ConfigurationError(f"{name} must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -522,15 +520,22 @@ def labels_of(records: list[LabeledRecord]) -> list[BisgaardClass]:
     return [r.label for r in records]
 
 
-def _parse_cell(value: str, line_number: int, column: str) -> float:
+def _parse_cell(value: str, line_number: int, column: str, annotation=None) -> float:
+    """The cell's number, NaN if empty; outside ``annotation``, a ``ParseError``."""
     if value == "":
         return math.nan
     try:
-        return float(value)
+        number = float(value)
     except ValueError:
         raise ParseError(
             f"column {column!r} has non-numeric value {value!r}", line_number
         ) from None
+    if annotation is not None and not math.isnan(number):
+        description, admits = domain(annotation)
+        if not admits(number):
+            raise ParseError(f"column {column!r} must be {description}, got {value!r}",
+                             line_number)
+    return number
 
 
 def _format_cell(value: float | None) -> str:
@@ -546,7 +551,8 @@ def load_csv(path) -> list[EarRecord]:
     before right, whatever the row order. Empty cells mark missing values:
     a fully empty block (all thresholds or all features) means that side is
     absent; a partially empty block keeps the side present with NaN gaps so
-    ``drop_incomplete`` can remove it.
+    ``drop_incomplete`` can remove it. A threshold outside ``ThresholdDbHL``
+    is a ``ParseError`` naming its line and column.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -574,7 +580,7 @@ def load_csv(path) -> list[EarRecord]:
             if ear not in EARS:
                 raise ParseError(f"ear must be 'left' or 'right', got {ear!r}", line_number)
             thresholds = [
-                _parse_cell(v, line_number, c)
+                _parse_cell(v, line_number, c, ThresholdDbHL)
                 for v, c in zip(row[2:13], THRESHOLD_COLUMNS)
             ]
             feature_values = [

@@ -33,7 +33,7 @@ from loudclass.classifiers import (
     save_model,
 )
 from loudclass.classifiers import neighbors, neural, ovr
-from loudclass.classifiers.base import AtLeast
+from loudclass.domains import AtLeast, domain
 from loudclass.classifiers import scaler as scaler_module
 from loudclass.classifiers import svm as svm_module
 from loudclass.classifiers.linear import ALPHA, expit, penalized_logistic_objective
@@ -861,7 +861,7 @@ def test_every_default_lies_in_its_domain():
 ])
 def test_a_parameter_without_a_declared_domain_fails_at_import(annotation):
     with pytest.raises(TypeError, match="no domain declared"):
-        ovr._domain(annotation)
+        domain(annotation, bounded=True)
 
 
 @pytest.mark.parametrize("variant, params", [

@@ -4,11 +4,15 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import multiprocessing
 import os
+import re
 import shutil
 import sys
 from dataclasses import replace
+from pathlib import Path
+from typing import Annotated, get_args, get_origin
 
 import numpy as np
 import pytest
@@ -16,6 +20,7 @@ import pytest
 from loudclass import cli, harness, metrics
 from loudclass.classifiers import ClassifierSpec, load_model, ovr
 from loudclass.cli import COMMANDS, _resolve_options, build_parser, main
+from loudclass.domains import AtLeast, AtMost, OneOf, domain
 from loudclass.errors import DataError, NumericError
 from loudclass.loudness import LEVEL_FEATURE_INDICES, LoudnessFeatureVector
 from loudclass.pipeline import (
@@ -23,6 +28,7 @@ from loudclass.pipeline import (
     SyntheticConfig,
     feature_matrix,
     generate_synthetic_full,
+    load_csv,
     load_labeled_json,
     rove_matrix,
     write_csv,
@@ -156,7 +162,7 @@ def test_explain_rejects_counts_below_one_before_any_work(generated, tmp_path, m
     rc = run("explain", "--data", str(generated / "labeled.json"), "--out-dir", str(out),
              "--classifier", "dt", "--k", "3", option, "0")
     assert rc == 2
-    assert f"{option[2:].replace('-', '_')} must be >= 1" in capsys.readouterr().err
+    assert f"{option[2:].replace('-', '_')} must be an integer >= 1" in capsys.readouterr().err
     assert fits == []
     assert not any(out.rglob("*"))
 
@@ -241,19 +247,20 @@ def test_config_unknown_key_rejected(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command, config, message", [
-    ("evaluate", {"k": None}, "k must be a number"),
-    ("evaluate", {"k": "abc"}, "k must be a number"),
+    ("evaluate", {"k": None}, "k must be an integer >= 2, got None"),
+    ("evaluate", {"k": "abc"}, "k must be an integer >= 2, got 'abc'"),
     ("sweep", {"conditions": [[None, 5]]}, "condition [None, 5]"),
     ("sweep", {"conditions": [[10**400, 5]]}, "mean of condition [1000"),
     ("sweep", {"conditions": [[True, 5]]},
-     "mean of condition [True, 5] must be a number, got True"),
-    ("sweep", {"conditions": [["10", "5"]]}, "mean of condition ['10', '5'] must be a number"),
+     "mean of condition [True, 5] must be a finite number, got True"),
+    ("sweep", {"conditions": [["10", "5"]]},
+     "mean of condition ['10', '5'] must be a finite number"),
     ("sweep", {"conditions": [[0, float("inf")]]},
-     "sd of condition [0, inf] must be a finite number, got inf"),
+     "sd of condition [0, inf] must be a finite number >= 0, got inf"),
     ("sweep", {"conditions": "nan:5"},
      "mean of condition [nan, 5.0] must be a finite number, got nan"),
     ("sweep", {"conditions": "5:1e400"},
-     "sd of condition [5.0, inf] must be a finite number, got inf"),
+     "sd of condition [5.0, inf] must be a finite number >= 0, got inf"),
     ("sweep", {"conditions": "0:0,5:x"}, "condition ['5', 'x']: could not convert"),
 ], ids=["k-null", "k-word", "condition-null", "condition-beyond-float", "condition-bool",
         "condition-strings", "condition-inf", "condition-nan-text", "condition-overflow-text",
@@ -273,10 +280,10 @@ def test_config_bad_value_is_exit_2(generated, command, config, message, capsys)
     ("evaluate", {"stratified": "no"}, "stratified must be true or false"),
     ("evaluate", {"stratified": 0}, "stratified must be true or false"),
     ("evaluate", {"k": 2.7}, "k must be an integer"),
-    ("evaluate", {"k": True}, "k must be a number"),
-    ("evaluate", {"k": "3"}, "k must be a number"),
+    ("evaluate", {"k": True}, "k must be an integer >= 2, got True"),
+    ("evaluate", {"k": "3"}, "k must be an integer >= 2, got '3'"),
     ("evaluate", {"repeats": 1.5}, "repeats must be an integer"),
-    ("evaluate", {"rove_mean": False}, "rove_mean must be a number"),
+    ("evaluate", {"rove_mean": False}, "rove_mean must be a finite number, got False"),
     ("sweep", {"stratified": "false"}, "stratified must be true or false"),
 ], ids=["bool-word", "bool-int", "int-fraction", "int-bool", "int-string",
         "repeats-fraction", "float-bool", "sweep-bool-word"])
@@ -381,6 +388,27 @@ def test_preprocess_combined_csv(tmp_path):
     assert str(src.resolve()) in manifest["inputs"]
 
 
+def test_generated_csv_at_default_noise_loads(tmp_path):
+    assert run("generate", "--out-dir", str(tmp_path), "--per-class", "150", "--csv") == 0
+    assert len(load_csv(tmp_path / "participants.csv")) == 6 * 150
+
+
+def test_csv_threshold_beyond_the_audiometric_range_is_exit_3(tmp_path, capsys):
+    ears, _ = generate_synthetic_full(SyntheticConfig(records_per_class=2, seed=4))
+    src = tmp_path / "combined.csv"
+    write_csv(ears, src)
+    lines = src.read_text().splitlines()
+    cells = lines[2].split(",")
+    cells[2 + 2] = "1e308"  # f500, which bisgaard.rmse squares
+    src.write_text("\n".join([*lines[:2], ",".join(cells), *lines[3:]]) + "\n")
+    out = tmp_path / "out"
+    rc = run("preprocess", "--out-dir", str(out), "--combined-csv", str(src))
+    err = capsys.readouterr().err
+    assert rc == 3, err
+    assert "line 3: column 'f500' must be a finite number >= -10 and <= 120" in err
+    assert not out.exists()
+
+
 def test_missing_data_file_is_exit_3(tmp_path):
     rc = run("evaluate", "--out-dir", str(tmp_path / "o"),
              "--data", str(tmp_path / "nope.json"), "--only", "dt",
@@ -416,7 +444,8 @@ def test_unknown_generate_class_is_exit_2(tmp_path, capsys, source):
         extra = ("--config", str(config))
     rc = run("generate", "--out-dir", str(tmp_path / "g"), *extra)
     assert rc == 2
-    assert "unknown audiogram classes: X9" in capsys.readouterr().err
+    assert ("classes must be a non-empty list, each one of N1, N2, N3, N4, N5, N6, N7, S1, "
+            "S2, S3, got ['N2', 'X9']") in capsys.readouterr().err
     assert not (tmp_path / "g" / "labeled.json").exists()
 
 
@@ -498,7 +527,7 @@ def test_negative_classifier_seed_is_exit_2_before_any_fit(generated, capsys, mo
     rc = run_without_fits(monkeypatch, command, "--out-dir", str(generated),
                           "--classifier", variant, "--classifier-seed", "-1")
     assert rc == 2
-    assert f"{variant} seed must be an integer >= 0, got -1" in capsys.readouterr().err
+    assert "classifier_seed must be an integer >= 0, got -1" in capsys.readouterr().err
 
 
 def test_integral_float_classifier_seed_from_a_config_trains(generated, tmp_path):
@@ -516,7 +545,7 @@ def test_negative_master_seed_is_exit_2_before_any_data_is_read(tmp_path, capsys
     rc = run(command, "--out-dir", str(tmp_path), "--data", str(tmp_path / "absent.json"),
              "--classifier", "lr", "--seed", "-1")
     assert rc == 2
-    assert "seed must be non-negative" in capsys.readouterr().err
+    assert "seed must be an integer >= 0, got -1" in capsys.readouterr().err
 
 
 # Accepted types, each bound on its boundary, and an rf max_features above
@@ -695,25 +724,51 @@ def test_integral_float_for_an_int_option_is_recorded_as_the_int(recorded_runs, 
     assert recorded == value and type(recorded) is int
 
 
-@pytest.mark.parametrize("source, text", [
-    ("config", "NaN"), ("config", "Infinity"), ("config", "-Infinity"),
-    ("flag", "nan"), ("flag", "inf"),
-])
-@pytest.mark.parametrize("command, option", _table_options(float))
-def test_non_finite_float_option_is_exit_2_before_any_output(recorded_runs, tmp_path,
-                                                            capsys, command, option,
-                                                            source, text):
+def _outside_cases():
+    """Per option of ``cli._TABLE`` that declares a domain, values outside
+    it with the text of the bound each breaks: NaN and ±inf for a float, a
+    value just beyond each bound, and for a list option a list holding one
+    such value. A number goes in by flag and by config file, anything else
+    by config file (argparse checks a choice flag itself)."""
+    for command, (_, options) in cli._TABLE.items():
+        for option in options:
+            if option.domain is None:
+                continue
+            listed = get_origin(option.domain) is tuple
+            annotation = get_args(option.domain)[0] if listed else option.domain
+            kind, *bounds = (get_args(annotation)
+                             if get_origin(annotation) is Annotated else (annotation,))
+            cases = ([(v, "a finite number") for v in (math.nan, math.inf, -math.inf)]
+                     if kind is float else [])
+            for bound in bounds:
+                if isinstance(bound, OneOf):
+                    cases.append(("none-of-these", str(bound)))
+                elif isinstance(bound, AtMost):
+                    cases.append((bound.high + 1, str(bound)))
+                else:  # at a strict lower bound, below an inclusive one
+                    cases.append((bound.low - (type(bound) is AtLeast), str(bound)))
+            for value, text in cases:
+                value = [value] if listed else value
+                for source in ("config", "flag")[:2 if isinstance(value, (int, float)) else 1]:
+                    yield pytest.param(command, option, value, text, source,
+                                       id=f"{command}-{option.name}-{value!r}-{source}")
+
+
+@pytest.mark.parametrize("command, option, value, bound, source", _outside_cases())
+def test_option_outside_its_domain_is_exit_2_before_any_output(recorded_runs, tmp_path,
+                                                               capsys, command, option,
+                                                               value, bound, source):
     options = _recorded_options(recorded_runs, command)
-    flags = [option.flags[0], text] if source == "flag" else []
+    flags = [f"{option.flags[0]}={value}"] if source == "flag" else []
     if source == "config":
-        options[option.name] = float(text)  # json writes it back as NaN or Infinity
+        options[option.name] = value  # json writes NaN and infinities as NaN, Infinity
     config = tmp_path / "config.json"
     config.write_text(json.dumps({command: options}))
     out = tmp_path / "out"
     rc = run(command, "--out-dir", str(out), "--config", str(config), *flags)
     err = capsys.readouterr().err
     assert rc == 2, err
-    assert f"{option.name} must be a finite number, got" in err
+    assert f"{option.name} must be " in err and bound in err
     assert not out.exists()
 
 
@@ -752,15 +807,46 @@ def test_preprocess_threshold_outside_its_domain_is_exit_2_before_any_file_is_re
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["explain", "sweep"])
-@pytest.mark.parametrize("repeats", ["10001", "100000000000000000000"])
-def test_perm_repeats_above_its_bound_is_exit_2_before_any_data_is_read(
-        tmp_path, capsys, command, repeats):
+def test_readme_option_table_matches_the_declared_domains():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `(--[a-z0-9-]+)` \| ([a-z, ]+) \| (.+) \|$", readme, re.M)
+    declared: dict[tuple[str, str], list[str]] = {}
+    for command, (_, options) in cli._TABLE.items():
+        for option in options:
+            if get_origin(option.domain) is Annotated:
+                key = (option.flags[0], domain(option.domain)[0])
+                declared.setdefault(key, []).append(command)
+    assert {(flag, takes): commands.split(", ") for flag, commands, takes in rows} == declared
+
+
+@pytest.mark.parametrize("command, option, bound", [
+    ("explain", "--perm-repeats", 10_000), ("sweep", "--perm-repeats", 10_000),
+    ("evaluate", "--repeats", 100), ("sweep", "--repeats", 100),
+])
+@pytest.mark.parametrize("above", [1, 10**20])
+def test_repeats_above_their_bound_are_exit_2_before_any_data_is_read(
+        tmp_path, capsys, command, option, bound, above):
+    # With an absent --data, a lost bound ends the run at once with exit 3.
     out = tmp_path / "out"
+    value = str(bound + above)
     rc = run(command, "--out-dir", str(out), "--data", str(tmp_path / "absent.json"),
-             "--classifier", "lr", "--perm-repeats", repeats)
+             "--classifier", "lr", "--k", "2", option, value)
     assert rc == 2
-    assert f"perm_repeats must be <= 10000, got {repeats}" in capsys.readouterr().err
+    name = option[2:].replace("-", "_")
+    assert (f"{name} must be an integer >= 1 and <= {bound}, got {value}"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("per_class", ["20001", "100000000000000000000"])
+def test_per_class_above_its_bound_is_exit_2_before_any_record_is_made(
+        tmp_path, capsys, monkeypatch, per_class):
+    monkeypatch.setattr(cli, "generate_synthetic_full",
+                        lambda cfg: pytest.fail("generate_synthetic_full ran"))
+    out = tmp_path / "out"
+    assert run("generate", "--out-dir", str(out), "--per-class", per_class) == 2
+    assert (f"per_class must be an integer >= 1 and <= 20000, got {per_class}"
+            in capsys.readouterr().err)
     assert not out.exists()
 
 
@@ -772,7 +858,7 @@ def test_negative_rove_seed_is_exit_2_before_any_data_is_read(tmp_path, capsys, 
     rc = run(*argv, "--out-dir", str(tmp_path), "--data", str(tmp_path / "absent.json"),
              "--rove-seed", "-1")
     assert rc == 2
-    assert "roving seed must be non-negative" in capsys.readouterr().err
+    assert "rove_seed must be an integer >= 0, got -1" in capsys.readouterr().err
 
 
 @pytest.fixture()
@@ -798,7 +884,7 @@ def _with_option(key, value):
 
 
 @pytest.mark.parametrize("edit, message", [
-    (_with_option("max_records", "three"), "max_records must be a number, got 'three'"),
+    (_with_option("max_records", "three"), "max_records must be an integer >= 1, got 'three'"),
     (_with_option("background", 2.5), "background must be an integer"),
     (_with_option("bogus", 1), "unknown config keys for explain: bogus"),
     (_with("command", "bogus"), "manifest names unknown command 'bogus'"),
@@ -1221,5 +1307,5 @@ def test_sweep_rejects_perm_repeats_below_one_before_any_fit(generated, tmp_path
              "--out-dir", str(tmp_path / "sweep"), "--only", "dt",
              "--classifier", "dt", "--k", "3", "--perm-repeats", "0")
     assert rc == 2
-    assert "perm_repeats must be >= 1" in capsys.readouterr().err
+    assert "perm_repeats must be an integer >= 1" in capsys.readouterr().err
     assert fits == []

@@ -118,9 +118,9 @@ def test_config_validation():
         fast_config(perm_metric="f1")
     with pytest.raises(ConfigurationError):
         fast_config(perm_repeats=0)
-    with pytest.raises(ConfigurationError, match="seed must be non-negative"):
+    with pytest.raises(ConfigurationError, match="seed must be an integer >= 0, got -1"):
         fast_config(seed=-1)
-    with pytest.raises(ConfigurationError, match="roving seed must be non-negative"):
+    with pytest.raises(ConfigurationError, match="rove_seed must be an integer >= 0, got -1"):
         ExperimentConfig(data_path="x", rove_seed=-1)
 
 

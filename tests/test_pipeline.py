@@ -366,7 +366,7 @@ def test_generator_validation():
                                   "l_cut_noise_sd"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_generator_noise_terms_must_be_finite(name, value):
-    with pytest.raises(ConfigurationError, match=f"{name} must be finite"):
+    with pytest.raises(ConfigurationError, match=f"{name} must be a finite number"):
         SyntheticConfig(records_per_class=4, **{name: value})
 
 
@@ -423,6 +423,29 @@ def test_csv_errors(tmp_path):
     with pytest.raises(ParseError) as info:
         load_csv(path)
     assert "line 2" in str(info.value)
+
+
+def _csv_with_thresholds(path, cells):
+    path.write_text(",".join(CSV_COLUMNS) + "\n" + "p1,left," + ",".join(cells)
+                    + "," * 12 + "\n")
+    return path
+
+
+@pytest.mark.parametrize("cell", ["1e308", "120.5", "-10.5", "inf", "-inf"])
+def test_csv_threshold_outside_the_audiometric_range_is_a_parse_error(tmp_path, cell):
+    cells = ["10"] * len(THRESHOLD_FREQUENCIES_HZ)
+    cells[2] = cell
+    with pytest.raises(ParseError, match=re.escape(
+            f"line 2: column 'f500' must be a finite number >= -10 and <= 120, "
+            f"got '{cell}'")):
+        load_csv(_csv_with_thresholds(tmp_path / "bad.csv", cells))
+
+
+def test_csv_thresholds_on_the_audiometric_range_edges_load(tmp_path):
+    cells = ["-10", "120", "nan", ""] + ["10"] * (len(THRESHOLD_FREQUENCIES_HZ) - 4)
+    [rec] = load_csv(_csv_with_thresholds(tmp_path / "edges.csv", cells))
+    assert rec.audiogram.thresholds[:2] == (-10.0, 120.0)
+    assert all(map(math.isnan, rec.audiogram.thresholds[2:4]))
 
 
 def test_labeled_json_round_trip(tmp_path, small_records):
