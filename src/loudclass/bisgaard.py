@@ -114,24 +114,20 @@ class Audiogram:
 
 
 @lru_cache(maxsize=None)
-def load_profiles(path: str | None = None) -> tuple[StandardAudiogram, ...]:
-    """Load the ten standard profiles, defaulting to the packaged table.
+def load_profiles() -> tuple[StandardAudiogram, ...]:
+    """Load the ten standard profiles from the packaged table.
 
-    The packaged file is checksum-verified so the transcription cannot
-    drift silently; an explicit ``path`` skips that check.
+    The file is checksum-verified so the transcription cannot drift
+    silently.
     """
-    if path is None:
-        data = (resources.files("loudclass.data") / "bisgaard_profiles.csv").read_bytes()
-        digest = hashlib.sha256(data).hexdigest()
-        if digest != PROFILE_DATA_SHA256:
-            raise ConfigurationError(
-                "packaged profile table failed its checksum; "
-                f"expected {PROFILE_DATA_SHA256}, got {digest}"
-            )
-        text = data.decode("utf-8")
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+    data = (resources.files("loudclass.data") / "bisgaard_profiles.csv").read_bytes()
+    digest = hashlib.sha256(data).hexdigest()
+    if digest != PROFILE_DATA_SHA256:
+        raise ConfigurationError(
+            "packaged profile table failed its checksum; "
+            f"expected {PROFILE_DATA_SHA256}, got {digest}"
+        )
+    text = data.decode("utf-8")
 
     rows = list(csv.reader(text.splitlines()))
     if not rows or rows[0][0] != "class":
@@ -195,17 +191,12 @@ def rmse(a: Audiogram, s: StandardAudiogram) -> float:
     return math.sqrt(sum(sq) / len(sq))
 
 
-def classify(
-    a: Audiogram, profiles: tuple[StandardAudiogram, ...] | None = None
-) -> tuple[BisgaardClass, float]:
+def classify(a: Audiogram) -> tuple[BisgaardClass, float]:
     """Assign an audiogram to the nearest standard profile by minimal RMSE.
 
     Exact ties go to the lower severity rank, N family before S.
     """
-    if profiles is None:
-        profiles = load_profiles()
-    else:
-        _check_profile_set(tuple(profiles))
+    profiles = load_profiles()
     if not a.is_complete():
         raise DataError("cannot classify an audiogram with missing thresholds")
     grid = profiles[0].grid

@@ -42,10 +42,12 @@ from .pipeline import (
     DEFAULT_MIN_CLASS_FRACTION,
     DEFAULT_MIN_PTA,
     DEFAULT_SYNTHETIC_CLASSES,
+    MinClassCount,
+    MinClassFraction,
+    MinPta,
     RovingConfig,
     SyntheticConfig,
     apply_roving,
-    check_thresholds,
     feature_matrix,
     generate_synthetic_full,
     labels_of,
@@ -61,6 +63,7 @@ from .reporting import (
     importance_meta_jsonable,
     make_figures,
     sha256_file,
+    sweep_report_names,
     write_beeswarm_csv,
     write_importance_csv,
     write_manifest,
@@ -162,7 +165,8 @@ def _names(choices):
 
 def _as_conditions(value) -> list[list[float]]:
     """(mean, sd) pairs from a list of pairs or the flag's ``mean:sd`` list;
-    each number must lie in the domain of its ``RovingConfig`` field."""
+    each number must lie in the domain of its ``RovingConfig`` field, and
+    no two conditions may share a report name."""
     flag_form = isinstance(value, str)
     items = [chunk.split(":") for chunk in _split(value)] if flag_form else value
     if not isinstance(items, (list, tuple)):
@@ -183,6 +187,7 @@ def _as_conditions(value) -> list[list[float]]:
         pairs.append([float(v) for v in item])
     if not pairs:
         raise ConfigurationError("at least one roving condition is required")
+    sweep_report_names(pairs)
     return pairs
 
 
@@ -236,11 +241,12 @@ _TABLE: dict[str, tuple[str, tuple[Option, ...]]] = {
                path=True),
         Option("combined_csv", None, "single dataset carrying both sides per row", str,
                path=True),
-        Option("min_pta", DEFAULT_MIN_PTA, "exclude ears with pure-tone average below this"),
+        Option("min_pta", DEFAULT_MIN_PTA, "exclude ears with pure-tone average below this",
+               domain=MinPta),
         Option("min_class_fraction", DEFAULT_MIN_CLASS_FRACTION,
-               "prune classes under this share of records"),
+               "prune classes under this share of records", domain=MinClassFraction),
         Option("min_class_count", DEFAULT_MIN_CLASS_COUNT,
-               "prune classes under this record count"),
+               "prune classes under this record count", domain=MinClassCount),
     )),
     "rove": ("apply participant-level calibration offsets", (
         _DATA,
@@ -446,7 +452,6 @@ def _run_preprocess(options: dict, out_dir: Path) -> None:
         min_fraction=options["min_class_fraction"],
         min_count=options["min_class_count"],
     )
-    check_thresholds(**kwargs)  # before any file is read
     if options["combined_csv"]:
         records, summary = prepare_combined(load_csv(options["combined_csv"]), **kwargs)
         inputs = [options["combined_csv"]]

@@ -216,21 +216,24 @@ def _class_shapley(model: TrainedModel, X: np.ndarray, background: np.ndarray):
     """Shapley values ``(n, d, C)`` and bases ``(n, C)`` of every class score
     for each row of X.
 
-    dt and rf use TreeSHAP in the standardized space their trees split; the
-    scaler acts per feature, so composites of standardized rows are the
-    standardized composites. The other variants enumerate coalitions.
+    X and the background are standardized once, and every score is taken
+    in that space: the scaler acts per feature, so composites of
+    standardized rows are the standardized composites, bit for bit. dt and
+    rf use TreeSHAP, in the space their trees split; the other variants
+    enumerate coalitions.
     """
     n, d = X.shape
+    Z = model.scaler.transform(X)
+    z = model.scaler.transform(background)
     if isinstance(model.submodels[0], LeafVoteModel):
-        z = model.scaler.transform(background)
         tables = [m.leaf_table(d) for m in model.submodels]
         phi = np.array([
             np.stack([_tree_shap(table, x, z) for table in tables], axis=-1)
-            for x in model.scaler.transform(X)
+            for x in Z
         ])
-        base = model.predict_proba(background).mean(axis=0)
+        base = model.proba_standardized(z).mean(axis=0)
         return phi, np.tile(base, (n, 1))
-    values = [_coalition_values(model.predict_proba, x, background) for x in X]
+    values = [_coalition_values(model.proba_standardized, x, z) for x in Z]
     phi = np.array([_phi_from_values(v, d) for v in values])
     return phi, np.array([v[0] for v in values])
 

@@ -1,18 +1,19 @@
 """Classification metrics: balanced accuracy, F1 family, ROC/PR curves,
 confusion matrices, and the paired t-test used to compare classifiers.
 
-Every count comes from one count matrix over class indices
+Every score is a function of one count matrix over class indices
 (``count_matrix``): ``np.bincount`` tallies the (true, predicted) index
-pairs. The ``*_of`` functions score such a matrix; callers that already
-hold class indices, such as the cross-validation harness and permutation
-importance, call them directly. The label API (``balanced_accuracy``,
-``weighted_f1``, ``f1_per_class``, ``accuracy``, ``confusion``) maps its
-labels to indices once, with one dict lookup each, and calls the same
-functions. Degenerate 0/0 ratios resolve to 0 by convention; every such
-event raises a ``MetricWarning`` and increments ``degenerate_events`` so
-silent fallbacks cannot hide in aggregate numbers. Balanced accuracy
-likewise warns when it has to exclude a listed class with no true
-instances.
+pairs, and F1 of class c is 2 M[c, c] / (row c + column c). The ``*_of``
+functions score such a matrix; the harness and ``explain`` hold class
+indices and call them directly. Five label functions remain as adapters
+that map labels to indices once and call the same functions:
+``balanced_accuracy``, ``accuracy``, ``weighted_f1``, ``f1_per_class`` and
+``confusion``. No command calls them; they stay because the benchmark in
+``perfbench/`` wraps them by name and scores with ``balanced_accuracy``.
+Degenerate 0/0 ratios resolve to 0 by convention; every such event raises
+a ``MetricWarning`` and increments ``degenerate_events`` so silent
+fallbacks cannot hide in aggregate numbers. Balanced accuracy likewise
+warns when it has to exclude a listed class with no true instances.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ class MetricWarning(UserWarning):
     """A metric hit a documented degenerate case and applied its convention."""
 
 
-#: Counts degenerate events by name, e.g. "precision_zero_division".
+#: Counts degenerate events by name, e.g. "f1_zero_division".
 degenerate_events: Counter[str] = Counter()
 
 
@@ -90,78 +91,26 @@ def _check_lengths(y_true, y_pred) -> None:
         raise ShapeError("y_true and y_pred must have equal length")
 
 
-@dataclass(frozen=True)
-class BinaryCounts:
-    """Confusion counts of one binary problem."""
-
-    tp: int
-    tn: int
-    fp: int
-    fn: int
-
-    def __post_init__(self) -> None:
-        for name in ("tp", "tn", "fp", "fn"):
-            if getattr(self, name) < 0:
-                raise DataError(f"{name} must be non-negative")
-
-    @property
-    def total(self) -> int:
-        return self.tp + self.tn + self.fp + self.fn
-
-
-def _per_class_counts(matrix: np.ndarray) -> list[BinaryCounts]:
-    """One-vs-rest counts of every row/column of a count matrix."""
-    n = int(matrix.sum())
+def _f1(matrix: np.ndarray, indices) -> list[float]:
+    """F1 of the classes ``indices`` of a ``count_matrix``, class by class:
+    2 M[c, c] / (row c + column c), and 0 for a class that is never true
+    and never predicted."""
     hits = matrix.diagonal().tolist()
     true = matrix.sum(axis=1).tolist()
     predicted = matrix.sum(axis=0).tolist()
-    return [
-        BinaryCounts(tp, n - t - p + tp, p - tp, t - tp)
-        for tp, t, p in zip(hits, true, predicted)
-    ]
-
-
-def binary_counts(y_true, y_pred, positive) -> BinaryCounts:
-    _check_lengths(y_true, y_pred)
-    return _per_class_counts(_label_counts(y_true, y_pred, (positive,)))[0]
-
-
-def precision(counts: BinaryCounts) -> float:
-    denom = counts.tp + counts.fp
-    if denom == 0:
-        _degenerate("precision_zero_division", "no predicted positives; precision set to 0")
-        return 0.0
-    return counts.tp / denom
-
-
-def recall(counts: BinaryCounts) -> float:
-    denom = counts.tp + counts.fn
-    if denom == 0:
-        _degenerate("recall_zero_division", "no true positives exist; recall set to 0")
-        return 0.0
-    return counts.tp / denom
-
-
-def specificity(counts: BinaryCounts) -> float:
-    denom = counts.tn + counts.fp
-    if denom == 0:
-        _degenerate("specificity_zero_division", "no true negatives exist; specificity set to 0")
-        return 0.0
-    return counts.tn / denom
-
-
-def f1_from_counts(counts: BinaryCounts) -> float:
-    denom = 2 * counts.tp + counts.fp + counts.fn
-    if denom == 0:
-        _degenerate("f1_zero_division", "class never true and never predicted; F1 set to 0")
-        return 0.0
-    return 2 * counts.tp / denom
+    scores = []
+    for ci in indices:
+        denom = true[ci] + predicted[ci]
+        if denom == 0:
+            _degenerate("f1_zero_division", "class never true and never predicted; F1 set to 0")
+        scores.append(2 * hits[ci] / denom if denom else 0.0)
+    return scores
 
 
 def f1_of(matrix: np.ndarray) -> list[float]:
     """F1 of each of the k classes of a ``count_matrix``, class by class;
     0 for a class that is never true and never predicted."""
-    return [f1_from_counts(counts) for counts in _per_class_counts(matrix)[:-1]]
+    return _f1(matrix, range(len(matrix) - 1))
 
 
 def balanced_accuracy_of(matrix: np.ndarray, classes=None) -> float:
@@ -210,17 +159,17 @@ def weighted_f1_of(matrix: np.ndarray, t) -> float:
         raise UndefinedMetricError("weighted F1 needs at least one instance")
     t = np.asarray(t, dtype=np.intp)
     _, first = np.unique(t, return_index=True)
+    present = t[np.sort(first)].tolist()
     support = matrix.sum(axis=1).tolist()
-    per_class = _per_class_counts(matrix)
     return sum(
-        (support[ci] / n) * f1_from_counts(per_class[ci])
-        for ci in t[np.sort(first)].tolist()
+        (support[ci] / n) * f1 for ci, f1 in zip(present, _f1(matrix, present))
     )
 
 
 def f1_per_class(y_true, y_pred, cls) -> float:
     """F1 with ``cls`` as the positive class; 0 when the class never occurs."""
-    return f1_from_counts(binary_counts(y_true, y_pred, cls))
+    _check_lengths(y_true, y_pred)
+    return _f1(_label_counts(y_true, y_pred, (cls,)), (0,))[0]
 
 
 def balanced_accuracy(y_true, y_pred, classes=None) -> float:
@@ -278,6 +227,16 @@ def _binary_arrays(y_true, scores) -> tuple[np.ndarray, np.ndarray]:
     return y, s
 
 
+def _ranked_sweep(y: np.ndarray, s: np.ndarray):
+    """The distinct scores in descending order (a stable sort), and at each
+    one the positives and the records scored at or above it."""
+    order = np.argsort(-s, kind="stable")
+    s_sorted = s[order]
+    last_of_group = np.r_[np.diff(s_sorted) != 0, True]
+    tp = np.cumsum(y[order])[last_of_group]
+    return s_sorted[last_of_group], tp, np.flatnonzero(last_of_group) + 1.0
+
+
 def roc_curve(y_true, scores) -> tuple[CurvePoints, float]:
     """Threshold sweep over distinct scores plus a +inf sentinel.
 
@@ -289,17 +248,12 @@ def roc_curve(y_true, scores) -> tuple[CurvePoints, float]:
     n_neg = float(len(y) - n_pos)
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetricError("ROC needs at least one positive and one negative")
-    order = np.argsort(-s, kind="stable")
-    y_sorted = y[order]
-    s_sorted = s[order]
-    last_of_group = np.r_[np.diff(s_sorted) != 0, True]
-    tp = np.cumsum(y_sorted)[last_of_group]
-    fp = np.cumsum(1.0 - y_sorted)[last_of_group]
-    x = np.r_[0.0, fp / n_neg]
+    thresholds, tp, ranked = _ranked_sweep(y, s)
+    # Counts of 0/1 values are exact integers, so the difference is too.
+    x = np.r_[0.0, (ranked - tp) / n_neg]
     ycurve = np.r_[0.0, tp / n_pos]
-    thresholds = np.r_[np.inf, s_sorted[last_of_group]]
     auc = float(_trapezoid(ycurve, x))
-    return CurvePoints("roc", x, ycurve, thresholds), auc
+    return CurvePoints("roc", x, ycurve, np.r_[np.inf, thresholds]), auc
 
 
 def pr_curve(y_true, scores) -> tuple[CurvePoints, float]:
@@ -309,17 +263,11 @@ def pr_curve(y_true, scores) -> tuple[CurvePoints, float]:
     n_pos = float(y.sum())
     if n_pos == 0:
         raise UndefinedMetricError("average precision needs at least one positive")
-    order = np.argsort(-s, kind="stable")
-    y_sorted = y[order]
-    s_sorted = s[order]
-    last_of_group = np.r_[np.diff(s_sorted) != 0, True]
-    tp = np.cumsum(y_sorted)[last_of_group]
-    predicted = np.flatnonzero(last_of_group) + 1.0
-    precision_points = tp / predicted
+    thresholds, tp, ranked = _ranked_sweep(y, s)
+    precision_points = tp / ranked
     recall_points = tp / n_pos
     recall_steps = np.diff(np.r_[0.0, recall_points])
     ap = float(np.sum(recall_steps * precision_points))
-    thresholds = s_sorted[last_of_group]
     return CurvePoints("pr", recall_points, precision_points, thresholds), ap
 
 

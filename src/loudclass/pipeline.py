@@ -36,7 +36,7 @@ from .bisgaard import (
     pta,
     resample,
 )
-from .domains import AtLeast, AtMost, Seed, check_fields, domain
+from .domains import AtLeast, AtMost, Seed, check, check_fields, domain
 from .errors import (
     ConfigurationError,
     DataError,
@@ -71,6 +71,11 @@ EARS = ("left", "right")
 DEFAULT_MIN_PTA = 20.0
 DEFAULT_MIN_CLASS_FRACTION = 0.05
 DEFAULT_MIN_CLASS_COUNT = 35
+# The domains of the cascade's thresholds; the cascade and the preprocess
+# command's options check the same ones.
+MinPta = float
+MinClassFraction = Annotated[float, AtLeast(0), AtMost(1)]
+MinClassCount = Annotated[int, AtLeast(0)]
 
 DEFAULT_SYNTHETIC_CLASSES: tuple[BisgaardClass, ...] = (
     BisgaardClass.N2,
@@ -288,18 +293,6 @@ def filter_rare_classes(
     return survivors, tuple(sorted(keep))
 
 
-def check_thresholds(min_pta: float, min_fraction: float, min_count: int) -> None:
-    """Reject, as a ``ConfigurationError``, a cascade threshold outside its
-    domain: a non-finite ``min_pta``, a ``min_fraction`` outside [0, 1] or
-    a negative ``min_count``."""
-    if not math.isfinite(min_pta):
-        raise ConfigurationError(f"min_pta must be finite, got {min_pta}")
-    if not 0 <= min_fraction <= 1:
-        raise ConfigurationError(f"min_fraction must lie in [0, 1], got {min_fraction}")
-    if min_count < 0:
-        raise ConfigurationError(f"min_count must be >= 0, got {min_count}")
-
-
 def _label_and_filter(
     merged: list[EarRecord], input_counts: tuple[int, ...],
     min_pta: float, min_fraction: float, min_count: int,
@@ -309,7 +302,9 @@ def _label_and_filter(
     ``input_counts`` are the audiogram and the loudness ear counts, each
     before and after dropping incomplete records.
     """
-    check_thresholds(min_pta, min_fraction, min_count)
+    check("min_pta", min_pta, MinPta)
+    check("min_fraction", min_fraction, MinClassFraction)
+    check("min_count", min_count, MinClassCount)
     labeled = label_records(merged)
     after_pta = filter_pta(labeled, min_pta)
     final, class_set = filter_rare_classes(after_pta, min_fraction, min_count)

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from ._version import __version__
-from .errors import DataError
+from .errors import ConfigurationError, DataError
 from .explain import PermutationImportanceReport, ShapExplanation, beeswarm_export
 from .harness import ClassifierResult, ExperimentConfig, MetricsReport, SweepReport
 from .metrics import ConfusionMatrix
@@ -61,8 +61,20 @@ def _slug(label) -> str:
     return re.sub(r"[^A-Za-z0-9_.-]+", "-", str(label))
 
 
-def _num(value: float) -> str:
-    return f"{value:g}"
+def sweep_report_names(conditions) -> list[str]:
+    """The file name of each (mean, sd) condition's report, its numbers
+    written with ``:g``, which keeps six significant digits. Conditions whose
+    names coincide, a repeated condition included, would overwrite each
+    other's report, so they are a ``ConfigurationError``."""
+    names: dict[str, list] = {}
+    for mean, sd in conditions:
+        name = f"report_m{mean:g}_sd{sd:g}.json"
+        if name in names:
+            raise ConfigurationError(
+                f"conditions {names[name]} and {[mean, sd]} would both write {name}"
+            )
+        names[name] = [mean, sd]
+    return list(names)
 
 
 def experiment_config_jsonable(cfg: ExperimentConfig) -> dict:
@@ -210,8 +222,7 @@ def importance_meta_jsonable(report: PermutationImportanceReport) -> dict:
 def write_sweep(sweep: SweepReport, out_dir) -> None:
     """Per-condition reports plus the condition-indexed summary tables."""
     sweep_dir = Path(out_dir) / "sweep"
-    for (mean, sd), report in zip(sweep.conditions, sweep.reports):
-        name = f"report_m{_num(mean)}_sd{_num(sd)}.json"
+    for name, report in zip(sweep_report_names(sweep.conditions), sweep.reports):
         dump_json(report_to_jsonable(report), sweep_dir / name)
 
     auc_rows = [

@@ -137,10 +137,3 @@ def test_checksum_guard_fires(tmp_path, monkeypatch):
         monkeypatch.undo()
         mod.load_profiles.cache_clear()
 
-
-def test_explicit_path_round_trip(tmp_path):
-    src = (resources.files("loudclass.data") / "bisgaard_profiles.csv").read_text()
-    alt = tmp_path / "profiles.csv"
-    alt.write_text(src)
-    loaded = load_profiles(str(alt))
-    assert loaded == PROFILES

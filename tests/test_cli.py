@@ -262,9 +262,14 @@ def test_config_unknown_key_rejected(tmp_path, capsys):
     ("sweep", {"conditions": "5:1e400"},
      "sd of condition [5.0, inf] must be a finite number >= 0, got inf"),
     ("sweep", {"conditions": "0:0,5:x"}, "condition ['5', 'x']: could not convert"),
+    ("sweep", {"conditions": "0.1234567:0,0.1234568:0"},
+     "conditions [0.1234567, 0.0] and [0.1234568, 0.0] would both write "
+     "report_m0.123457_sd0.json"),
+    ("sweep", {"conditions": [[10, 5], [0, 0], [10, 5]]},
+     "conditions [10.0, 5.0] and [10.0, 5.0] would both write report_m10_sd5.json"),
 ], ids=["k-null", "k-word", "condition-null", "condition-beyond-float", "condition-bool",
         "condition-strings", "condition-inf", "condition-nan-text", "condition-overflow-text",
-        "condition-word-text"])
+        "condition-word-text", "condition-names-coincide", "condition-repeated"])
 def test_config_bad_value_is_exit_2(generated, command, config, message, capsys):
     cfg = generated / "cfg.json"
     cfg.write_text(json.dumps(config))
@@ -774,9 +779,11 @@ def test_option_outside_its_domain_is_exit_2_before_any_output(recorded_runs, tm
 
 @pytest.mark.parametrize("flag, value, message", [
     ("--min-pta", "nan", "min_pta must be a finite number, got nan"),
-    ("--min-class-fraction", "2", "min_fraction must lie in [0, 1], got 2.0"),
-    ("--min-class-fraction", "-0.5", "min_fraction must lie in [0, 1], got -0.5"),
-    ("--min-class-count", "-1", "min_count must be >= 0, got -1"),
+    ("--min-class-fraction", "2",
+     "min_class_fraction must be a finite number >= 0 and <= 1, got 2.0"),
+    ("--min-class-fraction", "-0.5",
+     "min_class_fraction must be a finite number >= 0 and <= 1, got -0.5"),
+    ("--min-class-count", "-1", "min_class_count must be an integer >= 0, got -1"),
 ])
 def test_preprocess_threshold_outside_its_domain_writes_no_labeled_json(tmp_path, capsys,
                                                                        flag, value, message):
@@ -791,8 +798,9 @@ def test_preprocess_threshold_outside_its_domain_writes_no_labeled_json(tmp_path
 
 @pytest.mark.parametrize("flag, value, message", [
     ("--min-pta", "inf", "min_pta must be a finite number, got inf"),
-    ("--min-class-fraction", "2", "min_fraction must lie in [0, 1], got 2.0"),
-    ("--min-class-count", "-1", "min_count must be >= 0, got -1"),
+    ("--min-class-fraction", "2",
+     "min_class_fraction must be a finite number >= 0 and <= 1, got 2.0"),
+    ("--min-class-count", "-1", "min_class_count must be an integer >= 0, got -1"),
 ])
 @pytest.mark.parametrize("inputs", ["combined", "split"])
 def test_preprocess_threshold_outside_its_domain_is_exit_2_before_any_file_is_read(
@@ -813,7 +821,7 @@ def test_readme_option_table_matches_the_declared_domains():
     declared: dict[tuple[str, str], list[str]] = {}
     for command, (_, options) in cli._TABLE.items():
         for option in options:
-            if get_origin(option.domain) is Annotated:
+            if get_origin(option.domain) is Annotated or option.domain in (int, float):
                 key = (option.flags[0], domain(option.domain)[0])
                 declared.setdefault(key, []).append(command)
     assert {(flag, takes): commands.split(", ") for flag, commands, takes in rows} == declared

@@ -14,28 +14,22 @@ from loudclass.errors import (
     UndefinedMetricError,
 )
 from loudclass.metrics import (
-    BinaryCounts,
     MetricWarning,
     accuracy,
     accuracy_of,
     balanced_accuracy,
     balanced_accuracy_of,
-    binary_counts,
     confusion,
     confusion_of,
     count_matrix,
     degenerate_events,
-    f1_from_counts,
     f1_of,
     f1_per_class,
     label_codes,
     micro_average_ovr,
     paired_t_test,
     pr_curve,
-    precision,
-    recall,
     roc_curve,
-    specificity,
     t_two_sided_p,
     weighted_f1,
     weighted_f1_of,
@@ -88,29 +82,36 @@ def test_confusion_example():
     assert cm.matrix.tolist() == [[1.0, 1.0], [0.0, 1.0]]
 
 
-# --- binary counting layer ---------------------------------------------------
+# --- one class against the rest of a count matrix ----------------------------
 
-def test_binary_counts_and_rates():
+def _one_vs_rest(matrix, ci):
+    """(tp, fp, tn, fn) of class ``ci`` of a count matrix."""
+    tp = int(matrix[ci, ci])
+    fp = int(matrix[:, ci].sum()) - tp
+    fn = int(matrix[ci].sum()) - tp
+    return tp, fp, int(matrix.sum()) - tp - fp - fn, fn
+
+
+def test_one_vs_rest_counts_rates_and_f1():
     y_true = [1, 1, 0, 0, 1]
     y_pred = [1, 0, 0, 1, 1]
-    c = binary_counts(y_true, y_pred, positive=1)
-    assert (c.tp, c.fp, c.tn, c.fn) == (2, 1, 1, 1)
-    assert precision(c) == pytest.approx(2 / 3)
-    assert recall(c) == pytest.approx(2 / 3)
-    assert specificity(c) == pytest.approx(1 / 2)
-    assert f1_from_counts(c) == pytest.approx(2 / 3)
+    matrix = count_matrix(y_true, y_pred, 2)
+    tp, fp, tn, fn = _one_vs_rest(matrix, 1)
+    assert (tp, fp, tn, fn) == (2, 1, 1, 1)
+    assert tp / (tp + fp) == pytest.approx(2 / 3)  # precision
+    assert tp / (tp + fn) == pytest.approx(2 / 3)  # recall
+    assert tn / (tn + fp) == pytest.approx(1 / 2)  # specificity
+    assert f1_of(matrix)[1] == pytest.approx(2 / 3)
 
 
 def test_zero_denominator_conventions():
+    # Class 1 is never true and never predicted: its F1 is 0/0.
     degenerate_events.clear()
-    c = BinaryCounts(tp=0, fp=0, tn=3, fn=0)
+    matrix = count_matrix([0, 0, 0], [0, 0, 0], 2)
+    assert _one_vs_rest(matrix, 1) == (0, 0, 3, 0)
     with pytest.warns(MetricWarning):
-        assert precision(c) == 0.0
-    with pytest.warns(MetricWarning):
-        assert recall(c) == 0.0
-    with pytest.warns(MetricWarning):
-        assert f1_from_counts(c) == 0.0
-    assert sum(degenerate_events.values()) >= 3
+        assert f1_of(matrix) == [1.0, 0.0]
+    assert degenerate_events["f1_zero_division"] == 1
 
 
 def test_balanced_accuracy_ignores_empty_class():
@@ -127,8 +128,9 @@ def test_labels_outside_the_class_set():
     # A listed class still counts its true instances predicted as an
     # unlisted label as misses.
     assert balanced_accuracy(["a", "a", "z"], ["a", "z", "a"], classes=["a"]) == 0.5
-    c = binary_counts(["a", "z", "y"], ["y", "z", "a"], positive="b")
-    assert (c.tp, c.tn, c.fp, c.fn) == (0, 3, 0, 0)
+    matrix = count_matrix(label_codes(["a", "z", "y"], ("b",)),
+                          label_codes(["y", "z", "a"], ("b",)), 1)
+    assert _one_vs_rest(matrix, 0) == (0, 0, 3, 0)
     with pytest.raises(DataError, match="label 'z' outside"):
         confusion(["a", "b", "a"], ["a", "z", "y"], classes=["a", "b"])
 
@@ -213,6 +215,40 @@ def test_class_index_core_reports_absent_classes_by_name():
 
 
 # --- property tests against oracles ------------------------------------------
+
+@st.composite
+def count_matrices(draw):
+    """A count matrix of 1 to 5 classes plus the pooled outside index, with
+    a random set of classes never true and another never predicted."""
+    k = draw(st.integers(1, 5))
+    size = k + 1
+    cells = draw(st.lists(st.integers(0, 5), min_size=size * size, max_size=size * size))
+    matrix = np.array(cells, dtype=np.intp).reshape(size, size)
+    never_true = draw(st.lists(st.booleans(), min_size=size, max_size=size))
+    never_predicted = draw(st.lists(st.booleans(), min_size=size, max_size=size))
+    matrix[np.array(never_true)] = 0
+    matrix[:, np.array(never_predicted)] = 0
+    return matrix
+
+
+@given(count_matrices(), st.randoms(use_true_random=False))
+def test_f1_of_matches_oracle_and_counts_each_empty_class_once(matrix, rng):
+    k = len(matrix) - 1
+    true, predicted = matrix.sum(axis=1), matrix.sum(axis=0)
+    scores, _, events = _observed(lambda: f1_of(matrix))
+    for ci in range(k):
+        tp, fp, _, fn = _one_vs_rest(matrix, ci)
+        assert scores[ci] == pytest.approx(oracles.f1_of(tp, fp, fn), abs=1e-12)
+    empty = sum(1 for ci in range(k) if true[ci] == 0 and predicted[ci] == 0)
+    assert events == Counter(f1_zero_division=empty)
+    if matrix.sum():
+        # The true class indices the matrix counts, in a random order.
+        t = np.repeat(np.arange(k + 1), true).tolist()
+        rng.shuffle(t)
+        _, _, events = _observed(lambda: weighted_f1_of(matrix, t))
+        assert events == Counter()
+
+
 
 @given(paired_labels())
 def test_balanced_accuracy_matches_oracle(pair):

@@ -167,12 +167,12 @@ def test_preprocess_summary_counts():
 
 @pytest.mark.parametrize("cascade", ["preprocess", "prepare_combined"])
 @pytest.mark.parametrize("threshold, message", [
-    ({"min_pta": math.nan}, "min_pta must be finite"),
-    ({"min_pta": math.inf}, "min_pta must be finite"),
-    ({"min_fraction": 2.0}, "min_fraction must lie in [0, 1]"),
-    ({"min_fraction": -0.1}, "min_fraction must lie in [0, 1]"),
-    ({"min_fraction": math.nan}, "min_fraction must lie in [0, 1]"),
-    ({"min_count": -1}, "min_count must be >= 0"),
+    ({"min_pta": math.nan}, "min_pta must be a finite number, got nan"),
+    ({"min_pta": math.inf}, "min_pta must be a finite number, got inf"),
+    ({"min_fraction": 2.0}, "min_fraction must be a finite number >= 0 and <= 1, got 2.0"),
+    ({"min_fraction": -0.1}, "min_fraction must be a finite number >= 0 and <= 1, got -0.1"),
+    ({"min_fraction": math.nan}, "min_fraction must be a finite number >= 0 and <= 1, got nan"),
+    ({"min_count": -1}, "min_count must be an integer >= 0, got -1"),
 ])
 def test_cascade_thresholds_outside_their_domain(cascade, threshold, message):
     ears, _ = generate_synthetic_full(SyntheticConfig(records_per_class=2, seed=4))

@@ -16,11 +16,6 @@ PROGRAM_DIRS = ("src", "scripts", "perfbench")
 
 # Defined names that no command uses, each kept for the reason given.
 EXEMPT = {
-    # Acceptance criterion 1 checks precision, recall and specificity of the
-    # label metric API against the oracles until that API is retired.
-    "metrics.precision",
-    "metrics.recall",
-    "metrics.specificity",
     # The README's Python API example prints report.designated.micro_auc.
     "harness.DesignatedDetail.micro_auc",
 }

@@ -8,7 +8,7 @@ import pytest
 import scipy
 
 from loudclass.classifiers import ClassifierSpec, fit
-from loudclass.errors import DataError
+from loudclass.errors import ConfigurationError, DataError
 from loudclass.explain import explain_model, importance_report
 from loudclass.harness import ExperimentConfig, roving_sweep, run_experiment
 from loudclass.loudness import FEATURE_NAMES
@@ -178,6 +178,15 @@ def test_write_sweep(tmp_path):
     assert {r["rove_mean"] for r in overlay} == {"0.0", "10.0"}
     importance = read_csv(sweep_dir / "perm_importance.csv")
     assert {r["split"] for r in importance} == {"train", "test"}
+
+
+def test_write_sweep_rejects_conditions_sharing_a_report_name(tmp_path):
+    # :g keeps six significant digits, so these two means name one file.
+    sweep = SimpleNamespace(conditions=((0.1234567, 0.0), (0.1234568, 0.0)),
+                            reports=[None, None])
+    with pytest.raises(ConfigurationError, match="both write report_m0.123457_sd0.json"):
+        write_sweep(sweep, tmp_path)
+    assert not (tmp_path / "sweep").exists()
 
 
 def test_micro_overlay_is_the_csv_writer_bytes(tmp_path):
