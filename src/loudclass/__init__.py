@@ -51,8 +51,6 @@ from .harness import (
 )
 from .loudness import (
     FEATURE_NAMES,
-    FrequencyFeatures,
-    LoudnessFeatureVector,
     LoudnessFunction,
     derive_features,
 )
@@ -83,10 +81,8 @@ __all__ = [
     "ExperimentConfig",
     "FEATURE_NAMES",
     "FoldPlan",
-    "FrequencyFeatures",
     "LabeledRecord",
     "LoudclassError",
-    "LoudnessFeatureVector",
     "LoudnessFunction",
     "NumericError",
     "OvrModel",

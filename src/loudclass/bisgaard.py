@@ -96,8 +96,6 @@ class Audiogram:
 
     frequencies: tuple[float, ...]
     thresholds: tuple[float, ...]
-    ear: str = "left"
-    participant_id: str = "anon"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "frequencies", tuple(float(f) for f in self.frequencies))
@@ -106,8 +104,6 @@ class Audiogram:
             raise ShapeError("frequencies and thresholds must have equal length")
         if any(b <= a for a, b in zip(self.frequencies, self.frequencies[1:])):
             raise ParameterError("frequencies must be strictly increasing")
-        if self.ear not in ("left", "right"):
-            raise ParameterError(f"ear must be 'left' or 'right', got {self.ear!r}")
 
     def is_complete(self) -> bool:
         return all(math.isfinite(t) for t in self.thresholds)
@@ -168,7 +164,7 @@ def resample(a: Audiogram, grid) -> Audiogram:
                 f"[{a.frequencies[0]}, {a.frequencies[-1]}] Hz"
             )
         out.append(_interp_log2(a, g))
-    return Audiogram(grid, tuple(out), ear=a.ear, participant_id=a.participant_id)
+    return Audiogram(grid, tuple(out))
 
 
 def _interp_log2(a: Audiogram, freq: float) -> float:

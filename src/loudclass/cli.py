@@ -34,7 +34,6 @@ from .harness import (
     roving_sweep,
     run_experiment,
 )
-from .loudness import FEATURE_NAMES
 from .metrics import sorted_labels
 from .pca import fit_pca, standardize, transform
 from .pipeline import (
@@ -480,7 +479,7 @@ def _run_pca(options: dict, out_dir: Path) -> None:
     model = fit_pca(Z, options["components"])
     scores = transform(model, Z)
     ids = [f"{r.participant_id}:{r.ear}" for r in records]
-    write_pca_outputs(model, scores, ids, out_dir, FEATURE_NAMES)
+    write_pca_outputs(model, scores, ids, out_dir)
     write_manifest(out_dir, "pca", options, [options["data"]])
 
 
@@ -541,15 +540,14 @@ def _run_explain(options: dict, out_dir: Path) -> None:
 
     count = min(options["max_records"], len(test_idx))
     explained = test_idx[:count]
-    agnostic, _ = explain_model(model, X[explained], background,
-                                feature_names=FEATURE_NAMES)
+    agnostic, _ = explain_model(model, X[explained], background)
     ids = [f"{records[i].participant_id}:{records[i].ear}" for i in explained]
     write_beeswarm_csv(agnostic, ids, out_dir / "shap_beeswarm.csv")
 
     imp = importance_report(
         model, X[train_idx], y_train, X[test_idx], y_test,
         repeats=options["perm_repeats"], metric=options["metric"],
-        seed=options["seed"], feature_names=FEATURE_NAMES,
+        seed=options["seed"],
     )
     write_importance_csv(imp, out_dir / "perm_importance.csv")
     dump_json(importance_meta_jsonable(imp), out_dir / "perm_importance_meta.json")

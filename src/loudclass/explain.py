@@ -35,7 +35,7 @@ from .classifiers import TrainedModel
 from .classifiers.tree import LeafVoteModel, leaf_boxes, tree_leaves, tree_predict
 from .domains import AtLeast, AtMost, OneOf, check
 from .errors import ConfigurationError, DataError, ShapeError
-from .loudness import FEATURE_NAMES
+from .loudness import column_name
 # accuracy and balanced_accuracy are unused here, but perfbench/spans.py
 # wraps this module's names.
 from .metrics import (  # noqa: F401
@@ -61,12 +61,6 @@ PermMetric = Annotated[str, OneOf(PERMUTATION_METRICS)]
 # take 0.78 GB.
 MAX_PERM_REPEATS = 10_000
 PermRepeats = Annotated[int, AtLeast(1), AtMost(MAX_PERM_REPEATS)]
-
-
-def default_feature_names(n_features: int) -> list[str]:
-    if n_features == len(FEATURE_NAMES):
-        return list(FEATURE_NAMES)
-    return [f"x{i}" for i in range(n_features)]
 
 
 @dataclass(frozen=True)
@@ -238,16 +232,15 @@ def _class_shapley(model: TrainedModel, X: np.ndarray, background: np.ndarray):
     return phi, np.array([v[0] for v in values])
 
 
-def explain_model(
-    model: TrainedModel, X, background, *, feature_names=None
-) -> tuple[ShapExplanation, dict]:
+def explain_model(model: TrainedModel, X, background) -> tuple[ShapExplanation, dict]:
     """Explain every row of X; returns the class-agnostic explanation and a
-    per-class dict of explanations sharing the same feature values."""
+    per-class dict of explanations sharing the same feature values. Features
+    are named by ``column_name``."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ShapeError("expected a 2-d feature matrix")
     X, background = _check_shapley_inputs(X, background)
-    names = tuple(feature_names) if feature_names else tuple(default_feature_names(X.shape[1]))
+    names = tuple(column_name(i, X.shape[1]) for i in range(X.shape[1]))
     phi, base = _class_shapley(model, X, background)
     agnostic = ShapExplanation(names, phi.mean(axis=2), base.mean(axis=1), X.copy())
     by_class = {
@@ -464,11 +457,11 @@ def importance_report(
     repeats: int = 10,
     metric: str = "balanced_accuracy",
     seed: int = 0,
-    feature_names=None,
 ) -> PermutationImportanceReport:
-    """Permutation importance on the training and test splits."""
+    """Permutation importance on the training and test splits; features are
+    named by ``column_name``."""
     d = np.asarray(X_train).shape[1]
-    names = tuple(feature_names) if feature_names else tuple(default_feature_names(d))
+    names = tuple(column_name(i, d) for i in range(d))
     train = permutation_importance(
         model, X_train, y_train, repeats=repeats, metric=metric, seed=seed,
         split="train",

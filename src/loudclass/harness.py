@@ -48,7 +48,6 @@ from .explain import (
     PermutationImportanceReport,
     importance_report,
 )
-from .loudness import FEATURE_NAMES
 # balanced_accuracy, confusion, f1_per_class, weighted_f1 and apply_roving
 # are unused here, but perfbench/spans.py wraps this module's names.
 from .metrics import (  # noqa: F401
@@ -360,7 +359,6 @@ def _fit_fold(context, task):
         repeats=cfg.perm_repeats,
         metric=cfg.perm_metric,
         seed=cfg.seed,
-        feature_names=FEATURE_NAMES,
     )
     return pred_train, pred_test, proba, report
 

@@ -45,9 +45,9 @@ from .errors import (
     SchemaError,
 )
 from .loudness import (
+    CENTER_FREQUENCIES_HZ,
     FEATURE_NAMES,
     LEVEL_FEATURE_INDICES,
-    LoudnessFeatureVector,
     LoudnessFunction,
     derive_features,
     validate_features,
@@ -87,29 +87,43 @@ DEFAULT_SYNTHETIC_CLASSES: tuple[BisgaardClass, ...] = (
 )
 
 
+def _as_features(values) -> tuple[float, ...]:
+    """``values`` as a record's features: twelve floats in ``FEATURE_NAMES``
+    order."""
+    features = tuple(map(float, values))
+    if len(features) != len(FEATURE_NAMES):
+        raise ParameterError(f"expected {len(FEATURE_NAMES)} values, got {len(features)}")
+    return features
+
+
 @dataclass(frozen=True)
 class EarRecord:
-    """One ear of one participant, holding at least one data side."""
+    """One ear of one participant, holding at least one data side. The
+    features, when present, are twelve floats in ``FEATURE_NAMES`` order,
+    NaN where a value is missing."""
 
     participant_id: str
     ear: str
     audiogram: Audiogram | None = None
-    features: LoudnessFeatureVector | None = None
+    features: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.audiogram is None and self.features is None:
             raise ParameterError(
                 f"ear {self.participant_id}/{self.ear} carries no data"
             )
+        if self.features is not None:
+            object.__setattr__(self, "features", _as_features(self.features))
 
 
 @dataclass(frozen=True)
 class LabeledRecord:
-    """Fully prepared record: features, class label, and pure-tone average."""
+    """Fully prepared record: features (twelve floats in ``FEATURE_NAMES``
+    order), class label, and pure-tone average."""
 
     participant_id: str
     ear: str
-    features: LoudnessFeatureVector
+    features: tuple[float, ...]
     label: BisgaardClass
     pta: float
 
@@ -118,10 +132,11 @@ class LabeledRecord:
             raise DataError(
                 f"ear of {self.participant_id} must be 'left' or 'right', got {self.ear!r}"
             )
+        object.__setattr__(self, "features", _as_features(self.features))
         _check_features(self.participant_id, self.ear, self.features)
 
 
-def _check_features(participant_id: str, ear: str, features: LoudnessFeatureVector) -> None:
+def _check_features(participant_id: str, ear: str, features) -> None:
     violations = validate_features(features)
     if violations:
         raise DataError(
@@ -207,8 +222,8 @@ class PreprocessSummary:
         return d
 
 
-def _features_complete(features: LoudnessFeatureVector) -> bool:
-    return all(math.isfinite(v) for v in features.as_tuple())
+def _features_complete(features: tuple[float, ...]) -> bool:
+    return all(map(math.isfinite, features))
 
 
 def drop_incomplete(records: list[EarRecord]) -> list[EarRecord]:
@@ -400,7 +415,7 @@ def rove_matrix(
         out[np.ix_(moved, levels)] += shift[moved, None]
     for i in np.flatnonzero(~np.isfinite(out[:, levels]).all(axis=1)).tolist():
         r = records[i]
-        _check_features(r.participant_id, r.ear, LoudnessFeatureVector.from_sequence(out[i]))
+        _check_features(r.participant_id, r.ear, out[i].tolist())
     return out
 
 
@@ -414,7 +429,7 @@ def apply_roving(records: list[LabeledRecord], cfg: RovingConfig) -> list[Labele
     roved = rove_matrix(X, records, cfg)
     moved = (roved != X).any(axis=1).tolist()
     return [
-        replace(r, features=LoudnessFeatureVector.from_sequence(row)) if m else r
+        replace(r, features=tuple(row.tolist())) if m else r
         for r, row, m in zip(records, roved, moved)
     ]
 
@@ -446,13 +461,11 @@ def _synthesize_ear(
 ) -> tuple[Audiogram, LabeledRecord]:
     jitter = rng.normal(0.0, cfg.jitter_sd, size=len(base_thresholds))
     thresholds = tuple(t + j for t, j in zip(base_thresholds, jitter))
-    audiogram = Audiogram(
-        THRESHOLD_FREQUENCIES_HZ, thresholds, ear=ear, participant_id=participant_id
-    )
+    audiogram = Audiogram(THRESHOLD_FREQUENCIES_HZ, thresholds)
     label, _ = classify(audiogram)
 
     blocks = []
-    for freq in (1500.0, 4000.0):
+    for freq in CENTER_FREQUENCIES_HZ:
         t = thresholds[THRESHOLD_FREQUENCIES_HZ.index(freq)]
         l2_5 = t + rng.normal(cfg.l2_5_offset_mean, cfg.l2_5_offset_sd)
         m_low = _clamp(M_LOW_INTERCEPT + M_LOW_SLOPE * t, M_LOW_BOUNDS)
@@ -463,9 +476,9 @@ def _synthesize_ear(
         reported_l_cut = l_cut + rng.normal(0.0, cfg.l_cut_noise_sd)
         blocks.append((fn, reported_l_cut))
 
-    features = derive_features(blocks[0][0], blocks[1][0]).with_l_cut(
-        blocks[0][1], blocks[1][1]
-    )
+    features = list(derive_features(blocks[0][0], blocks[1][0]))
+    for freq, (_, reported_l_cut) in zip(CENTER_FREQUENCIES_HZ, blocks):
+        features[FEATURE_NAMES.index(f"LCUT_{freq}")] = reported_l_cut
     record = LabeledRecord(participant_id, ear, features, label, pta(audiogram))
     return audiogram, record
 
@@ -508,15 +521,16 @@ def generate_synthetic(cfg: SyntheticConfig) -> list[LabeledRecord]:
 
 def feature_matrix(records: list[LabeledRecord]) -> np.ndarray:
     """(n, 12) float64 matrix in ``FEATURE_NAMES`` column order."""
-    return np.array([r.features.as_tuple() for r in records], dtype=np.float64)
+    return np.array([r.features for r in records], dtype=np.float64)
 
 
 def labels_of(records: list[LabeledRecord]) -> list[BisgaardClass]:
     return [r.label for r in records]
 
 
-def _parse_cell(value: str, line_number: int, column: str, annotation=None) -> float:
-    """The cell's number, NaN if empty; outside ``annotation``, a ``ParseError``."""
+def _parse_cell(value: str, line_number: int, column: str, annotation) -> float:
+    """The cell's number, NaN if empty or NaN; outside ``annotation``, a
+    ``ParseError``."""
     if value == "":
         return math.nan
     try:
@@ -525,7 +539,7 @@ def _parse_cell(value: str, line_number: int, column: str, annotation=None) -> f
         raise ParseError(
             f"column {column!r} has non-numeric value {value!r}", line_number
         ) from None
-    if annotation is not None and not math.isnan(number):
+    if not math.isnan(number):
         description, admits = domain(annotation)
         if not admits(number):
             raise ParseError(f"column {column!r} must be {description}, got {value!r}",
@@ -546,8 +560,8 @@ def load_csv(path) -> list[EarRecord]:
     before right, whatever the row order. Empty cells mark missing values:
     a fully empty block (all thresholds or all features) means that side is
     absent; a partially empty block keeps the side present with NaN gaps so
-    ``drop_incomplete`` can remove it. A threshold outside ``ThresholdDbHL``
-    is a ``ParseError`` naming its line and column.
+    ``drop_incomplete`` can remove it. A threshold outside ``ThresholdDbHL``,
+    or an infinite feature, is a ``ParseError`` naming its line and column.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -578,17 +592,14 @@ def load_csv(path) -> list[EarRecord]:
                 _parse_cell(v, line_number, c, ThresholdDbHL)
                 for v, c in zip(row[2:13], THRESHOLD_COLUMNS)
             ]
-            feature_values = [
-                _parse_cell(v, line_number, c) for v, c in zip(row[13:], FEATURE_NAMES)
+            features = [
+                _parse_cell(v, line_number, c, float) for v, c in zip(row[13:], FEATURE_NAMES)
             ]
             audiogram = None
             if any(not math.isnan(t) for t in thresholds):
-                audiogram = Audiogram(
-                    THRESHOLD_FREQUENCIES_HZ, thresholds, ear=ear, participant_id=pid
-                )
-            features = None
-            if any(not math.isnan(v) for v in feature_values):
-                features = LoudnessFeatureVector.from_sequence(feature_values)
+                audiogram = Audiogram(THRESHOLD_FREQUENCIES_HZ, thresholds)
+            if all(math.isnan(v) for v in features):
+                features = None
             if audiogram is None and features is None:
                 raise ParseError("row carries no data", line_number)
             by_ear = by_participant.setdefault(pid, {})
@@ -619,7 +630,7 @@ def write_csv(records: list[EarRecord], path) -> None:
             else:
                 thresholds = [""] * len(THRESHOLD_COLUMNS)
             if rec.features is not None:
-                features = [_format_cell(v) for v in rec.features.as_tuple()]
+                features = [_format_cell(v) for v in rec.features]
             else:
                 features = [""] * len(FEATURE_NAMES)
             writer.writerow([rec.participant_id, rec.ear, *thresholds, *features])
@@ -633,7 +644,7 @@ def write_labeled_json(records: list[LabeledRecord], path) -> None:
                 "ear": r.ear,
                 "label": r.label.name,
                 "pta": r.pta,
-                "features": r.features.as_dict(),
+                "features": dict(zip(FEATURE_NAMES, r.features)),
             }
             for r in records
         ]
@@ -674,9 +685,7 @@ def load_labeled_json(path) -> list[LabeledRecord]:
         try:
             if not isinstance(entry, dict) or not isinstance(entry["features"], dict):
                 raise TypeError("a record and its 'features' must be objects")
-            features = LoudnessFeatureVector.from_sequence(
-                _json_number(entry["features"][name], name) for name in FEATURE_NAMES
-            )
+            features = [_json_number(entry["features"][name], name) for name in FEATURE_NAMES]
             record = LabeledRecord(
                 participant_id=_json_string(entry["participant_id"], "participant_id"),
                 ear=_json_string(entry["ear"], "ear"),

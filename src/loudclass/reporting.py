@@ -26,6 +26,7 @@ from ._version import __version__
 from .errors import ConfigurationError, DataError
 from .explain import PermutationImportanceReport, ShapExplanation, beeswarm_export
 from .harness import ClassifierResult, ExperimentConfig, MetricsReport, SweepReport
+from .loudness import column_name
 from .metrics import ConfusionMatrix
 from .pca import PcaModel
 
@@ -272,14 +273,12 @@ def _write_overlay(sweep: SweepReport, path: Path) -> None:
             )
 
 
-def write_pca_outputs(model: PcaModel, scores: np.ndarray, record_ids, out_dir,
-                      feature_names) -> None:
+def write_pca_outputs(model: PcaModel, scores: np.ndarray, record_ids, out_dir) -> None:
     out_dir = Path(out_dir)
     k = model.n_components
     component_names = [f"pc{i + 1}" for i in range(k)]
-    loading_rows = [
-        (feature_names[fi], *model.loadings[fi, :]) for fi in range(len(feature_names))
-    ]
+    d = model.loadings.shape[0]
+    loading_rows = [(column_name(fi, d), *model.loadings[fi, :]) for fi in range(d)]
     score_rows = [
         (record_ids[ri], *scores[ri, :]) for ri in range(scores.shape[0])
     ]

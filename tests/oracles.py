@@ -17,13 +17,7 @@ from scipy.optimize import minimize
 # The package's own expit: the fused references are checked against split
 # arithmetic, bit for bit, which needs one expit on both sides.
 from loudclass.classifiers.linear import expit
-from loudclass.loudness import (
-    CU_MAX,
-    CU_MEDIUM,
-    CU_MIN,
-    FrequencyFeatures,
-    LoudnessFeatureVector,
-)
+from loudclass.loudness import CU_MAX, CU_MEDIUM, CU_MIN, FEATURE_NAMES
 from loudclass.optimize import C1, MAX_BACKTRACKS, MEMORY, SHRINK
 from loudclass.pipeline import _participant_normal
 
@@ -423,20 +417,28 @@ def participant_offset(cfg, participant_id: str) -> float:
     return cfg.mean + cfg.sd * _participant_normal(cfg.seed, participant_id)
 
 
-def shifted(v: LoudnessFeatureVector, offset: float) -> LoudnessFeatureVector:
-    """``v`` with every dB level moved by ``offset``; the slope fields are
-    carried over untouched, so they keep their bits."""
-    def shift(block: FrequencyFeatures) -> FrequencyFeatures:
-        return FrequencyFeatures(
-            l2_5=block.l2_5 + offset,
-            l25=block.l25 + offset,
-            l50=block.l50 + offset,
-            m_low=block.m_low,
-            m_high=block.m_high,
-            l_cut=block.l_cut + offset,
-        )
+def feature_violations(features: dict) -> list[str]:
+    """The names of the invariants that twelve features, keyed by name,
+    break: each level (a name not starting with ``M``) must be finite, each
+    slope positive and finite, and at each frequency L2.5 <= L25 <= L50."""
+    broken = []
+    for name, value in features.items():
+        if name.startswith("M") and not (math.isfinite(value) and value > 0):
+            broken.append(name)
+        elif not name.startswith("M") and not math.isfinite(value):
+            broken.append(name)
+    for freq in (1500, 4000):
+        if not features[f"L2.5_{freq}"] <= features[f"L25_{freq}"] <= features[f"L50_{freq}"]:
+            broken.append(f"level order at {freq} Hz")
+    return broken
 
-    return LoudnessFeatureVector(shift(v.f1500), shift(v.f4000))
+
+def shifted(features, offset: float) -> tuple[float, ...]:
+    """``features`` with every dB level moved by ``offset``. The levels are
+    the features whose names do not start with ``M``; the slopes are
+    carried over untouched, so they keep their bits."""
+    return tuple(value if name.startswith("M") else value + offset
+                 for name, value in zip(FEATURE_NAMES, features))
 
 
 # --- k nearest neighbors -----------------------------------------------------

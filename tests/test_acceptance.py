@@ -25,7 +25,6 @@ from loudclass.harness import (
 )
 from loudclass.loudness import (
     FEATURE_NAMES,
-    LoudnessFeatureVector,
     LoudnessFunction,
     derive_features,
 )
@@ -165,20 +164,20 @@ def test_criterion_3_roving_invariants(tmp_path):
     for mean, sd in DEFAULT_ROVING_CONDITIONS:
         roved = apply_roving(records, RovingConfig(mean, sd, seed=0))
         for a, b in zip(records, roved):
-            for fa, fb in ((a.features.f1500, b.features.f1500),
-                           (a.features.f4000, b.features.f4000)):
-                assert fb.m_low == fa.m_low
-                assert fb.m_high == fa.m_high
+            fa = dict(zip(FEATURE_NAMES, a.features))
+            fb = dict(zip(FEATURE_NAMES, b.features))
+            for freq in (1500, 4000):
+                assert fb[f"MLOW_{freq}"] == fa[f"MLOW_{freq}"]
+                assert fb[f"MHIGH_{freq}"] == fa[f"MHIGH_{freq}"]
             # cross-frequency level differences survive the shared offset
-            for attr in ("l2_5", "l25", "l50", "l_cut"):
-                before = getattr(a.features.f1500, attr) - getattr(
-                    a.features.f4000, attr)
-                after = getattr(b.features.f1500, attr) - getattr(
-                    b.features.f4000, attr)
+            for label in ("L2.5", "L25", "L50", "LCUT"):
+                before = fa[f"{label}_1500"] - fa[f"{label}_4000"]
+                after = fb[f"{label}_1500"] - fb[f"{label}_4000"]
                 assert abs(after - before) <= tol
+        l25 = FEATURE_NAMES.index("L25_1500")
         for i, j in paired:
-            before = records[i].features.f1500.l25 - records[j].features.f1500.l25
-            after = roved[i].features.f1500.l25 - roved[j].features.f1500.l25
+            before = records[i].features[l25] - records[j].features[l25]
+            after = roved[i].features[l25] - roved[j].features[l25]
             assert abs(after - before) <= tol
 
     plain = tmp_path / "plain.json"
@@ -359,8 +358,7 @@ def _cascade_fixture():
 
     template = derive_features(LoudnessFunction(77.5, 0.53, 1.25),
                                LoudnessFunction(80.0, 0.60, 1.40))
-    broken = LoudnessFeatureVector.from_sequence(
-        list(template.as_tuple())[:-1] + [float("nan")])
+    broken = template[:-1] + (float("nan"),)
 
     def threshold_row(pid: str, ear: str) -> np.ndarray:
         i = ear_index.get((pid, ear))
@@ -379,8 +377,7 @@ def _cascade_fixture():
         return np.full(len(grid), 30.0)
 
     audio_records = [
-        EarRecord(pid, ear, audiogram=Audiogram(grid, threshold_row(pid, ear),
-                                                ear=ear, participant_id=pid))
+        EarRecord(pid, ear, audiogram=Audiogram(grid, threshold_row(pid, ear)))
         for pid in (f"p{p:04d}" for p in range(1199))
         for ear in ("left", "right")
     ]

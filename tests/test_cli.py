@@ -22,7 +22,7 @@ from loudclass.classifiers import ClassifierSpec, load_model, ovr
 from loudclass.cli import COMMANDS, _resolve_options, build_parser, main
 from loudclass.domains import AtLeast, AtMost, OneOf, domain
 from loudclass.errors import DataError, NumericError
-from loudclass.loudness import LEVEL_FEATURE_INDICES, LoudnessFeatureVector
+from loudclass.loudness import FEATURE_NAMES, LEVEL_FEATURE_INDICES
 from loudclass.pipeline import (
     RovingConfig,
     SyntheticConfig,
@@ -139,11 +139,11 @@ def test_rove_with_alias_flags(generated):
     roved = load_labeled_json(generated / "labeled_roved.json")
     moved = 0
     for a, b in zip(plain, roved):
-        for fa, fb in ((a.features.f1500, b.features.f1500),
-                       (a.features.f4000, b.features.f4000)):
-            assert fb.m_low == fa.m_low
-            assert fb.m_high == fa.m_high
-            moved += fb.l25 != fa.l25
+        fa, fb = dict(zip(FEATURE_NAMES, a.features)), dict(zip(FEATURE_NAMES, b.features))
+        for freq in (1500, 4000):
+            assert fb[f"MLOW_{freq}"] == fa[f"MLOW_{freq}"]
+            assert fb[f"MHIGH_{freq}"] == fa[f"MHIGH_{freq}"]
+            moved += fb[f"L25_{freq}"] != fa[f"L25_{freq}"]
     assert moved > 0
 
 
@@ -181,7 +181,7 @@ def test_explain_query_whose_squared_norm_overflows_is_a_data_error(generated, c
     X[test_idx[0], [i for i in LEVEL_FEATURE_INDICES if i >= 6]] = 1e200
     data = generated / "huge.json"
     write_labeled_json(
-        [replace(r, features=LoudnessFeatureVector.from_sequence(row))
+        [replace(r, features=row)
          for r, row in zip(records, X)],
         data,
     )
@@ -636,7 +636,7 @@ def test_levels_whose_sd_overflows_are_a_data_error(generated, capsys):
     X[np.ix_(huge, LEVEL_FEATURE_INDICES)] *= 1e200
     data = generated / "huge.json"
     write_labeled_json(
-        [replace(r, features=LoudnessFeatureVector.from_sequence(row))
+        [replace(r, features=row)
          for r, row in zip(records, X)],
         data,
     )
@@ -1044,7 +1044,7 @@ def test_pca_on_levels_that_overflow_is_a_data_error(generated, capsys):
     X[:, LEVEL_FEATURE_INDICES] *= 1e305  # finite, but their column sums overflow
     data = generated / "huge.json"
     write_labeled_json(
-        [replace(r, features=LoudnessFeatureVector.from_sequence(row))
+        [replace(r, features=row)
          for r, row in zip(records, X)],
         data,
     )

@@ -123,7 +123,7 @@ def test_explain_model_shapes(rng):
     assert agnostic.n_records == 5
     assert set(by_class) == set(model.classes)
     assert by_class["a"].values.shape == (5, 4)
-    assert agnostic.feature_names == tuple(f"x{i}" for i in range(4))
+    assert agnostic.feature_names == tuple(f"column {i}" for i in range(4))
 
 
 # --- TreeSHAP ------------------------------------------------------------------
@@ -334,7 +334,7 @@ def test_importance_report_has_both_splits(rng):
     assert report.split("train").decreases.shape == (5, 3)
     with pytest.raises(KeyError):
         report.split("validation")
-    assert report.feature_names == tuple(f"x{i}" for i in range(5))
+    assert report.feature_names == tuple(f"column {i}" for i in range(5))
 
 
 def one_predict_per_copy(model, X, labels, repeats, seed):

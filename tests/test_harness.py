@@ -22,7 +22,6 @@ from loudclass.harness import (
     roving_sweep,
     run_experiment,
 )
-from loudclass.loudness import FEATURE_NAMES
 from loudclass.metrics import MetricWarning, sorted_labels
 from loudclass.pipeline import (
     RovingConfig,
@@ -330,7 +329,6 @@ def test_roving_sweep_importance_scores_the_plan0_fold0_model():
         want = importance_report(
             model, X[train_idx], y_train, X[test_idx], y_test,
             repeats=cfg.perm_repeats, metric=cfg.perm_metric, seed=cfg.seed,
-            feature_names=FEATURE_NAMES,
         )
         assert [s.split for s in got.splits] == [s.split for s in want.splits]
         for g, w in zip(got.splits, want.splits):

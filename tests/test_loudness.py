@@ -4,11 +4,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
-from loudclass.errors import DomainError, ParameterError
+from loudclass.errors import DomainError
 from loudclass.loudness import (
     FEATURE_NAMES,
     LEVEL_FEATURE_INDICES,
-    LoudnessFeatureVector,
     LoudnessFunction,
     derive_features,
     level_at_cu,
@@ -67,28 +66,17 @@ def test_feature_name_layout():
 
 
 def test_derive_features_matches_function():
-    v = derive_features(FN, LoudnessFunction(70.0, 0.4, 1.5))
-    assert v.f1500.l2_5 == pytest.approx(40.0)
-    assert v.f1500.l50 == pytest.approx(97.5)
-    assert v.f1500.l_cut == 85.0
-    assert v.f4000.m_high == 1.5
-    assert validate_features(v) == []
-
-
-def test_sequence_round_trip():
-    values = tuple(float(i) for i in range(12))
-    v = LoudnessFeatureVector.from_sequence(values)
-    assert v.as_tuple() == values
-    assert list(v.as_dict()) == list(FEATURE_NAMES)
-    with pytest.raises(ParameterError):
-        LoudnessFeatureVector.from_sequence(values[:11])
+    v = dict(zip(FEATURE_NAMES, derive_features(FN, LoudnessFunction(70.0, 0.4, 1.5))))
+    assert v["L2.5_1500"] == pytest.approx(40.0)
+    assert v["L50_1500"] == pytest.approx(97.5)
+    assert v["LCUT_1500"] == 85.0
+    assert v["MHIGH_4000"] == 1.5
+    assert validate_features(tuple(v.values())) == []
 
 
 def test_shifted_moves_levels_only():
-    v = derive_features(FN, LoudnessFunction(70.0, 0.4, 1.5))
-    moved = oracles.shifted(v, 7.25)
-    base = v.as_tuple()
-    out = moved.as_tuple()
+    base = derive_features(FN, LoudnessFunction(70.0, 0.4, 1.5))
+    out = oracles.shifted(base, 7.25)
     for i in LEVEL_FEATURE_INDICES:
         assert out[i] == base[i] + 7.25
     for i in SLOPE_FEATURE_INDICES:
@@ -97,12 +85,13 @@ def test_shifted_moves_levels_only():
 
 def test_validate_flags_bad_blocks():
     v = derive_features(FN, LoudnessFunction(70.0, 0.4, 1.5))
-    bad = LoudnessFeatureVector.from_sequence(
-        v.as_tuple()[:9] + (-1.0,) + v.as_tuple()[10:]
-    )
+    bad = v[:9] + (-1.0,) + v[10:]
     problems = validate_features(bad)
-    assert any("4000" in p and "m_low" in p for p in problems)
-    swapped = LoudnessFeatureVector.from_sequence(
-        (99.0,) + v.as_tuple()[1:]
-    )
+    assert any("4000" in p and "MLOW" in p for p in problems)
+    swapped = (99.0,) + v[1:]
     assert any("ordering" in p for p in validate_features(swapped))
+    assert problems == ["MLOW_4000 must be positive"]
+    assert validate_features(swapped) == [
+        "level ordering violated (need L2.5_1500 <= L25_1500 <= L50_1500)"]
+    assert validate_features((math.inf,) + v[1:5] + (math.nan,) + v[6:]) == [
+        "L2.5_1500 must be finite", "LCUT_1500 must be finite"]

@@ -1,9 +1,11 @@
+import json
 import math
 import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from loudclass.bisgaard import Audiogram, BisgaardClass, classify, load_profiles, pta
@@ -15,7 +17,7 @@ from loudclass.errors import (
     ParseError,
     SchemaError,
 )
-from loudclass.loudness import LEVEL_FEATURE_INDICES, LoudnessFeatureVector
+from loudclass.loudness import FEATURE_NAMES, LEVEL_FEATURE_INDICES
 from loudclass.pipeline import (
     CSV_COLUMNS,
     THRESHOLD_FREQUENCIES_HZ,
@@ -48,19 +50,16 @@ PROFILES = load_profiles()
 GRID = PROFILES[0].grid
 
 
-def _features(seed: int = 0) -> LoudnessFeatureVector:
+def _features(seed: int = 0) -> tuple[float, ...]:
     base = 30.0 + seed
-    return LoudnessFeatureVector.from_sequence(
-        (base, base + 30, base + 55, 0.4, 1.8, base + 40,
-         base + 5, base + 35, base + 60, 0.45, 1.9, base + 45)
-    )
+    return (base, base + 30, base + 55, 0.4, 1.8, base + 40,
+            base + 5, base + 35, base + 60, 0.45, 1.9, base + 45)
 
 
-def _audiogram(offset: float, pid: str = "p1", ear: str = "left") -> Audiogram:
+def _audiogram(offset: float) -> Audiogram:
     # N4 profile shifted; stays closest to N4 for small offsets.
     n4 = next(p for p in PROFILES if p.bisgaard_class is BisgaardClass.N4)
-    return Audiogram(GRID, tuple(t + offset for t in n4.thresholds), ear=ear,
-                     participant_id=pid)
+    return Audiogram(GRID, tuple(t + offset for t in n4.thresholds))
 
 
 # --- cascade stages ----------------------------------------------------------
@@ -72,20 +71,35 @@ def test_ear_record_needs_a_data_side():
         EarRecord("p3", "left")
 
 
+def test_records_hold_twelve_floats_in_feature_name_order(tmp_path):
+    values = tuple(float(i) for i in range(12))
+    record = LabeledRecord("p1", "left", np.arange(12.0), BisgaardClass.N4, 40.0)
+    assert record.features == values
+    assert all(type(v) is float for v in record.features)
+    assert EarRecord("p1", "left", features=list(values)).features == values
+    write_labeled_json([record], tmp_path / "labeled.json")
+    [written] = json.loads((tmp_path / "labeled.json").read_text())["records"]
+    assert written["features"] == dict(zip(FEATURE_NAMES, values))
+    for wrong in (values[:11], values + (12.0,)):
+        message = f"expected 12 values, got {len(wrong)}"
+        with pytest.raises(ParameterError, match=message):
+            LabeledRecord("p1", "left", wrong, BisgaardClass.N4, 40.0)
+        with pytest.raises(ParameterError, match=message):
+            EarRecord("p1", "left", features=wrong)
+
+
 def test_drop_incomplete_rules():
     good = EarRecord("p1", "left", _audiogram(0), _features())
     nan_threshold = EarRecord(
         "p2", "left",
-        Audiogram(GRID, (float("nan"),) + (10.0,) * 9, participant_id="p2"),
+        Audiogram(GRID, (float("nan"),) + (10.0,) * 9),
         None,
     )
     nan_feature = EarRecord(
         "p3", "left", None,
-        LoudnessFeatureVector.from_sequence(
-            (math.nan,) + _features().as_tuple()[1:]
-        ),
+        (math.nan,) + _features()[1:],
     )
-    one_sided = EarRecord("p4", "left", _audiogram(0, "p4"), None)
+    one_sided = EarRecord("p4", "left", _audiogram(0), None)
     kept = drop_incomplete([good, nan_threshold, nan_feature, one_sided])
     assert [r.participant_id for r in kept] == ["p1", "p4"]
 
@@ -93,8 +107,8 @@ def test_drop_incomplete_rules():
 def test_merge_inner_join():
     audio = [
         EarRecord("p1", "left", _audiogram(0), None),
-        EarRecord("p1", "right", _audiogram(0, ear="right"), None),
-        EarRecord("p2", "left", _audiogram(5, "p2"), None),
+        EarRecord("p1", "right", _audiogram(0), None),
+        EarRecord("p2", "left", _audiogram(5), None),
     ]
     loud = [
         EarRecord("p1", "left", None, _features()),
@@ -251,9 +265,7 @@ def test_rove_matrix_equals_roving_record_by_record(small_records, mean, sd, see
 
 def test_rove_matrix_invalid_row_keeps_the_record_error():
     # Levels near the float maximum overflow under a large offset.
-    big = LoudnessFeatureVector.from_sequence(
-        (1e308, 1.5e308, 1.7e308, 0.4, 1.8, 1.6e308) * 2
-    )
+    big = (1e308, 1.5e308, 1.7e308, 0.4, 1.8, 1.6e308) * 2
     records = [
         LabeledRecord("p1", "left", _features(), BisgaardClass.N4, 40.0),
         LabeledRecord("p2", "right", big, BisgaardClass.N4, 40.0),
@@ -350,7 +362,7 @@ def test_generator_labels_match_stored_audiograms():
 def test_zero_noise_collapses_classes(separable_records):
     by_class = {}
     for r in separable_records:
-        by_class.setdefault(r.label, set()).add(r.features.as_tuple())
+        by_class.setdefault(r.label, set()).add(r.features)
     assert all(len(v) == 1 for v in by_class.values())
     assert len(by_class) == 6
 
@@ -425,27 +437,67 @@ def test_csv_errors(tmp_path):
     assert "line 2" in str(info.value)
 
 
-def _csv_with_thresholds(path, cells):
-    path.write_text(",".join(CSV_COLUMNS) + "\n" + "p1,left," + ",".join(cells)
-                    + "," * 12 + "\n")
+def _one_row_csv(path, thresholds, features):
+    path.write_text(",".join(CSV_COLUMNS) + "\n"
+                    + ",".join(["p1", "left", *thresholds, *features]) + "\n")
     return path
 
 
-@pytest.mark.parametrize("cell", ["1e308", "120.5", "-10.5", "inf", "-inf"])
-def test_csv_threshold_outside_the_audiometric_range_is_a_parse_error(tmp_path, cell):
-    cells = ["10"] * len(THRESHOLD_FREQUENCIES_HZ)
-    cells[2] = cell
+_VALID_FEATURE_CELLS = ["40", "70", "90", "0.5", "1.5", "80"] * 2
+_CELL_DOMAINS = {"f500": "a finite number >= -10 and <= 120", "L25_4000": "a finite number"}
+
+
+@pytest.mark.parametrize("column, cell", [
+    *(("f500", cell) for cell in ["1e308", "120.5", "-10.5", "inf", "-inf"]),
+    *(("L25_4000", cell) for cell in ["inf", "-inf", "1e400"]),
+])
+def test_csv_cell_outside_its_domain_is_a_parse_error(tmp_path, column, cell):
+    cells = dict(zip(CSV_COLUMNS[2:], ["10"] * len(THRESHOLD_FREQUENCIES_HZ)
+                     + _VALID_FEATURE_CELLS))
+    cells[column] = cell
+    row = list(cells.values())
     with pytest.raises(ParseError, match=re.escape(
-            f"line 2: column 'f500' must be a finite number >= -10 and <= 120, "
-            f"got '{cell}'")):
-        load_csv(_csv_with_thresholds(tmp_path / "bad.csv", cells))
+            f"line 2: column '{column}' must be {_CELL_DOMAINS[column]}, got '{cell}'")):
+        load_csv(_one_row_csv(tmp_path / "bad.csv", row[:11], row[11:]))
 
 
-def test_csv_thresholds_on_the_audiometric_range_edges_load(tmp_path):
-    cells = ["-10", "120", "nan", ""] + ["10"] * (len(THRESHOLD_FREQUENCIES_HZ) - 4)
-    [rec] = load_csv(_csv_with_thresholds(tmp_path / "edges.csv", cells))
+def test_csv_range_edges_load_and_empty_or_nan_cells_are_missing(tmp_path):
+    thresholds = ["-10", "120", "nan", ""] + ["10"] * (len(THRESHOLD_FREQUENCIES_HZ) - 4)
+    features = ["40", "", "nan", "0.5", "1.5", "80"] * 2
+    [rec] = load_csv(_one_row_csv(tmp_path / "edges.csv", thresholds, features))
     assert rec.audiogram.thresholds[:2] == (-10.0, 120.0)
     assert all(map(math.isnan, rec.audiogram.thresholds[2:4]))
+    assert [math.isnan(v) for v in rec.features] == [False, True, True, False, False, False] * 2
+
+
+@st.composite
+def _feature_values(draw):
+    """Twelve feature values: a valid set with up to three entries replaced
+    by any float (NaN and infinities included) or by another entry."""
+    values = [draw(st.floats(0.125, 150.0)) for _ in FEATURE_NAMES]
+    for start in (0, 6):
+        values[start:start + 3] = sorted(values[start:start + 3])
+    for i in draw(st.lists(st.integers(0, 11), max_size=3)):
+        values[i] = draw(st.one_of(st.floats(), st.sampled_from(values)))
+    return values
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=_feature_values())
+def test_loading_rejects_exactly_the_features_the_oracle_rejects(tmp_path_factory, values):
+    features = dict(zip(FEATURE_NAMES, values))
+    folder = tmp_path_factory.mktemp("features")
+    (folder / "in.json").write_text(json.dumps({"records": [{
+        "participant_id": "p1", "ear": "left", "label": "N4", "pta": 40.0,
+        "features": features,
+    }]}))
+    if oracles.feature_violations(features):
+        with pytest.raises(DataError):
+            load_labeled_json(folder / "in.json")
+    else:
+        write_labeled_json(load_labeled_json(folder / "in.json"), folder / "out.json")
+        [record] = json.loads((folder / "out.json").read_text())["records"]
+        assert record["features"] == features
 
 
 def test_labeled_json_round_trip(tmp_path, small_records):
@@ -474,4 +526,4 @@ def test_feature_matrix_layout(small_records):
     assert X.shape == (len(small_records), 12)
     assert X.dtype == np.float64
     assert len(y) == len(small_records)
-    assert tuple(X[0]) == small_records[0].features.as_tuple()
+    assert tuple(X[0]) == small_records[0].features

@@ -216,9 +216,10 @@ def test_write_pca_outputs(small_records, tmp_path):
     model = fit_pca(Z, 2)
     scores = transform(model, Z)
     ids = [f"{r.participant_id}:{r.ear}" for r in small_records]
-    write_pca_outputs(model, scores, ids, tmp_path, FEATURE_NAMES)
+    write_pca_outputs(model, scores, ids, tmp_path)
     loadings = read_csv(tmp_path / "pca_loadings.csv")
     assert len(loadings) == 12
+    assert [row["feature"] for row in loadings] == list(FEATURE_NAMES)
     assert set(loadings[0]) == {"feature", "pc1", "pc2"}
     rows = read_csv(tmp_path / "pca_scores.csv")
     assert len(rows) == len(small_records)
@@ -230,9 +231,7 @@ def test_write_beeswarm_and_importance(small_records, tmp_path):
     X = feature_matrix(small_records)
     y = labels_of(small_records)
     model = fit(ClassifierSpec("dt"), X, y)
-    agnostic, _ = explain_model(
-        model, X[:3], X[3:20], feature_names=FEATURE_NAMES
-    )
+    agnostic, _ = explain_model(model, X[:3], X[3:20])
     ids = [f"{r.participant_id}:{r.ear}" for r in small_records[:3]]
     write_beeswarm_csv(agnostic, ids, tmp_path / "bee.csv")
     rows = read_csv(tmp_path / "bee.csv")
@@ -240,8 +239,7 @@ def test_write_beeswarm_and_importance(small_records, tmp_path):
     assert set(rows[0]) == {"record_id", "feature", "shap_value",
                             "feature_value", "rank"}
     imp = importance_report(model, X[:60], y[:60], X[60:], y[60:],
-                            repeats=2, metric="balanced_accuracy", seed=0,
-                            feature_names=FEATURE_NAMES)
+                            repeats=2, metric="balanced_accuracy", seed=0)
     write_importance_csv(imp, tmp_path / "imp.csv")
     rows = read_csv(tmp_path / "imp.csv")
     assert len(rows) == 2 * 12 * 2  # splits x features x repeats

@@ -87,11 +87,36 @@ def test_resource_usage_script(tmp_path):
         assert usage[key] >= 0, key
 
 
-def _bench_pairs():
-    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+def _script_module(name: str):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_compare_outputs_finds_no_difference_between_a_tree_and_itself(tmp_path, capsys):
+    compare = _script_module("compare_outputs")
+    work = tmp_path / "compare"
+    assert compare.main(["--parent", str(ROOT), "--change", str(ROOT), "--work-dir", str(work),
+                         "--per-class", "8", "--k", "3"]) == 0
+    assert "0 difference(s)" in capsys.readouterr().out
+    codes = json.loads((work / "change" / "exit_codes.json").read_text())
+    assert len(codes) == 22 and set(codes.values()) == {0}
+    assert (work / "parent" / "explain-nn" / "shap_beeswarm.csv").is_file()
+    assert (work / "change" / "report-sweep" / "figures" / "manifest.json").is_file()
+
+
+def test_compare_outputs_lists_files_that_differ_are_missing_or_are_new(tmp_path):
+    compare = _script_module("compare_outputs")
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for root, files in ((parent, {"same": "1", "a/differs": "1", "missing": "1"}),
+                        (change, {"same": "1", "a/differs": "2", "a/new": "1"})):
+        for name, text in files.items():
+            (root / name).parent.mkdir(parents=True, exist_ok=True)
+            (root / name).write_text(text)
+    assert compare.differences(parent, change) == {
+        "differ": ["a/differs"], "missing": ["missing"], "new": ["a/new"],
+    }
 
 
 def _run(seed, side, wall, auc, outputs, rc=0):
@@ -102,7 +127,7 @@ def _run(seed, side, wall, auc, outputs, rc=0):
 
 
 def test_bench_pairs_summary_on_canned_runs():
-    bench = _bench_pairs()
+    bench = _script_module("bench_pairs")
     assert bench.parse_seeds("1-3,7") == [1, 2, 3, 7]
     same, moved = {"a.csv": "1", "b.json": "2"}, {"a.csv": "1", "b.json": "3"}
     runs = [
