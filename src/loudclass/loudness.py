@@ -32,6 +32,9 @@ LEVEL_FEATURE_INDICES: tuple[int, ...] = tuple(
     i for i, (_, is_level) in enumerate(_BLOCK * len(CENTER_FREQUENCIES_HZ)) if is_level
 )
 
+# Positions within a block of the first three levels, which must not decrease.
+_ORDERED: tuple[int, ...] = LEVEL_FEATURE_INDICES[:3]
+
 
 def column_name(index: int, width: int) -> str:
     """How a message names column ``index`` of a matrix ``width`` columns
@@ -80,7 +83,7 @@ def level_at_cu(fn: LoudnessFunction, cu: float) -> float:
 
 def derive_features(fn_1500: LoudnessFunction, fn_4000: LoudnessFunction) -> tuple[float, ...]:
     """The twelve features of one loudness function per center frequency,
-    in ``FEATURE_NAMES`` order."""
+    in ``FEATURE_NAMES`` order: ``_BLOCK``'s labels, once per frequency."""
     return tuple(
         value
         for fn in (fn_1500, fn_4000)
@@ -102,7 +105,8 @@ def validate_features(features) -> list[str]:
                 violations.append(f"{name} must be finite")
             elif not is_level and not (math.isfinite(value) and value > 0):
                 violations.append(f"{name} must be positive")
-        l2_5, l25, l50 = block[:3]
-        if all(map(math.isfinite, (l2_5, l25, l50))) and not l2_5 <= l25 <= l50:
-            violations.append(f"level ordering violated (need {' <= '.join(names[:3])})")
+        low, mid, high = (block[i] for i in _ORDERED)
+        if all(map(math.isfinite, (low, mid, high))) and not low <= mid <= high:
+            ordered = " <= ".join(names[i] for i in _ORDERED)
+            violations.append(f"level ordering violated (need {ordered})")
     return violations

@@ -98,7 +98,7 @@ def test_compare_outputs_finds_no_difference_between_a_tree_and_itself(tmp_path,
     compare = _script_module("compare_outputs")
     work = tmp_path / "compare"
     assert compare.main(["--parent", str(ROOT), "--change", str(ROOT), "--work-dir", str(work),
-                         "--per-class", "8", "--k", "3"]) == 0
+                         "--per-class", "8"]) == 0
     assert "0 difference(s)" in capsys.readouterr().out
     codes = json.loads((work / "change" / "exit_codes.json").read_text())
     assert len(codes) == 22 and set(codes.values()) == {0}
@@ -117,6 +117,8 @@ def test_compare_outputs_lists_files_that_differ_are_missing_or_are_new(tmp_path
     assert compare.differences(parent, change) == {
         "differ": ["a/differs"], "missing": ["missing"], "new": ["a/new"],
     }
+    (parent / "exit_codes.json").write_text(json.dumps({"generate": 0, "pca": 3, "sweep": 2}))
+    assert compare.failures(parent) == ["pca (exit 3)", "sweep (exit 2)"]
 
 
 def _run(seed, side, wall, auc, outputs, rc=0):
