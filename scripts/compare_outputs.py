@@ -5,9 +5,9 @@
 
 Each tree runs the whole set in one child process, through
 ``loudclass.cli.main`` with ``PYTHONPATH=<tree>/src``: ``generate --csv``,
-``preprocess --combined-csv``, ``rove``, ``pca``, ``train`` and a small
-``explain`` (``--background 5 --max-records 2``) for each of the seven
-variants, ``evaluate`` with all seven, ``sweep --only lr,knn`` and
+``preprocess --combined-csv --min-class-count 5``, ``rove``, ``pca``,
+``train`` and a small ``explain`` (``--background 5 --max-records 2``) for
+each of the seven variants, ``evaluate`` with all seven, ``sweep --only lr,knn`` and
 ``report`` on the evaluate and the sweep outputs, all at seed 0 and, where
 cross-validated, with 3 folds. Both trees write into the
 same absolute path, ``<work-dir>/run``, which is then renamed to
@@ -42,8 +42,11 @@ def command_set(run: Path, per_class: int) -> list[tuple[str, list[str]]]:
     steps = [
         ("generate", ["generate", "--per-class", str(per_class), "--seed", SEED,
                       "--csv"]),
+        # The default class count of 35 would keep none of the smoke test's
+        # 8 ears a class.
         ("preprocess", ["preprocess", "--combined-csv",
-                        str(run / "generate" / "participants.csv")]),
+                        str(run / "generate" / "participants.csv"),
+                        "--min-class-count", "5"]),
         ("rove", ["rove", "--data", data, "--mean", "5", "--sd", "3"]),
         ("pca", ["pca", "--data", data]),
     ]

@@ -461,6 +461,13 @@ def _run_preprocess(options: dict, out_dir: Path) -> None:
             **kwargs,
         )
         inputs = [options["audiogram_csv"], options["loudness_csv"]]
+    if not records:
+        raise DataError(
+            f"no record is left after the class filter (min_class_count "
+            f"{options['min_class_count']}, min_class_fraction "
+            f"{options['min_class_fraction']}; {summary.after_pta_filter} records "
+            "passed the PTA filter)"
+        )
     write_labeled_json(records, out_dir / "labeled.json")
     dump_json(summary.as_dict(), out_dir / "preprocess_summary.json")
     write_manifest(out_dir, "preprocess", options, inputs)

@@ -10,15 +10,20 @@ is shared.
 The (classifier, plan, fold) fits of an experiment are independent and
 seeded on their own, so they run on every usable CPU in worker processes,
 forked once per command: a sweep hands the fits of all its conditions to
-one pool. Workers fit and predict, and in a sweep the worker that fits a
-condition's designated model also scores its permutation importance.
-Predictions travel as class indices into the sorted class list; the parent
-encodes the labels once and scores every fold from one count matrix of
-class indices (``metrics.count_matrix``). Every cross-validation metric is
-computed in the parent, in task order, so outputs, warnings and
-``metrics.degenerate_events`` do not depend on the number of workers;
-permutation importance can hit no degenerate case (see
-``_cross_validate``), so scoring it in a worker hides no event.
+one pool. The pool starts each condition's fits costliest variant first
+(``_COSTLIEST_FIRST``: nn, gb, svm, rf, dt, lr, knn), so that no long fit
+starts last and runs alone while the other workers have nothing left to
+do; ``scripts/resource_usage.py evaluate --only <variant>`` measures the
+costs again when a change moves one. Workers fit and predict, and in a
+sweep the worker that fits a condition's designated model also scores its
+permutation importance. Predictions travel as class indices into the sorted
+class list; the parent encodes the labels once and scores every fold from
+one count matrix of class indices (``metrics.count_matrix``). Every
+cross-validation metric is computed in the parent, in task order, so
+outputs, warnings and ``metrics.degenerate_events`` depend neither on the
+number of workers nor on the order the fits start in; permutation
+importance can hit no degenerate case (see ``_cross_validate``), so
+scoring it in a worker hides no event.
 
 ``run_experiment`` and ``roving_sweep`` only build their configs and call
 ``_cross_validate``, which roves every condition before it plans folds, so
@@ -28,11 +33,9 @@ both commands report a data error before a fold-plan error.
 from __future__ import annotations
 
 import functools
-import multiprocessing
 import os
 import threading
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass, field, replace
 from typing import Annotated
@@ -376,22 +379,32 @@ def _fit_fold_in_worker(task):
     return _fit_fold(_worker_context, task)
 
 
-def _fold_fits(context, tasks):
+def _fold_fits(context, tasks, start_key=lambda task: 0):
     """Yield ``_fit_fold(context, task)`` for every task, in task order.
 
     The tasks run in ``min(usable CPUs, tasks)`` worker processes forked
     from this one, so the workers inherit ``context`` and the imported
     modules instead of unpickling or importing them again. Every command
     calls this once, with all its tasks, so it forks one pool: ``sweep``
-    hands over the tasks of all its conditions together. A task's
-    exception is raised at its turn, so the first failure in task order is
-    the one raised, as when the tasks run one after another. They run
-    inline, in this process, with one worker, where the platform cannot
-    fork, and while other threads run: fork copies only the calling
+    hands over the tasks of all its conditions together. The pool starts
+    the tasks in the order of ``start_key(task)``, ties in task order: a
+    caller that starts its longest tasks first keeps a long task from
+    starting last and finishing alone (Graham's longest-processing-time
+    rule), as ``_cross_validate`` does with ``_COSTLIEST_FIRST``, whose
+    costs ``scripts/resource_usage.py evaluate --only <variant>`` measures
+    again. Whatever order they start in, a task's exception is raised at
+    its turn in task order, so the first failure in task order is the one
+    raised, as when the tasks run one after another. They run inline, in
+    task order and in this process, with one worker, where the platform
+    cannot fork, and while other threads run: fork copies only the calling
     thread, so a lock another thread holds would stay locked in the
     workers. Closing the generator shuts the pool down; a task that is
     already running finishes first.
     """
+    # Imported here, not with the module: only the commands that fit fork.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     workers = min(_usable_cpus(), len(tasks))
     if (
         workers < 2
@@ -408,11 +421,22 @@ def _fold_fits(context, tasks):
         initargs=(context,),
     )
     try:
-        futures = [pool.submit(_fit_fold_in_worker, task) for task in tasks]
+        futures = [None] * len(tasks)
+        for i in sorted(range(len(tasks)), key=lambda i: start_key(tasks[i])):
+            futures[i] = pool.submit(_fit_fold_in_worker, tasks[i])
         for future in futures:
             yield future.result()
     finally:
         pool.shutdown(cancel_futures=True)
+
+
+# The variants from the costliest fit to the cheapest, the order in which
+# the pool starts each config's fits. Measured as CPU seconds per fold fit
+# on 900 seed-0 ears at k = 3: nn 0.5-1.4, gb 0.25, svm 0.2, rf 0.09, and
+# dt, lr and knn under 0.02 each. A change that moves a variant's cost
+# re-checks this order with ``scripts/resource_usage.py evaluate --only
+# <variant>``; the order moves timing only, never an output.
+_COSTLIEST_FIRST = ("nn", "gb", "svm", "rf", "dt", "lr", "knn")
 
 
 def _cross_validate(cfg, configs, *, importance=False):
@@ -425,7 +449,9 @@ def _cross_validate(cfg, configs, *, importance=False):
     ``stage: fold-plan``. All (config, classifier, plan, fold) tasks go to
     one ``_fold_fits`` call, config-major, and the outcomes are read back
     in that order, so every metric is computed here in the order of a
-    serial run. Returns one (report, permutation importance) pair per
+    serial run. Within each config the pool starts the fits in
+    ``_COSTLIEST_FIRST`` order, so the configs still finish one after
+    another. Returns one (report, permutation importance) pair per
     config; the importance is None unless ``importance`` asks for the
     designated classifier's plan-0, fold-0 model to be scored (see
     ``_fit_fold``).
@@ -483,8 +509,11 @@ def _cross_validate(cfg, configs, *, importance=False):
         for plan_index, plan in enumerate(plans)
         for fold in range(plan.k)
     ]
+    cost_rank = [_COSTLIEST_FIRST.index(spec.variant) for spec in cfg.classifiers]
     codes = label_codes(y, classes)
-    with closing(_fold_fits(context, tasks)) as outcomes:
+    with closing(
+        _fold_fits(context, tasks, lambda task: (task[0], cost_rank[task[1]]))
+    ) as outcomes:
         return [
             _experiment_report(c, names, classes, y, codes, plans, outcomes)
             for c in configs

@@ -520,8 +520,10 @@ def generate_synthetic(cfg: SyntheticConfig) -> list[LabeledRecord]:
 
 
 def feature_matrix(records: list[LabeledRecord]) -> np.ndarray:
-    """(n, 12) float64 matrix in ``FEATURE_NAMES`` column order."""
-    return np.array([r.features for r in records], dtype=np.float64)
+    """(n, 12) float64 matrix in ``FEATURE_NAMES`` column order; (0, 12)
+    for no records."""
+    X = np.array([r.features for r in records], dtype=np.float64)
+    return X.reshape(len(records), len(FEATURE_NAMES))
 
 
 def labels_of(records: list[LabeledRecord]) -> list[BisgaardClass]:
@@ -680,6 +682,8 @@ def load_labeled_json(path) -> list[LabeledRecord]:
     records = payload.get("records") if isinstance(payload, dict) else None
     if not isinstance(records, list):
         raise SchemaError("expected a top-level object with a 'records' list")
+    if not records:
+        raise DataError("the 'records' list is empty")
     out = []
     for i, entry in enumerate(records):
         try:

@@ -637,6 +637,28 @@ def test_nn_value_and_gradient_match_fused_reference(seed, hidden, spread):
         assert np.array_equal(np.signbit(grad), np.signbit(g))
 
 
+def test_nn_matches_fused_reference_at_the_benchmark_shape():
+    # 600 training rows of the twelve features and the default (20, 10)
+    # network, as in a 900-ear evaluate at k = 3: at this size numpy's
+    # unrolled and pairwise reductions and the BLAS kernel tiles take part,
+    # which the small property cases above never reach.
+    rng = np.random.default_rng(34)
+    X = rng.normal(size=(600, 12))
+    y = (X[:, 0] + X[:, 5] + rng.normal(size=600) > 0.5).astype(float)
+    net = NeuralNetBinary(12, seed_key=(34,), max_iter=40)
+    iterations, _ = assert_fit_matches_fused_reference(net, X, y)
+    assert iterations == 40
+
+    theta = net.theta_ + 0.3 * rng.normal(size=len(net.theta_))
+    objective = neural._Objective(net.layout, net.alpha, X, y)
+    value = objective.value(theta)
+    grad = objective.gradient(theta)
+    fused_value, fused_grad = oracles.nn_loss_and_grad(theta, X, y, net.hidden, net.alpha)
+    assert value == fused_value
+    assert np.array_equal(grad, fused_grad)
+    assert np.array_equal(np.signbit(grad), np.signbit(fused_grad))
+
+
 def test_nn_gradient_only_at_the_point_last_valued():
     net, X, y = small_nn_problem(1, (4,), 1.0, 1, None, 1e-4)
     objective = neural._Objective(net.layout, net.alpha, X, y)

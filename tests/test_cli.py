@@ -393,6 +393,20 @@ def test_preprocess_combined_csv(tmp_path):
     assert str(src.resolve()) in manifest["inputs"]
 
 
+def test_preprocess_that_keeps_no_record_is_exit_3_before_any_write(tmp_path, capsys):
+    # 8 ears per class, each class below the default --min-class-count 35.
+    assert run("generate", "--out-dir", str(tmp_path / "g"), "--per-class", "8",
+               "--csv") == 0
+    out = tmp_path / "out"
+    rc = run("preprocess", "--out-dir", str(out),
+             "--combined-csv", str(tmp_path / "g" / "participants.csv"))
+    err = capsys.readouterr().err
+    assert rc == 3, err
+    assert "no record is left after the class filter (min_class_count 35, " \
+           "min_class_fraction 0.05; " in err
+    assert not out.exists()
+
+
 def test_generated_csv_at_default_noise_loads(tmp_path):
     assert run("generate", "--out-dir", str(tmp_path), "--per-class", "150", "--csv") == 0
     assert len(load_csv(tmp_path / "participants.csv")) == 6 * 150
@@ -964,6 +978,7 @@ def _set_feature(index, name, value):
 ], ids=lambda argv: argv[0])
 @pytest.mark.parametrize("edit, message", [
     (lambda payload: payload.update(records={"0": 1}), "a 'records' list"),
+    (lambda payload: payload.update(records=[]), "the 'records' list is empty"),
     (lambda payload: payload["records"].__setitem__(2, [1.0]), "record 2: "),
     (_set_record(2, "features", [1.0] * 12), "record 2: "),
     (_set_feature(2, "L50_4000", "loud"), "record 2: L50_4000 must be a number"),
@@ -979,10 +994,10 @@ def _set_feature(index, name, value):
     (_set_feature(2, "LCUT_4000", 10**400),
      "record 2: LCUT_4000 must be a number within the float range"),
     (_set_record(2, "pta", -10**400), "record 2: pta must be a number within the float range"),
-], ids=["records-not-a-list", "record-not-an-object", "features-not-an-object",
-        "feature-string", "feature-null", "feature-numeric-string", "pta-string",
-        "pta-null", "ear-middle", "id-null", "id-number", "ear-null", "label-null",
-        "feature-beyond-float", "pta-beyond-float"])
+], ids=["records-not-a-list", "records-empty", "record-not-an-object",
+        "features-not-an-object", "feature-string", "feature-null",
+        "feature-numeric-string", "pta-string", "pta-null", "ear-middle", "id-null",
+        "id-number", "ear-null", "label-null", "feature-beyond-float", "pta-beyond-float"])
 def test_malformed_labeled_json_is_a_data_error(generated, tmp_path, command, edit,
                                                 message, capsys):
     payload = json.loads((generated / "labeled.json").read_text())
@@ -998,14 +1013,16 @@ def test_malformed_labeled_json_is_a_data_error(generated, tmp_path, command, ed
 
 # Commands that fail before their first write: the arguments besides
 # --out-dir, the config file's content (or None) and the exit code. {data}
-# is a generated labeled.json, {huge} the same with a 400-digit feature.
+# is a generated labeled.json, {huge} the same with a 400-digit feature,
+# {empty} one whose 'records' list is empty.
 FAILED_BEFORE_WRITING = {
     "param-out-of-domain": (("evaluate", "--data", "{data}", "--param", "max_iter=0",
                              "--classifier", "lr"), None, 2),
     "missing-csv": (("preprocess", "--combined-csv", "{missing}"), None, 3),
-    **{f"{argv[0]}-feature-beyond-float": ((*argv, "--data", "{huge}"), None, 3)
+    **{f"{argv[0]}-{name}": ((*argv, "--data", f"{{{data}}}"), None, 3)
        for argv in [("pca",), ("rove",), ("train",), ("evaluate",),
-                    ("explain", "--classifier", "dt"), ("sweep",)]},
+                    ("explain", "--classifier", "dt"), ("sweep",)]
+       for name, data in [("feature-beyond-float", "huge"), ("no-records", "empty")]},
     "condition-beyond-float": (("sweep", "--data", "{data}"),
                                {"conditions": [[10**400, 5]]}, 2),
     "condition-bool": (("sweep", "--data", "{data}"), {"conditions": [[True, 5]]}, 2),
@@ -1020,8 +1037,9 @@ def test_command_failing_before_its_first_write_leaves_no_out_dir(
     payload = json.loads((generated / "labeled.json").read_text())
     _set_feature(0, "L2.5_1500", 10**400)(payload)
     (tmp_path / "huge.json").write_text(json.dumps(payload))
+    (tmp_path / "empty.json").write_text(json.dumps({"records": []}))
     paths = {"data": generated / "labeled.json", "huge": tmp_path / "huge.json",
-             "missing": tmp_path / "missing.csv"}
+             "empty": tmp_path / "empty.json", "missing": tmp_path / "missing.csv"}
     argv = [arg.format(**paths) for arg in argv]
     if config is not None:
         (tmp_path / "config.json").write_text(json.dumps(config))
@@ -1242,9 +1260,11 @@ def _outputs(out):
 @pytest.mark.parametrize("argv", [
     ("evaluate", "--only", "knn,lr,nn", "--classifier", "lr", "--k", "3",
      "--repeats", "2"),
+    # All seven, so the pool starts them in another order than the tasks'.
+    ("evaluate", "--classifier", "nn", "--k", "3"),
     ("sweep", "--only", "dt,lr", "--classifier", "lr", "--k", "3",
      "--conditions", "0:0,5:10"),
-], ids=["evaluate", "sweep"])
+], ids=["evaluate", "evaluate-all-variants", "sweep"])
 def test_outputs_do_not_depend_on_the_worker_count(generated, tmp_path, monkeypatch,
                                                    argv):
     outputs = {}
@@ -1304,6 +1324,37 @@ def test_worker_errors_match_the_inline_run(generated, tmp_path, monkeypatch, ca
         rc, err = failures[0]
         assert rc == 4
         assert "svm failed" in err and "stage: classifier svm" in err
+
+
+def test_the_first_failure_in_task_order_is_raised_whatever_starts_first(
+        generated, tmp_path, monkeypatch, capsys):
+    # dt's fits come first in task order, nn's start first in the pool.
+    fit = harness.fit
+    started = tmp_path / "started"
+
+    def broken(spec, X, y, **kwargs):
+        with open(started, "a") as fh:
+            fh.write(f"{spec.variant}\n")
+        if spec.variant in ("dt", "nn"):
+            raise NumericError(f"{spec.variant} failed")
+        return fit(spec, X, y, **kwargs)
+
+    monkeypatch.setattr(harness, "fit", broken)
+    failures = []
+    for workers in (1, 2):
+        monkeypatch.setattr(harness, "_usable_cpus", lambda n=workers: n)
+        started.unlink(missing_ok=True)
+        rc = run("evaluate", "--data", str(generated / "labeled.json"),
+                 "--out-dir", str(tmp_path / f"workers{workers}"), "--only", "dt,lr,nn",
+                 "--classifier", "lr", "--k", "3")
+        failures.append((rc, capsys.readouterr().err))
+        assert multiprocessing.active_children() == []
+        assert started.read_text().split()[0] == ("dt" if workers == 1 else "nn")
+    assert failures[0] == failures[1]
+    rc, err = failures[0]
+    assert rc == 4
+    assert "dt failed" in err and "stage: classifier dt" in err
+    assert "nn failed" not in err
 
 
 def test_sweep_rejects_perm_repeats_below_one_before_any_fit(generated, tmp_path,

@@ -1,3 +1,4 @@
+import concurrent.futures
 import multiprocessing
 import os
 import threading
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from loudclass import harness, metrics, pipeline
-from loudclass.classifiers import ClassifierSpec, fit
+from loudclass.classifiers import VARIANTS, ClassifierSpec, fit
 from loudclass.errors import ConfigurationError, DataError
 from loudclass.explain import importance_report
 from loudclass.harness import (
@@ -246,6 +247,60 @@ def test_fits_run_inline_while_other_threads_run(monkeypatch):
     assert report.results == run_experiment(fast_config()).results
 
 
+def recording_pool(submitted):
+    """A worker pool that appends each task it is handed to ``submitted``.
+    Its workers take the tasks in that order, so it is their start order."""
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def submit(self, fn, /, task):
+            submitted.append(task)
+            return super().submit(fn, task)
+
+    return RecordingPool
+
+
+def test_fold_fits_start_in_key_order_and_yield_in_task_order(monkeypatch):
+    submitted = []
+    pool = recording_pool(submitted)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+    monkeypatch.setattr(harness, "_fit_fold",
+                        lambda context, task: (context, task, os.getpid()))
+    tasks = [0, 1, 2, 3, 4]
+    outcomes = list(harness._fold_fits("context", tasks, lambda task: task % 2))
+    assert submitted == [0, 2, 4, 1, 3]
+    assert [(c, task) for c, task, _ in outcomes] == [("context", t) for t in tasks]
+    assert os.getpid() not in {pid for _, _, pid in outcomes}
+    assert multiprocessing.active_children() == []
+
+
+def test_each_config_starts_its_costliest_fits_first(monkeypatch):
+    cfg = fast_config(classifiers=default_classifier_specs(), k=3, designated="lr")
+    conditions = ((0.0, 0.0), (5.0, 5.0))
+    sweeps, submitted = [], []
+    pool = recording_pool(submitted)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+    for workers in (1, 2):
+        monkeypatch.setattr(harness, "_usable_cpus", lambda n=workers: n)
+        sweeps.append(roving_sweep(cfg, conditions=conditions))
+    # Tasks are (condition, classifier, plan, fold); each condition's block
+    # starts in cost order and the blocks start one after another.
+    assert [(c, VARIANTS[ci], fold) for c, ci, _, fold in submitted] == [
+        (c, variant, fold)
+        for c in range(len(conditions))
+        for variant in harness._COSTLIEST_FIRST
+        for fold in range(3)
+    ]
+    inline, pooled = sweeps
+    assert [r.results for r in pooled.reports] == [r.results for r in inline.reports]
+    assert [r.designated.roc_auc for r in pooled.reports] == [
+        r.designated.roc_auc for r in inline.reports
+    ]
+
+
+def test_the_cost_order_names_every_variant_once():
+    assert sorted(harness._COSTLIEST_FIRST) == sorted(VARIANTS)
+
+
 # --- roving sweep --------------------------------------------------------------------
 
 def test_default_conditions():
@@ -363,13 +418,14 @@ def test_roving_sweep_data_errors_carry_the_stage(monkeypatch):
 def test_roving_sweep_forks_one_pool_for_all_conditions(monkeypatch):
     pools = []
 
-    class CountedPool(harness.ProcessPoolExecutor):
+    class CountedPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
             pools.append(args)
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", CountedPool)
+    # _fold_fits imports the pool when it runs, from concurrent.futures.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
     sweep = roving_sweep(fast_config(), conditions=((0.0, 0.0), (5.0, 5.0), (10.0, 5.0)))
     assert len(pools) == 1
     assert len(sweep.reports) == len(sweep.importance) == 3

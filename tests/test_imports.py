@@ -65,6 +65,19 @@ def test_importing_the_cli_leaves_scipy_special_unloaded():
     assert python(code) is False
 
 
+def test_generate_leaves_the_worker_pool_modules_unloaded(tmp_path):
+    # Only the commands that cross-validate fork, so only they load these.
+    argv = ["generate", "--out-dir", str(tmp_path), "--per-class", "5"]
+    code = (
+        "import json, sys\n"
+        "from loudclass.cli import main\n"
+        "code = main(json.loads(sys.argv[1]))\n"
+        "print(json.dumps([code, 'multiprocessing' in sys.modules,\n"
+        "                  'concurrent.futures' in sys.modules]))\n"
+    )
+    assert python(code, json.dumps(argv)) == [0, False, False]
+
+
 def test_importing_the_cli_and_evaluating_leave_scipy_unloaded(tmp_path):
     data = tmp_path / "labeled.json"
     assert main(["generate", "--out-dir", str(tmp_path), "--per-class", "5"]) == 0
@@ -93,8 +106,9 @@ def test_commands_that_fit_no_logistic_model_leave_scipy_special_unloaded(tmp_pa
         ["generate", "--out-dir", str(tmp_path / "g"), "--per-class", "5"],
         ["rove", "--data", str(data), "--out-dir", str(tmp_path / "r"), "--mean", "5"],
         ["pca", "--data", str(data), "--out-dir", str(tmp_path / "p")],
+        # The default class count of 35 would keep none of 5 ears a class.
         ["preprocess", "--combined-csv", str(data.parent / "participants.csv"),
-         "--out-dir", str(tmp_path / "c")],
+         "--out-dir", str(tmp_path / "c"), "--min-class-count", "5"],
         ["report", "--in-dir", str(evaluated), "--out-dir", str(tmp_path / "f")],
         *(["explain", "--data", str(data), "--out-dir", str(tmp_path / name),
            "--classifier", name, "--k", "3", "--background", "5", "--max-records", "2"]

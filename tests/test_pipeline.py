@@ -527,3 +527,4 @@ def test_feature_matrix_layout(small_records):
     assert X.dtype == np.float64
     assert len(y) == len(small_records)
     assert tuple(X[0]) == small_records[0].features
+    assert feature_matrix([]).shape == (0, len(FEATURE_NAMES))
