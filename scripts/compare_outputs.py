@@ -9,7 +9,11 @@ Each tree runs the whole set in one child process, through
 ``train`` and a small ``explain`` (``--background 5 --max-records 2``) for
 each of the seven variants, ``evaluate`` with all seven, ``sweep --only lr,knn`` and
 ``report`` on the evaluate and the sweep outputs, all at seed 0 and, where
-cross-validated, with 3 folds. Both trees write into the
+cross-validated, with 3 folds. Then the three commands of ``perfbench/run.py``
+as it runs them, each at its own defaults: ``evaluate --classifier lr --k 3``,
+``explain --classifier rf --background 50 --max-records 4`` (10 folds) and
+``sweep --classifier lr --only lr,knn`` (the five default conditions, 10
+folds); at ``--per-class 150`` they read the benchmark's data. Both trees write into the
 same absolute path, ``<work-dir>/run``, which is then renamed to
 ``<work-dir>/parent`` or ``<work-dir>/change``, so manifests that record
 absolute paths can match. Each command's exit code is written to
@@ -62,6 +66,10 @@ def command_set(run: Path, per_class: int) -> list[tuple[str, list[str]]]:
                    "--seed", SEED]),
         ("report-evaluate", ["report", "--in-dir", str(run / "evaluate")]),
         ("report-sweep", ["report", "--in-dir", str(run / "sweep" / "sweep")]),
+        ("bench-evaluate", ["evaluate", "--data", data, "--classifier", "lr", "--k", "3"]),
+        ("bench-explain", ["explain", "--data", data, "--classifier", "rf",
+                           "--background", "50", "--max-records", "4"]),
+        ("bench-sweep", ["sweep", "--data", data, "--classifier", "lr", "--only", "lr,knn"]),
     ]
     return [(step, [argv[0], "--out-dir", str(run / step), *argv[1:]])
             for step, argv in steps]

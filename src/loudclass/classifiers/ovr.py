@@ -38,6 +38,7 @@ from ..errors import (
     SchemaError,
     ShapeError,
 )
+from ..files import dump_json
 from ..metrics import label_codes, sorted_labels
 from .base import TrainedModel
 from .boosting import GradientBoostingBinary
@@ -286,10 +287,7 @@ def model_from_jsonable(payload: dict) -> TrainedModel:
 
 
 def save_model(model: TrainedModel, path) -> None:
-    text = json.dumps(model_to_jsonable(model), sort_keys=True, indent=2) + "\n"
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
+    dump_json(model_to_jsonable(model), path)
 
 
 def load_model(path) -> TrainedModel:

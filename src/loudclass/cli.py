@@ -27,6 +27,7 @@ from .classifiers import VARIANTS, ClassifierSpec, fit, save_model
 from .errors import ConfigurationError, DataError, LoudclassError, NumericError
 from .domains import AtLeast, OneOf, Seed, check, field_annotations
 from .explain import PERMUTATION_METRICS, explain_model, importance_report
+from .files import dump_json, sha256_file
 from .harness import (
     DEFAULT_ROVING_CONDITIONS,
     ExperimentConfig,
@@ -58,10 +59,8 @@ from .pipeline import (
     write_labeled_json,
 )
 from .reporting import (
-    dump_json,
     importance_meta_jsonable,
     make_figures,
-    sha256_file,
     sweep_report_names,
     write_beeswarm_csv,
     write_importance_csv,
@@ -190,6 +189,17 @@ def _as_conditions(value) -> list[list[float]]:
     return pairs
 
 
+def _file_name(value):
+    """``--model-out``: a file name alone, so the model lands in --out-dir
+    and a replay into a fresh directory writes its own. A value that is not
+    a string is left to the option's domain."""
+    if isinstance(value, str) and (value in ("", ".", "..") or Path(value).name != value):
+        raise ConfigurationError(
+            f"model_out must be a file name with no directory part, got {value!r}"
+        )
+    return value
+
+
 _DATA = Option("data", None, "labeled records JSON", str, path=True)
 
 
@@ -260,8 +270,8 @@ _TABLE: dict[str, tuple[str, tuple[Option, ...]]] = {
     "train": ("fit one classifier on the full dataset", (
         _DATA,
         *_classifier_options("lr"),
-        Option("model_out", "model.json",
-               "model file name (relative paths land in --out-dir)"),
+        Option("model_out", "model.json", "model file name, written into --out-dir",
+               convert=_file_name),
     )),
     "evaluate": ("cross-validated comparison of classifiers", (
         _DATA,
@@ -498,10 +508,7 @@ def _classifier_spec(options: dict) -> ClassifierSpec:
 def _run_train(options: dict, out_dir: Path) -> None:
     records = load_labeled_json(options["data"])
     model = fit(_classifier_spec(options), feature_matrix(records), labels_of(records))
-    model_path = Path(options["model_out"])
-    if not model_path.is_absolute():
-        model_path = out_dir / model_path
-    save_model(model, model_path)
+    save_model(model, out_dir / options["model_out"])
     write_manifest(out_dir, "train", options, [options["data"]])
 
 
@@ -547,9 +554,9 @@ def _run_explain(options: dict, out_dir: Path) -> None:
 
     count = min(options["max_records"], len(test_idx))
     explained = test_idx[:count]
-    agnostic, _ = explain_model(model, X[explained], background)
+    phi, _ = explain_model(model, X[explained], background)
     ids = [f"{records[i].participant_id}:{records[i].ear}" for i in explained]
-    write_beeswarm_csv(agnostic, ids, out_dir / "shap_beeswarm.csv")
+    write_beeswarm_csv(phi, X[explained], ids, out_dir / "shap_beeswarm.csv")
 
     imp = importance_report(
         model, X[train_idx], y_train, X[test_idx], y_test,

@@ -4,7 +4,12 @@ Shapley values are interventional: the value of a coalition is the model
 output with the coalition's features taken from the explained record and
 the rest from a background row, averaged over the background sample. Both
 algorithms below are exact (no sampling), so the additivity, symmetry and
-null-player axioms hold to floating-point precision.
+null-player axioms hold to floating-point precision. ``explain_model``
+returns plain arrays: the values ``(records, features, classes)`` and the
+bases ``(records, classes)``, one ``exact_shapley`` pair per class
+probability (the per-output values of Lundberg & Lee 2017 and Strumbelj &
+Kononenko 2014). ``beeswarm_rows`` averages them over classes into the
+class-agnostic values the beeswarm plots.
 
 - dt and rf score a row by summing tree-leaf payloads, so their values come
   from interventional TreeSHAP (Lundberg et al. 2020, *From local
@@ -20,6 +25,9 @@ variants stack a feature's standardized copies and score them in one
 then re-route, per shuffled feature, only the rows whose shuffled value
 leaves the interval their leaf allows, which excludes every row whose tree
 path does not test that feature (see ``_leaf_sum_copies``).
+``permutation_importance`` returns one split's baseline score and
+``(features, repeats)`` decreases; ``importance_report`` keys both by split
+(``train``, then ``test``) in one ``PermutationImportanceReport``.
 """
 
 from __future__ import annotations
@@ -61,33 +69,6 @@ PermMetric = Annotated[str, OneOf(PERMUTATION_METRICS)]
 # take 0.78 GB.
 MAX_PERM_REPEATS = 10_000
 PermRepeats = Annotated[int, AtLeast(1), AtMost(MAX_PERM_REPEATS)]
-
-
-@dataclass(frozen=True)
-class ShapExplanation:
-    """Per-record, per-feature signed contributions in model-output units."""
-
-    feature_names: tuple[str, ...]
-    values: np.ndarray
-    base_values: np.ndarray
-    feature_values: np.ndarray
-
-    def __post_init__(self) -> None:
-        for name in ("values", "base_values", "feature_values"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        n, d = self.values.shape
-        if self.feature_values.shape != (n, d):
-            raise ShapeError("feature_values must match the values matrix")
-        if self.base_values.shape != (n,):
-            raise ShapeError("base_values must have one entry per record")
-        if len(self.feature_names) != d:
-            raise ShapeError("feature_names must match the feature count")
-
-    @property
-    def n_records(self) -> int:
-        return self.values.shape[0]
 
 
 @lru_cache(maxsize=4)
@@ -206,9 +187,11 @@ def exact_shapley(f, record, background) -> tuple[np.ndarray, float]:
     return _phi_from_values(v, records.shape[1]), float(v[0])
 
 
-def _class_shapley(model: TrainedModel, X: np.ndarray, background: np.ndarray):
-    """Shapley values ``(n, d, C)`` and bases ``(n, C)`` of every class score
-    for each row of X.
+def explain_model(model: TrainedModel, X, background) -> tuple[np.ndarray, np.ndarray]:
+    """Shapley values ``phi`` ``(n, d, C)`` and bases ``base`` ``(n, C)`` of
+    every class probability for each row of X, classes in ``model.classes``
+    order: ``phi[r, :, c]`` and ``base[r, c]`` are the pair ``exact_shapley``
+    gives for the output ``predict_proba(.)[:, c]`` on row r.
 
     X and the background are standardized once, and every score is taken
     in that space: the scaler acts per feature, so composites of
@@ -216,6 +199,10 @@ def _class_shapley(model: TrainedModel, X: np.ndarray, background: np.ndarray):
     rf use TreeSHAP, in the space their trees split; the other variants
     enumerate coalitions.
     """
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2:
+        raise ShapeError("expected a 2-d feature matrix")
+    X, background = _check_shapley_inputs(X, background)
     n, d = X.shape
     Z = model.scaler.transform(X)
     z = model.scaler.transform(background)
@@ -232,82 +219,40 @@ def _class_shapley(model: TrainedModel, X: np.ndarray, background: np.ndarray):
     return phi, np.array([v[0] for v in values])
 
 
-def explain_model(model: TrainedModel, X, background) -> tuple[ShapExplanation, dict]:
-    """Explain every row of X; returns the class-agnostic explanation and a
-    per-class dict of explanations sharing the same feature values. Features
-    are named by ``column_name``."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise ShapeError("expected a 2-d feature matrix")
-    X, background = _check_shapley_inputs(X, background)
-    names = tuple(column_name(i, X.shape[1]) for i in range(X.shape[1]))
-    phi, base = _class_shapley(model, X, background)
-    agnostic = ShapExplanation(names, phi.mean(axis=2), base.mean(axis=1), X.copy())
-    by_class = {
-        cls: ShapExplanation(names, phi[:, :, ci], base[:, ci], X.copy())
-        for ci, cls in enumerate(model.classes)
-    }
-    return agnostic, by_class
+def beeswarm_rows(phi: np.ndarray, X, record_ids):
+    """The beeswarm's rows ``(record_id, feature, shap_value, feature_value,
+    rank)``, one per (record, feature) of ``explain_model``'s ``phi`` for the
+    rows X.
 
-
-def beeswarm_ranking(explanation: ShapExplanation) -> list[int]:
-    """Feature indices by mean |value| descending, names ascending on ties."""
-    mean_abs = np.abs(explanation.values).mean(axis=0)
-    return sorted(
-        range(len(explanation.feature_names)),
-        key=lambda i: (-mean_abs[i], explanation.feature_names[i]),
+    The plotted values are class-agnostic: each is the mean over classes of
+    the per-class values. Features are ranked by their mean |value|
+    descending, ties by name ascending, and named by ``column_name``; each
+    feature's rows come in record order.
+    """
+    agnostic = phi.mean(axis=2)
+    n, d = agnostic.shape
+    if np.shape(X) != (n, d) or len(record_ids) != n:
+        raise ShapeError("X and record_ids must match phi's records and features")
+    names = [column_name(i, d) for i in range(d)]
+    mean_abs = np.abs(agnostic).mean(axis=0)
+    ranking = sorted(range(d), key=lambda i: (-mean_abs[i], names[i]))
+    return (
+        (record_ids[r], names[fi], float(agnostic[r, fi]), float(X[r, fi]), rank)
+        for rank, fi in enumerate(ranking, start=1)
+        for r in range(n)
     )
-
-
-def beeswarm_export(explanation: ShapExplanation, record_ids=None) -> list[dict]:
-    """Long-format plot rows: one per (record, feature), importance-ranked."""
-    n = explanation.n_records
-    if record_ids is None:
-        record_ids = list(range(n))
-    record_ids = list(record_ids)
-    if len(record_ids) != n:
-        raise ShapeError("record_ids must match the record count")
-    rows = []
-    for rank, fi in enumerate(beeswarm_ranking(explanation), start=1):
-        for r in range(n):
-            rows.append(
-                {
-                    "record_id": record_ids[r],
-                    "feature": explanation.feature_names[fi],
-                    "shap_value": float(explanation.values[r, fi]),
-                    "feature_value": float(explanation.feature_values[r, fi]),
-                    "rank": rank,
-                }
-            )
-    return rows
-
-
-@dataclass(frozen=True)
-class SplitImportance:
-    """Permutation results for one split: baseline and per-feature decreases."""
-
-    split: str
-    metric: str
-    baseline: float
-    decreases: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.decreases, dtype=np.float64)
-        arr.setflags(write=False)
-        object.__setattr__(self, "decreases", arr)
 
 
 @dataclass(frozen=True)
 class PermutationImportanceReport:
+    """Permutation importance of one model on each split, ``train`` then
+    ``test``: ``baselines[split]`` is the split's unshuffled score and
+    ``decreases[split]`` its ``(features, repeats)`` score decreases."""
+
     feature_names: tuple[str, ...]
     metric: str
-    splits: tuple[SplitImportance, ...]
-
-    def split(self, name: str) -> SplitImportance:
-        for s in self.splits:
-            if s.split == name:
-                return s
-        raise KeyError(name)
+    baselines: dict[str, float]
+    decreases: dict[str, np.ndarray]
 
 
 def permutation_importance(
@@ -318,9 +263,9 @@ def permutation_importance(
     repeats: int = 10,
     metric: str = "balanced_accuracy",
     seed: int = 0,
-    split: str = "test",
-) -> SplitImportance:
-    """Per-feature score drop when that column is shuffled, repeated.
+) -> tuple[float, np.ndarray]:
+    """The score of the unshuffled data and the ``(features, repeats)``
+    score drops when each column is shuffled, ``repeats`` times.
 
     Shuffle streams are keyed by (seed, feature, repeat), so results do
     not depend on evaluation order. Every copy is predicted as one
@@ -359,7 +304,7 @@ def permutation_importance(
     for fi, predicted in enumerate(predictions):
         for rep in range(repeats):
             decreases[fi, rep] = baseline - score(predicted[rep])
-    return SplitImportance(split, metric, baseline, decreases)
+    return baseline, decreases
 
 
 def _shuffles(seed: int, fi: int, repeats: int, n: int) -> np.ndarray:
@@ -461,13 +406,12 @@ def importance_report(
     """Permutation importance on the training and test splits; features are
     named by ``column_name``."""
     d = np.asarray(X_train).shape[1]
-    names = tuple(column_name(i, d) for i in range(d))
-    train = permutation_importance(
-        model, X_train, y_train, repeats=repeats, metric=metric, seed=seed,
-        split="train",
+    kwargs = dict(repeats=repeats, metric=metric, seed=seed)
+    train_baseline, train = permutation_importance(model, X_train, y_train, **kwargs)
+    test_baseline, test = permutation_importance(model, X_test, y_test, **kwargs)
+    return PermutationImportanceReport(
+        tuple(column_name(i, d) for i in range(d)),
+        metric,
+        {"train": train_baseline, "test": test_baseline},
+        {"train": train, "test": test},
     )
-    test = permutation_importance(
-        model, X_test, y_test, repeats=repeats, metric=metric, seed=seed,
-        split="test",
-    )
-    return PermutationImportanceReport(names, metric, (train, test))

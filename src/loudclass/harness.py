@@ -35,7 +35,6 @@ from __future__ import annotations
 import functools
 import os
 import threading
-from collections import Counter
 from contextlib import closing
 from dataclasses import dataclass, field, replace
 from typing import Annotated
@@ -180,26 +179,21 @@ class ExperimentConfig:
         object.__setattr__(self, "classifiers", tuple(self.classifiers))
         if not self.classifiers:
             raise ConfigurationError("at least one classifier is required")
+        variants = [spec.variant for spec in self.classifiers]
+        repeated = sorted({v for v in variants if variants.count(v) > 1})
+        if repeated:
+            raise ConfigurationError(
+                "each classifier variant may appear once; repeated: " + ", ".join(repeated)
+            )
         check_fields(self)
-
-
-def classifier_names(specs) -> list[str]:
-    """Unique display names; duplicate variants get #2, #3 suffixes."""
-    counts: Counter[str] = Counter()
-    names = []
-    for spec in specs:
-        counts[spec.variant] += 1
-        n = counts[spec.variant]
-        names.append(spec.variant if n == 1 else f"{spec.variant}#{n}")
-    return names
 
 
 @dataclass(frozen=True)
 class ClassifierResult:
-    """Per-fold scores for one classifier, folds ordered plan-major."""
+    """Per-fold scores for one classifier, named by its variant, folds
+    ordered plan-major."""
 
     name: str
-    variant: str
     train_ba: tuple[float, ...]
     test_ba: tuple[float, ...]
     train_wf1: tuple[float, ...]
@@ -479,7 +473,7 @@ def _cross_validate(cfg, configs, *, importance=False):
         raise _with_stage("fold-plan", exc)
 
     classes = tuple(sorted_labels(y))
-    names = classifier_names(cfg.classifiers)
+    names = [spec.variant for spec in cfg.classifiers]
     if cfg.designated not in names:
         raise ConfigurationError(
             f"designated classifier {cfg.designated!r} is not among: "
@@ -534,7 +528,7 @@ def _experiment_report(cfg, names, classes, y, codes, plans, outcomes):
     results = []
     designated_detail = None
     importance = None
-    for name, spec in zip(names, cfg.classifiers):
+    for name in names:
         train_ba, test_ba, train_wf1, test_wf1 = [], [], [], []
         test_f1 = []
         pooled_proba = np.empty((n, k))
@@ -564,7 +558,6 @@ def _experiment_report(cfg, names, classes, y, codes, plans, outcomes):
         results.append(
             ClassifierResult(
                 name,
-                spec.variant,
                 tuple(train_ba),
                 tuple(test_ba),
                 tuple(train_wf1),

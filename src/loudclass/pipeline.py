@@ -21,7 +21,6 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Annotated
 
 import numpy as np
@@ -44,6 +43,7 @@ from .errors import (
     ParseError,
     SchemaError,
 )
+from .files import dump_json, write_csv_rows
 from .loudness import (
     CENTER_FREQUENCIES_HZ,
     FEATURE_NAMES,
@@ -616,30 +616,28 @@ def load_csv(path) -> list[EarRecord]:
 def write_csv(records: list[EarRecord], path) -> None:
     """Inverse of ``load_csv``, one row per record in the given order;
     floats use shortest round-trip formatting."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for rec in records:
-            if rec.audiogram is not None:
-                if rec.audiogram.frequencies != THRESHOLD_FREQUENCIES_HZ:
-                    raise DataError(
-                        f"audiogram of {rec.participant_id}/{rec.ear} is not on "
-                        "the clinical frequency grid"
-                    )
-                thresholds = [_format_cell(t) for t in rec.audiogram.thresholds]
-            else:
-                thresholds = [""] * len(THRESHOLD_COLUMNS)
-            if rec.features is not None:
-                features = [_format_cell(v) for v in rec.features]
-            else:
-                features = [""] * len(FEATURE_NAMES)
-            writer.writerow([rec.participant_id, rec.ear, *thresholds, *features])
+    write_csv_rows(path, CSV_COLUMNS, (_csv_row(rec) for rec in records))
+
+
+def _csv_row(rec: EarRecord) -> list:
+    if rec.audiogram is not None:
+        if rec.audiogram.frequencies != THRESHOLD_FREQUENCIES_HZ:
+            raise DataError(
+                f"audiogram of {rec.participant_id}/{rec.ear} is not on "
+                "the clinical frequency grid"
+            )
+        thresholds = [_format_cell(t) for t in rec.audiogram.thresholds]
+    else:
+        thresholds = [""] * len(THRESHOLD_COLUMNS)
+    if rec.features is not None:
+        features = [_format_cell(v) for v in rec.features]
+    else:
+        features = [""] * len(FEATURE_NAMES)
+    return [rec.participant_id, rec.ear, *thresholds, *features]
 
 
 def write_labeled_json(records: list[LabeledRecord], path) -> None:
-    payload = {
+    dump_json({
         "records": [
             {
                 "participant_id": r.participant_id,
@@ -650,12 +648,7 @@ def write_labeled_json(records: list[LabeledRecord], path) -> None:
             }
             for r in records
         ]
-    }
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    }, path)
 
 
 def _json_number(value, what: str) -> float:

@@ -10,7 +10,6 @@ every byte.
 from __future__ import annotations
 
 import csv
-import hashlib
 import importlib.util
 import io
 import json
@@ -24,38 +23,12 @@ import numpy as np
 
 from ._version import __version__
 from .errors import ConfigurationError, DataError
-from .explain import PermutationImportanceReport, ShapExplanation, beeswarm_export
+from .explain import PermutationImportanceReport, beeswarm_rows
+from .files import dump_json, sha256_file, write_csv_rows
 from .harness import ClassifierResult, ExperimentConfig, MetricsReport, SweepReport
 from .loudness import column_name
 from .metrics import ConfusionMatrix
 from .pca import PcaModel
-
-
-def dump_json(payload, path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n",
-                    encoding="utf-8")
-
-
-def write_csv_rows(path, header, rows) -> None:
-    """Write ``header`` and ``rows`` as CSV. ``csv`` writes a float, numpy's
-    float64 included, as its shortest round-trip repr, and an int or a bool
-    as ``str`` does; no row holds None, which it would write as ''."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def sha256_file(path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
 
 
 def _slug(label) -> str:
@@ -97,7 +70,7 @@ def report_to_jsonable(report: MetricsReport) -> dict:
     classifiers = {}
     for result in report.results:
         classifiers[result.name] = {
-            "variant": result.variant,
+            "variant": result.name,
             "train_balanced_accuracy": _score_block(result.train_ba),
             "test_balanced_accuracy": _score_block(result.test_ba),
             "train_weighted_f1": _score_block(result.train_wf1),
@@ -186,26 +159,18 @@ def write_report(report: MetricsReport, out_dir) -> None:
     _write_curve_csvs(out_dir, detail)
 
 
-def write_beeswarm_csv(explanation: ShapExplanation, record_ids, path) -> None:
-    rows = beeswarm_export(explanation, record_ids)
-    write_csv_rows(
-        path,
-        ("record_id", "feature", "shap_value", "feature_value", "rank"),
-        [
-            (r["record_id"], r["feature"], r["shap_value"], r["feature_value"], r["rank"])
-            for r in rows
-        ],
-    )
+def write_beeswarm_csv(phi: np.ndarray, X: np.ndarray, record_ids, path) -> None:
+    write_csv_rows(path, ("record_id", "feature", "shap_value", "feature_value", "rank"),
+                   beeswarm_rows(phi, X, record_ids))
 
 
 def _importance_rows(report: PermutationImportanceReport):
     """(feature, split, repeat, decrease) for every permuted feature."""
-    for split in report.splits:
-        d, repeats = split.decreases.shape
+    for split, decreases in report.decreases.items():
+        d, repeats = decreases.shape
         for fi in range(d):
             for rep in range(repeats):
-                yield (report.feature_names[fi], split.split, rep,
-                       float(split.decreases[fi, rep]))
+                yield (report.feature_names[fi], split, rep, float(decreases[fi, rep]))
 
 
 def write_importance_csv(report: PermutationImportanceReport, path) -> None:
@@ -214,10 +179,7 @@ def write_importance_csv(report: PermutationImportanceReport, path) -> None:
 
 
 def importance_meta_jsonable(report: PermutationImportanceReport) -> dict:
-    return {
-        "metric": report.metric,
-        "baselines": {s.split: s.baseline for s in report.splits},
-    }
+    return {"metric": report.metric, "baselines": report.baselines}
 
 
 def write_sweep(sweep: SweepReport, out_dir) -> None:

@@ -288,7 +288,7 @@ def test_criterion_6_explainability():
         rep = importance_report(m, X[train], y[train], X[test], y[test],
                                 repeats=5, metric="balanced_accuracy",
                                 seed=seed)
-        hits += int(np.argmax(np.median(rep.split("test").decreases, axis=1)) == 2)
+        hits += int(np.argmax(np.median(rep.decreases["test"], axis=1)) == 2)
     assert hits >= 19, f"informative feature ranked first in {hits}/20 runs"
 
 
@@ -317,7 +317,7 @@ def test_criterion_7_soft_paper_shape():
             f"roved micro-AUC {aucs[(10.0, 5.0)]:.3f} exceeds "
             f"no-roving {aucs[(0.0, 0.0)]:.3f} + 0.05"
         )
-    medians = np.median(sweep.importance[0].split("test").decreases, axis=1)
+    medians = np.median(sweep.importance[0].decreases["test"], axis=1)
     ranking = np.argsort(medians)[::-1]
     top3 = {FEATURE_NAMES[i] for i in ranking[:3]}
     if not top3 & {"L2.5_1500", "L2.5_4000"}:

@@ -123,6 +123,30 @@ def test_train_param_overrides(generated):
     assert (generated / "knn.json").exists()
 
 
+@pytest.mark.parametrize("model_out", ["<abs>", "../m.json", "sub/m.json", "", ".", ".."])
+def test_model_out_that_is_not_a_file_name_is_exit_2_and_writes_nothing(tmp_path, capsys,
+                                                                      model_out):
+    # With an absent --data, a lost check ends the run with exit 3.
+    if model_out == "<abs>":
+        model_out = str(tmp_path / "elsewhere" / "m.json")
+    rc = run("train", "--out-dir", str(tmp_path / "out"), "--data",
+             str(tmp_path / "absent.json"), "--classifier", "dt", "--model-out", model_out)
+    assert rc == 2
+    assert (f"model_out must be a file name with no directory part, got {model_out!r}"
+            in capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["evaluate", "sweep"])
+def test_a_repeated_variant_is_exit_2_before_any_data_is_read(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    rc = run(command, "--out-dir", str(out), "--data", str(tmp_path / "absent.json"),
+             "--only", "lr,dt,lr", "--k", "3")
+    assert rc == 2
+    assert "each classifier variant may appear once; repeated: lr" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_pca_outputs(generated):
     rc = run("pca", "--out-dir", str(generated), "--components", "3")
     assert rc == 0
@@ -1197,7 +1221,7 @@ HELP_SHA256 = {
     "preprocess": "88d835c663812883bc60eb2bf5a13757f91e2d9c46788be720cc2875491853a4",
     "rove": "190f93bfdafd86ba88a405e4bbee76e4a96a65faf2c65274fb766ff1f52c94a9",
     "pca": "2ab0fae734e5757a3732001129b8f52c6c570b7a8343a77697ec8cd1cf8e3319",
-    "train": "e3db4f8a3dd369af77d7ff2e723c703a98f554b0341380f495faee55fdf1f3c8",
+    "train": "14a103ad30b6155cb9daab9ad1893f7cdd24001a57387627202c455db96218ef",
     "evaluate": "f1784982a5c85dc4baf74e315bf063f476e204513f179f6318988bcb5171965b",
     "explain": "6630fd778e9032b921ad77e5ee7992f2e40d9b200af851f67ca89445d413f5e3",
     "sweep": "a4e96f12e3a3562033ce57f5eb3f47b9501443803f4c51ec4a8e67a624f4cda0",

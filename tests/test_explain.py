@@ -3,20 +3,19 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import oracles
-from loudclass.classifiers import ClassifierSpec, fit, ovr
+from loudclass.classifiers import VARIANTS, ClassifierSpec, fit, ovr
 from loudclass.classifiers.tree import LeafVoteModel, TreeNode, leaf_boxes, tree_predict
 from loudclass.errors import ConfigurationError, DataError, ShapeError
 from loudclass.explain import (
-    ShapExplanation,
     _tree_shap,
-    beeswarm_export,
-    beeswarm_ranking,
+    beeswarm_rows,
     exact_shapley,
     explain_model,
     importance_report,
     permutation_importance,
 )
-from loudclass.metrics import balanced_accuracy
+from loudclass.loudness import FEATURE_NAMES
+from loudclass.metrics import accuracy, balanced_accuracy
 
 
 def nonlinear_f(X):
@@ -102,28 +101,30 @@ def test_class_agnostic_additivity(rng):
     background = X[::3]
     record = X[4]
 
-    agnostic, by_class = explain_model(model, record[None, :], background)
+    phi, base = explain_model(model, record[None, :], background)
     proba = model.predict_proba(record[None, :])[0]
-    for j, cls in enumerate(model.classes):
-        phi_c, base_c = by_class[cls].values[0], by_class[cls].base_values[0]
-        assert phi_c.sum() + base_c == pytest.approx(proba[j], abs=1e-9)
-    stacked = np.vstack([by_class[c].values[0] for c in model.classes])
-    mean_phi, mean_base = agnostic.values[0], agnostic.base_values[0]
+    for j in range(len(model.classes)):
+        assert phi[0, :, j].sum() + base[0, j] == pytest.approx(proba[j], abs=1e-9)
+    # The beeswarm plots the class-agnostic values: the mean over classes.
+    rows = list(beeswarm_rows(phi, record[None, :], ["r"]))
+    plotted = {feature: value for _, feature, value, _, _ in rows}
+    stacked = phi[0].T
+    mean_phi = [plotted[f"column {i}"] for i in range(3)]
     assert mean_phi == pytest.approx(stacked.mean(axis=0), abs=1e-12)
-    assert mean_phi.sum() + mean_base == pytest.approx(proba.mean(), abs=1e-9)
+    assert sum(mean_phi) + base[0].mean() == pytest.approx(proba.mean(), abs=1e-9)
 
 
 def test_explain_model_shapes(rng):
     X = rng.normal(size=(30, 4))
     labels = ["a" if v > 0 else "b" for v in X[:, 0]]
     model = fit(ClassifierSpec("dt"), X, labels)
-    agnostic, by_class = explain_model(model, X[:5], X[5:20])
-    assert isinstance(agnostic, ShapExplanation)
-    assert agnostic.values.shape == (5, 4)
-    assert agnostic.n_records == 5
-    assert set(by_class) == set(model.classes)
-    assert by_class["a"].values.shape == (5, 4)
-    assert agnostic.feature_names == tuple(f"column {i}" for i in range(4))
+    phi, base = explain_model(model, X[:5], X[5:20])
+    assert isinstance(phi, np.ndarray) and isinstance(base, np.ndarray)
+    assert phi.shape == (5, 4, len(model.classes)) == (5, 4, 2)
+    assert base.shape == (5, 2)
+    rows = list(beeswarm_rows(phi, X[:5], list(range(5))))
+    assert len(rows) == 5 * 4
+    assert {feature for _, feature, *_ in rows} == {f"column {i}" for i in range(4)}
 
 
 # --- TreeSHAP ------------------------------------------------------------------
@@ -199,32 +200,37 @@ def test_leaf_boxes_route_like_tree_predict(rng):
     assert np.array_equal(inside @ value, tree_predict(tree, X))
 
 
-@pytest.mark.parametrize("variant", ["dt", "rf"])
-def test_tree_models_match_enumeration_per_class(rng, variant):
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_every_variant_matches_enumeration_per_class(rng, variant):
+    # explain_model scores in standardized space (TreeSHAP for dt and rf,
+    # proba_standardized composites for the rest); exact_shapley enumerates
+    # predict_proba on the raw composites. Unequal feature scales make the
+    # standardization do real work.
     centers = [(0.0, 0.0, 0.0, 0.0), (2.0, 0.0, 1.0, 0.0), (0.0, 2.0, -1.0, 1.0)]
-    X = np.vstack([rng.normal(c, 0.8, size=(20, 4)) for c in centers])
+    scales = np.array([1.0, 30.0, 0.02, 500.0])
+    X = np.vstack([rng.normal(c, 0.8, size=(20, 4)) for c in centers]) * scales
     labels = [f"c{i}" for i in range(3) for _ in range(20)]
     model = fit(ClassifierSpec(variant), X, labels)
     background = X[::4]
     records = X[1:60:15]
-    _, by_class = explain_model(model, records, background)
+    phi, base = explain_model(model, records, background)
+    assert phi.shape == (len(records), 4, 3) and base.shape == (len(records), 3)
     for r, record in enumerate(records):
-        for ci, cls in enumerate(model.classes):
+        for ci in range(len(model.classes)):
             expected, expected_base = exact_shapley(
                 lambda M: model.predict_proba(M)[:, ci], record, background
             )
-            phi, base = by_class[cls].values[r], by_class[cls].base_values[r]
-            assert np.abs(phi - expected).max() <= 1e-12
-            assert base == pytest.approx(expected_base, abs=1e-12)
+            assert np.abs(phi[r, :, ci] - expected).max() <= 1e-12
+            assert base[r, ci] == pytest.approx(expected_base, abs=1e-12)
 
 
 def test_tree_shap_needs_no_feature_limit(rng):
     X = rng.normal(size=(40, 20))
     labels = ["a" if v > 0 else "b" for v in X[:, 3]]
     model = fit(ClassifierSpec("dt"), X, labels)
-    agnostic, _ = explain_model(model, X[:1], X[10:20])
+    phi, base = explain_model(model, X[:1], X[10:20])
     proba = model.predict_proba(X[:1])[0]
-    assert agnostic.values[0].sum() + agnostic.base_values[0] == pytest.approx(
+    assert phi[0].mean(axis=1).sum() + base[0].mean() == pytest.approx(
         proba.mean(), abs=1e-12
     )
 
@@ -243,35 +249,49 @@ def test_non_finite_inputs_are_data_errors(rng, where):
 
 # --- beeswarm ranking -----------------------------------------------------------
 
-def explanation_from(values, names):
+def ranked_features(values):
+    """Features in the beeswarm's rank order for one-class values
+    ``(records, features)``."""
     values = np.asarray(values, dtype=float)
-    return ShapExplanation(
-        feature_names=tuple(names),
-        values=values,
-        base_values=np.zeros(len(values)),
-        feature_values=np.zeros_like(values),
-    )
+    rows = beeswarm_rows(values[:, :, None], np.zeros_like(values), list(range(len(values))))
+    ranked = {}
+    for _, feature, _, _, rank in rows:
+        ranked.setdefault(rank, feature)
+    return [ranked[rank] for rank in sorted(ranked)]
 
 
 def test_ranking_by_mean_absolute_value():
-    exp = explanation_from([[1.0, -3.0, 0.5], [-1.0, 3.0, 0.5]], ["a", "b", "c"])
-    assert beeswarm_ranking(exp) == [1, 0, 2]
+    assert ranked_features([[1.0, -3.0, 0.5], [-1.0, 3.0, 0.5]]) == [
+        "column 1", "column 0", "column 2"
+    ]
 
 
 def test_ranking_tie_breaks_by_name():
-    exp = explanation_from([[1.0, 1.0]], ["zeta", "alpha"])
-    assert beeswarm_ranking(exp) == [1, 0]
+    # Twelve columns are named by FEATURE_NAMES, whose order is not the
+    # names' alphabetical order.
+    assert list(FEATURE_NAMES) != sorted(FEATURE_NAMES)
+    assert ranked_features(np.ones((1, 12))) == sorted(FEATURE_NAMES)
 
 
-def test_beeswarm_export_rows():
-    exp = explanation_from([[1.0, -2.0], [0.5, 0.1]], ["f1", "f2"])
-    rows = beeswarm_export(exp, record_ids=["r0", "r1"])
-    assert len(rows) == 4
-    assert rows[0]["feature"] == "f2" and rows[0]["rank"] == 1
-    assert rows[0]["record_id"] == "r0" and rows[1]["record_id"] == "r1"
-    assert rows[2]["feature"] == "f1" and rows[2]["rank"] == 2
+def test_beeswarm_rows():
+    phi = np.array([[1.0, -2.0], [0.5, 0.1]])[:, :, None]
+    X = np.array([[10.0, 20.0], [30.0, 40.0]])
+    rows = list(beeswarm_rows(phi, X, ["r0", "r1"]))
+    assert rows == [
+        ("r0", "column 1", -2.0, 20.0, 1),
+        ("r1", "column 1", 0.1, 40.0, 1),
+        ("r0", "column 0", 1.0, 10.0, 2),
+        ("r1", "column 0", 0.5, 30.0, 2),
+    ]
+    # The plotted value of a record and feature is its mean over classes.
+    two_class = np.concatenate([phi, 3.0 * phi], axis=2)
+    assert [row[2] for row in beeswarm_rows(two_class, X, ["r0", "r1"])] == [
+        -4.0, 0.2, 2.0, 1.0
+    ]
     with pytest.raises(ShapeError):
-        beeswarm_export(exp, record_ids=["only-one"])
+        beeswarm_rows(phi, X, ["only-one"])
+    with pytest.raises(ShapeError):
+        beeswarm_rows(phi, X[:, :1], ["r0", "r1"])
 
 
 # --- permutation importance ------------------------------------------------------
@@ -287,27 +307,27 @@ def test_informative_feature_ranks_first(rng):
     model = fit(ClassifierSpec("dt"), X, labels)
     firsts = 0
     for seed in range(20):
-        report = permutation_importance(model, X, labels, seed=seed)
-        firsts += int(np.argmax(np.median(report.decreases, axis=1)) == 2)
+        _, decreases = permutation_importance(model, X, labels, seed=seed)
+        firsts += int(np.argmax(np.median(decreases, axis=1)) == 2)
     assert firsts >= 19
 
 
 def test_permutation_decreases_shape_and_baseline(rng):
     X, labels = informative_data(rng, n=60)
     model = fit(ClassifierSpec("dt"), X, labels)
-    split = permutation_importance(model, X, labels, repeats=7, seed=3)
-    assert split.decreases.shape == (5, 7)
-    assert split.metric == "balanced_accuracy"
-    assert split.baseline == pytest.approx(1.0)  # tree memorizes its train set
-    assert split.split == "test"
+    baseline, decreases = permutation_importance(model, X, labels, repeats=7, seed=3)
+    assert decreases.shape == (5, 7)
+    # The default metric is balanced accuracy.
+    assert baseline == balanced_accuracy(labels, model.predict(X))
+    assert baseline == pytest.approx(1.0)  # tree memorizes its train set
 
 
 def test_permutation_deterministic_per_seed(rng):
     X, labels = informative_data(rng, n=60)
     model = fit(ClassifierSpec("dt"), X, labels)
-    a = permutation_importance(model, X, labels, seed=5).decreases
-    b = permutation_importance(model, X, labels, seed=5).decreases
-    c = permutation_importance(model, X, labels, seed=6).decreases
+    _, a = permutation_importance(model, X, labels, seed=5)
+    _, b = permutation_importance(model, X, labels, seed=5)
+    _, c = permutation_importance(model, X, labels, seed=6)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -319,8 +339,11 @@ def test_permutation_metric_validation(rng):
         permutation_importance(model, X, labels, metric="f1")
     with pytest.raises(ConfigurationError):
         permutation_importance(model, X, labels, repeats=0)
-    plain = permutation_importance(model, X, labels, metric="accuracy")
-    assert plain.metric == "accuracy"
+    # Scored on rows it was not fitted on, the tree errs, so the metrics differ.
+    held_out = fit(ClassifierSpec("dt"), X[:10], labels[:10])
+    baseline, _ = permutation_importance(held_out, X, labels, metric="accuracy")
+    assert baseline == accuracy(labels, held_out.predict(X))
+    assert baseline != balanced_accuracy(labels, held_out.predict(X))
 
 
 def test_importance_report_has_both_splits(rng):
@@ -330,11 +353,19 @@ def test_importance_report_has_both_splits(rng):
         model, X[:60], labels[:60], X[60:], labels[60:], repeats=3,
         metric="balanced_accuracy", seed=0,
     )
-    assert {s.split for s in report.splits} == {"train", "test"}
-    assert report.split("train").decreases.shape == (5, 3)
+    assert list(report.baselines) == list(report.decreases) == ["train", "test"]
+    assert report.metric == "balanced_accuracy"
+    assert report.decreases["train"].shape == (5, 3)
+    assert report.decreases["test"].shape == (5, 3)
     with pytest.raises(KeyError):
-        report.split("validation")
+        report.decreases["validation"]
     assert report.feature_names == tuple(f"column {i}" for i in range(5))
+    for split, rows in (("train", slice(None, 60)), ("test", slice(60, None))):
+        baseline, decreases = permutation_importance(
+            model, X[rows], labels[rows], repeats=3, seed=0
+        )
+        assert report.baselines[split] == baseline
+        assert np.array_equal(report.decreases[split], decreases)
 
 
 def one_predict_per_copy(model, X, labels, repeats, seed):
@@ -356,9 +387,9 @@ def test_batched_permutation_equals_one_predict_per_copy(rng, variant):
     model = fit(ClassifierSpec(variant), X, labels)
     repeats, seed = 4, 9
     baseline, expected = one_predict_per_copy(model, X, labels, repeats, seed)
-    split = permutation_importance(model, X, labels, repeats=repeats, seed=seed)
-    assert split.baseline == baseline
-    assert np.array_equal(split.decreases, expected)
+    got_baseline, got = permutation_importance(model, X, labels, repeats=repeats, seed=seed)
+    assert got_baseline == baseline
+    assert np.array_equal(got, expected)
 
 
 def test_leaf_sum_paths_serve_dt_and_rf_only():
@@ -398,8 +429,8 @@ def test_rerouted_permutation_equals_one_predict_per_copy(
         baseline, expected = one_predict_per_copy(
             model, X[rows], labels[rows], repeats, seed
         )
-        split = permutation_importance(
+        got_baseline, got = permutation_importance(
             model, X[rows], labels[rows], repeats=repeats, seed=seed
         )
-        assert split.baseline == baseline
-        assert np.array_equal(split.decreases, expected)
+        assert got_baseline == baseline
+        assert np.array_equal(got, expected)

@@ -15,7 +15,6 @@ from loudclass.explain import importance_report
 from loudclass.harness import (
     DEFAULT_ROVING_CONDITIONS,
     ExperimentConfig,
-    classifier_names,
     default_classifier_specs,
     kfold_split,
     make_fold_plans,
@@ -124,9 +123,10 @@ def test_config_validation():
         ExperimentConfig(data_path="x", rove_seed=-1)
 
 
-def test_classifier_names_deduplicate():
+def test_a_repeated_variant_is_rejected():
     specs = (ClassifierSpec("lr"), ClassifierSpec("lr", seed=1), ClassifierSpec("dt"))
-    assert classifier_names(specs) == ["lr", "lr#2", "dt"]
+    with pytest.raises(ConfigurationError, match="repeated: lr"):
+        fast_config(classifiers=specs)
 
 
 def test_default_specs_cover_all_variants():
@@ -319,7 +319,7 @@ def test_roving_sweep_structure():
     assert set(aucs) == set(sweep.conditions)
     assert all(0.0 <= v <= 1.0 for v in aucs.values())
     for imp in sweep.importance:
-        assert {s.split for s in imp.splits} == {"train", "test"}
+        assert list(imp.baselines) == list(imp.decreases) == ["train", "test"]
 
 
 def test_roving_sweep_shares_base_data_and_plans():
@@ -377,7 +377,7 @@ def test_roving_sweep_importance_scores_the_plan0_fold0_model():
     train_idx, test_idx = make_fold_plans(cfg, y)[0].fold_indices(0)
     y_train = [y[i] for i in train_idx]
     y_test = [y[i] for i in test_idx]
-    spec = cfg.classifiers[classifier_names(cfg.classifiers).index(cfg.designated)]
+    [spec] = [s for s in cfg.classifiers if s.variant == cfg.designated]
     for (mean, sd), got in zip(conditions, sweep.importance):
         X = feature_matrix(apply_roving(base, RovingConfig(mean, sd, cfg.rove_seed)))
         model = fit(spec, X[train_idx], y_train, classes=tuple(sorted_labels(y)))
@@ -385,10 +385,11 @@ def test_roving_sweep_importance_scores_the_plan0_fold0_model():
             model, X[train_idx], y_train, X[test_idx], y_test,
             repeats=cfg.perm_repeats, metric=cfg.perm_metric, seed=cfg.seed,
         )
-        assert [s.split for s in got.splits] == [s.split for s in want.splits]
-        for g, w in zip(got.splits, want.splits):
-            assert g.baseline == w.baseline
-            assert np.array_equal(g.decreases, w.decreases)
+        assert list(got.baselines) == list(want.baselines)
+        assert list(got.decreases) == list(want.decreases)
+        for split in want.decreases:
+            assert got.baselines[split] == want.baselines[split]
+            assert np.array_equal(got.decreases[split], want.decreases[split])
 
 
 def test_roving_sweep_data_errors_carry_the_stage(monkeypatch):

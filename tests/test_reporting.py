@@ -231,9 +231,9 @@ def test_write_beeswarm_and_importance(small_records, tmp_path):
     X = feature_matrix(small_records)
     y = labels_of(small_records)
     model = fit(ClassifierSpec("dt"), X, y)
-    agnostic, _ = explain_model(model, X[:3], X[3:20])
+    phi, _ = explain_model(model, X[:3], X[3:20])
     ids = [f"{r.participant_id}:{r.ear}" for r in small_records[:3]]
-    write_beeswarm_csv(agnostic, ids, tmp_path / "bee.csv")
+    write_beeswarm_csv(phi, X[:3], ids, tmp_path / "bee.csv")
     rows = read_csv(tmp_path / "bee.csv")
     assert len(rows) == 3 * 12
     assert set(rows[0]) == {"record_id", "feature", "shap_value",

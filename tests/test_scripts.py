@@ -101,8 +101,9 @@ def test_compare_outputs_finds_no_difference_between_a_tree_and_itself(tmp_path,
                          "--per-class", "8"]) == 0
     assert "0 difference(s)" in capsys.readouterr().out
     codes = json.loads((work / "change" / "exit_codes.json").read_text())
-    assert len(codes) == 22 and set(codes.values()) == {0}
+    assert len(codes) == 25 and set(codes.values()) == {0}
     assert (work / "parent" / "explain-nn" / "shap_beeswarm.csv").is_file()
+    assert (work / "change" / "bench-sweep" / "sweep" / "perm_importance.csv").is_file()
     assert (work / "change" / "report-sweep" / "figures" / "manifest.json").is_file()
 
 
