@@ -15,9 +15,9 @@ place, the keyword defaults and annotations of its submodel's constructor
 (``k: Annotated[int, AtLeast(1)] = 2``); ``DEFAULT_PARAMS`` and
 ``check_params`` read them from there. The default seeds are
 ``DEFAULT_SEEDS``; any seed given must be an integer >= 0. ``check_params``
-is the one hyperparameter and seed check: ``ClassifierSpec.resolved`` calls
-it before any fit and ``model_from_jsonable`` before any submodel is
-rebuilt.
+is the one hyperparameter and seed check: building a ``ClassifierSpec`` runs
+it, as ``model_from_jsonable`` does before any submodel is rebuilt, and
+``resolved`` again before each fit, since a caller can change ``params``.
 """
 
 from __future__ import annotations
@@ -130,6 +130,7 @@ class ClassifierSpec:
                 f"unknown classifier variant {self.variant!r}; "
                 f"expected one of {', '.join(VARIANTS)}"
             )
+        check_params(self.variant, self.seed, self.params)
 
     def resolved(self) -> tuple[int | None, dict]:
         """The seed and the full parameter set, once ``check_params`` has
@@ -267,7 +268,7 @@ def model_from_jsonable(payload: dict) -> TrainedModel:
                 f"{variant} params must have exactly the keys {', '.join(sorted(expected))}"
             )
         seed = payload["seed"] if variant in DEFAULT_SEEDS else None
-        check_params(variant, seed, params)
+        ClassifierSpec(variant, seed, params)
         scaler = StandardScaler.from_jsonable(payload["scaler"])
         submodels = [
             _make_submodel(variant, params, seed, ci, len(scaler.mean_)).load_fitted_state(state)

@@ -25,7 +25,7 @@ import numpy as np
 from .bisgaard import BisgaardClass, class_from_name
 from .classifiers import VARIANTS, ClassifierSpec, fit, save_model
 from .errors import ConfigurationError, DataError, LoudclassError, NumericError
-from .domains import AtLeast, OneOf, Seed, check, field_annotations
+from .domains import AtLeast, AtMost, OneOf, Seed, check, field_annotations
 from .explain import PERMUTATION_METRICS, explain_model, importance_report
 from .files import dump_json, sha256_file
 from .harness import (
@@ -35,6 +35,7 @@ from .harness import (
     roving_sweep,
     run_experiment,
 )
+from .loudness import FEATURE_NAMES
 from .metrics import sorted_labels
 from .pca import fit_pca, standardize, transform
 from .pipeline import (
@@ -265,7 +266,7 @@ _TABLE: dict[str, tuple[str, tuple[Option, ...]]] = {
     )),
     "pca": ("principal components of the standardized features", (
         _DATA,
-        Option("components", 2, domain=Annotated[int, AtLeast(1)]),
+        Option("components", 2, domain=Annotated[int, AtLeast(1), AtMost(len(FEATURE_NAMES))]),
     )),
     "train": ("fit one classifier on the full dataset", (
         _DATA,
@@ -432,10 +433,6 @@ def _resolve_options(cmd: str, args: argparse.Namespace, payload: dict) -> dict:
             )
     if cmd == "explain" and not options["classifier"]:
         raise ConfigurationError("explain requires an explicit --classifier")
-    if cmd in ("evaluate", "sweep") and options["classifier"] not in options["only"]:
-        raise ConfigurationError(
-            f"designated classifier {options['classifier']!r} must appear in --only"
-        )
     return options
 
 
@@ -506,8 +503,9 @@ def _classifier_spec(options: dict) -> ClassifierSpec:
 
 
 def _run_train(options: dict, out_dir: Path) -> None:
+    spec = _classifier_spec(options)
     records = load_labeled_json(options["data"])
-    model = fit(_classifier_spec(options), feature_matrix(records), labels_of(records))
+    model = fit(spec, feature_matrix(records), labels_of(records))
     save_model(model, out_dir / options["model_out"])
     write_manifest(out_dir, "train", options, [options["data"]])
 
@@ -535,6 +533,7 @@ def _run_evaluate(options: dict, out_dir: Path) -> None:
 
 
 def _run_explain(options: dict, out_dir: Path) -> None:
+    spec = _classifier_spec(options)
     records = load_labeled_json(options["data"])
     X = feature_matrix(records)
     y = labels_of(records)
@@ -542,8 +541,7 @@ def _run_explain(options: dict, out_dir: Path) -> None:
     train_idx, test_idx = plan.fold_indices(0)
     y_train = [y[i] for i in train_idx]
     y_test = [y[i] for i in test_idx]
-    model = fit(_classifier_spec(options), X[train_idx], y_train,
-                classes=sorted_labels(y))
+    model = fit(spec, X[train_idx], y_train, classes=sorted_labels(y))
 
     size = min(options["background"], len(train_idx))
     rng = np.random.default_rng(
@@ -600,7 +598,7 @@ def _load_replay(path: str) -> tuple[str, dict]:
     config file, once every recorded input still has its recorded sha256."""
     manifest = _read_json_object(path, "manifest")
     cmd = manifest.get("command")
-    if cmd not in _RUNNERS:
+    if not isinstance(cmd, str) or cmd not in _RUNNERS:
         raise ConfigurationError(f"manifest names unknown command {cmd!r}")
     inputs = manifest.get("inputs")
     if not isinstance(inputs, dict):

@@ -158,7 +158,8 @@ def kfold_split(labels, k: int = 10, stratified: bool = True, seed: int = 0) -> 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a run needs; the master seed fixes all derived streams."""
+    """Everything a run needs, checked when built; the master seed fixes all
+    derived streams. ``synthetic`` wins over ``data_path``."""
 
     synthetic: SyntheticConfig | None = None
     data_path: str | None = None
@@ -185,6 +186,11 @@ class ExperimentConfig:
             raise ConfigurationError(
                 "each classifier variant may appear once; repeated: " + ", ".join(repeated)
             )
+        if self.designated not in variants:
+            raise ConfigurationError(f"designated classifier {self.designated!r} "
+                                     f"is not among: {', '.join(variants)}")
+        if self.synthetic is None and self.data_path is None:
+            raise ConfigurationError("no data source: provide a synthetic config or a data path")
         check_fields(self)
 
 
@@ -259,11 +265,7 @@ def resolve_records(cfg: ExperimentConfig) -> list:
     """Generate synthetic records or load them from the data file."""
     if cfg.synthetic is not None:
         return generate_synthetic(cfg.synthetic)
-    if cfg.data_path is not None:
-        return load_labeled_json(cfg.data_path)
-    raise ConfigurationError(
-        "no data source: provide a synthetic config or a data path"
-    )
+    return load_labeled_json(cfg.data_path)
 
 
 def _plan_seed(seed: int, repeat: int) -> int:
@@ -474,19 +476,6 @@ def _cross_validate(cfg, configs, *, importance=False):
 
     classes = tuple(sorted_labels(y))
     names = [spec.variant for spec in cfg.classifiers]
-    if cfg.designated not in names:
-        raise ConfigurationError(
-            f"designated classifier {cfg.designated!r} is not among: "
-            + ", ".join(names)
-        )
-    for name, spec in zip(names, cfg.classifiers):
-        try:
-            # Unknown, wrong-typed or out-of-range parameters, and a bad
-            # seed, are rejected here, before any fit.
-            spec.resolved()
-        except LoudclassError as exc:
-            raise _with_stage(f"classifier {name}", exc)
-
     context = (
         cfg,
         matrices,

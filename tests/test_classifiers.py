@@ -908,8 +908,15 @@ def test_check_params_admits_numpy_scalars_and_only_integer_seeds():
 def test_spec_validation():
     with pytest.raises(ConfigurationError):
         ClassifierSpec("xgboost")
-    with pytest.raises(ConfigurationError):
-        ClassifierSpec("lr", params={"bogus_knob": 3}).resolved()
+    with pytest.raises(ConfigurationError, match="unknown lr parameters: bogus_knob"):
+        ClassifierSpec("lr", params={"bogus_knob": 3})
+    with pytest.raises(ConfigurationError, match="nn parameter hidden must be"):
+        ClassifierSpec("nn", params={"hidden": [0]})
+    # A caller can change params after the spec is built; each fit checks them again.
+    spec = ClassifierSpec("lr")
+    spec.params["max_iter"] = 0
+    with pytest.raises(ConfigurationError, match="lr parameter max_iter must be"):
+        spec.resolved()
     seed, params = ClassifierSpec("dt", params={"min_samples_split": 9}).resolved()
     assert seed is None
     assert params["min_samples_split"] == 9

@@ -591,6 +591,21 @@ def test_negative_master_seed_is_exit_2_before_any_data_is_read(tmp_path, capsys
     assert "seed must be an integer >= 0, got -1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    *[((command, "--classifier", "lr", "--param", "max_iter=0"),
+       "lr parameter max_iter must be an integer >= 1, got 0")
+      for command in ("train", "explain", "evaluate", "sweep")],
+    (("pca", "--components", "13"), "components must be an integer >= 1 and <= 12, got 13"),
+], ids=["train", "explain", "evaluate", "sweep", "pca"])
+def test_settings_are_checked_before_any_input_is_read(tmp_path, capsys, argv, message):
+    # With an absent --data, a setting checked only after the read exits 3.
+    out = tmp_path / "out"
+    rc = run(*argv, "--out-dir", str(out), "--data", str(tmp_path / "absent.json"))
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 # Accepted types, each bound on its boundary, and an rf max_features above
 # the 12 features (every feature is then a candidate at each split).
 @pytest.mark.parametrize("variant, param", [
@@ -934,12 +949,13 @@ def _with_option(key, value):
     (_with_option("background", 2.5), "background must be an integer"),
     (_with_option("bogus", 1), "unknown config keys for explain: bogus"),
     (_with("command", "bogus"), "manifest names unknown command 'bogus'"),
+    (_with("command", ["explain"]), "manifest names unknown command ['explain']"),
     (_with("options", None), "config section 'explain' must be an object"),
     (_with("inputs", None), "manifest inputs must be an object"),
     (lambda manifest: json.dumps([manifest]), "manifest must hold a JSON object"),
     (lambda manifest: "{not json", "manifest is not valid JSON"),
 ], ids=["string-count", "fractional-count", "unknown-key", "unknown-command",
-        "no-options", "no-inputs", "top-level-list", "not-json"])
+        "command-list", "no-options", "no-inputs", "top-level-list", "not-json"])
 def test_malformed_manifest_is_exit_2(explained, tmp_path, edit, message, capsys):
     manifest = tmp_path / "manifest.json"
     manifest.write_text(edit(json.loads((explained / "manifest.json").read_text())))

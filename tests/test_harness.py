@@ -121,6 +121,11 @@ def test_config_validation():
         fast_config(seed=-1)
     with pytest.raises(ConfigurationError, match="rove_seed must be an integer >= 0, got -1"):
         ExperimentConfig(data_path="x", rove_seed=-1)
+    # Rejected when built, so before the absent data file is read.
+    with pytest.raises(ConfigurationError, match="designated classifier 'lr' is not among: dt"):
+        ExperimentConfig(data_path="absent.json", classifiers=(ClassifierSpec("dt"),))
+    with pytest.raises(ConfigurationError, match="no data source"):
+        fast_config(synthetic=None)
 
 
 def test_a_repeated_variant_is_rejected():
@@ -141,8 +146,7 @@ def test_resolve_records_precedence(tmp_path, small_records):
     write_labeled_json(small_records, path)
     from_file = resolve_records(fast_config(synthetic=None, data_path=str(path)))
     assert from_file == small_records
-    with pytest.raises(ConfigurationError):
-        resolve_records(fast_config(synthetic=None))
+    assert resolve_records(fast_config(data_path=str(path))) == generated
 
 
 # --- experiment run ----------------------------------------------------------------
@@ -206,8 +210,8 @@ def test_run_experiment_repeats():
 
 
 def test_run_experiment_unknown_designated():
-    with pytest.raises(ConfigurationError):
-        run_experiment(fast_config(designated="svm"))
+    with pytest.raises(ConfigurationError, match="designated classifier 'svm' is not among"):
+        fast_config(designated="svm")
 
 
 def test_run_experiment_applies_roving(small_records):
@@ -453,10 +457,15 @@ def test_roving_sweep_metric_events_do_not_depend_on_the_worker_count(monkeypatc
 
 
 def test_roving_sweep_classifier_errors_carry_the_stage():
-    cfg = fast_config(classifiers=(ClassifierSpec("dt", params={"bogus": 1}),))
-    with pytest.raises(ConfigurationError) as info:
+    # Only a fit finds a k above the training rows of a fold.
+    cfg = fast_config(classifiers=(ClassifierSpec("dt"),
+                                   ClassifierSpec("knn", params={"k": 1000})))
+    with pytest.raises(ConfigurationError, match="k=1000 exceeds 54 training records") as info:
         roving_sweep(cfg, conditions=((5.0, 5.0),))
-    assert "stage: classifier dt" in getattr(info.value, "__notes__", [])
+    assert "stage: classifier knn" in getattr(info.value, "__notes__", [])
+    # An unknown parameter is rejected when the spec is built, before any data.
+    with pytest.raises(ConfigurationError, match="unknown dt parameters: bogus"):
+        ClassifierSpec("dt", params={"bogus": 1})
 
 
 def test_roving_sweep_rejects_preroved_config():

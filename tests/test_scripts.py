@@ -163,3 +163,30 @@ def test_bench_pairs_summary_on_canned_runs():
     assert [s["workload"] for s in merged["summary"]] == ["x", "w"]
     assert len(merged["runs"]) == 1 + len(runs)
     assert merged["source_sha256"] == {"parent": "src-parent", "change": "src-change"}
+
+
+def test_seed_spread_of_a_tree_against_itself_is_zero_on_every_seed(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    work = tmp_path / "spread"
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "seed_spread.py"), "--parent", str(ROOT),
+         "--change", str(ROOT), "--work-dir", str(work), "--seeds", "1000-1001",
+         "--per-class", "8", "--k", "3"],
+        env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    summary = json.loads((work / "seed_spread.json").read_text())
+    assert summary["seeds"] == [1000, 1001]
+    assert (summary["per_class"], summary["k"]) == (8, 3)
+    assert list(summary["classifiers"]) == ["dt", "gb", "knn", "lr", "nn", "rf", "svm"]
+    for row in summary["classifiers"].values():
+        assert row["parent"] == row["change"] and len(row["parent"]) == 2
+        assert row["difference"] == [0.0, 0.0]
+        assert row["mean_difference"] == 0.0 and row["change_better"] == 0
+    for side in ("parent", "change"):
+        for seed in (1000, 1001):
+            manifest = json.loads(
+                (work / side / f"seed{seed}" / "manifest.json").read_text())
+            assert manifest["options"]["seed"] == seed
+    assert "change higher on 0 of 2 seeds" in done.stdout
